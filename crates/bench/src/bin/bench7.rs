@@ -1,6 +1,6 @@
 //! Cache-friendliness benchmark (the committed `BENCH_7.json`).
 //!
-//! Same E6-class workload as `bench6` (100K-node Kademlia overlay, a
+//! Same E6-class workload as `benchmark/`'s `kad100k` (100K-node Kademlia overlay, a
 //! wave of lookups, one long drain), but instrumented for *deterministic*
 //! cost counters so CI can gate on noise-free numbers even on a 1-core
 //! shared runner:
@@ -38,7 +38,7 @@ const DEFAULT_NODES: usize = 100_000;
 const DEFAULT_LOOKUPS: usize = 2_000;
 const QUICK_NODES: usize = 3_000;
 const QUICK_LOOKUPS: usize = 300;
-const SEED: u64 = 0xB6; // same workload as bench6, comparable by construction
+const SEED: u64 = 0xB6; // kad100k's seed in benchmark/: comparable by construction
 
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);

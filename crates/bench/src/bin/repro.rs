@@ -44,7 +44,7 @@
 //! does not fail on them: claims *expected* to flip off-default are the
 //! point of the exercise.
 //!
-//! Real sockets (the transport facade, DESIGN.md §4h): `--serve kad`
+//! Real sockets (the TCP backend, DESIGN.md §4h): `--serve kad`
 //! hosts a small TCP-backed Kademlia mesh on localhost — `--mesh-size`
 //! nodes on ports `--port-base..` — for `--serve-for` seconds, and
 //! `--probe` dials that mesh from a separate process, runs one real

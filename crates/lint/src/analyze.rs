@@ -114,11 +114,10 @@ pub const SIM_FACING_CRATES: &[&str] = &[
 ];
 
 /// Files that legitimately touch wall-clock time, OS entropy, threads
-/// and real synchronization: the real-network backends behind the
-/// transport facade (DESIGN.md §4h). D002/D003 and the shared-state
-/// rules D007/D010 are skipped here — and ONLY here — so the
-/// deterministic sim side of `decent-net` stays fully enforced while
-/// the TCP side can use `Instant`, sockets, channels and locks. Paths
+/// and real synchronization: the TCP backend (DESIGN.md §4h).
+/// D002/D003 and the shared-state rules D007/D010 are skipped here —
+/// and ONLY here — so the rest of `decent-net` stays fully enforced
+/// while `tcp.rs` can use `Instant`, sockets, channels and locks. Paths
 /// are workspace-relative and must be listed file-by-file; no globs, so
 /// the allowlist cannot silently grow.
 pub const REAL_TIME_PATHS: &[&str] = &["crates/net/src/tcp.rs"];

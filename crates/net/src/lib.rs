@@ -1,160 +1,91 @@
-//! Transport facade: one protocol core, two backends.
+//! The TCP backend: any simulator [`Node`] on real sockets.
 //!
-//! The reproduction's protocols (Kademlia today; chain/BFT/edge families
-//! next) are written against two small traits instead of the simulation
-//! engine directly:
+//! Protocols in this workspace are written once, against the engine's
+//! [`Node`] trait: four handlers, each handed a [`Context`] that gives
+//! the time, the node's id and RNG stream, and collects the sends and
+//! timers the handler asks for. A node never blocks, never sleeps,
+//! never opens a socket; it only reacts and emits. Two drivers run it:
 //!
-//! - [`Transport`] is the handler-side capability surface — current time,
-//!   own address, a deterministic RNG stream, message sends, timers. It
-//!   is a 1:1 image of the engine's `Context`, so the sim backend is a
-//!   zero-cost passthrough and porting a protocol cannot change its
-//!   event order.
-//! - [`Protocol`] is the passive event-driven core — `on_start` /
-//!   `on_message` / `on_timer` / `on_stop`, each handed a `&mut impl
-//!   Transport`. A protocol never blocks, never sleeps, never opens a
-//!   socket; it only reacts and emits.
-//!
-//! Two backends drive a [`Protocol`]:
-//!
-//! | backend | module | time | delivery | determinism |
+//! | driver | where | time | delivery | determinism |
 //! |---|---|---|---|---|
-//! | sim | [`sim`] | virtual (`SimTime`) | engine network model, fault plans | byte-identical across schedulers and `--shards` |
-//! | tcp | [`tcp`] | wall clock mapped to `SimTime` | real sockets, length-prefixed frames ([`wire`]) | best-effort (the real world is not deterministic) |
+//! | `Simulation` | `decent-sim` | virtual (`SimTime`) | engine network model, fault plans | byte-identical across schedulers and `--shards` |
+//! | [`tcp::TcpRuntime`] | here | wall clock mapped to `SimTime` | real sockets, length-prefixed frames ([`wire`]) | best-effort (the real world is not deterministic) |
 //!
-//! The sim backend is the engine itself: `Context<'_, M>` implements
-//! [`Transport`], so any type implementing the engine's `Node` trait can
-//! route its handlers through protocol code unchanged, and
-//! [`sim::SimHost`] adapts a pure [`Protocol`] into a `Node` for
-//! facade-only protocols. The tcp backend ([`tcp::TcpRuntime`]) hosts
-//! protocol instances behind real listeners, encodes messages with the
-//! [`wire::Wire`] codec, and drives timers from a wall-clock timer
-//! thread — same code, real packets.
+//! All a protocol needs to cross from the simulator to the wire is a
+//! [`wire::Wire`] codec for its message type.
+//!
+//! [`Node`]: decent_sim::engine::Node
+//! [`Context`]: decent_sim::engine::Context
 //!
 //! # Example
 //!
-//! A miniature request/reply protocol, written once against the facade
-//! and driven here by the deterministic sim backend:
+//! A miniature request/reply protocol, written once and run by both
+//! drivers:
 //!
 //! ```
-//! use decent_net::sim::SimHost;
-//! use decent_net::{Protocol, Transport};
+//! use std::net::SocketAddr;
+//!
+//! use decent_net::tcp::TcpNetBuilder;
+//! use decent_net::wire::{get_u64, put_u64, Wire, WireError};
 //! use decent_sim::prelude::*;
+//!
+//! #[derive(Clone)]
+//! struct Count(u64);
+//!
+//! impl Wire for Count {
+//!     fn encode(&self, buf: &mut Vec<u8>) {
+//!         put_u64(buf, self.0);
+//!     }
+//!     fn decode(r: &mut &[u8]) -> Result<Self, WireError> {
+//!         Ok(Count(get_u64(r)?))
+//!     }
+//! }
 //!
 //! struct Echo {
 //!     seen: usize,
 //! }
 //!
-//! impl Protocol for Echo {
-//!     type Msg = u64;
-//!     fn on_message<T: Transport<Msg = u64>>(&mut self, from: NodeId, msg: u64, net: &mut T) {
+//! impl Node for Echo {
+//!     type Msg = Count;
+//!     fn on_message(&mut self, from: NodeId, msg: Count, ctx: &mut Context<'_, Count>) {
 //!         self.seen += 1;
-//!         if msg > 0 {
-//!             net.send(from, msg - 1); // ping-pong down to zero
+//!         if msg.0 > 0 {
+//!             ctx.send(from, Count(msg.0 - 1)); // ping-pong down to zero
 //!         }
 //!     }
 //! }
 //!
+//! // Simulated: virtual time, deterministic.
 //! let mut sim = Simulation::new(1, UniformLatency::from_millis(5.0, 10.0));
-//! let a = sim.add_node(SimHost(Echo { seen: 0 }));
-//! let b = sim.add_node(SimHost(Echo { seen: 0 }));
-//! sim.invoke(a, |_, net| net.send(b, 4));
+//! let a = sim.add_node(Echo { seen: 0 });
+//! let b = sim.add_node(Echo { seen: 0 });
+//! sim.invoke(a, |_, ctx| ctx.send(b, Count(4)));
 //! sim.run_until(SimTime::from_secs(1.0));
-//! assert_eq!(sim.node(a).0.seen + sim.node(b).0.seen, 5);
+//! assert_eq!(sim.node(a).seen + sim.node(b).seen, 5);
+//!
+//! // Served: the same type behind two loopback listeners.
+//! let any_port = SocketAddr::from(([127, 0, 0, 1], 0));
+//! let mut rt = TcpNetBuilder::new(1)
+//!     .host(a, any_port, Echo { seen: 0 })
+//!     .host(b, any_port, Echo { seen: 0 })
+//!     .build()?;
+//! rt.invoke(a, |_, ctx| ctx.send(b, Count(4)));
+//! for _ in 0..500 {
+//!     if rt.node(a).seen + rt.node(b).seen == 5 {
+//!         break;
+//!     }
+//!     rt.poll(SimDuration::from_millis(20.0));
+//! }
+//! assert_eq!(rt.node(a).seen + rt.node(b).seen, 5);
+//! # Ok::<(), std::io::Error>(())
 //! ```
 //!
-//! See DESIGN.md §4h for the full backend matrix, the determinism
-//! argument, and the recipe for porting the next protocol family.
+//! See DESIGN.md §4h for what the runtime does with each effect and
+//! where determinism ends.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use decent_sim::prelude::{NodeId, SimDuration, SimRng, SimTime};
-
-pub mod sim;
 pub mod tcp;
 pub mod wire;
-
-/// Handler-side capability surface a protocol core runs against.
-///
-/// Mirrors the simulation engine's `Context` exactly — same methods,
-/// same semantics, same default message size — so the sim backend is a
-/// passthrough and a ported protocol reproduces its pre-port event
-/// stream bit for bit. Backends provide:
-///
-/// - **time** ([`Transport::now`]): virtual time in the sim, wall clock
-///   since runtime start on TCP — both as `SimTime`, so protocol code
-///   never touches `std::time`;
-/// - **identity** ([`Transport::local`]): the dense `NodeId` address
-///   space shared by both backends (the TCP backend maps ids to socket
-///   addresses through a directory);
-/// - **randomness** ([`Transport::rng`]): a per-node RNG stream derived
-///   from `(seed, 2·id)` on both backends;
-/// - **output** ([`Transport::send`], [`Transport::send_sized`],
-///   [`Transport::set_timer`]): deferred effects, applied by the backend
-///   after the handler returns.
-pub trait Transport {
-    /// Message type carried by this transport.
-    type Msg: Clone;
-
-    /// Current time: virtual in the sim backend, wall-clock elapsed
-    /// since runtime start in the TCP backend.
-    fn now(&self) -> SimTime;
-
-    /// The local node's id.
-    fn local(&self) -> NodeId;
-
-    /// The local node's deterministic RNG stream.
-    fn rng(&mut self) -> &mut SimRng;
-
-    /// Sends a message of `bytes` bytes to `dst`. Delivery is decided
-    /// by the backend (network model in the sim, a framed TCP write on
-    /// the wire); sends to unknown or offline peers are dropped.
-    fn send_sized(&mut self, dst: NodeId, msg: Self::Msg, bytes: u64);
-
-    /// Sends a small message (default size 256 bytes) to `dst`.
-    fn send(&mut self, dst: NodeId, msg: Self::Msg) {
-        self.send_sized(dst, msg, 256);
-    }
-
-    /// Schedules [`Protocol::on_timer`] with `tag` after `delay`.
-    fn set_timer(&mut self, delay: SimDuration, tag: u64);
-}
-
-/// A passive, event-driven protocol core.
-///
-/// The facade-side image of the engine's `Node` trait: same four
-/// handlers, but generic over [`Transport`] instead of tied to the
-/// engine's `Context`. Implementations hold all protocol state and
-/// react to events; they never block and never perform I/O directly.
-///
-/// Run one under the sim with [`sim::SimHost`], or on real sockets with
-/// [`tcp::TcpNetBuilder`] (the message type must then also implement
-/// [`wire::Wire`]).
-pub trait Protocol {
-    /// Message type exchanged between protocol instances.
-    type Msg: Clone;
-
-    /// Called once when the node comes up, before any message.
-    fn on_start<T: Transport<Msg = Self::Msg>>(&mut self, net: &mut T) {
-        let _ = net;
-    }
-
-    /// Called when a message from `from` is delivered to this node.
-    fn on_message<T: Transport<Msg = Self::Msg>>(
-        &mut self,
-        from: NodeId,
-        msg: Self::Msg,
-        net: &mut T,
-    );
-
-    /// Called when a timer set via [`Transport::set_timer`] fires.
-    fn on_timer<T: Transport<Msg = Self::Msg>>(&mut self, tag: u64, net: &mut T) {
-        let _ = (tag, net);
-    }
-
-    /// Called when the node shuts down.
-    fn on_stop<T: Transport<Msg = Self::Msg>>(&mut self, net: &mut T) {
-        let _ = net;
-    }
-}

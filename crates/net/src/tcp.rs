@@ -1,20 +1,23 @@
-//! TCP backend: the same protocol core on real sockets.
+//! TCP backend: the simulator's [`Node`]s on real sockets.
 //!
-//! A [`TcpRuntime`] hosts one or more [`Protocol`] instances behind
-//! real `TcpListener`s and drives them from a single caller thread —
-//! the event loop is [`TcpRuntime::poll`], mirroring the engine's
-//! `run_until`. Helper threads do only I/O and timekeeping:
+//! A [`TcpRuntime`] hosts one or more [`Node`]s behind real
+//! `TcpListener`s and drives them from a single caller thread — the
+//! event loop is [`TcpRuntime::poll`], mirroring the engine's
+//! `run_until`. Each activation gets the engine's own [`Context`] over
+//! a runtime-owned [`Effect`] buffer; when the handler returns the
+//! runtime drains the buffer, writing sends to sockets and handing
+//! timers to the timer thread. Helper threads do only I/O and
+//! timekeeping:
 //!
 //! - one **acceptor** per hosted listener;
 //! - one **reader** per live connection (accepted or dialed), decoding
 //!   `[len][from][payload]` frames ([`crate::wire`]) and forwarding
 //!   `(to, from, msg)` events to the loop's channel;
-//! - one **timer** thread turning [`Transport::set_timer`] calls into
+//! - one **timer** thread turning [`Context::set_timer`] calls into
 //!   channel events when their wall-clock deadline passes.
 //!
-//! Protocol state is therefore never shared across threads: handlers
-//! run on the caller thread exactly as they do in the sim, with
-//! deferred sends and timers applied after each activation.
+//! Node state is therefore never shared across threads: handlers run on
+//! the caller thread exactly as they do in the sim.
 //!
 //! Addressing keeps the sim's dense `NodeId` space: a *directory* maps
 //! ids to socket addresses. Outbound sends reuse a cached connection
@@ -25,7 +28,7 @@
 //! registered under the sender id of the first frame it carries.
 //!
 //! Time is wall clock, reported as `SimTime` elapsed since
-//! [`TcpRuntime`] construction so protocol code stays `std::time`-free.
+//! [`TcpRuntime`] construction so node code stays `std::time`-free.
 //! Per-node RNG streams use the same `(seed, 2·id)` derivation as the
 //! engine. Determinism, of course, ends at the socket boundary: real
 //! networks reorder and delay, which is exactly what this backend is
@@ -43,10 +46,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use decent_sim::engine::{Context, Effect, Node};
 use decent_sim::prelude::{derive_seed, rng_from_seed, NodeId, SimDuration, SimRng, SimTime};
 
 use crate::wire::{read_frame, write_frame, Wire};
-use crate::{Protocol, Transport};
 
 fn to_std(d: SimDuration) -> Duration {
     Duration::from_nanos(d.as_nanos())
@@ -57,13 +60,6 @@ fn to_std(d: SimDuration) -> Duration {
 enum Event<M> {
     Msg { to: NodeId, from: NodeId, msg: M },
     Timer { node: NodeId, tag: u64 },
-}
-
-/// Deferred handler effect, applied after the activation returns (same
-/// discipline as the engine's `Action`).
-enum OutAction<M> {
-    Send { dst: NodeId, msg: M },
-    Timer { delay: SimDuration, tag: u64 },
 }
 
 struct TimerState {
@@ -77,73 +73,29 @@ struct TimerState {
 type SharedTimers = Arc<(Mutex<TimerState>, Condvar)>;
 type Conns = Arc<Mutex<BTreeMap<(NodeId, NodeId), TcpStream>>>;
 
-/// Handler-side [`Transport`] for the TCP backend.
-///
-/// Like the engine's `Context`, it defers all effects: sends and timers
-/// are queued during the activation and applied by the runtime after
-/// the handler returns.
-pub struct TcpCtx<'a, M> {
-    now: SimTime,
-    id: NodeId,
-    rng: &'a mut SimRng,
-    out: &'a mut Vec<OutAction<M>>,
-}
-
-impl<M> fmt::Debug for TcpCtx<'_, M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TcpCtx")
-            .field("now", &self.now)
-            .field("id", &self.id)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<M: Clone> Transport for TcpCtx<'_, M> {
-    type Msg = M;
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn local(&self) -> NodeId {
-        self.id
-    }
-
-    fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
-    fn send_sized(&mut self, dst: NodeId, msg: M, _bytes: u64) {
-        // The advisory size hint is a network-model input; on the wire
-        // the frame length is the actual encoded size.
-        self.out.push(OutAction::Send { dst, msg });
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, tag: u64) {
-        self.out.push(OutAction::Timer { delay, tag });
-    }
-}
-
-struct Hosted<P> {
-    proto: P,
+struct Hosted<N> {
+    node: N,
     rng: SimRng,
     addr: SocketAddr,
+    /// Cleared by [`TcpRuntime::stop`]; events for the node are then
+    /// dropped, as the engine drops them for an offline node.
+    online: bool,
 }
 
 /// Builder for a [`TcpRuntime`]: declare remote peers and locally
-/// hosted protocol instances, then [`TcpNetBuilder::build`].
+/// hosted nodes, then [`TcpNetBuilder::build`].
 ///
 /// Hosting with port 0 binds an ephemeral port; the actual address is
 /// available afterwards via [`TcpRuntime::local_addr`] (used by the
 /// in-process loopback tests). Cross-process meshes use fixed ports so
 /// both sides can compute the directory without a handshake.
-pub struct TcpNetBuilder<P: Protocol> {
+pub struct TcpNetBuilder<N: Node> {
     seed: u64,
     peers: BTreeMap<NodeId, SocketAddr>,
-    hosts: Vec<(NodeId, SocketAddr, P)>,
+    hosts: Vec<(NodeId, SocketAddr, N)>,
 }
 
-impl<P: Protocol> fmt::Debug for TcpNetBuilder<P> {
+impl<N: Node> fmt::Debug for TcpNetBuilder<N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TcpNetBuilder")
             .field("seed", &self.seed)
@@ -153,10 +105,10 @@ impl<P: Protocol> fmt::Debug for TcpNetBuilder<P> {
     }
 }
 
-impl<P> TcpNetBuilder<P>
+impl<N> TcpNetBuilder<N>
 where
-    P: Protocol,
-    P::Msg: Wire + Send + 'static,
+    N: Node,
+    N::Msg: Wire + Send + 'static,
 {
     /// Starts a builder; `seed` roots the per-node RNG stream
     /// derivation (`derive_seed(seed, 2 * id)`, matching the engine).
@@ -175,17 +127,17 @@ where
         self
     }
 
-    /// Hosts a protocol instance locally: binds a listener at `addr`
-    /// (port 0 for ephemeral) and routes its inbound frames to `proto`.
+    /// Hosts a node locally: binds a listener at `addr` (port 0 for
+    /// ephemeral) and routes its inbound frames to `node`.
     #[must_use]
-    pub fn host(mut self, id: NodeId, addr: SocketAddr, proto: P) -> Self {
-        self.hosts.push((id, addr, proto));
+    pub fn host(mut self, id: NodeId, addr: SocketAddr, node: N) -> Self {
+        self.hosts.push((id, addr, node));
         self
     }
 
     /// Binds all listeners, spawns the I/O and timer threads, and
     /// dispatches `on_start` to every hosted node in id order.
-    pub fn build(mut self) -> io::Result<TcpRuntime<P>> {
+    pub fn build(mut self) -> io::Result<TcpRuntime<N>> {
         let (tx, rx) = channel();
         let conns: Conns = Arc::new(Mutex::new(BTreeMap::new()));
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -213,7 +165,7 @@ where
         self.hosts.sort_by_key(|(id, _, _)| *id);
         let mut hosted = BTreeMap::new();
         let mut bound = Vec::new();
-        for (id, addr, proto) in self.hosts {
+        for (id, addr, node) in self.hosts {
             let listener = TcpListener::bind(addr)?;
             let actual = listener.local_addr()?;
             set_dir(&mut directory, id, actual);
@@ -221,9 +173,10 @@ where
             hosted.insert(
                 id,
                 Hosted {
-                    proto,
+                    node,
                     rng: rng_from_seed(derive_seed(self.seed, 2 * id as u64)),
                     addr: actual,
+                    online: true,
                 },
             );
         }
@@ -235,13 +188,13 @@ where
             let shutdown = shutdown.clone();
             let reader_streams = reader_streams.clone();
             threads.push(thread::spawn(move || {
-                accept_loop::<P::Msg>(id, listener, tx, conns, shutdown, reader_streams)
+                accept_loop::<N::Msg>(id, listener, tx, conns, shutdown, reader_streams)
             }));
         }
         {
             let timers = timers.clone();
             let tx = tx.clone();
-            threads.push(thread::spawn(move || timer_loop::<P::Msg>(timers, tx)));
+            threads.push(thread::spawn(move || timer_loop::<N::Msg>(timers, tx)));
         }
 
         let mut rt = TcpRuntime {
@@ -258,35 +211,36 @@ where
             scratch: Vec::new(),
             dropped: 0,
         };
-        let ids: Vec<NodeId> = rt.hosted.keys().copied().collect();
-        for id in ids {
-            rt.dispatch(id, |p, ctx| p.on_start(ctx));
+        for id in rt.hosted_ids() {
+            rt.invoke(id, |node, ctx| node.on_start(ctx));
         }
         Ok(rt)
     }
 }
 
-/// A running TCP-backed node host: protocol instances, their
-/// listeners, and the single-threaded event loop that drives them.
+/// A running TCP-backed node host: nodes, their listeners, and the
+/// single-threaded event loop that drives them.
 ///
-/// Dropping the runtime dispatches `on_stop` to every hosted node,
-/// shuts the helper threads down, and closes all sockets.
-pub struct TcpRuntime<P: Protocol> {
+/// A node stops when a handler calls [`Context::go_offline`] or when
+/// the runtime is dropped: `on_stop` runs once, and frames and timers
+/// that arrive for it afterwards are dropped and counted. Dropping the
+/// runtime also shuts the helper threads down and closes all sockets.
+pub struct TcpRuntime<N: Node> {
     start: Instant,
     directory: Vec<Option<SocketAddr>>,
-    hosted: BTreeMap<NodeId, Hosted<P>>,
-    tx: Sender<Event<P::Msg>>,
-    rx: Receiver<Event<P::Msg>>,
+    hosted: BTreeMap<NodeId, Hosted<N>>,
+    tx: Sender<Event<N::Msg>>,
+    rx: Receiver<Event<N::Msg>>,
     conns: Conns,
     timers: SharedTimers,
     shutdown: Arc<AtomicBool>,
     reader_streams: Arc<Mutex<Vec<TcpStream>>>,
     threads: Vec<JoinHandle<()>>,
-    scratch: Vec<OutAction<P::Msg>>,
+    scratch: Vec<Effect<N::Msg>>,
     dropped: u64,
 }
 
-impl<P: Protocol> fmt::Debug for TcpRuntime<P> {
+impl<N: Node> fmt::Debug for TcpRuntime<N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TcpRuntime")
             .field("hosted", &self.hosted.len())
@@ -296,20 +250,11 @@ impl<P: Protocol> fmt::Debug for TcpRuntime<P> {
     }
 }
 
-impl<P> TcpRuntime<P>
-where
-    P: Protocol,
-    P::Msg: Wire + Send + 'static,
-{
+impl<N: Node> TcpRuntime<N> {
     /// Wall-clock time elapsed since the runtime was built, as
     /// `SimTime` (the TCP image of the engine's virtual clock).
     pub fn now(&self) -> SimTime {
         SimTime::from_nanos(u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX))
-    }
-
-    /// The actual bound address of a hosted node's listener.
-    pub fn local_addr(&self, id: NodeId) -> Option<SocketAddr> {
-        self.hosted.get(&id).map(|h| h.addr)
     }
 
     /// Ids of the locally hosted nodes, ascending.
@@ -317,34 +262,62 @@ where
         self.hosted.keys().copied().collect()
     }
 
-    /// Outbound messages dropped (unknown peer, failed dial or write).
+    /// Takes a hosted node offline: runs `on_stop` once and discards
+    /// whatever it asks for — the node is leaving. The TCP image of the
+    /// engine's `take_offline`; a second call is a no-op.
+    fn stop(&mut self, id: NodeId) {
+        let now = self.now();
+        let Some(host) = self.hosted.get_mut(&id) else {
+            return;
+        };
+        if !std::mem::replace(&mut host.online, false) {
+            return;
+        }
+        let mut discarded = Vec::new();
+        host.node
+            .on_stop(&mut Context::new(now, id, &mut host.rng, &mut discarded));
+    }
+}
+
+impl<N> TcpRuntime<N>
+where
+    N: Node,
+    N::Msg: Wire + Send + 'static,
+{
+    /// The actual bound address of a hosted node's listener.
+    pub fn local_addr(&self, id: NodeId) -> Option<SocketAddr> {
+        self.hosted.get(&id).map(|h| h.addr)
+    }
+
+    /// Messages dropped: outbound to an unknown peer or over a failed
+    /// dial or write, and inbound frames and timers for a stopped node.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Immutable access to a hosted node's protocol state.
+    /// Immutable access to a hosted node's state.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not hosted here.
-    pub fn node(&self, id: NodeId) -> &P {
-        &self.hosted.get(&id).expect("node hosted here").proto
+    pub fn node(&self, id: NodeId) -> &N {
+        &self.hosted.get(&id).expect("node hosted here").node
     }
 
-    /// Mutable access to a hosted node's protocol state (setup only —
+    /// Mutable access to a hosted node's state (setup only —
     /// mutations here bypass the event loop, like the engine's
     /// `node_mut`).
     ///
     /// # Panics
     ///
     /// Panics if `id` is not hosted here.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.hosted.get_mut(&id).expect("node hosted here").proto
+    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
+        &mut self.hosted.get_mut(&id).expect("node hosted here").node
     }
 
-    /// Runs `f` against a hosted node with a full transport context,
-    /// applying deferred sends/timers afterwards — the TCP mirror of
-    /// `Simulation::invoke`.
+    /// One activation, the TCP mirror of `Simulation::invoke`: runs `f`
+    /// against a hosted node with a live [`Context`], then applies the
+    /// effects in the order `f` issued them.
     ///
     /// # Panics
     ///
@@ -352,9 +325,30 @@ where
     pub fn invoke<R>(
         &mut self,
         id: NodeId,
-        f: impl FnOnce(&mut P, &mut TcpCtx<'_, P::Msg>) -> R,
+        f: impl FnOnce(&mut N, &mut Context<'_, N::Msg>) -> R,
     ) -> R {
-        self.dispatch(id, f).expect("invoke on a node hosted here")
+        let now = self.now();
+        let host = self.hosted.get_mut(&id).expect("node hosted here");
+        let mut effects = std::mem::take(&mut self.scratch);
+        let r = f(
+            &mut host.node,
+            &mut Context::new(now, id, &mut host.rng, &mut effects),
+        );
+        let mut offline = false;
+        for effect in effects.drain(..) {
+            match effect {
+                // `bytes` is an input to the sim's network model; on the
+                // wire the frame length is the encoded size.
+                Effect::Send { dst, msg, .. } => self.send_msg(id, dst, &msg),
+                Effect::Timer { delay, tag } => self.schedule_timer(id, delay, tag),
+                Effect::GoOffline => offline = true,
+            }
+        }
+        self.scratch = effects;
+        if offline {
+            self.stop(id);
+        }
+        r
     }
 
     /// Processes inbound events (messages, timer firings) for up to
@@ -378,45 +372,23 @@ where
         }
     }
 
-    fn deliver(&mut self, ev: Event<P::Msg>) {
+    fn online(&self, id: NodeId) -> bool {
+        self.hosted.get(&id).is_some_and(|h| h.online)
+    }
+
+    fn deliver(&mut self, ev: Event<N::Msg>) {
         match ev {
-            Event::Msg { to, from, msg } => {
-                self.dispatch(to, |p, ctx| p.on_message(from, msg, ctx));
+            Event::Msg { to, from, msg } if self.online(to) => {
+                self.invoke(to, |node, ctx| node.on_message(from, msg, ctx));
             }
-            Event::Timer { node, tag } => {
-                self.dispatch(node, |p, ctx| p.on_timer(tag, ctx));
+            Event::Timer { node, tag } if self.online(node) => {
+                self.invoke(node, |n, ctx| n.on_timer(tag, ctx));
             }
+            _ => self.dropped += 1,
         }
     }
 
-    fn dispatch<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut P, &mut TcpCtx<'_, P::Msg>) -> R,
-    ) -> Option<R> {
-        let now = self.now();
-        let mut out = std::mem::take(&mut self.scratch);
-        let r = {
-            let host = self.hosted.get_mut(&id)?;
-            let mut ctx = TcpCtx {
-                now,
-                id,
-                rng: &mut host.rng,
-                out: &mut out,
-            };
-            f(&mut host.proto, &mut ctx)
-        };
-        for act in out.drain(..) {
-            match act {
-                OutAction::Send { dst, msg } => self.send_msg(id, dst, &msg),
-                OutAction::Timer { delay, tag } => self.schedule_timer(id, delay, tag),
-            }
-        }
-        self.scratch = out;
-        Some(r)
-    }
-
-    fn send_msg(&mut self, src: NodeId, dst: NodeId, msg: &P::Msg) {
+    fn send_msg(&mut self, src: NodeId, dst: NodeId, msg: &N::Msg) {
         let mut payload = Vec::new();
         msg.encode(&mut payload);
         let mut map = self.conns.lock().expect("conns lock");
@@ -446,7 +418,7 @@ where
                             .push(shutdown_handle);
                     }
                     let tx = self.tx.clone();
-                    thread::spawn(move || read_loop::<P::Msg>(src, clone, tx, None));
+                    thread::spawn(move || read_loop::<N::Msg>(src, clone, tx, None));
                 }
                 map.insert((src, dst), stream);
             }
@@ -467,8 +439,11 @@ where
     }
 }
 
-impl<P: Protocol> Drop for TcpRuntime<P> {
+impl<N: Node> Drop for TcpRuntime<N> {
     fn drop(&mut self) {
+        for id in self.hosted_ids() {
+            self.stop(id);
+        }
         self.shutdown.store(true, Ordering::SeqCst);
         {
             let (lock, cvar) = &*self.timers;

@@ -14,17 +14,13 @@
 //! - **bucket staleness**: routing tables may be pre-filled with entries
 //!   pointing at departed nodes.
 //!
-//! The protocol core is **transport-generic** (DESIGN.md §4h): every
-//! handler and the lookup state machine run against `decent_net`'s
-//! [`Transport`] capability trait rather than the engine's `Context`
-//! directly. Under the sim backend (`Context` *is* a `Transport`) this
-//! compiles to exactly the pre-port code — golden traces are
-//! byte-identical — while [`crate::kadnet`] runs the same core over
-//! real TCP sockets.
+//! [`KadNode`] is an ordinary engine [`Node`]: its handlers see only a
+//! [`Context`], so the one implementation runs under `Simulation` and,
+//! through [`crate::kadnet`]'s wire codec, on real TCP sockets
+//! (DESIGN.md §4h).
 
 use std::collections::BTreeSet;
 
-use decent_net::{Protocol, Transport};
 use decent_sim::prelude::*;
 
 use crate::id::{Distance, Key, KEY_BITS};
@@ -336,14 +332,11 @@ impl KadNode {
 
     /// Starts an iterative FIND_NODE (or FIND_VALUE) lookup and returns
     /// its id; the result appears in [`KadNode::results`] on completion.
-    ///
-    /// Generic over [`Transport`]: in the sim, pass the handler's
-    /// `Context`; on the TCP backend, the runtime's `TcpCtx`.
-    pub fn start_lookup<T: Transport<Msg = KadMsg>>(
+    pub fn start_lookup(
         &mut self,
         target: Key,
         is_value: bool,
-        ctx: &mut T,
+        ctx: &mut Context<'_, KadMsg>,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -376,8 +369,7 @@ impl KadNode {
         // without any network traffic at all.
         if is_value && self.store.contains(&target) {
             let idx = self.lookups.insert(lookup);
-            let now = ctx.now();
-            self.finish_lookup_with_ctx(idx, true, now, Some(ctx));
+            self.finish_lookup(idx, true, ctx);
             return id;
         }
         let idx = self.lookups.insert(lookup);
@@ -463,7 +455,7 @@ impl KadNode {
         }
     }
 
-    fn drive_lookup<T: Transport<Msg = KadMsg>>(&mut self, idx: SlotIdx, ctx: &mut T) {
+    fn drive_lookup(&mut self, idx: SlotIdx, ctx: &mut Context<'_, KadMsg>) {
         let (k, alpha, timeout, from_key) =
             (self.cfg.k, self.cfg.alpha, self.cfg.rpc_timeout, self.key);
         let mut to_send: Vec<NodeId> = Vec::new();
@@ -517,18 +509,11 @@ impl KadNode {
             ctx.set_timer(timeout, rpc);
         }
         if finished {
-            let now = ctx.now();
-            self.finish_lookup_with_ctx(idx, false, now, None::<&mut T>);
+            self.finish_lookup(idx, false, ctx);
         }
     }
 
-    fn finish_lookup_with_ctx<T: Transport<Msg = KadMsg>>(
-        &mut self,
-        idx: SlotIdx,
-        found_value: bool,
-        now: SimTime,
-        ctx: Option<&mut T>,
-    ) {
+    fn finish_lookup(&mut self, idx: SlotIdx, found_value: bool, ctx: &mut Context<'_, KadMsg>) {
         let Some(lookup) = self.lookups.remove(idx) else {
             return;
         };
@@ -544,22 +529,20 @@ impl KadNode {
         // needing full lookups.
         if found_value && self.cfg.cache_values {
             self.store.insert(lookup.target);
-            if let Some(ctx) = ctx {
-                if let Some(c) = closest.first() {
-                    ctx.send(
-                        c.node,
-                        KadMsg::Store {
-                            from_key: self.key,
-                            key: lookup.target,
-                        },
-                    );
-                }
+            if let Some(c) = closest.first() {
+                ctx.send(
+                    c.node,
+                    KadMsg::Store {
+                        from_key: self.key,
+                        key: lookup.target,
+                    },
+                );
             }
         }
         self.results.push(LookupResult {
             id: lookup.id,
             target: lookup.target,
-            latency: now.saturating_since(lookup.started),
+            latency: ctx.now().saturating_since(lookup.started),
             rpcs: lookup.rpcs,
             timeouts: lookup.timeouts,
             found_value,
@@ -592,14 +575,14 @@ impl KadNode {
             .sort_unstable_by_key(|a| (a.dist, a.contact.node));
     }
 
-    fn on_reply<T: Transport<Msg = KadMsg>>(
+    fn on_reply(
         &mut self,
         rpc: u64,
         from: NodeId,
         from_key: Key,
         contacts: &[Contact],
         found: bool,
-        ctx: &mut T,
+        ctx: &mut Context<'_, KadMsg>,
     ) {
         self.touch(
             Contact {
@@ -627,27 +610,23 @@ impl KadNode {
         }
         self.merge_contacts(idx, contacts, &target);
         if found {
-            let now = ctx.now();
-            self.finish_lookup_with_ctx(idx, true, now, Some(ctx));
+            self.finish_lookup(idx, true, ctx);
             return;
         }
         self.drive_lookup(idx, ctx);
     }
 }
 
-/// The transport-generic protocol core: identical handler logic for
-/// both backends. The engine [`Node`] impl below delegates here, so
-/// sim-side behavior (and therefore the golden traces) is unchanged.
-impl Protocol for KadNode {
+impl Node for KadNode {
     type Msg = KadMsg;
 
-    fn on_start<T: Transport<Msg = KadMsg>>(&mut self, ctx: &mut T) {
+    fn on_start(&mut self, ctx: &mut Context<'_, KadMsg>) {
         if let Some(every) = self.cfg.refresh_interval {
             ctx.set_timer(every, REFRESH_TAG);
         }
     }
 
-    fn on_message<T: Transport<Msg = KadMsg>>(&mut self, from: NodeId, msg: KadMsg, ctx: &mut T) {
+    fn on_message(&mut self, from: NodeId, msg: KadMsg, ctx: &mut Context<'_, KadMsg>) {
         match msg {
             KadMsg::FindNode {
                 rpc,
@@ -738,7 +717,7 @@ impl Protocol for KadNode {
         }
     }
 
-    fn on_timer<T: Transport<Msg = KadMsg>>(&mut self, tag: u64, ctx: &mut T) {
+    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, KadMsg>) {
         if tag == REFRESH_TAG {
             if let Some(every) = self.cfg.refresh_interval {
                 // Refresh a random bucket by looking up a key inside it.
@@ -767,32 +746,10 @@ impl Protocol for KadNode {
         self.drive_lookup(idx, ctx);
     }
 
-    fn on_stop<T: Transport<Msg = KadMsg>>(&mut self, _ctx: &mut T) {
+    fn on_stop(&mut self, _ctx: &mut Context<'_, KadMsg>) {
         // Abandon in-flight lookups; keep the (now possibly stale) table.
         self.lookups.clear();
         self.rpc_to_lookup.clear();
-    }
-}
-
-/// Engine adapter: every handler forwards to the transport-generic
-/// [`Protocol`] impl with the engine `Context` as the transport.
-impl Node for KadNode {
-    type Msg = KadMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, KadMsg>) {
-        Protocol::on_start(self, ctx);
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: KadMsg, ctx: &mut Context<'_, KadMsg>) {
-        Protocol::on_message(self, from, msg, ctx);
-    }
-
-    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, KadMsg>) {
-        Protocol::on_timer(self, tag, ctx);
-    }
-
-    fn on_stop(&mut self, ctx: &mut Context<'_, KadMsg>) {
-        Protocol::on_stop(self, ctx);
     }
 }
 

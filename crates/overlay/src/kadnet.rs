@@ -1,8 +1,8 @@
 //! Kademlia on real sockets: wire codec, deterministic demo roster,
 //! and the serve/probe drivers behind `repro --serve kad` / `--probe`.
 //!
-//! The protocol core in [`crate::kademlia`] is transport-generic; this
-//! module supplies everything the TCP backend additionally needs:
+//! [`KadNode`] is a plain engine `Node`; this module supplies what the
+//! TCP backend needs on top of that:
 //!
 //! - a [`Wire`] codec for [`KadMsg`] (tagged little-endian encoding);
 //! - a **deterministic roster**: node keys derived from `(seed, n)`
@@ -12,8 +12,8 @@
 //!   of `build_network` + `start_lookup`, shared by the repro CLI and
 //!   the loopback equivalence test;
 //! - [`sim_lookup`], the same topology and lookup driven through the
-//!   sim backend, so tests can assert both backends converge to the
-//!   same closest-contact set.
+//!   simulator, so tests can assert both drivers converge to the same
+//!   closest-contact set.
 //!
 //! Every mesh node is seeded with the full roster, which makes the
 //! lookup's final `closest` set a pure function of the key material:
@@ -326,10 +326,6 @@ pub fn sim_lookup(seed: u64, n: usize, cfg: &KadConfig, target: Key) -> LookupRe
         .expect("sim lookup completes")
         .clone()
 }
-
-/// Keeps `build_network` reachable from this module's docs (the
-/// sim-scale constructor the facade port left untouched).
-pub use crate::kademlia::build_network as sim_build_network;
 
 #[cfg(test)]
 mod tests {

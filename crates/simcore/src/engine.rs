@@ -113,22 +113,40 @@ pub trait Node: Sized {
     }
 }
 
-/// Deferred effect produced by a node handler.
-pub(crate) enum Action<M> {
-    Send { dst: NodeId, msg: M, bytes: u64 },
-    Timer { delay: SimDuration, tag: u64 },
+/// Deferred effect produced by a node handler: what a [`Context`]
+/// method pushes onto the driver's buffer, for the driver to apply in
+/// order once the handler has returned.
+#[derive(Debug)]
+pub enum Effect<M> {
+    /// Send `msg` to `dst`; `bytes` is the size the network model sees.
+    Send {
+        /// Destination node.
+        dst: NodeId,
+        /// The message.
+        msg: M,
+        /// Advisory message size in bytes.
+        bytes: u64,
+    },
+    /// Fire [`Node::on_timer`] with `tag` after `delay`.
+    Timer {
+        /// Delay from the current activation.
+        delay: SimDuration,
+        /// Tag handed back to the handler.
+        tag: u64,
+    },
+    /// Take the node offline once the handler has returned.
     GoOffline,
 }
 
-/// Handler-side view of the simulation.
+/// Handler-side view of whatever drives the node.
 ///
 /// Provides the current time, the node's own id, the node's RNG stream,
 /// and methods to schedule sends and timers.
 pub struct Context<'a, M> {
-    pub(crate) now: SimTime,
-    pub(crate) id: NodeId,
-    pub(crate) rng: &'a mut SimRng,
-    pub(crate) actions: &'a mut Vec<Action<M>>,
+    now: SimTime,
+    id: NodeId,
+    rng: &'a mut SimRng,
+    effects: &'a mut Vec<Effect<M>>,
 }
 
 impl<M> std::fmt::Debug for Context<'_, M> {
@@ -140,7 +158,24 @@ impl<M> std::fmt::Debug for Context<'_, M> {
     }
 }
 
-impl<M> Context<'_, M> {
+impl<'a, M> Context<'a, M> {
+    /// A context for one activation of node `id` at time `now`. Effects
+    /// the handler requests are appended to `effects`; whoever drives
+    /// the node drains and applies them after the handler returns.
+    pub fn new(
+        now: SimTime,
+        id: NodeId,
+        rng: &'a mut SimRng,
+        effects: &'a mut Vec<Effect<M>>,
+    ) -> Self {
+        Context {
+            now,
+            id,
+            rng,
+            effects,
+        }
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -166,17 +201,17 @@ impl<M> Context<'_, M> {
     /// Delivery time and loss are decided by the simulation's network
     /// model; messages to offline nodes are counted and dropped.
     pub fn send_sized(&mut self, dst: NodeId, msg: M, bytes: u64) {
-        self.actions.push(Action::Send { dst, msg, bytes });
+        self.effects.push(Effect::Send { dst, msg, bytes });
     }
 
     /// Schedules [`Node::on_timer`] with `tag` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
-        self.actions.push(Action::Timer { delay, tag });
+        self.effects.push(Effect::Timer { delay, tag });
     }
 
     /// Takes this node offline after the current handler completes.
     pub fn go_offline(&mut self) {
-        self.actions.push(Action::GoOffline);
+        self.effects.push(Effect::GoOffline);
     }
 }
 
@@ -338,7 +373,7 @@ pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
     pub(crate) peak_pending: u64,
     /// Distribution of per-message sizes handed to the network model.
     pub(crate) msg_bytes: LogHistogram,
-    scratch: Vec<Action<N::Msg>>,
+    scratch: Vec<Effect<N::Msg>>,
     pub(crate) trace: Option<Trace>,
 }
 
@@ -569,12 +604,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     ) -> R {
         let mut actions = std::mem::take(&mut self.scratch);
         let out = {
-            let mut ctx = Context {
-                now: self.now,
-                id,
-                rng: &mut self.store.rngs[id],
-                actions: &mut actions,
-            };
+            let mut ctx = Context::new(self.now, id, &mut self.store.rngs[id], &mut actions);
             f(&mut self.store.nodes[id], &mut ctx)
         };
         self.apply_actions(id, &mut actions);
@@ -958,30 +988,25 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Context<'_, N::Msg>)) {
         let mut actions = std::mem::take(&mut self.scratch);
         {
-            let mut ctx = Context {
-                now: self.now,
-                id,
-                rng: &mut self.store.rngs[id],
-                actions: &mut actions,
-            };
+            let mut ctx = Context::new(self.now, id, &mut self.store.rngs[id], &mut actions);
             f(&mut self.store.nodes[id], &mut ctx);
         }
         self.apply_actions(id, &mut actions);
         self.scratch = actions;
     }
 
-    fn apply_actions(&mut self, id: NodeId, actions: &mut Vec<Action<N::Msg>>) {
+    fn apply_actions(&mut self, id: NodeId, actions: &mut Vec<Effect<N::Msg>>) {
         let mut offline = false;
         for action in actions.drain(..) {
             match action {
-                Action::Send { dst, msg, bytes } => {
+                Effect::Send { dst, msg, bytes } => {
                     self.stats.sent += 1;
                     self.stats.bytes_sent += bytes;
                     self.msg_bytes.record(bytes);
                     let (seq_deliver, seq_dup) = self.store.meta[id].reserve_send_seqs(id);
                     self.route_send(id, dst, msg, bytes, self.now, seq_deliver, seq_dup);
                 }
-                Action::Timer { delay, tag } => {
+                Effect::Timer { delay, tag } => {
                     let meta = &mut self.store.meta[id];
                     let epoch = meta.timer_epoch;
                     let seq = meta.next_seq(id);
@@ -994,7 +1019,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
                         },
                     );
                 }
-                Action::GoOffline => offline = true,
+                Effect::GoOffline => offline = true,
             }
         }
         if offline && self.store.meta[id].online {

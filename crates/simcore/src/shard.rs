@@ -44,7 +44,7 @@ use std::sync::mpsc::{Receiver, Sender};
 
 use crate::arena::SlotView;
 use crate::engine::{
-    Action, Context, EngineEvent, EventKind, Node, NodeId, SchedulerFor, Simulation,
+    Context, Effect, EngineEvent, EventKind, Node, NodeId, SchedulerFor, Simulation,
 };
 use crate::metrics::LogHistogram;
 use crate::time::{SimDuration, SimTime};
@@ -472,7 +472,7 @@ where
     N: Node,
     S: SchedulerFor<N>,
 {
-    let mut scratch: Vec<Action<N::Msg>> = Vec::new();
+    let mut scratch: Vec<Effect<N::Msg>> = Vec::new();
     let mut ticks: u64 = 0;
     while let Ok(cmd) = rx.recv() {
         let Cmd::Run { end, feed } = cmd else { break };
@@ -566,7 +566,7 @@ fn dispatch_local<N, S>(
     queue: &mut S,
     out: &mut WindowOut<N::Msg>,
     rec: &mut DispatchRec,
-    scratch: &mut Vec<Action<N::Msg>>,
+    scratch: &mut Vec<Effect<N::Msg>>,
 ) where
     N: Node,
     S: SchedulerFor<N>,
@@ -646,15 +646,10 @@ fn run_handler<N: Node>(
     slot: &mut SlotView<'_, N>,
     id: NodeId,
     now: SimTime,
-    actions: &mut Vec<Action<N::Msg>>,
+    actions: &mut Vec<Effect<N::Msg>>,
     f: impl FnOnce(&mut N, &mut Context<'_, N::Msg>),
 ) {
-    let mut ctx = Context {
-        now,
-        id,
-        rng: slot.rng,
-        actions,
-    };
+    let mut ctx = Context::new(now, id, slot.rng, actions);
     f(slot.node, &mut ctx);
 }
 
@@ -667,7 +662,7 @@ fn apply_local<N, S>(
     queue: &mut S,
     out: &mut WindowOut<N::Msg>,
     rec: &mut DispatchRec,
-    actions: &mut Vec<Action<N::Msg>>,
+    actions: &mut Vec<Effect<N::Msg>>,
 ) where
     N: Node,
     S: SchedulerFor<N>,
@@ -675,7 +670,7 @@ fn apply_local<N, S>(
     let mut offline = false;
     for action in actions.drain(..) {
         match action {
-            Action::Send { dst, msg, bytes } => {
+            Effect::Send { dst, msg, bytes } => {
                 out.sent += 1;
                 out.bytes_sent += bytes;
                 out.msg_bytes.record(bytes);
@@ -690,7 +685,7 @@ fn apply_local<N, S>(
                     seq_dup,
                 });
             }
-            Action::Timer { delay, tag } => {
+            Effect::Timer { delay, tag } => {
                 let epoch = slot.meta.timer_epoch;
                 let seq = slot.meta.next_seq(id);
                 push_local(
@@ -705,7 +700,7 @@ fn apply_local<N, S>(
                     rec,
                 );
             }
-            Action::GoOffline => offline = true,
+            Effect::GoOffline => offline = true,
         }
     }
     if offline && slot.meta.online {

@@ -14,9 +14,9 @@
 //!   with permissioned trust (paper §V / Fig. 1);
 //! - [`core`] — the claim catalog and experiments E1–E19 that
 //!   regenerate every quantitative statement in the paper;
-//! - [`net`] — the transport facade: the same protocol cores run
-//!   deterministically in the sim and, via a TCP backend, over real
-//!   sockets (ARCHITECTURE.md, DESIGN.md §4h).
+//! - [`net`] — the TCP backend: any [`sim`] `Node` whose message type
+//!   has a wire codec runs unchanged over real sockets
+//!   (ARCHITECTURE.md, DESIGN.md §4h).
 //!
 //! # Examples
 //!

@@ -1,13 +1,13 @@
-//! The facade port must be invisible to the engine.
+//! Kademlia behaves the same however the engine executes it.
 //!
-//! Kademlia now routes every handler through `decent_net::Transport`
-//! (with the engine `Context` as the sim-backend transport). These
-//! properties pin that the port changed nothing observable: randomized
-//! topologies fingerprinted on both schedulers × shards {1, 4} must be
-//! identical down to every lookup result, and the fixed golden
-//! configuration must still land on the exact pre-port trace tuple
+//! `KadNode` is the one protocol that runs both under the simulator and
+//! on sockets, so its simulated behaviour is pinned harder than the
+//! others': randomized topologies fingerprinted on both schedulers ×
+//! shards {1, 4} must be identical down to every lookup result, and the
+//! fixed golden configuration must land on the exact trace tuple
 //! (`tests/golden_traces.rs` pins the serial pair; here the same
-//! numbers are required from the sharded executor too).
+//! numbers are required from the sharded executor too). The tuple has
+//! held since before Kademlia first ran on sockets.
 
 use proptest::prelude::*;
 
@@ -74,7 +74,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn facade_kad_identical_across_schedulers_and_shards(
+    fn kad_identical_across_schedulers_and_shards(
         seed in any::<u64>(),
         n in 60usize..140,
         unresponsive in 0.0f64..0.4,
@@ -90,12 +90,11 @@ proptest! {
     }
 }
 
-/// The pre-port golden configuration (same parameters as
+/// The golden configuration (same parameters as
 /// `kad_engine_golden_on_both_schedulers` in tests/golden_traces.rs),
-/// now also required from the sharded executor: the facade-ported core
-/// must reproduce the exact pre-port counters everywhere.
+/// also required from the sharded executor.
 #[test]
-fn facade_kad_matches_pre_port_golden_sharded() {
+fn kad_matches_golden_sharded() {
     fn golden_run<S: SchedulerFor<KadNode> + Send>(shards: usize) -> (u64, u64, u64) {
         let mut sim: Simulation<KadNode, S> =
             Simulation::with_scheduler(42, UniformLatency::from_millis(20.0, 80.0));
@@ -115,7 +114,7 @@ fn facade_kad_matches_pre_port_golden_sharded() {
             sim.stats().delivered,
         )
     }
-    // Captured before the facade port; must never drift.
+    // Must never drift.
     let golden = (3784, 2347, 2347);
     assert_eq!(golden_run::<Wheel>(1), golden, "wheel serial drifted");
     assert_eq!(golden_run::<Wheel>(4), golden, "wheel shards-4 drifted");
