@@ -392,18 +392,18 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    /// One `#[test]` on purpose: the counting allocator is process-wide,
+    /// so a second test thread allocating while `measure` runs would
+    /// move `alloc_bytes` between two otherwise identical runs.
     #[test]
-    fn counting_allocator_counts() {
+    fn allocator_counts_and_serial_counters_repeat() {
         let (b0, c0) = alloc_snapshot();
         let v: Vec<u8> = Vec::with_capacity(4096);
         let (b1, c1) = alloc_snapshot();
         drop(v);
         assert!(b1 - b0 >= 4096, "alloc bytes uncounted");
         assert!(c1 > c0, "alloc calls uncounted");
-    }
 
-    #[test]
-    fn tiny_measurement_is_well_formed() {
         let j = measure(1, 50, 5);
         for key in [
             "shards",
@@ -428,10 +428,7 @@ mod tests {
             "activations cannot exceed events"
         );
         assert!(num_field(&j, "alloc_bytes") > 0.0, "no allocation counted");
-    }
 
-    #[test]
-    fn serial_counters_are_deterministic() {
         let a = measure(1, 60, 6);
         let b = measure(1, 60, 6);
         for key in [

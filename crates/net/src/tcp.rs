@@ -264,7 +264,7 @@ impl<N: Node> TcpRuntime<N> {
 
     /// Takes a hosted node offline: runs `on_stop` once and discards
     /// whatever it asks for — the node is leaving. The TCP image of the
-    /// engine's `take_offline`; a second call is a no-op.
+    /// engine's offline transition; a second call is a no-op.
     fn stop(&mut self, id: NodeId) {
         let now = self.now();
         let Some(host) = self.hosted.get_mut(&id) else {

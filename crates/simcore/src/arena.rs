@@ -104,6 +104,16 @@ impl<N> NodeStore<N> {
         id
     }
 
+    /// One node's row, for the serial path.
+    pub(crate) fn slot(&mut self, id: NodeId) -> SlotView<'_, N> {
+        SlotView {
+            node: &mut self.nodes[id],
+            meta: &mut self.meta[id],
+            rng: &mut self.rngs[id],
+            churn: &mut self.churn[id],
+        }
+    }
+
     /// Splits the store into per-shard views (`id % shards`), preserving
     /// ascending id order within each shard. Workers index a shard's
     /// vector with `id / shards`.
@@ -133,8 +143,9 @@ impl<N> NodeStore<N> {
     }
 }
 
-/// A worker-side view of one node's row across the [`NodeStore`]
-/// arrays: what a shard worker needs to dispatch events to the node.
+/// A view of one node's row across the [`NodeStore`] arrays: what the
+/// dispatch kernel needs to run an event on the node, whether the row
+/// was borrowed by the serial loop or handed to a shard worker.
 pub(crate) struct SlotView<'a, N> {
     pub(crate) node: &'a mut N,
     pub(crate) meta: &'a mut NodeMeta,

@@ -24,6 +24,16 @@
 //! pure function of the seed — independent of scheduler implementation
 //! and of how many shards execute it ([`Simulation::set_shards`]).
 //!
+//! # One dispatch kernel
+//!
+//! What happens to a dequeued event is decided in one crate-private
+//! function, `dispatch`: whether it reaches a handler at all, the
+//! handler call, the effects the handler left, and the node's
+//! online/offline transitions. The serial loop here and the shard
+//! workers in `shard.rs` both run it and differ only in the sink it
+//! writes to; every send, from either, meets the network model in
+//! `Core::route`.
+//!
 //! # Examples
 //!
 //! ```
@@ -56,7 +66,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::arena::NodeStore;
+use crate::arena::{NodeStore, SlotView};
 use crate::metrics::{LogHistogram, Metric, MetricsSnapshot};
 use crate::net::NetworkModel;
 use crate::rng::{derive_seed, rng_from_seed, SimRng};
@@ -107,7 +117,11 @@ pub trait Node: Sized {
         let _ = (tag, ctx);
     }
 
-    /// Called when the node goes offline (churn or explicit stop).
+    /// Called once when the node goes offline: a churn or scheduled stop,
+    /// or its own [`Context::go_offline`]. The simulator applies the
+    /// effects requested here like any other handler's (timers are set
+    /// under the ending online period and so never fire; a `go_offline`
+    /// is ignored); the TCP runtime discards them.
     fn on_stop(&mut self, ctx: &mut Context<'_, Self::Msg>) {
         let _ = ctx;
     }
@@ -134,7 +148,8 @@ pub enum Effect<M> {
         /// Tag handed back to the handler.
         tag: u64,
     },
-    /// Take the node offline once the handler has returned.
+    /// Stop the node once the handler has returned and its other effects
+    /// are applied: [`Node::on_stop`] runs, pending timers are discarded.
     GoOffline,
 }
 
@@ -209,7 +224,10 @@ impl<'a, M> Context<'a, M> {
         self.effects.push(Effect::Timer { delay, tag });
     }
 
-    /// Takes this node offline after the current handler completes.
+    /// Stops this node after the current handler completes, exactly as a
+    /// scheduled stop at the current time would: [`Node::on_stop`] runs
+    /// once, pending timers are discarded, and an attached churn process
+    /// schedules the next start. No-op on a node that is already offline.
     pub fn go_offline(&mut self) {
         self.effects.push(Effect::GoOffline);
     }
@@ -265,6 +283,285 @@ pub struct NetStats {
     pub duplicated: u64,
     /// Total bytes handed to the network model.
     pub bytes_sent: u64,
+}
+
+/// One send as the kernel hands it to a sink: everything
+/// [`Core::route`] needs to take it through the network model, at once
+/// (serial) or from a shard worker's log at commit.
+pub(crate) struct SendRec<M> {
+    pub(crate) src: NodeId,
+    pub(crate) dst: NodeId,
+    pub(crate) msg: M,
+    pub(crate) bytes: u64,
+    pub(crate) time: SimTime,
+    pub(crate) seq_deliver: u64,
+    pub(crate) seq_dup: u64,
+}
+
+/// Counters the event loops and the dispatch kernel bump through
+/// whichever sink they run against; a shard worker's copy is added to
+/// the simulation's after every window.
+#[derive(Default)]
+pub(crate) struct Counters {
+    pub(crate) stats: NetStats,
+    /// Handler activations: outer iterations of the event loop, where
+    /// one activation may drain several consecutive same-node events
+    /// (batched delivery). Strictly smaller than the event count on
+    /// batchable workloads. Deliberately *not* part of
+    /// [`Simulation::metrics_snapshot`] — it is a cost counter for the
+    /// bench harness, not an observable.
+    pub(crate) activations: u64,
+    /// Events dequeued but discarded without reaching a handler: stale
+    /// timers, deliveries to offline nodes, and redundant start/stop.
+    pub(crate) cancelled: u64,
+    /// Distribution of per-message sizes handed to the network model.
+    pub(crate) msg_bytes: LogHistogram,
+}
+
+impl Counters {
+    pub(crate) fn absorb(&mut self, other: &Counters) {
+        self.stats.sent += other.stats.sent;
+        self.stats.delivered += other.stats.delivered;
+        self.stats.dropped_offline += other.stats.dropped_offline;
+        self.stats.dropped_net += other.stats.dropped_net;
+        self.stats.duplicated += other.stats.duplicated;
+        self.stats.bytes_sent += other.stats.bytes_sent;
+        self.activations += other.activations;
+        self.cancelled += other.cancelled;
+        self.msg_bytes.merge(&other.msg_bytes);
+    }
+}
+
+/// Where the dispatch kernel's output goes. Two exist: [`Core`] (serial:
+/// queue the event, route the send, now) and the shard worker's window
+/// log (queue locally, leave the send for the commit phase).
+pub(crate) trait Sink<M> {
+    fn counters(&mut self) -> &mut Counters;
+    /// Queues an event. The kernel only ever creates events for the
+    /// dispatching node itself (a timer, its next churn start/stop),
+    /// which is what lets a shard worker queue them locally.
+    fn push(&mut self, time: SimTime, seq: u64, ev: EngineEvent<M>);
+    fn send(&mut self, send: SendRec<M>);
+}
+
+/// The event state machine: the one place that decides whether a
+/// dequeued event reaches its handler (offline node, stale timer epoch,
+/// redundant start/stop), calls the handler, and walks the node through
+/// its online/offline transitions with their churn resampling. The
+/// serial loop and every shard worker run this same function; they
+/// differ only in the [`Sink`] it writes to.
+pub(crate) fn dispatch<N: Node, K: Sink<N::Msg>>(
+    slot: &mut SlotView<'_, N>,
+    id: NodeId,
+    kind: EventKind<N::Msg>,
+    now: SimTime,
+    scratch: &mut Vec<Effect<N::Msg>>,
+    sink: &mut K,
+) {
+    let stop = match kind {
+        EventKind::Deliver { src, msg } => {
+            let c = sink.counters();
+            if !slot.meta.online {
+                c.stats.dropped_offline += 1;
+                c.cancelled += 1;
+                return;
+            }
+            c.stats.delivered += 1;
+            activate(slot, id, now, scratch, sink, |n, ctx| {
+                n.on_message(src, msg, ctx)
+            })
+            .1
+        }
+        EventKind::Timer { tag, epoch } => {
+            if !slot.meta.online || slot.meta.timer_epoch != epoch {
+                sink.counters().cancelled += 1;
+                return; // stale timer from before an offline period
+            }
+            activate(slot, id, now, scratch, sink, |n, ctx| n.on_timer(tag, ctx)).1
+        }
+        EventKind::Start => {
+            if slot.meta.online {
+                sink.counters().cancelled += 1;
+                return;
+            }
+            slot.meta.online = true;
+            let stop = activate(slot, id, now, scratch, sink, |n, ctx| n.on_start(ctx)).1;
+            if let Some(churn) = slot.churn.as_ref() {
+                let session = churn.sample_session(slot.rng);
+                let seq = slot.meta.next_seq(id);
+                let kind = EventKind::Stop;
+                sink.push(now + session, seq, EngineEvent { node: id, kind });
+            }
+            stop
+        }
+        EventKind::Stop => {
+            if !slot.meta.online {
+                sink.counters().cancelled += 1;
+                return;
+            }
+            true
+        }
+    };
+    if stop {
+        // Offline before `on_stop` runs, so a `go_offline` from inside
+        // it finds nothing left to do; the epoch moves after its effects
+        // are applied, so timers it sets belong to the period that just
+        // ended and never fire.
+        slot.meta.online = false;
+        activate(slot, id, now, scratch, sink, |n, ctx| n.on_stop(ctx));
+        slot.meta.timer_epoch = slot.meta.timer_epoch.wrapping_add(1);
+        if let Some(churn) = slot.churn.as_ref() {
+            let off = churn.sample_offtime(slot.rng);
+            let seq = slot.meta.next_seq(id);
+            let kind = EventKind::Start;
+            sink.push(now + off, seq, EngineEvent { node: id, kind });
+        }
+    }
+}
+
+/// Runs `f` on the node under a fresh [`Context`], then applies the
+/// effects it requested, in order, reserving seqs from the node's own
+/// counter. Returns `f`'s result and whether the node must now stop (it
+/// asked to go offline and is online).
+fn activate<N: Node, K: Sink<N::Msg>, R>(
+    slot: &mut SlotView<'_, N>,
+    id: NodeId,
+    now: SimTime,
+    scratch: &mut Vec<Effect<N::Msg>>,
+    sink: &mut K,
+    f: impl FnOnce(&mut N, &mut Context<'_, N::Msg>) -> R,
+) -> (R, bool) {
+    let out = f(slot.node, &mut Context::new(now, id, slot.rng, scratch));
+    let mut offline = false;
+    for effect in scratch.drain(..) {
+        match effect {
+            Effect::Send { dst, msg, bytes } => {
+                let c = sink.counters();
+                c.stats.sent += 1;
+                c.stats.bytes_sent += bytes;
+                c.msg_bytes.record(bytes);
+                let (seq_deliver, seq_dup) = slot.meta.reserve_send_seqs(id);
+                sink.send(SendRec {
+                    src: id,
+                    dst,
+                    msg,
+                    bytes,
+                    time: now,
+                    seq_deliver,
+                    seq_dup,
+                });
+            }
+            Effect::Timer { delay, tag } => {
+                let kind = EventKind::Timer {
+                    tag,
+                    epoch: slot.meta.timer_epoch,
+                };
+                let seq = slot.meta.next_seq(id);
+                sink.push(now + delay, seq, EngineEvent { node: id, kind });
+            }
+            Effect::GoOffline => offline = true,
+        }
+    }
+    (out, offline && slot.meta.online)
+}
+
+/// Everything of a [`Simulation`] but the node rows and the driver's
+/// side of it: clock, queues, network model and the engine's counters.
+/// It is the serial [`Sink`], and what the commit phase of sharded
+/// execution owns while worker threads hold the node rows.
+pub(crate) struct Core<S> {
+    /// Per-node network-model RNG streams, outside the node store so
+    /// the commit phase can route messages while workers hold the rows.
+    pub(crate) net_rngs: Vec<SimRng>,
+    /// One event queue per shard; events for node `n` live in queue
+    /// `n % shards`. Serial execution uses a single queue.
+    pub(crate) queues: Vec<S>,
+    pub(crate) shards: usize,
+    pub(crate) now: SimTime,
+    pub(crate) net: Box<dyn NetworkModel>,
+    pub(crate) counters: Counters,
+    pub(crate) events_processed: u64,
+    /// Conservative windows executed by the sharded path (zero on
+    /// serial runs). Like `activations`, a deterministic cost counter
+    /// for the bench harness — the per-link lookahead's whole point is
+    /// fewer, wider windows — and deliberately *not* part of
+    /// [`Simulation::metrics_snapshot`], so window policy can change
+    /// without touching observable output.
+    pub(crate) windows: u64,
+    /// Events ever pushed (queues and hooks), engine-tracked so the
+    /// count is identical across schedulers and shard counts.
+    scheduled: u64,
+    /// Events currently pending across all queues (hooks excluded).
+    pub(crate) pending: u64,
+    /// High-water mark of `pending`, reconstructed exactly in canonical
+    /// event order under sharded execution.
+    peak_pending: u64,
+    pub(crate) trace: Option<Trace>,
+}
+
+impl<S> Core<S> {
+    /// Bookkeeping for one dequeued node event, called in canonical
+    /// `(time, seq)` order: by the serial loop as it pops, by the commit
+    /// phase as it merges the shard workers' dispatch logs.
+    pub(crate) fn begin_event(&mut self, time: SimTime, node: NodeId, tag: EventTag) {
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        self.events_processed += 1;
+        self.pending -= 1;
+        if let Some(trace) = &mut self.trace {
+            trace.record(time, node, tag);
+        }
+    }
+
+    /// Accounts for `n` events that just became pending.
+    pub(crate) fn note_pushed(&mut self, n: u64) {
+        self.scheduled += n;
+        self.pending += n;
+        self.peak_pending = self.peak_pending.max(self.pending);
+    }
+
+    /// Takes one send through the network model, drawing from the
+    /// sender's network stream, and hands the resulting deliveries to
+    /// `push`: [`Sink::push`] when the queues are here, the next
+    /// window's feeds while shard workers hold them.
+    pub(crate) fn route<M: Clone>(
+        &mut self,
+        s: SendRec<M>,
+        mut push: impl FnMut(&mut Self, SimTime, u64, EngineEvent<M>),
+    ) {
+        let rng = &mut self.net_rngs[s.src];
+        let Some(d) = self.net.delay(s.src, s.dst, s.bytes, s.time, rng) else {
+            self.counters.stats.dropped_net += 1;
+            return;
+        };
+        let deliver = |msg| EngineEvent {
+            node: s.dst,
+            kind: EventKind::Deliver { src: s.src, msg },
+        };
+        // Fault-injected duplication: a no-op (and no RNG draw) for
+        // every plain network model.
+        if let Some(d2) = self.net.duplicate(s.src, s.dst, s.bytes, s.time, rng) {
+            self.counters.stats.duplicated += 1;
+            push(self, s.time + d2, s.seq_dup, deliver(s.msg.clone()));
+        }
+        push(self, s.time + d, s.seq_deliver, deliver(s.msg));
+    }
+}
+
+impl<M: Clone, S: Scheduler<EngineEvent<M>>> Sink<M> for Core<S> {
+    fn counters(&mut self) -> &mut Counters {
+        &mut self.counters
+    }
+
+    fn push(&mut self, time: SimTime, seq: u64, ev: EngineEvent<M>) {
+        self.note_pushed(1);
+        let qi = ev.node % self.shards;
+        self.queues[qi].schedule(time, seq, ev);
+    }
+
+    fn send(&mut self, send: SendRec<M>) {
+        self.route(send, Self::push);
+    }
 }
 
 /// Experiment-side hook receiver.
@@ -324,14 +621,7 @@ pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
     /// metadata (online/epoch/seq counters), RNG streams and churn
     /// models each in their own dense array (see [`crate::arena`]).
     pub(crate) store: NodeStore<N>,
-    /// Per-node network-model RNG streams, kept outside the store so the
-    /// commit phase of sharded execution can route messages while worker
-    /// threads still hold the node rows.
-    pub(crate) net_rngs: Vec<SimRng>,
-    /// One event queue per shard; events for node `n` live in queue
-    /// `n % shards`. Serial execution uses a single queue.
-    pub(crate) queues: Vec<S>,
-    pub(crate) shards: usize,
+    pub(crate) core: Core<S>,
     /// Monomorphized windowed executor, set by [`Simulation::set_shards`]
     /// (where the `Send` bounds it needs are available).
     windowed: Option<WindowedFn<N, S>>,
@@ -339,42 +629,10 @@ pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
     /// can advance node events in parallel and still hand hooks to the
     /// driver serially, in deterministic `(time, seq)` order.
     hooks: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    pub(crate) now: SimTime,
     seed: u64,
     driver_ctr: u32,
-    pub(crate) net: Box<dyn NetworkModel>,
     rng: SimRng,
-    pub(crate) stats: NetStats,
-    pub(crate) events_processed: u64,
-    /// Handler activations: outer iterations of the event loop, where
-    /// one activation may drain several consecutive same-node events
-    /// (batched delivery). Equal to `events_processed` minus hooks when
-    /// no batching occurs; strictly smaller on batchable workloads.
-    /// Deliberately *not* part of [`metrics_snapshot`](Self::metrics_snapshot)
-    /// — it is a cost counter for the bench harness, not an observable.
-    pub(crate) activations: u64,
-    /// Conservative windows executed by the sharded path (zero on
-    /// serial runs). Like `activations`, a deterministic cost counter
-    /// for the bench harness — the per-link lookahead's whole point is
-    /// fewer, wider windows — and deliberately *not* part of
-    /// [`metrics_snapshot`](Self::metrics_snapshot), so window policy
-    /// can change without touching observable output.
-    pub(crate) windows: u64,
-    /// Events dequeued but discarded without reaching a handler: stale
-    /// timers, deliveries to offline nodes, and redundant start/stop.
-    pub(crate) events_cancelled: u64,
-    /// Events ever pushed (queues and hooks), engine-tracked so the
-    /// count is identical across schedulers and shard counts.
-    pub(crate) scheduled: u64,
-    /// Events currently pending across all queues (hooks excluded).
-    pub(crate) pending: u64,
-    /// High-water mark of `pending`, reconstructed exactly in canonical
-    /// event order under sharded execution.
-    pub(crate) peak_pending: u64,
-    /// Distribution of per-message sizes handed to the network model.
-    pub(crate) msg_bytes: LogHistogram,
     scratch: Vec<Effect<N::Msg>>,
-    pub(crate) trace: Option<Trace>,
 }
 
 impl<N: Node> Simulation<N> {
@@ -404,27 +662,26 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     pub fn with_scheduler(seed: u64, net: impl NetworkModel + 'static) -> Self {
         Simulation {
             store: NodeStore::new(),
-            net_rngs: Vec::new(),
-            queues: vec![S::new()],
-            shards: 1,
+            core: Core {
+                net_rngs: Vec::new(),
+                queues: vec![S::new()],
+                shards: 1,
+                now: SimTime::ZERO,
+                net: Box::new(net),
+                counters: Counters::default(),
+                events_processed: 0,
+                windows: 0,
+                scheduled: 0,
+                pending: 0,
+                peak_pending: 0,
+                trace: None,
+            },
             windowed: None,
             hooks: BinaryHeap::new(),
-            now: SimTime::ZERO,
             seed,
             driver_ctr: 0,
-            net: Box::new(net),
             rng: rng_from_seed(seed),
-            stats: NetStats::default(),
-            events_processed: 0,
-            activations: 0,
-            windows: 0,
-            events_cancelled: 0,
-            scheduled: 0,
-            pending: 0,
-            peak_pending: 0,
-            msg_bytes: LogHistogram::new(),
             scratch: Vec::new(),
-            trace: None,
         }
     }
 
@@ -448,20 +705,21 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         S: Send,
     {
         let shards = shards.max(1);
-        if shards == self.shards {
+        let core = &mut self.core;
+        if shards == core.shards {
             return;
         }
         let mut all: Vec<(SimTime, u64, EngineEvent<N::Msg>)> =
-            Vec::with_capacity(self.pending as usize);
-        for q in &mut self.queues {
+            Vec::with_capacity(core.pending as usize);
+        for q in &mut core.queues {
             while let Some(e) = q.pop() {
                 all.push(e);
             }
         }
-        self.shards = shards;
-        self.queues = (0..shards).map(|_| S::new()).collect();
+        core.shards = shards;
+        core.queues = (0..shards).map(|_| S::new()).collect();
         for (t, s, ev) in all {
-            self.queues[ev.node % shards].schedule(t, s, ev);
+            core.queues[ev.node % shards].schedule(t, s, ev);
         }
         self.windowed = if shards > 1 {
             Some(crate::shard::windowed_advance::<N, S> as fn(&mut Simulation<N, S>, SimTime, bool))
@@ -472,24 +730,24 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
 
     /// The number of execution shards (1 = serial).
     pub fn shards(&self) -> usize {
-        self.shards
+        self.core.shards
     }
 
     /// Starts tracing dispatched events, retaining the most recent
     /// `capacity` records (counters are unbounded). See
     /// [`Trace`].
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
+        self.core.trace = Some(Trace::new(capacity));
     }
 
     /// The trace, if enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.core.trace.as_ref()
     }
 
     /// Adds a node and schedules its start at the current time.
     pub fn add_node(&mut self, node: N) -> NodeId {
-        self.add_node_at(node, self.now)
+        self.add_node_at(node, self.core.now)
     }
 
     /// Adds a node and schedules its start at `at`.
@@ -498,7 +756,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     ///
     /// Panics if `at` is in the past.
     pub fn add_node_at(&mut self, node: N, at: SimTime) -> NodeId {
-        assert!(at >= self.now, "cannot start a node in the past");
+        assert!(at >= self.core.now, "cannot start a node in the past");
         let id = self.store.len();
         assert!(
             (id as u64) < DRIVER_ORIGIN as u64,
@@ -506,10 +764,11 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         );
         self.store
             .push(node, rng_from_seed(derive_seed(self.seed, 2 * id as u64)));
-        self.net_rngs
+        self.core
+            .net_rngs
             .push(rng_from_seed(derive_seed(self.seed, 2 * id as u64 + 1)));
         let seq = self.next_driver_seq();
-        self.push_at(
+        self.core.push(
             at,
             seq,
             EngineEvent {
@@ -532,8 +791,8 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         self.store.churn[id] = Some(model);
         if let Some(session) = session {
             let seq = self.next_driver_seq();
-            self.push_at(
-                self.now + session,
+            self.core.push(
+                self.core.now + session,
                 seq,
                 EngineEvent {
                     node: id,
@@ -546,7 +805,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// Schedules the node to stop (go offline) at `at`.
     pub fn schedule_stop(&mut self, id: NodeId, at: SimTime) {
         let seq = self.next_driver_seq();
-        self.push_at(
+        self.core.push(
             at,
             seq,
             EngineEvent {
@@ -559,7 +818,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// Schedules the node to start (come online) at `at`.
     pub fn schedule_start(&mut self, id: NodeId, at: SimTime) {
         let seq = self.next_driver_seq();
-        self.push_at(
+        self.core.push(
             at,
             seq,
             EngineEvent {
@@ -575,15 +834,15 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// and in scheduling order among themselves.
     pub fn schedule_hook(&mut self, at: SimTime, tag: u64) {
         let seq = self.next_driver_seq();
-        self.scheduled += 1;
+        self.core.scheduled += 1;
         self.hooks.push(Reverse((at, seq, tag)));
     }
 
     /// Injects a message from [`EXTERNAL`] to `dst`, delivered after `delay`.
     pub fn inject(&mut self, dst: NodeId, msg: N::Msg, delay: SimDuration) {
         let seq = self.next_driver_seq();
-        self.push_at(
-            self.now + delay,
+        self.core.push(
+            self.core.now + delay,
             seq,
             EngineEvent {
                 node: dst,
@@ -602,13 +861,12 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         id: NodeId,
         f: impl FnOnce(&mut N, &mut Context<'_, N::Msg>) -> R,
     ) -> R {
-        let mut actions = std::mem::take(&mut self.scratch);
-        let out = {
-            let mut ctx = Context::new(self.now, id, &mut self.store.rngs[id], &mut actions);
-            f(&mut self.store.nodes[id], &mut ctx)
-        };
-        self.apply_actions(id, &mut actions);
-        self.scratch = actions;
+        let (now, scratch, core) = (self.core.now, &mut self.scratch, &mut self.core);
+        let mut slot = self.store.slot(id);
+        let (out, stop) = activate(&mut slot, id, now, scratch, core, f);
+        if stop {
+            dispatch(&mut slot, id, EventKind::Stop, now, scratch, core);
+        }
         out
     }
 
@@ -646,23 +904,23 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// Network counters.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.core.counters.stats
     }
 
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.core.events_processed
     }
 
     /// Events dequeued but discarded without reaching a handler (stale
     /// timers, deliveries to offline nodes, redundant starts/stops).
     pub fn events_cancelled(&self) -> u64 {
-        self.events_cancelled
+        self.core.counters.cancelled
     }
 
     /// Handler activations so far: outer event-loop iterations, each of
@@ -670,7 +928,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// node (batched delivery). A deterministic cost counter for the
     /// bench harness; not part of the metrics snapshot.
     pub fn activations(&self) -> u64 {
-        self.activations
+        self.core.counters.activations
     }
 
     /// Conservative windows executed by the sharded path so far (zero
@@ -678,7 +936,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// harness: wider lookahead windows mean fewer windows per run and
     /// more events per window. Not part of the metrics snapshot.
     pub fn windows(&self) -> u64 {
-        self.windows
+        self.core.windows
     }
 
     /// A [`MetricsSnapshot`] of the engine's counters: event-loop
@@ -692,27 +950,32 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// implementation detail), so serialized snapshots are byte-stable
     /// across runs, machines, schedulers, and shard counts.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let core = &self.core;
+        let stats = &core.counters.stats;
         let mut m = MetricsSnapshot::new();
-        m.set_counter("events_scheduled", self.scheduled);
-        m.set_counter("events_fired", self.events_processed);
-        m.set_counter("events_cancelled", self.events_cancelled);
-        m.set_peak("peak_queue_depth", self.peak_pending);
-        m.set_counter("messages_sent", self.stats.sent);
-        m.set_counter("messages_delivered", self.stats.delivered);
-        m.set_counter("messages_dropped_offline", self.stats.dropped_offline);
-        m.set_counter("messages_dropped_net", self.stats.dropped_net);
-        m.set_counter("bytes_sent", self.stats.bytes_sent);
-        m.set("message_bytes", Metric::Dist(self.msg_bytes.clone()));
+        m.set_counter("events_scheduled", core.scheduled);
+        m.set_counter("events_fired", core.events_processed);
+        m.set_counter("events_cancelled", core.counters.cancelled);
+        m.set_peak("peak_queue_depth", core.peak_pending);
+        m.set_counter("messages_sent", stats.sent);
+        m.set_counter("messages_delivered", stats.delivered);
+        m.set_counter("messages_dropped_offline", stats.dropped_offline);
+        m.set_counter("messages_dropped_net", stats.dropped_net);
+        m.set_counter("bytes_sent", stats.bytes_sent);
+        m.set(
+            "message_bytes",
+            Metric::Dist(core.counters.msg_bytes.clone()),
+        );
         // Fault-injection metrics exist only when the network model is a
         // [`Faulty`](crate::fault::Faulty) wrapper, so snapshots of
         // fault-free simulations are byte-identical to earlier releases.
-        if let Some(fs) = self.net.fault_stats() {
+        if let Some(fs) = core.net.fault_stats() {
             m.set_counter("faults_activated", fs.activated);
             m.set_peak("faults_active", fs.peak_active);
             m.set_counter("msgs_dropped_partition", fs.dropped_partition);
             m.set_counter("msgs_dropped_degraded", fs.dropped_degraded);
             m.set_counter("msgs_delayed_degraded", fs.delayed_degraded);
-            m.set_counter("msgs_duplicated", self.stats.duplicated);
+            m.set_counter("msgs_duplicated", stats.duplicated);
             m.set(
                 "partition_duration_ms",
                 Metric::Dist(fs.partition_duration_ms),
@@ -740,15 +1003,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
                 Some(&Reverse((t, _, _))) if t <= deadline => {
                     // All node events strictly before the hook, then the hook.
                     self.advance_events(t, false);
-                    let Reverse((t, _seq, tag)) = self.hooks.pop().expect("peeked");
-                    if self.now < t {
-                        self.now = t;
-                    }
-                    self.events_processed += 1;
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(t, 0, EventTag::Hook);
-                    }
-                    driver.on_hook(tag, self);
+                    self.fire_hook(driver);
                 }
                 _ => {
                     self.advance_events(deadline, true);
@@ -773,37 +1028,38 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => {
-                if self.now < deadline && deadline != SimTime::MAX {
-                    self.now = deadline;
+                if self.core.now < deadline && deadline != SimTime::MAX {
+                    self.core.now = deadline;
                 }
                 return false;
             }
         };
         let head = if hook_first { hook_time } else { event_time }.expect("chosen head");
         if head > deadline {
-            self.now = deadline;
+            self.core.now = deadline;
             return false;
         }
         if hook_first {
-            let Reverse((t, _seq, tag)) = self.hooks.pop().expect("peeked");
-            if self.now < t {
-                self.now = t;
-            }
-            self.events_processed += 1;
-            if let Some(trace) = &mut self.trace {
-                trace.record(t, 0, EventTag::Hook);
-            }
-            driver.on_hook(tag, self);
+            self.fire_hook(driver);
         } else {
             let (time, _seq, ev) = self.pop_next_event().expect("peeked");
-            debug_assert!(time >= self.now, "time went backwards");
-            self.now = time;
-            self.events_processed += 1;
-            self.activations += 1;
-            self.pending -= 1;
-            self.dispatch(ev);
+            self.core.counters.activations += 1;
+            self.fire(time, ev);
         }
         true
+    }
+
+    /// Pops the earliest hook and hands it to `driver`.
+    fn fire_hook(&mut self, driver: &mut impl Driver<N, S>) {
+        let Reverse((t, _seq, tag)) = self.hooks.pop().expect("peeked");
+        if self.core.now < t {
+            self.core.now = t;
+        }
+        self.core.events_processed += 1;
+        if let Some(trace) = &mut self.core.trace {
+            trace.record(t, 0, EventTag::Hook);
+        }
+        driver.on_hook(tag, self);
     }
 
     /// Advances node events up to `limit` using the configured execution
@@ -829,50 +1085,48 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// (never pop ahead) is what keeps the order byte-identical to the
     /// unbatched loop.
     pub(crate) fn advance_serial(&mut self, limit: SimTime, inclusive: bool) {
-        loop {
-            let Some(head) = self.next_event_time() else {
-                if self.now < limit && inclusive && limit != SimTime::MAX {
-                    self.now = limit;
-                }
-                return;
-            };
-            if head > limit || (head == limit && !inclusive) {
-                if self.now < limit && inclusive && limit != SimTime::MAX {
-                    self.now = limit;
-                }
-                return;
-            }
+        let due = |t: SimTime| t < limit || (t == limit && inclusive);
+        while self.next_event_time().is_some_and(due) {
             let (time, _seq, ev) = self.pop_next_event().expect("peeked");
-            debug_assert!(time >= self.now, "time went backwards");
-            self.now = time;
-            self.events_processed += 1;
-            self.activations += 1;
-            self.pending -= 1;
+            self.core.counters.activations += 1;
             let node = ev.node;
-            self.dispatch(ev);
-            if self.shards == 1 {
-                // Same activation: drain queue-head events for the same
-                // node while they remain within the advance bound.
-                loop {
-                    match self.queues[0].peek() {
-                        Some((t, _s, next))
-                            if next.node == node && !(t > limit || (t == limit && !inclusive)) => {}
-                        _ => break,
-                    }
-                    let (time, _seq, ev) = self.queues[0].pop().expect("peeked");
-                    debug_assert!(time >= self.now, "time went backwards");
-                    self.now = time;
-                    self.events_processed += 1;
-                    self.pending -= 1;
-                    self.dispatch(ev);
-                }
+            self.fire(time, ev);
+            // Same activation: drain queue-head events for the same node
+            // while they remain within the advance bound.
+            while self.core.shards == 1
+                && matches!(self.core.queues[0].peek(), Some((t, _, next)) if next.node == node && due(t))
+            {
+                let (time, _seq, ev) = self.core.queues[0].pop().expect("peeked");
+                self.fire(time, ev);
             }
         }
+        if self.core.now < limit && inclusive && limit != SimTime::MAX {
+            self.core.now = limit;
+        }
+    }
+
+    /// Runs one dequeued node event through the kernel, with the
+    /// simulation itself as the sink.
+    fn fire(&mut self, time: SimTime, ev: EngineEvent<N::Msg>) {
+        self.core.begin_event(time, ev.node, ev.tag());
+        let slot = &mut self.store.slot(ev.node);
+        dispatch(
+            slot,
+            ev.node,
+            ev.kind,
+            time,
+            &mut self.scratch,
+            &mut self.core,
+        );
     }
 
     /// Earliest pending node-event time across all queues.
     fn next_event_time(&mut self) -> Option<SimTime> {
-        self.queues.iter_mut().filter_map(|q| q.next_time()).min()
+        self.core
+            .queues
+            .iter_mut()
+            .filter_map(|q| q.next_time())
+            .min()
     }
 
     /// Pops the globally earliest `(time, seq)` event. With one queue
@@ -880,12 +1134,13 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// seq (losers are re-scheduled, which the [`Scheduler`] contract
     /// permits at the dequeue frontier).
     fn pop_next_event(&mut self) -> Option<(SimTime, u64, EngineEvent<N::Msg>)> {
-        if self.shards == 1 {
-            return self.queues[0].pop();
+        let queues = &mut self.core.queues;
+        if let [only] = &mut queues[..] {
+            return only.pop();
         }
         let mut best: Option<(SimTime, u64, usize, EngineEvent<N::Msg>)> = None;
-        for qi in 0..self.queues.len() {
-            let Some(t) = self.queues[qi].next_time() else {
+        for qi in 0..queues.len() {
+            let Some(t) = queues[qi].next_time() else {
                 continue;
             };
             if let Some((bt, _, _, _)) = &best {
@@ -893,14 +1148,14 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
                     continue;
                 }
             }
-            let (t, s, ev) = self.queues[qi].pop().expect("peeked");
+            let (t, s, ev) = queues[qi].pop().expect("peeked");
             match best.take() {
                 Some((bt, bs, bqi, bev)) => {
                     if (t, s) < (bt, bs) {
-                        self.queues[bqi].schedule(bt, bs, bev);
+                        queues[bqi].schedule(bt, bs, bev);
                         best = Some((t, s, qi, ev));
                     } else {
-                        self.queues[qi].schedule(t, s, ev);
+                        queues[qi].schedule(t, s, ev);
                         best = Some((bt, bs, bqi, bev));
                     }
                 }
@@ -910,210 +1165,21 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         best.map(|(t, s, _, ev)| (t, s, ev))
     }
 
-    fn dispatch(&mut self, ev: EngineEvent<N::Msg>) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(self.now, ev.node, ev.tag());
-        }
-        match ev.kind {
-            EventKind::Deliver { src, msg } => {
-                if !self.store.meta[ev.node].online {
-                    self.stats.dropped_offline += 1;
-                    self.events_cancelled += 1;
-                    return;
-                }
-                self.stats.delivered += 1;
-                self.with_node(ev.node, |node, ctx| node.on_message(src, msg, ctx));
-            }
-            EventKind::Timer { tag, epoch } => {
-                let meta = &self.store.meta[ev.node];
-                if !meta.online || meta.timer_epoch != epoch {
-                    self.events_cancelled += 1;
-                    return; // stale timer from before an offline period
-                }
-                self.with_node(ev.node, |node, ctx| node.on_timer(tag, ctx));
-            }
-            EventKind::Start => {
-                if self.store.meta[ev.node].online {
-                    self.events_cancelled += 1;
-                    return;
-                }
-                self.store.meta[ev.node].online = true;
-                self.with_node(ev.node, |node, ctx| node.on_start(ctx));
-                let session = self.store.churn[ev.node]
-                    .as_ref()
-                    .map(|c| c.sample_session(&mut self.store.rngs[ev.node]));
-                if let Some(session) = session {
-                    let seq = self.store.meta[ev.node].next_seq(ev.node);
-                    self.push_at(
-                        self.now + session,
-                        seq,
-                        EngineEvent {
-                            node: ev.node,
-                            kind: EventKind::Stop,
-                        },
-                    );
-                }
-            }
-            EventKind::Stop => {
-                if !self.store.meta[ev.node].online {
-                    self.events_cancelled += 1;
-                    return;
-                }
-                self.with_node(ev.node, |node, ctx| node.on_stop(ctx));
-                self.take_offline(ev.node);
-                let off = self.store.churn[ev.node]
-                    .as_ref()
-                    .map(|c| c.sample_offtime(&mut self.store.rngs[ev.node]));
-                if let Some(off) = off {
-                    let seq = self.store.meta[ev.node].next_seq(ev.node);
-                    self.push_at(
-                        self.now + off,
-                        seq,
-                        EngineEvent {
-                            node: ev.node,
-                            kind: EventKind::Start,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn take_offline(&mut self, id: NodeId) {
-        let meta = &mut self.store.meta[id];
-        meta.online = false;
-        meta.timer_epoch = meta.timer_epoch.wrapping_add(1);
-    }
-
-    fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Context<'_, N::Msg>)) {
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Context::new(self.now, id, &mut self.store.rngs[id], &mut actions);
-            f(&mut self.store.nodes[id], &mut ctx);
-        }
-        self.apply_actions(id, &mut actions);
-        self.scratch = actions;
-    }
-
-    fn apply_actions(&mut self, id: NodeId, actions: &mut Vec<Effect<N::Msg>>) {
-        let mut offline = false;
-        for action in actions.drain(..) {
-            match action {
-                Effect::Send { dst, msg, bytes } => {
-                    self.stats.sent += 1;
-                    self.stats.bytes_sent += bytes;
-                    self.msg_bytes.record(bytes);
-                    let (seq_deliver, seq_dup) = self.store.meta[id].reserve_send_seqs(id);
-                    self.route_send(id, dst, msg, bytes, self.now, seq_deliver, seq_dup);
-                }
-                Effect::Timer { delay, tag } => {
-                    let meta = &mut self.store.meta[id];
-                    let epoch = meta.timer_epoch;
-                    let seq = meta.next_seq(id);
-                    self.push_at(
-                        self.now + delay,
-                        seq,
-                        EngineEvent {
-                            node: id,
-                            kind: EventKind::Timer { tag, epoch },
-                        },
-                    );
-                }
-                Effect::GoOffline => offline = true,
-            }
-        }
-        if offline && self.store.meta[id].online {
-            self.take_offline(id);
-            let off = self.store.churn[id]
-                .as_ref()
-                .map(|c| c.sample_offtime(&mut self.store.rngs[id]));
-            if let Some(off) = off {
-                let seq = self.store.meta[id].next_seq(id);
-                self.push_at(
-                    self.now + off,
-                    seq,
-                    EngineEvent {
-                        node: id,
-                        kind: EventKind::Start,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Routes one send through the network model, drawing from the
-    /// sender's network stream. Used identically by the serial path and
-    /// the sharded commit phase, which is what pins their equivalence.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn route_send(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        msg: N::Msg,
-        bytes: u64,
-        at: SimTime,
-        seq_deliver: u64,
-        seq_dup: u64,
-    ) {
-        match self.net.delay(src, dst, bytes, at, &mut self.net_rngs[src]) {
-            Some(d) => {
-                // Fault-injected duplication: a no-op (and no RNG draw)
-                // for every plain network model.
-                if let Some(d2) = self
-                    .net
-                    .duplicate(src, dst, bytes, at, &mut self.net_rngs[src])
-                {
-                    self.stats.duplicated += 1;
-                    self.push_at(
-                        at + d2,
-                        seq_dup,
-                        EngineEvent {
-                            node: dst,
-                            kind: EventKind::Deliver {
-                                src,
-                                msg: msg.clone(),
-                            },
-                        },
-                    );
-                }
-                self.push_at(
-                    at + d,
-                    seq_deliver,
-                    EngineEvent {
-                        node: dst,
-                        kind: EventKind::Deliver { src, msg },
-                    },
-                );
-            }
-            None => self.stats.dropped_net += 1,
-        }
-    }
-
     pub(crate) fn next_driver_seq(&mut self) -> u64 {
         let c = self.driver_ctr;
         self.driver_ctr += 1;
         pack_seq(DRIVER_ORIGIN, c)
-    }
-
-    pub(crate) fn push_at(&mut self, time: SimTime, seq: u64, ev: EngineEvent<N::Msg>) {
-        self.scheduled += 1;
-        self.pending += 1;
-        if self.pending > self.peak_pending {
-            self.peak_pending = self.pending;
-        }
-        let qi = ev.node % self.shards;
-        self.queues[qi].schedule(time, seq, ev);
     }
 }
 
 impl<N: Node, S: SchedulerFor<N>> std::fmt::Debug for Simulation<N, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("now", &self.now)
+            .field("now", &self.core.now)
             .field("nodes", &self.store.len())
-            .field("shards", &self.shards)
-            .field("pending", &self.pending)
-            .field("stats", &self.stats)
+            .field("shards", &self.core.shards)
+            .field("pending", &self.core.pending)
+            .field("stats", &self.core.counters.stats)
             .finish()
     }
 }
@@ -1243,6 +1309,9 @@ mod tests {
         assert!(!sim.is_online(a));
         assert!(sim.is_online(b));
         assert_eq!(sim.online_nodes(), vec![b]);
+        assert_eq!(sim.node(a).stops, 1, "on_stop runs once");
+        sim.invoke(a, |_n, ctx| ctx.go_offline());
+        assert_eq!(sim.node(a).stops, 1, "already offline: nothing to stop");
     }
 
     #[test]

@@ -24,16 +24,20 @@
 //! would commit events out of global `(time, seq)` order and break
 //! byte-identity with the serial engine.
 //!
+//! Workers run the engine's own dispatch kernel
+//! ([`dispatch`](crate::engine::dispatch)) against a window sink: events
+//! a node creates for itself go into the shard's queue, sends are logged.
 //! Cross-shard effects are reconciled in a serial *commit phase* after
 //! every window: the per-shard dispatch logs are merged by repeatedly
 //! taking the smallest `(time, seq)` head — exactly the order the
 //! serial engine would have popped them — and along that canonical
-//! order the engine replays its bookkeeping (trace, queue-depth
-//! accounting) and routes every send through the network model using
-//! the sender's own RNG stream. Because sequence numbers are
-//! origin-packed and RNG streams are per-node (see the determinism
-//! notes in [`crate::engine`]), the resulting event schedule, metrics,
-//! and node states are byte-identical to a serial run.
+//! order the coordinator makes the calls the serial loop makes as it
+//! goes: `Core::begin_event` (clock, trace, queue-depth accounting) for
+//! each record, `Core::route` for each of its sends, drawing from the
+//! sender's own RNG stream. Because sequence numbers are origin-packed
+//! and RNG streams are per-node (see the determinism notes in
+//! [`crate::engine`]), the resulting event schedule, metrics, and node
+//! states are byte-identical to a serial run.
 //!
 //! Models without a positive lookahead (or degenerate windows at the
 //! end of time) fall back to serial-equivalent stepping rather than
@@ -44,9 +48,9 @@ use std::sync::mpsc::{Receiver, Sender};
 
 use crate::arena::SlotView;
 use crate::engine::{
-    Context, Effect, EngineEvent, EventKind, Node, NodeId, SchedulerFor, Simulation,
+    dispatch, Counters, Effect, EngineEvent, Node, NodeId, SchedulerFor, SendRec, Simulation, Sink,
 };
-use crate::metrics::LogHistogram;
+use crate::sched::Scheduler;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::EventTag;
 
@@ -76,17 +80,6 @@ struct DispatchRec {
     send_end: u32,
 }
 
-/// One send, deferred to the commit phase for network-model routing.
-struct SendRec<M> {
-    src: NodeId,
-    dst: NodeId,
-    msg: M,
-    bytes: u64,
-    time: SimTime,
-    seq_deliver: u64,
-    seq_dup: u64,
-}
-
 /// Worker command for one window.
 enum Cmd<M> {
     Run {
@@ -101,18 +94,9 @@ enum Cmd<M> {
 /// Everything a worker produced in one window.
 struct WindowOut<M> {
     recs: Vec<DispatchRec>,
+    /// Sends in dispatch order, for the commit phase to route.
     sends: Vec<SendRec<M>>,
-    processed: u64,
-    /// Handler activations (batched outer-loop iterations) this window.
-    activations: u64,
-    cancelled: u64,
-    delivered: u64,
-    dropped_offline: u64,
-    sent: u64,
-    bytes_sent: u64,
-    msg_bytes: LogHistogram,
-    /// Events the worker pushed into its own queue this window.
-    local_scheduled: u64,
+    counters: Counters,
     /// Earliest remaining event in the worker's queue after the window.
     next_time: Option<SimTime>,
 }
@@ -122,26 +106,10 @@ impl<M> WindowOut<M> {
         WindowOut {
             recs: Vec::new(),
             sends: Vec::new(),
-            processed: 0,
-            activations: 0,
-            cancelled: 0,
-            delivered: 0,
-            dropped_offline: 0,
-            sent: 0,
-            bytes_sent: 0,
-            msg_bytes: LogHistogram::new(),
-            local_scheduled: 0,
+            counters: Counters::default(),
             next_time: None,
         }
     }
-}
-
-/// Exclusive end of the window opening at `start`: one lookahead ahead,
-/// capped at the advance bound (the homogeneous special case of the
-/// per-shard computation in the main loop; kept for the unit tests).
-#[cfg(test)]
-fn window_end(start: SimTime, la: SimDuration, limit: SimTime, inclusive: bool) -> SimTime {
-    clamp_end(start + la, limit, inclusive)
 }
 
 /// Caps a raw window end at the advance bound (one nanosecond past it
@@ -196,44 +164,25 @@ where
     N::Msg: Send,
     S: SchedulerFor<N> + Send,
 {
-    let la = match sim.net.lookahead() {
+    let la = match sim.core.net.lookahead() {
         Some(la) if !la.is_zero() => la,
         // No conservative window exists (adaptive latency, or a model
         // that can deliver instantly): degrade to the serial loop,
         // which pops the same (time, seq) order one event at a time.
         _ => return sim.advance_serial(limit, inclusive),
     };
-    let shards = sim.shards;
+    // Disjoint halves: workers take the node rows, the commit phase
+    // owns everything else (network model, RNG streams, counters).
+    let Simulation { store, core, .. } = sim;
+    let shards = core.shards;
     debug_assert!(shards > 1, "windowed executor installed for serial sim");
     let row_la = row_lookaheads(
-        sim.net.shard_lookahead(sim.len(), shards),
+        core.net.shard_lookahead(store.len(), shards),
         la,
-        sim.len(),
+        store.len(),
         shards,
     );
-
-    let queues: Vec<S> = std::mem::take(&mut sim.queues);
-    // Disjoint field borrows: workers take the node rows, the commit
-    // phase owns the network model, RNG streams, and counters.
-    let Simulation {
-        store,
-        net_rngs,
-        queues: queues_slot,
-        net,
-        stats,
-        trace,
-        now,
-        events_processed,
-        activations,
-        windows,
-        events_cancelled,
-        scheduled,
-        pending,
-        peak_pending,
-        msg_bytes,
-        ..
-    } = sim;
-
+    let queues: Vec<S> = std::mem::take(&mut core.queues);
     let parts = store.partition(shards);
 
     let mut returned: Vec<S> = Vec::with_capacity(shards);
@@ -300,7 +249,7 @@ where
                 // queued for a later, serial-fallback advance).
                 break;
             }
-            *windows += 1;
+            core.windows += 1;
             for (tx, feed) in cmd_txs.iter().zip(feeds.iter_mut()) {
                 tx.send(Cmd::Run {
                     end,
@@ -312,15 +261,7 @@ where
             for (i, rx) in out_rxs.iter().enumerate() {
                 let out = rx.recv().expect("worker alive");
                 heads[i] = out.next_time;
-                *events_processed += out.processed;
-                *activations += out.activations;
-                *events_cancelled += out.cancelled;
-                *scheduled += out.local_scheduled;
-                stats.delivered += out.delivered;
-                stats.dropped_offline += out.dropped_offline;
-                stats.sent += out.sent;
-                stats.bytes_sent += out.bytes_sent;
-                msg_bytes.merge(&out.msg_bytes);
+                core.counters.absorb(&out.counters);
                 outs.push((out.recs.into_iter(), out.sends.into_iter()));
             }
 
@@ -329,9 +270,9 @@ where
             // the exact order the serial engine pops events in (each log
             // is itself (time, seq)-sorted, and within a window no
             // dispatch can create an earlier-sorting event for another
-            // shard). Along that order we replay the engine bookkeeping
-            // and route sends, drawing from each sender's own network
-            // RNG stream — the same calls in the same order as serial.
+            // shard). Along that order we make the calls the serial loop
+            // makes as it goes: `begin_event`, then `route` for every
+            // send, drawing from each sender's own network RNG stream.
             let mut rec_heads: Vec<Option<DispatchRec>> =
                 outs.iter_mut().map(|(r, _)| r.next()).collect();
             let mut send_cursor = vec![0u32; shards];
@@ -348,63 +289,15 @@ where
                 let rec = rec_heads[i].take().expect("chosen head");
                 rec_heads[i] = outs[i].0.next();
 
-                debug_assert!(rec.time >= *now, "commit went backwards in time");
-                *now = rec.time;
-                if let Some(tr) = trace.as_mut() {
-                    tr.record(rec.time, rec.node, rec.tag);
-                }
-                *pending -= 1;
-                *pending += rec.pushes as u64;
-                if *pending > *peak_pending {
-                    *peak_pending = *pending;
-                }
+                core.begin_event(rec.time, rec.node, rec.tag);
+                core.note_pushed(rec.pushes as u64);
                 while send_cursor[i] < rec.send_end {
                     send_cursor[i] += 1;
-                    let s = outs[i].1.next().expect("send log matches records");
-                    // Twin of Simulation::route_send, pushing into the
-                    // next window's feeds instead of live queues.
-                    match net.delay(s.src, s.dst, s.bytes, s.time, &mut net_rngs[s.src]) {
-                        Some(d) => {
-                            if let Some(d2) =
-                                net.duplicate(s.src, s.dst, s.bytes, s.time, &mut net_rngs[s.src])
-                            {
-                                stats.duplicated += 1;
-                                push_feed(
-                                    &mut feeds,
-                                    shards,
-                                    s.time + d2,
-                                    s.seq_dup,
-                                    EngineEvent {
-                                        node: s.dst,
-                                        kind: EventKind::Deliver {
-                                            src: s.src,
-                                            msg: s.msg.clone(),
-                                        },
-                                    },
-                                    scheduled,
-                                    pending,
-                                    peak_pending,
-                                );
-                            }
-                            push_feed(
-                                &mut feeds,
-                                shards,
-                                s.time + d,
-                                s.seq_deliver,
-                                EngineEvent {
-                                    node: s.dst,
-                                    kind: EventKind::Deliver {
-                                        src: s.src,
-                                        msg: s.msg,
-                                    },
-                                },
-                                scheduled,
-                                pending,
-                                peak_pending,
-                            );
-                        }
-                        None => stats.dropped_net += 1,
-                    }
+                    let send = outs[i].1.next().expect("send log matches records");
+                    core.route(send, |core, time, seq, ev| {
+                        core.note_pushed(1);
+                        feeds[ev.node % shards].push((time, seq, ev));
+                    });
                 }
             }
         }
@@ -425,29 +318,56 @@ where
             returned[qi].schedule(t, s, ev);
         }
     }
-    *queues_slot = returned;
-    if *now < limit && inclusive && limit != SimTime::MAX {
-        *now = limit;
+    core.queues = returned;
+    if core.now < limit && inclusive && limit != SimTime::MAX {
+        core.now = limit;
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_feed<M>(
-    feeds: &mut [Feed<M>],
-    shards: usize,
-    time: SimTime,
-    seq: u64,
-    ev: EngineEvent<M>,
-    scheduled: &mut u64,
-    pending: &mut u64,
-    peak_pending: &mut u64,
-) {
-    *scheduled += 1;
-    *pending += 1;
-    if *pending > *peak_pending {
-        *peak_pending = *pending;
+/// The window [`Sink`]: a shard's queue plus the log of the window in
+/// progress. Events a node creates for itself go straight into the
+/// queue; sends wait in the log for the commit phase to route.
+struct Worker<M, S> {
+    queue: S,
+    out: WindowOut<M>,
+}
+
+impl<M, S: Scheduler<EngineEvent<M>>> Sink<M> for Worker<M, S> {
+    fn counters(&mut self) -> &mut Counters {
+        &mut self.out.counters
     }
-    feeds[ev.node % shards].push((time, seq, ev));
+
+    fn push(&mut self, time: SimTime, seq: u64, ev: EngineEvent<M>) {
+        let rec = self.out.recs.last_mut().expect("dispatch in progress");
+        rec.pushes += 1;
+        self.queue.schedule(time, seq, ev);
+    }
+
+    fn send(&mut self, send: SendRec<M>) {
+        self.out.sends.push(send);
+    }
+}
+
+impl<M, S: Scheduler<EngineEvent<M>>> Worker<M, S> {
+    /// Logs one dequeued event and runs it through the kernel.
+    fn fire<N: Node<Msg = M>>(
+        &mut self,
+        slot: &mut SlotView<'_, N>,
+        (time, seq, ev): (SimTime, u64, EngineEvent<M>),
+        scratch: &mut Vec<Effect<M>>,
+    ) {
+        self.out.recs.push(DispatchRec {
+            time,
+            seq,
+            node: ev.node,
+            tag: ev.tag(),
+            pushes: 0,
+            send_end: 0,
+        });
+        dispatch(slot, ev.node, ev.kind, time, scratch, self);
+        let rec = self.out.recs.last_mut().expect("just pushed");
+        rec.send_end = self.out.sends.len() as u32;
+    }
 }
 
 /// Per-shard worker loop: drain the shard's queue window by window,
@@ -455,16 +375,16 @@ fn push_feed<M>(
 /// the queue when told to stop so the engine can resume serially.
 ///
 /// Consecutive queue-head events bound for the same node drain in one
-/// *activation* (batched delivery): the node's row is indexed once per
-/// batch and stays hot across its due events. The peek-then-pop
-/// discipline guarantees each batched event is still the exact queue
-/// head, so the per-event dispatch log — and therefore the committed
-/// order — is byte-identical to the unbatched drain.
+/// *activation* (batched delivery): the node's row stays hot across its
+/// due events. The peek-then-pop discipline guarantees each batched
+/// event is still the exact queue head, so the per-event dispatch log —
+/// and therefore the committed order — is byte-identical to the
+/// unbatched drain.
 fn worker_main<N, S>(
     shard: usize,
     shards: usize,
     mut part: Vec<SlotView<'_, N>>,
-    mut queue: S,
+    queue: S,
     rx: Receiver<Cmd<N::Msg>>,
     tx: Sender<WindowOut<N::Msg>>,
 ) -> S
@@ -472,279 +392,50 @@ where
     N: Node,
     S: SchedulerFor<N>,
 {
+    let mut w = Worker {
+        queue,
+        out: WindowOut::new(),
+    };
     let mut scratch: Vec<Effect<N::Msg>> = Vec::new();
     let mut ticks: u64 = 0;
-    while let Ok(cmd) = rx.recv() {
-        let Cmd::Run { end, feed } = cmd else { break };
-        let mut out = WindowOut::new();
+    while let Ok(Cmd::Run { end, feed }) = rx.recv() {
         for (t, s, ev) in feed {
-            queue.schedule(t, s, ev);
+            w.queue.schedule(t, s, ev);
         }
-        while let Some(t) = queue.next_time() {
-            if t >= end {
-                break;
-            }
+        while w.queue.next_time().is_some_and(|t| t < end) {
             // Interleaving stress hook: a no-op unless a test set a
             // perturbation seed (crate::stress). Placed on the
             // activation path so perturbed schedules shift *between*
             // dispatches, where cross-shard races would hide.
             crate::stress::perturb(shard, ticks);
             ticks += 1;
-            let (time, seq, ev) = queue.pop().expect("peeked");
-            let node = ev.node;
-            out.processed += 1;
-            out.activations += 1;
-            let mut rec = DispatchRec {
-                time,
-                seq,
-                node,
-                tag: ev.tag(),
-                pushes: 0,
-                send_end: 0,
-            };
-            dispatch_local(
-                &mut part[node / shards],
-                node,
-                ev.kind,
-                time,
-                &mut queue,
-                &mut out,
-                &mut rec,
-                &mut scratch,
-            );
-            rec.send_end = out.sends.len() as u32;
-            out.recs.push(rec);
+            w.out.counters.activations += 1;
+            let head = w.queue.pop().expect("peeked");
+            let node = head.2.node;
+            let slot = &mut part[node / shards];
+            w.fire(slot, head, &mut scratch);
             // Batched continuation: same node, still inside the window.
-            loop {
-                match queue.peek() {
-                    Some((t, _s, next)) if next.node == node && t < end => {}
-                    _ => break,
-                }
-                let (time, seq, ev) = queue.pop().expect("peeked");
-                out.processed += 1;
-                let mut rec = DispatchRec {
-                    time,
-                    seq,
-                    node,
-                    tag: ev.tag(),
-                    pushes: 0,
-                    send_end: 0,
-                };
-                dispatch_local(
-                    &mut part[node / shards],
-                    node,
-                    ev.kind,
-                    time,
-                    &mut queue,
-                    &mut out,
-                    &mut rec,
-                    &mut scratch,
-                );
-                rec.send_end = out.sends.len() as u32;
-                out.recs.push(rec);
+            while matches!(w.queue.peek(), Some((t, _, next)) if next.node == node && t < end) {
+                let next = w.queue.pop().expect("peeked");
+                w.fire(slot, next, &mut scratch);
             }
         }
-        out.next_time = queue.next_time();
-        if tx.send(out).is_err() {
+        w.out.next_time = w.queue.next_time();
+        if tx
+            .send(std::mem::replace(&mut w.out, WindowOut::new()))
+            .is_err()
+        {
             break;
         }
     }
-    queue
-}
-
-/// Twin of [`Simulation::dispatch`] running inside a worker: identical
-/// cancellation rules, handler invocation, and churn discipline, with
-/// local pushes going to the shard's own queue and sends logged for the
-/// commit phase. Any behavioural change here must be mirrored there
-/// (and vice versa) or sharded runs stop being byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_local<N, S>(
-    slot: &mut SlotView<'_, N>,
-    id: NodeId,
-    kind: EventKind<N::Msg>,
-    now: SimTime,
-    queue: &mut S,
-    out: &mut WindowOut<N::Msg>,
-    rec: &mut DispatchRec,
-    scratch: &mut Vec<Effect<N::Msg>>,
-) where
-    N: Node,
-    S: SchedulerFor<N>,
-{
-    match kind {
-        EventKind::Deliver { src, msg } => {
-            if !slot.meta.online {
-                out.dropped_offline += 1;
-                out.cancelled += 1;
-                return;
-            }
-            out.delivered += 1;
-            run_handler(slot, id, now, scratch, |n, ctx| n.on_message(src, msg, ctx));
-            apply_local(slot, id, now, queue, out, rec, scratch);
-        }
-        EventKind::Timer { tag, epoch } => {
-            if !slot.meta.online || slot.meta.timer_epoch != epoch {
-                out.cancelled += 1;
-                return;
-            }
-            run_handler(slot, id, now, scratch, |n, ctx| n.on_timer(tag, ctx));
-            apply_local(slot, id, now, queue, out, rec, scratch);
-        }
-        EventKind::Start => {
-            if slot.meta.online {
-                out.cancelled += 1;
-                return;
-            }
-            slot.meta.online = true;
-            run_handler(slot, id, now, scratch, |n, ctx| n.on_start(ctx));
-            apply_local(slot, id, now, queue, out, rec, scratch);
-            let session = slot.churn.as_ref().map(|c| c.sample_session(slot.rng));
-            if let Some(session) = session {
-                let seq = slot.meta.next_seq(id);
-                push_local(
-                    queue,
-                    now + session,
-                    seq,
-                    EngineEvent {
-                        node: id,
-                        kind: EventKind::Stop,
-                    },
-                    out,
-                    rec,
-                );
-            }
-        }
-        EventKind::Stop => {
-            if !slot.meta.online {
-                out.cancelled += 1;
-                return;
-            }
-            run_handler(slot, id, now, scratch, |n, ctx| n.on_stop(ctx));
-            apply_local(slot, id, now, queue, out, rec, scratch);
-            slot.meta.online = false;
-            slot.meta.timer_epoch = slot.meta.timer_epoch.wrapping_add(1);
-            let off = slot.churn.as_ref().map(|c| c.sample_offtime(slot.rng));
-            if let Some(off) = off {
-                let seq = slot.meta.next_seq(id);
-                push_local(
-                    queue,
-                    now + off,
-                    seq,
-                    EngineEvent {
-                        node: id,
-                        kind: EventKind::Start,
-                    },
-                    out,
-                    rec,
-                );
-            }
-        }
-    }
-}
-
-fn run_handler<N: Node>(
-    slot: &mut SlotView<'_, N>,
-    id: NodeId,
-    now: SimTime,
-    actions: &mut Vec<Effect<N::Msg>>,
-    f: impl FnOnce(&mut N, &mut Context<'_, N::Msg>),
-) {
-    let mut ctx = Context::new(now, id, slot.rng, actions);
-    f(slot.node, &mut ctx);
-}
-
-/// Twin of [`Simulation::apply_actions`]: drains deferred effects in
-/// handler order, reserving the same seqs and counting the same stats.
-fn apply_local<N, S>(
-    slot: &mut SlotView<'_, N>,
-    id: NodeId,
-    now: SimTime,
-    queue: &mut S,
-    out: &mut WindowOut<N::Msg>,
-    rec: &mut DispatchRec,
-    actions: &mut Vec<Effect<N::Msg>>,
-) where
-    N: Node,
-    S: SchedulerFor<N>,
-{
-    let mut offline = false;
-    for action in actions.drain(..) {
-        match action {
-            Effect::Send { dst, msg, bytes } => {
-                out.sent += 1;
-                out.bytes_sent += bytes;
-                out.msg_bytes.record(bytes);
-                let (seq_deliver, seq_dup) = slot.meta.reserve_send_seqs(id);
-                out.sends.push(SendRec {
-                    src: id,
-                    dst,
-                    msg,
-                    bytes,
-                    time: now,
-                    seq_deliver,
-                    seq_dup,
-                });
-            }
-            Effect::Timer { delay, tag } => {
-                let epoch = slot.meta.timer_epoch;
-                let seq = slot.meta.next_seq(id);
-                push_local(
-                    queue,
-                    now + delay,
-                    seq,
-                    EngineEvent {
-                        node: id,
-                        kind: EventKind::Timer { tag, epoch },
-                    },
-                    out,
-                    rec,
-                );
-            }
-            Effect::GoOffline => offline = true,
-        }
-    }
-    if offline && slot.meta.online {
-        slot.meta.online = false;
-        slot.meta.timer_epoch = slot.meta.timer_epoch.wrapping_add(1);
-        let off = slot.churn.as_ref().map(|c| c.sample_offtime(slot.rng));
-        if let Some(off) = off {
-            let seq = slot.meta.next_seq(id);
-            push_local(
-                queue,
-                now + off,
-                seq,
-                EngineEvent {
-                    node: id,
-                    kind: EventKind::Start,
-                },
-                out,
-                rec,
-            );
-        }
-    }
-}
-
-fn push_local<N, S>(
-    queue: &mut S,
-    time: SimTime,
-    seq: u64,
-    ev: EngineEvent<N::Msg>,
-    out: &mut WindowOut<N::Msg>,
-    rec: &mut DispatchRec,
-) where
-    N: Node,
-    S: SchedulerFor<N>,
-{
-    out.local_scheduled += 1;
-    rec.pushes += 1;
-    queue.schedule(time, seq, ev);
+    w.queue
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::churn::ChurnModel;
-    use crate::engine::{NetStats, EXTERNAL};
+    use crate::engine::{Context, NetStats, EXTERNAL};
     use crate::net::{ConstantLatency, UniformLatency};
     use crate::sched::{BinaryHeapScheduler, TimingWheel};
     use crate::trace::EventRecord;
@@ -759,6 +450,8 @@ mod tests {
     struct Peer {
         /// Total node count, for picking gossip destinations.
         n: usize,
+        /// Leaves on its own (`go_offline`) at its fifth timer fire.
+        quits: bool,
         pings: Vec<u32>,
         pongs: Vec<u32>,
         timers: Vec<u64>,
@@ -798,10 +491,19 @@ mod tests {
             if self.timers.len() < 20 {
                 ctx.set_timer(SimDuration::from_millis(700.0), tag + 1);
             }
+            if self.quits && self.timers.len() == 5 {
+                ctx.go_offline();
+            }
         }
 
-        fn on_stop(&mut self, _ctx: &mut Context<'_, Msg>) {
+        fn on_stop(&mut self, ctx: &mut Context<'_, Msg>) {
             self.stops += 1;
+            // A parting message, and a timer that must never fire.
+            let dst = (ctx.id() + 1) % self.n.max(1);
+            if dst != ctx.id() {
+                ctx.send(dst, Msg::Pong(self.stops));
+            }
+            ctx.set_timer(SimDuration::from_millis(1.0), 7);
         }
     }
 
@@ -822,10 +524,13 @@ mod tests {
     ) -> Fingerprint {
         let mut sim: Simulation<Peer, S> = Simulation::with_scheduler(0xD5, net);
         sim.enable_trace(4096);
+        // Every third node churns, and also quits once on its own, so
+        // the churn restart after a `go_offline` is part of the input.
         let ids: Vec<_> = (0..nodes)
-            .map(|_| {
+            .map(|i| {
                 sim.add_node(Peer {
                     n: nodes,
+                    quits: i % 3 == 0,
                     ..Peer::default()
                 })
             })
@@ -880,6 +585,10 @@ mod tests {
         type Heap = BinaryHeapScheduler<EngineEvent<Msg>>;
         let net = || UniformLatency::from_millis(20.0, 80.0);
         let serial = run::<Wheel>(10, 1, net());
+        assert!(
+            serial.4.iter().step_by(3).any(|n| n.2.len() >= 5),
+            "no node lived long enough to go_offline on its own"
+        );
         for shards in [2, 3, 4, 8] {
             assert_eq!(
                 run::<Wheel>(10, shards, net()),
@@ -978,17 +687,17 @@ mod tests {
         let la = SimDuration::from_millis(10.0);
         let t = SimTime::from_secs(1.0);
         assert_eq!(
-            window_end(t, la, SimTime::from_secs(10.0), false),
+            clamp_end(t + la, SimTime::from_secs(10.0), false),
             t + la,
             "uncapped window is one lookahead wide"
         );
         assert_eq!(
-            window_end(t, la, SimTime::from_secs(1.005), false),
+            clamp_end(t + la, SimTime::from_secs(1.005), false),
             SimTime::from_secs(1.005),
             "exclusive bound caps the window"
         );
         assert_eq!(
-            window_end(t, la, t, true),
+            clamp_end(t + la, t, true),
             SimTime::from_nanos(t.as_nanos() + 1),
             "inclusive bound admits events at the limit itself"
         );
