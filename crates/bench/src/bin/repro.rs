@@ -277,6 +277,17 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             }
         }
     }
+    // The run report stores the seed as a JSON number (an f64): above
+    // 2^53 two seeds can print as the same number, and the report would
+    // name a seed that does not reproduce it. Sweeps record seeds as
+    // decimal strings and the socket demos write no report.
+    const MAX_REPORT_SEED: u64 = 1 << 53;
+    let point_run = cli.sweep.is_none() && cli.serve.is_none() && !cli.probe;
+    if let Some(seed) = cli.seed.filter(|&s| point_run && s > MAX_REPORT_SEED) {
+        return Err(format!(
+            "--seed {seed} is above 2^53 ({MAX_REPORT_SEED}), the largest seed a run report records exactly"
+        ));
+    }
     if cli.serve.is_some() && cli.probe {
         return Err("--serve and --probe are different processes; pick one".into());
     }
@@ -702,6 +713,20 @@ mod tests {
         assert!(parse(&["--seed", "-3"])
             .unwrap_err()
             .contains("unsigned integer"));
+        // A run report holds the seed as an f64: 2^53 is the last seed it
+        // records exactly. Sweeps (decimal strings) and the socket demos
+        // (no report) take the whole u64 range.
+        assert_eq!(
+            parse(&["--seed", "9007199254740992"]).unwrap().seed,
+            Some(1 << 53)
+        );
+        for seed in ["9007199254740993", "18446744073709551615"] {
+            assert!(parse(&["--quick", "--exp", "E16", "--seed", seed])
+                .unwrap_err()
+                .contains("above 2^53"));
+            assert!(parse(&["--seed", seed, "--sweep", "E19:partition_frac=0.1..0.5:3"]).is_ok());
+            assert!(parse(&["--probe", "--seed", seed]).is_ok());
+        }
     }
 
     #[test]

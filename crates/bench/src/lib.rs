@@ -1,9 +1,13 @@
-//! # decent-bench — benchmark harness
+//! # decent-bench — the two binaries that drive the workspace
 //!
-//! - The `repro` binary regenerates every experiment report
+//! - `repro` regenerates every experiment report
 //!   (`cargo run --release -p decent-bench --bin repro -- --quick`).
-//! - Criterion benches (`cargo bench`) time the simulation primitives
-//!   and each experiment at CI scale.
+//! - `perf-gate` re-measures one small serial configuration and holds
+//!   its deterministic cost counters against `baselines/perf_quick.json`
+//!   (`cargo run --release -p decent-bench --bin perf-gate -- --baseline
+//!   baselines/perf_quick.json`).
+//!
+//! Timing lives in the standalone `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,8 +3,7 @@
 //! Each study sweeps one parameter that a protocol designer actually
 //! chose (Kademlia's α, PBFT's batch size, gossip fanout, Bitcoin's
 //! block size) and regenerates the trade-off curve that justified the
-//! choice. Run them via `cargo bench --bench ablations` or the unit
-//! tests.
+//! choice. The four unit tests below run them.
 
 use decent_bft::pbft::{saturation_run, PbftConfig};
 use decent_chain::node::{

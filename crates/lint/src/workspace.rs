@@ -3,7 +3,7 @@
 //! The walker reads `members` from the root `Cargo.toml` and lints only
 //! those crates (plus the root package, which Cargo makes an implicit
 //! member). Everything else — `vendor/` stubs, `target/`, stray
-//! checkouts — is never touched, so vendored proptest/rand/criterion
+//! checkouts — is never touched, so vendored proptest/rand
 //! sources cannot pollute the findings. Within a member, the walker
 //! visits `src/`, `tests/`, `benches/` and `examples/`, skipping any
 //! `fixtures` directory (the lint's own golden corpus is deliberately

@@ -9,7 +9,7 @@
 //! full fingerprints to match exactly. A single diverging event would
 //! change the trace tuple stream and fail the property.
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! - engine-level: a gossip workload under randomized partitions,
 //!   degradation, duplication, and crash bursts, fingerprinted by
@@ -17,7 +17,10 @@
 //!   schedulers at shards ∈ {1, 2, 4, 8};
 //! - report-level: full experiment scenarios (`run_seeded_exec`) where
 //!   the canonical RunReport JSON must be byte-identical between
-//!   serial and sharded runs.
+//!   serial and sharded runs;
+//! - window-level: one region-aligned chain configuration whose event
+//!   and window counts are pinned with the per-link lookahead matrix
+//!   active and hidden — the only place `sim.windows()` is asserted.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -383,6 +386,90 @@ proptest! {
             prop_assert_eq!(&serial, &heap, "PBFT heap diverged at shards={}", shards);
         }
     }
+}
+
+/// Hides the inner model's per-link `shard_lookahead` matrix, forcing
+/// the windowed executor back onto the single global bound. Everything
+/// else forwards verbatim, so a run behind it replays the same events
+/// and differs only in where the windows fall.
+struct GlobalBoundOnly<M>(M);
+
+impl<M: NetworkModel> NetworkModel for GlobalBoundOnly<M> {
+    fn delay(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        now: SimTime,
+        rng: &mut SimRng,
+    ) -> Option<SimDuration> {
+        self.0.delay(src, dst, bytes, now, rng)
+    }
+
+    fn duplicate(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        now: SimTime,
+        rng: &mut SimRng,
+    ) -> Option<SimDuration> {
+        self.0.duplicate(src, dst, bytes, now, rng)
+    }
+
+    fn fault_stats(&self) -> Option<FaultStats> {
+        self.0.fault_stats()
+    }
+
+    fn lookahead(&self) -> Option<SimDuration> {
+        self.0.lookahead()
+    }
+}
+
+/// The one deterministic finding behind `NetworkModel::shard_lookahead`
+/// (DESIGN.md §4i): a 150-node PoW relay on a `RegionNet` whose regions
+/// line up with `id % 4` sharding, so every cross-shard link has an
+/// inter-region floor (58 ms or more) where the global bound is the
+/// matrix's intra-Europe 11 ms. `(events, windows)` after an hour.
+fn region_aligned_chain(shards: usize, per_link: bool) -> (u64, u64) {
+    const SEED: u64 = 0xB9;
+    const NODES: usize = 150;
+    const REGIONS: [Region; 4] = [
+        Region::NorthAmerica,
+        Region::Europe,
+        Region::AsiaPacific,
+        Region::Japan,
+    ];
+    let net = RegionNet::new((0..NODES).map(|id| REGIONS[id % 4]).collect());
+    let ncfg = NetworkConfig {
+        nodes: NODES,
+        miner_fraction: 0.3,
+        node: ChainNodeConfig {
+            params: PowParams {
+                target_interval: SimDuration::from_secs(120.0),
+                ..PowParams::bitcoin()
+            },
+            tx_rate: 20.0,
+            ..ChainNodeConfig::default()
+        },
+        ..NetworkConfig::default()
+    };
+    let mut sim: Simulation<ChainNode> = if per_link {
+        Simulation::new(SEED, net)
+    } else {
+        Simulation::new(SEED, GlobalBoundOnly(net))
+    };
+    sim.set_shards(shards);
+    build_network(&mut sim, &ncfg, SEED ^ 2);
+    sim.run_until(SimTime::from_secs(3_600.0));
+    (sim.events_processed(), sim.windows())
+}
+
+#[test]
+fn per_link_lookahead_needs_fewer_windows_for_the_same_events() {
+    assert_eq!(region_aligned_chain(1, true), (72_826, 0));
+    assert_eq!(region_aligned_chain(4, true), (72_826, 4_428));
+    assert_eq!(region_aligned_chain(4, false), (72_826, 5_612));
 }
 
 proptest! {
