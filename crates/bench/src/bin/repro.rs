@@ -26,14 +26,16 @@
 //! experiment seeds its own RNG streams, the sharded executor commits
 //! events in the exact serial `(time, seq)` order, and the canonical
 //! JSON excludes wall-clock, so serial, `--jobs N`, and `--shards N`
-//! runs are byte-identical. Every registered experiment honours
-//! `--shards` (all node state is `Send`); scenarios with no
-//! discrete-event loop (closed-form or Monte Carlo) honour it
-//! vacuously. `--list` shows each scenario's execution policy.
+//! runs are byte-identical. Every experiment that runs simulations
+//! honours `--shards`; the ones with no discrete-event loop
+//! (closed-form or Monte Carlo) have nothing to shard.
 //!
 //! The claim-regression gate: `--baseline PATH` diffs this run's claim
 //! verdicts against a committed claims file and exits 1 on any verdict
 //! flip or missing claim; `--write-baseline PATH` regenerates that file.
+//! With `--exp`, only the baseline's claims of the selected experiments
+//! are compared, and `--write-baseline` is refused (it would replace
+//! the full baseline with a partial one).
 //!
 //! Sensitivity analysis: `--sweep E19:partition_frac=0.1..0.5:3` runs
 //! the experiment at every grid point of the named parameter and emits
@@ -64,9 +66,9 @@ use decent_overlay::id::Key;
 use decent_overlay::kadnet;
 use decent_sim::prelude::{SimDuration, SimTime};
 
-use decent_core::report::{diff_verdicts, verdicts_from_json, RunReport};
+use decent_core::report::{diff_verdicts, verdicts_from_json, ClaimVerdict, RunReport};
 use decent_core::scenario::ExecPolicy;
-use decent_core::sensitivity::{run_sweep_exec, SweepSpec};
+use decent_core::sensitivity::{run_sweep, SweepSpec};
 use decent_core::{claims, experiments, scenario};
 use decent_sim::json::Json;
 
@@ -252,12 +254,15 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                     return Err("--exp requires at least one experiment id".into());
                 }
                 let known = scenario::ids();
-                for id in &ids {
+                for (i, id) in ids.iter().enumerate() {
                     if !known.contains(&id.as_str()) {
                         return Err(format!(
                             "unknown experiment id: {id} (known: {})",
                             known.join(", ")
                         ));
+                    }
+                    if ids[..i].contains(id) {
+                        return Err(format!("--exp names {id} more than once"));
                     }
                 }
                 cli.selected = Some(ids);
@@ -276,6 +281,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 return Err(format!("--sweep cannot be combined with {flag}"));
             }
         }
+    }
+    if cli.selected.is_some() && cli.write_baseline.is_some() {
+        return Err(
+            "--exp cannot be combined with --write-baseline: a baseline covers every experiment"
+                .into(),
+        );
     }
     // The run report stores the seed as a JSON number (an f64): above
     // 2^53 two seeds can print as the same number, and the report would
@@ -390,16 +401,31 @@ fn run_probe(seed: u64, port_base: u16, n: usize, timeout: f64) -> Result<(), St
     Ok(())
 }
 
-/// Loads a baseline file and diffs the run's verdicts against it.
-/// Returns the regression lines (empty = gate passes).
-fn check_baseline(run: &RunReport, path: &std::path::Path) -> Result<Vec<String>, String> {
+/// Loads the claim verdicts of a baseline file.
+fn load_baseline(path: &std::path::Path) -> Result<Vec<ClaimVerdict>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
     let doc = Json::parse(&text)
         .map_err(|e| format!("baseline {} is not valid JSON: {e}", path.display()))?;
-    let baseline =
-        verdicts_from_json(&doc).map_err(|e| format!("baseline {}: {e}", path.display()))?;
-    Ok(diff_verdicts(&run.verdicts(), &baseline))
+    verdicts_from_json(&doc).map_err(|e| format!("baseline {}: {e}", path.display()))
+}
+
+/// Diffs the run's verdicts against a baseline and returns the
+/// regression lines (empty = gate passes). A run of `selected`
+/// experiments is held only to their claims (ids `"<EXP>.<slug>"`): the
+/// rest of the baseline is not missing, it was not asked for.
+fn baseline_regressions(
+    run: &RunReport,
+    mut baseline: Vec<ClaimVerdict>,
+    selected: Option<&[String]>,
+) -> Vec<String> {
+    if let Some(ids) = selected {
+        baseline.retain(|b| {
+            b.id.split_once('.')
+                .is_some_and(|(exp, _)| ids.iter().any(|id| id == exp))
+        });
+    }
+    diff_verdicts(&run.verdicts(), &baseline)
 }
 
 fn main() -> ExitCode {
@@ -442,27 +468,14 @@ fn main() -> ExitCode {
     if cli.list {
         // Everything here derives from the scenario registry: the ids,
         // the titles (shared with the report headers), the sweepable
-        // parameter maps, which scenarios actually consume a seed, and
-        // which execution policies each honours (probed via `set_exec`
-        // on a throwaway instance, then reset to serial).
-        for mut s in scenario::all(true) {
+        // parameter maps and which scenarios actually consume a seed.
+        for s in scenario::all(true) {
             let seed_note = if s.seed().is_none() {
                 "  (closed-form: no RNG, --seed is a no-op)"
             } else {
                 ""
             };
-            let exec_note = if s.set_exec(ExecPolicy::sharded(2)) {
-                "  [exec: serial | --shards N]"
-            } else {
-                "  [exec: serial only]"
-            };
-            println!(
-                "{:<4} {}{}{}",
-                s.id(),
-                s.description(),
-                seed_note,
-                exec_note
-            );
+            println!("{:<4} {}{}", s.id(), s.description(), seed_note);
             for p in s.params() {
                 println!("       --sweep {}:{}=..  {}", s.id(), p.name, p.help);
             }
@@ -476,7 +489,7 @@ fn main() -> ExitCode {
     });
     let exec = ExecPolicy::sharded(cli.shards.unwrap_or(1));
     if let Some(spec) = &cli.sweep {
-        let sweep = match run_sweep_exec(spec, cli.quick, cli.seed, jobs, exec) {
+        let sweep = match run_sweep(spec, cli.quick, cli.seed, jobs, exec) {
             Ok(s) => s,
             Err(msg) => {
                 eprintln!("repro: {msg}");
@@ -574,7 +587,9 @@ fn main() -> ExitCode {
 
     let mut failed = false;
     if let Some(path) = &cli.baseline {
-        match check_baseline(&run, path) {
+        let lines = load_baseline(path)
+            .map(|baseline| baseline_regressions(&run, baseline, cli.selected.as_deref()));
+        match lines {
             Ok(lines) if lines.is_empty() => {
                 eprintln!(
                     "baseline {}: {} claims match",
@@ -741,6 +756,55 @@ mod tests {
         assert_eq!(
             cli.selected,
             Some(vec!["E19".to_string(), "E7".to_string()])
+        );
+        // A repeated id (in any case) would run and report it twice.
+        let err = parse(&["--exp", "E10,E7,e10"]).unwrap_err();
+        assert!(err.contains("E10 more than once"), "{err}");
+    }
+
+    #[test]
+    fn exp_cannot_write_a_partial_baseline() {
+        let err = parse(&["--exp", "E10", "--write-baseline", "b.json"]).unwrap_err();
+        assert!(err.contains("--exp cannot be combined"), "{err}");
+        assert!(parse(&["--write-baseline", "b.json"]).is_ok());
+        assert!(parse(&["--exp", "E10", "--baseline", "b.json"]).is_ok());
+    }
+
+    #[test]
+    fn subset_run_is_held_to_its_own_baseline_claims() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../baselines/claims_quick.json");
+        let mut baseline = load_baseline(&path).unwrap();
+        let run = experiments::run_report(&["E10"], true, None, 1);
+        let selected = vec!["E10".to_string()];
+        assert_eq!(
+            baseline_regressions(&run, baseline.clone(), Some(&selected)),
+            Vec::<String>::new()
+        );
+        // Unselected, the other experiments' claims do count as missing;
+        // `E1` must not select `E10.*` by prefix.
+        assert!(baseline_regressions(&run, baseline.clone(), None).len() > 50);
+        let e1 = vec!["E1".to_string()];
+        let lines = baseline_regressions(&run, baseline.clone(), Some(&e1));
+        assert!(
+            lines.iter().any(|l| l.contains("`E1.kad-fast`")),
+            "{lines:?}"
+        );
+        assert!(
+            lines.iter().all(|l| !l.contains("missing claim: `E10.")),
+            "{lines:?}"
+        );
+        // A genuine flip inside the selection is still caught, alone.
+        let flipped = baseline
+            .iter_mut()
+            .find(|b| b.id == "E10.austria-scale")
+            .expect("committed baseline has the claim");
+        flipped.holds = !flipped.holds;
+        let lines = baseline_regressions(&run, baseline, Some(&selected));
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(
+            lines[0].contains("verdict flip: `E10.austria-scale`"),
+            "{lines:?}"
         );
     }
 

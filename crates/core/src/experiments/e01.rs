@@ -15,10 +15,7 @@ use decent_overlay::kademlia::{build_network, KadConfig};
 use decent_sim::prelude::*;
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "DHT lookup latency: eMule KAD vs. BitTorrent Mainline (II-A)";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -43,65 +40,6 @@ impl Default for Config {
             seed: 0xE1,
             shards: 1,
         }
-    }
-}
-
-impl Config {
-    /// A CI-sized configuration.
-    pub fn quick() -> Self {
-        Config {
-            nodes: 400,
-            lookups: 120,
-            ..Config::default()
-        }
-    }
-}
-
-/// Sweepable knobs.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "nodes",
-        help: "network size per deployment (min 16)",
-        get: |c| c.nodes as f64,
-        set: |c, v| c.nodes = v.round().max(16.0) as usize,
-    },
-    Param {
-        name: "lookups",
-        help: "lookups per deployment (min 1)",
-        get: |c| c.lookups as f64,
-        set: |c, v| c.lookups = v.round().max(1.0) as usize,
-    },
-];
-
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E1"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, exec: scenario::ExecPolicy) -> bool {
-        self.shards = exec.shard_count();
-        true
-    }
-    fn run(&self) -> ExperimentReport {
-        run(self)
     }
 }
 
@@ -178,61 +116,96 @@ fn run_deployment(cfg: &Config, dep: &Deployment, seed: u64) -> (Histogram, Metr
     (lat, sim.metrics_snapshot())
 }
 
-/// Runs E1 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E1", TITLE);
-    let mut table = Table::new(
-        "Lookup latency by deployment",
-        &[
-            "deployment",
-            "lookups",
-            "p50 (s)",
-            "p90 (s)",
-            "p99 (s)",
-            "% ≤ 5 s",
-        ],
-    );
-    let mut stats = Vec::new();
-    for (d, dep) in deployments().iter().enumerate() {
-        let (mut lat, metrics) = run_deployment(cfg, dep, cfg.seed ^ ((d as u64 + 1) << 8));
-        report.absorb_metrics(metrics);
-        let within_5s =
-            lat.samples().iter().filter(|&&s| s <= 5.0).count() as f64 / lat.count().max(1) as f64;
-        table.row([
-            dep.name.to_string(),
-            lat.count().to_string(),
-            fmt_f(lat.percentile(0.5)),
-            fmt_f(lat.percentile(0.9)),
-            fmt_f(lat.percentile(0.99)),
-            fmt_pct(within_5s),
-        ]);
-        stats.push((lat.percentile(0.5), lat.percentile(0.9), within_5s));
+impl Experiment for Config {
+    const ID: &'static str = "E1";
+    const TITLE: &'static str = "DHT lookup latency: eMule KAD vs. BitTorrent Mainline (II-A)";
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "nodes",
+            help: "network size per deployment (min 16)",
+            get: |c| c.nodes as f64,
+            set: |c, v| c.nodes = v.round().max(16.0) as usize,
+        },
+        Param {
+            name: "lookups",
+            help: "lookups per deployment (min 1)",
+            get: |c| c.lookups as f64,
+            set: |c, v| c.lookups = v.round().max(1.0) as usize,
+        },
+    ];
+
+    /// A CI-sized configuration.
+    fn quick() -> Self {
+        Config {
+            nodes: 400,
+            lookups: 120,
+            ..Config::default()
+        }
     }
-    report.table(table);
-    let (kad_p50, _kad_p90, kad_within) = stats[0];
-    let (bt_p50, _, _) = stats[1];
-    report.check(
-        "E1.kad-fast",
-        "KAD is fast",
-        "KAD lookups ≤ 5 s 90% of the time",
-        format!("{} of KAD lookups ≤ 5 s", fmt_pct(kad_within)),
-        kad_within,
-        Expect::AtLeast(0.85),
-    );
-    report.check_with(
-        "E1.mainline-slow",
-        "Mainline is an order of magnitude slower",
-        "Mainline median ≈ 1 min vs seconds on KAD",
-        format!(
-            "medians: KAD {}s vs Mainline {}s",
-            fmt_f(kad_p50),
-            fmt_f(bt_p50)
-        ),
-        bt_p50,
-        Expect::AtLeast(10.0),
-        bt_p50 >= 5.0 * kad_p50,
-    );
-    report
+
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
+
+    fn shards_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.shards)
+    }
+
+    fn run(&self) -> ExperimentReport {
+        let mut report = Self::report();
+        let mut table = Table::new(
+            "Lookup latency by deployment",
+            &[
+                "deployment",
+                "lookups",
+                "p50 (s)",
+                "p90 (s)",
+                "p99 (s)",
+                "% ≤ 5 s",
+            ],
+        );
+        let mut stats = Vec::new();
+        for (d, dep) in deployments().iter().enumerate() {
+            let (mut lat, metrics) = run_deployment(self, dep, self.seed ^ ((d as u64 + 1) << 8));
+            report.absorb_metrics(metrics);
+            let within_5s = lat.samples().iter().filter(|&&s| s <= 5.0).count() as f64
+                / lat.count().max(1) as f64;
+            table.row([
+                dep.name.to_string(),
+                lat.count().to_string(),
+                fmt_f(lat.percentile(0.5)),
+                fmt_f(lat.percentile(0.9)),
+                fmt_f(lat.percentile(0.99)),
+                fmt_pct(within_5s),
+            ]);
+            stats.push((lat.percentile(0.5), lat.percentile(0.9), within_5s));
+        }
+        report.table(table);
+        let (kad_p50, _kad_p90, kad_within) = stats[0];
+        let (bt_p50, _, _) = stats[1];
+        report.check(
+            "E1.kad-fast",
+            "KAD is fast",
+            "KAD lookups ≤ 5 s 90% of the time",
+            format!("{} of KAD lookups ≤ 5 s", fmt_pct(kad_within)),
+            kad_within,
+            Expect::AtLeast(0.85),
+        );
+        report.check_with(
+            "E1.mainline-slow",
+            "Mainline is an order of magnitude slower",
+            "Mainline median ≈ 1 min vs seconds on KAD",
+            format!(
+                "medians: KAD {}s vs Mainline {}s",
+                fmt_f(kad_p50),
+                fmt_f(bt_p50)
+            ),
+            bt_p50,
+            Expect::AtLeast(10.0),
+            bt_p50 >= 5.0 * kad_p50,
+        );
+        report
+    }
 }
 
 #[cfg(test)]
@@ -241,7 +214,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_the_gap() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

@@ -8,11 +8,8 @@
 use decent_overlay::swarm::{SwarmConfig, SwarmSim};
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
+use crate::scenario::{Experiment, Param};
 use decent_sim::report::fmt_f;
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "Tit-for-tat incentives (II-B P1)";
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -41,154 +38,125 @@ impl Default for Config {
     }
 }
 
-impl Config {
+impl Experiment for Config {
+    const ID: &'static str = "E3";
+    const TITLE: &'static str = "Tit-for-tat incentives (II-B P1)";
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "leechers",
+            help: "leechers in the swarm (min 8)",
+            get: |c| c.leechers as f64,
+            set: |c, v| c.leechers = v.round().max(8.0) as usize,
+        },
+        Param {
+            name: "free_rider_fraction",
+            help: "fraction of leechers that never upload (0-1)",
+            get: |c| c.free_rider_fraction,
+            set: |c, v| c.free_rider_fraction = v.clamp(0.0, 1.0),
+        },
+        Param {
+            name: "seeds",
+            help: "initial seeds (min 1)",
+            get: |c| c.seeds as f64,
+            set: |c, v| c.seeds = v.round().max(1.0) as usize,
+        },
+        Param {
+            name: "pieces",
+            help: "pieces in the torrent (min 10)",
+            get: |c| c.pieces as f64,
+            set: |c, v| c.pieces = v.round().max(10.0) as usize,
+        },
+    ];
+
     /// A CI-sized configuration.
-    pub fn quick() -> Self {
+    fn quick() -> Self {
         Config {
             leechers: 120,
             pieces: 100,
             ..Config::default()
         }
     }
-}
 
-/// Sweepable knobs.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "leechers",
-        help: "leechers in the swarm (min 8)",
-        get: |c| c.leechers as f64,
-        set: |c, v| c.leechers = v.round().max(8.0) as usize,
-    },
-    Param {
-        name: "free_rider_fraction",
-        help: "fraction of leechers that never upload (0-1)",
-        get: |c| c.free_rider_fraction,
-        set: |c, v| c.free_rider_fraction = v.clamp(0.0, 1.0),
-    },
-    Param {
-        name: "seeds",
-        help: "initial seeds (min 1)",
-        get: |c| c.seeds as f64,
-        set: |c, v| c.seeds = v.round().max(1.0) as usize,
-    },
-    Param {
-        name: "pieces",
-        help: "pieces in the torrent (min 10)",
-        get: |c| c.pieces as f64,
-        set: |c, v| c.pieces = v.round().max(10.0) as usize,
-    },
-];
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
 
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E3"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, _exec: scenario::ExecPolicy) -> bool {
-        // Round-based swarm model — there is no discrete-event loop to
-        // shard, so any shard count yields identical output trivially.
-        true
-    }
     fn run(&self) -> ExperimentReport {
-        run(self)
-    }
-}
-
-/// Runs E3 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E3", TITLE);
-    let mut t = Table::new(
-        "Completion time by peer class",
-        &[
-            "choking",
-            "contributor p50 (s)",
-            "free rider p50 (s)",
-            "rider/contributor ratio",
-            "unfinished",
-        ],
-    );
-    let mut ratios = Vec::new();
-    for tft in [true, false] {
-        let swarm_cfg = SwarmConfig {
-            pieces: cfg.pieces,
-            tit_for_tat: tft,
-            ..SwarmConfig::default()
-        };
-        let mut swarm = SwarmSim::with_population(
-            swarm_cfg,
-            cfg.leechers,
-            cfg.free_rider_fraction,
-            cfg.seeds,
-            cfg.seed,
+        let mut report = Self::report();
+        let mut t = Table::new(
+            "Completion time by peer class",
+            &[
+                "choking",
+                "contributor p50 (s)",
+                "free rider p50 (s)",
+                "rider/contributor ratio",
+                "unfinished",
+            ],
         );
-        let mut r = swarm.run(4000);
-        let c50 = r.contributor_times.percentile(0.5);
-        let f50 = r.free_rider_times.percentile(0.5);
-        let ratio = if c50 > 0.0 { f50 / c50 } else { 0.0 };
-        t.row([
-            if tft {
-                "tit-for-tat"
-            } else {
-                "random (no incentives)"
-            }
-            .to_string(),
-            fmt_f(c50),
-            fmt_f(f50),
-            fmt_f(ratio),
-            r.unfinished.to_string(),
-        ]);
-        ratios.push(ratio);
+        let mut ratios = Vec::new();
+        for tft in [true, false] {
+            let swarm_cfg = SwarmConfig {
+                pieces: self.pieces,
+                tit_for_tat: tft,
+                ..SwarmConfig::default()
+            };
+            let mut swarm = SwarmSim::with_population(
+                swarm_cfg,
+                self.leechers,
+                self.free_rider_fraction,
+                self.seeds,
+                self.seed,
+            );
+            let mut r = swarm.run(4000);
+            let c50 = r.contributor_times.percentile(0.5);
+            let f50 = r.free_rider_times.percentile(0.5);
+            let ratio = if c50 > 0.0 { f50 / c50 } else { 0.0 };
+            t.row([
+                if tft {
+                    "tit-for-tat"
+                } else {
+                    "random (no incentives)"
+                }
+                .to_string(),
+                fmt_f(c50),
+                fmt_f(f50),
+                fmt_f(ratio),
+                r.unfinished.to_string(),
+            ]);
+            ratios.push(ratio);
+        }
+        report.table(t);
+        report.check(
+            "E3.tft-punishes-riders",
+            "tit-for-tat punishes free riders",
+            "peers that do not contribute are not reciprocated",
+            format!(
+                "free riders take {}x longer under tit-for-tat",
+                fmt_f(ratios[0])
+            ),
+            ratios[0],
+            Expect::AtLeast(1.5),
+        );
+        report.check(
+            "E3.no-incentive-no-cost",
+            "without incentives, free riding is free",
+            "free riding was predominant before incentive design",
+            format!(
+                "rider/contributor ratio {} with random choking",
+                fmt_f(ratios[1])
+            ),
+            ratios[1],
+            Expect::LessThan(1.4),
+        );
+        // Structural: departure-at-completion is built into the model.
+        report.structural(
+            "E3.exit-after-download",
+            "incentives only bind during the download",
+            "collaboration is only enforced during the download process",
+            "completed free riders leave immediately; the protocol cannot retain them",
+        );
+        report
     }
-    report.table(t);
-    report.check(
-        "E3.tft-punishes-riders",
-        "tit-for-tat punishes free riders",
-        "peers that do not contribute are not reciprocated",
-        format!(
-            "free riders take {}x longer under tit-for-tat",
-            fmt_f(ratios[0])
-        ),
-        ratios[0],
-        Expect::AtLeast(1.5),
-    );
-    report.check(
-        "E3.no-incentive-no-cost",
-        "without incentives, free riding is free",
-        "free riding was predominant before incentive design",
-        format!(
-            "rider/contributor ratio {} with random choking",
-            fmt_f(ratios[1])
-        ),
-        ratios[1],
-        Expect::LessThan(1.4),
-    );
-    // Structural: departure-at-completion is built into the model.
-    report.structural(
-        "E3.exit-after-download",
-        "incentives only bind during the download",
-        "collaboration is only enforced during the download process",
-        "completed free riders leave immediately; the protocol cannot retain them",
-    );
-    report
 }
 
 #[cfg(test)]
@@ -197,7 +165,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_incentive_effect() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

@@ -11,10 +11,7 @@ use decent_overlay::kademlia::{build_network, KadConfig, KadNode};
 use decent_sim::prelude::*;
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "Churn vs. performance; stable servers have no rival (II-B P2)";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -42,75 +39,6 @@ impl Default for Config {
             seed: 0xE4,
             shards: 1,
         }
-    }
-}
-
-impl Config {
-    /// A CI-sized configuration.
-    pub fn quick() -> Self {
-        Config {
-            nodes: 300,
-            lookups: 80,
-            sessions_mins: vec![Some(10.0), Some(120.0), None],
-            ..Config::default()
-        }
-    }
-}
-
-/// Sweepable knobs. `session_mins` is the churn axis the paper's claim
-/// hinges on: it drives the *churniest* level (the first entry of
-/// `sessions_mins`), which the claim checks compare against the stable
-/// baseline — sweeping it charts where the churn penalty fades.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "nodes",
-        help: "network size (min 16)",
-        get: |c| c.nodes as f64,
-        set: |c, v| c.nodes = v.round().max(16.0) as usize,
-    },
-    Param {
-        name: "lookups",
-        help: "lookups per churn level (min 1)",
-        get: |c| c.lookups as f64,
-        set: |c, v| c.lookups = v.round().max(1.0) as usize,
-    },
-    Param {
-        name: "session_mins",
-        help: "mean session length of the churniest level, minutes (min 1)",
-        get: |c| c.sessions_mins[0].unwrap_or(0.0),
-        set: |c, v| c.sessions_mins[0] = Some(v.max(1.0)),
-    },
-];
-
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E4"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, exec: scenario::ExecPolicy) -> bool {
-        self.shards = exec.shard_count();
-        true
-    }
-    fn run(&self) -> ExperimentReport {
-        run(self)
     }
 }
 
@@ -187,66 +115,112 @@ fn run_level(cfg: &Config, session: Option<f64>, lan: bool, seed: u64) -> Row {
     }
 }
 
-/// Runs E4 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E4", TITLE);
-    let mut t = Table::new(
-        "Lookup latency under churn",
-        &["deployment", "p50 (s)", "p99 (s)", "timeout-free lookups"],
-    );
-    let mut rows = Vec::new();
-    for (i, &session) in cfg.sessions_mins.iter().enumerate() {
-        let row = run_level(cfg, session, false, cfg.seed ^ ((i as u64 + 1) << 4));
-        report.absorb_metrics(row.metrics.clone());
-        t.row([
-            row.label.clone(),
-            fmt_f(row.p50),
-            fmt_f(row.p99),
-            fmt_pct(row.timeout_free),
-        ]);
-        rows.push(row);
-    }
-    // The cloud baseline: same protocol, stable LAN boxes.
-    let cloud = run_level(cfg, None, true, cfg.seed ^ 0xC10D);
-    report.absorb_metrics(cloud.metrics.clone());
-    t.row([
-        cloud.label.clone(),
-        fmt_f(cloud.p50),
-        fmt_f(cloud.p99),
-        fmt_pct(cloud.timeout_free),
-    ]);
-    report.table(t);
+impl Experiment for Config {
+    const ID: &'static str = "E4";
+    const TITLE: &'static str = "Churn vs. performance; stable servers have no rival (II-B P2)";
+    /// Sweepable knobs. `session_mins` is the churn axis the paper's claim
+    /// hinges on: it drives the *churniest* level (the first entry of
+    /// `sessions_mins`), which the claim checks compare against the stable
+    /// baseline — sweeping it charts where the churn penalty fades.
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "nodes",
+            help: "network size (min 16)",
+            get: |c| c.nodes as f64,
+            set: |c, v| c.nodes = v.round().max(16.0) as usize,
+        },
+        Param {
+            name: "lookups",
+            help: "lookups per churn level (min 1)",
+            get: |c| c.lookups as f64,
+            set: |c, v| c.lookups = v.round().max(1.0) as usize,
+        },
+        Param {
+            name: "session_mins",
+            help: "mean session length of the churniest level, minutes (min 1)",
+            get: |c| c.sessions_mins[0].unwrap_or(0.0),
+            set: |c, v| c.sessions_mins[0] = Some(v.max(1.0)),
+        },
+    ];
 
-    let churniest = &rows[0];
-    let stable_p2p = rows.last().expect("at least one level");
-    report.check_with(
-        "E4.churn-tail-latency",
-        "churn degrades tail latency",
-        "churn causes performance problems and latency",
-        format!(
-            "p99 {}s at {:.0}-min sessions vs {}s with no churn",
-            fmt_f(churniest.p99),
-            cfg.sessions_mins[0].unwrap_or(0.0),
-            fmt_f(stable_p2p.p99)
-        ),
-        churniest.p99,
-        Expect::MoreThan(2.0 * stable_p2p.p99),
-        churniest.timeout_free < stable_p2p.timeout_free,
-    );
-    report.check_with(
-        "E4.cloud-millisecond",
-        "cloud is millisecond-class",
-        "stringent millisecond response times need stable servers",
-        format!(
-            "cloud p50 {}s vs best P2P p50 {}s",
+    /// A CI-sized configuration.
+    fn quick() -> Self {
+        Config {
+            nodes: 300,
+            lookups: 80,
+            sessions_mins: vec![Some(10.0), Some(120.0), None],
+            ..Config::default()
+        }
+    }
+
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
+
+    fn shards_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.shards)
+    }
+
+    fn run(&self) -> ExperimentReport {
+        let mut report = Self::report();
+        let mut t = Table::new(
+            "Lookup latency under churn",
+            &["deployment", "p50 (s)", "p99 (s)", "timeout-free lookups"],
+        );
+        let mut rows = Vec::new();
+        for (i, &session) in self.sessions_mins.iter().enumerate() {
+            let row = run_level(self, session, false, self.seed ^ ((i as u64 + 1) << 4));
+            report.absorb_metrics(row.metrics.clone());
+            t.row([
+                row.label.clone(),
+                fmt_f(row.p50),
+                fmt_f(row.p99),
+                fmt_pct(row.timeout_free),
+            ]);
+            rows.push(row);
+        }
+        // The cloud baseline: same protocol, stable LAN boxes.
+        let cloud = run_level(self, None, true, self.seed ^ 0xC10D);
+        report.absorb_metrics(cloud.metrics.clone());
+        t.row([
+            cloud.label.clone(),
             fmt_f(cloud.p50),
-            fmt_f(stable_p2p.p50)
-        ),
-        cloud.p50,
-        Expect::LessThan(0.05),
-        cloud.p50 * 10.0 < stable_p2p.p50,
-    );
-    report
+            fmt_f(cloud.p99),
+            fmt_pct(cloud.timeout_free),
+        ]);
+        report.table(t);
+
+        let churniest = &rows[0];
+        let stable_p2p = rows.last().expect("at least one level");
+        report.check_with(
+            "E4.churn-tail-latency",
+            "churn degrades tail latency",
+            "churn causes performance problems and latency",
+            format!(
+                "p99 {}s at {:.0}-min sessions vs {}s with no churn",
+                fmt_f(churniest.p99),
+                self.sessions_mins[0].unwrap_or(0.0),
+                fmt_f(stable_p2p.p99)
+            ),
+            churniest.p99,
+            Expect::MoreThan(2.0 * stable_p2p.p99),
+            churniest.timeout_free < stable_p2p.timeout_free,
+        );
+        report.check_with(
+            "E4.cloud-millisecond",
+            "cloud is millisecond-class",
+            "stringent millisecond response times need stable servers",
+            format!(
+                "cloud p50 {}s vs best P2P p50 {}s",
+                fmt_f(cloud.p50),
+                fmt_f(stable_p2p.p50)
+            ),
+            cloud.p50,
+            Expect::LessThan(0.05),
+            cloud.p50 * 10.0 < stable_p2p.p50,
+        );
+        report
+    }
 }
 
 #[cfg(test)]
@@ -255,7 +229,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_churn_penalty() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

@@ -21,10 +21,7 @@ use decent_overlay::pastry::{self, PastryConfig};
 use decent_sim::prelude::*;
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "One-hop full membership vs. multi-hop DHTs (II-B, [23][24])";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -52,71 +49,6 @@ impl Default for Config {
             seed: 0xE6,
             shards: 1,
         }
-    }
-}
-
-impl Config {
-    /// A CI-sized configuration.
-    pub fn quick() -> Self {
-        Config {
-            nodes: 300,
-            lookups: 60,
-            ..Config::default()
-        }
-    }
-}
-
-/// Sweepable knobs.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "nodes",
-        help: "head-to-head network size (min 16)",
-        get: |c| c.nodes as f64,
-        set: |c, v| c.nodes = v.round().max(16.0) as usize,
-    },
-    Param {
-        name: "lookups",
-        help: "lookups per protocol (min 1)",
-        get: |c| c.lookups as f64,
-        set: |c, v| c.lookups = v.round().max(1.0) as usize,
-    },
-    Param {
-        name: "session_mins",
-        help: "mean session length driving membership events, minutes (min 1)",
-        get: |c| c.session_mins,
-        set: |c, v| c.session_mins = v.max(1.0),
-    },
-];
-
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E6"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, exec: scenario::ExecPolicy) -> bool {
-        self.shards = exec.shard_count();
-        true
-    }
-    fn run(&self) -> ExperimentReport {
-        run(self)
     }
 }
 
@@ -338,103 +270,144 @@ pub fn onehop_bandwidth_per_node(n: usize, session_mins: f64, entry_bytes: f64, 
     events_per_sec * entry_bytes * dup
 }
 
-/// Runs E6 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E6", TITLE);
-    let rows = vec![
-        measure_can(cfg, cfg.seed ^ 0x05),
-        measure_chord(cfg, cfg.seed ^ 0x10),
-        measure_pastry(cfg, cfg.seed ^ 0x15),
-        measure_kademlia(cfg, cfg.seed ^ 0x20),
-        measure_onehop(cfg, cfg.seed ^ 0x30),
+impl Experiment for Config {
+    const ID: &'static str = "E6";
+    const TITLE: &'static str = "One-hop full membership vs. multi-hop DHTs (II-B, [23][24])";
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "nodes",
+            help: "head-to-head network size (min 16)",
+            get: |c| c.nodes as f64,
+            set: |c, v| c.nodes = v.round().max(16.0) as usize,
+        },
+        Param {
+            name: "lookups",
+            help: "lookups per protocol (min 1)",
+            get: |c| c.lookups as f64,
+            set: |c, v| c.lookups = v.round().max(1.0) as usize,
+        },
+        Param {
+            name: "session_mins",
+            help: "mean session length driving membership events, minutes (min 1)",
+            get: |c| c.session_mins,
+            set: |c, v| c.session_mins = v.max(1.0),
+        },
     ];
-    let mut t = Table::new(
-        "Head-to-head at simulated scale",
-        &[
-            "protocol",
-            "mean hops/rounds",
-            "lookup p50 (ms)",
-            "maintenance msgs/node/min",
-        ],
-    );
-    for r in &rows {
-        report.absorb_metrics(r.metrics.clone());
-        t.row([
-            r.name.clone(),
-            fmt_f(r.hops),
-            fmt_f(r.p50_ms),
-            fmt_f(r.maint_msgs_per_node_min),
-        ]);
-    }
-    report.table(t);
 
-    // Feasibility extrapolation for the paper's 10K-100K band.
-    let mut t2 = Table::new(
-        "One-hop maintenance bandwidth (closed form, 1-hour sessions)",
-        &[
-            "n",
-            "events/s",
-            "bytes/s per node",
-            "feasible on broadband?",
-        ],
-    );
-    for &n in &[cfg.nodes, 10_000, 100_000] {
-        let bw = onehop_bandwidth_per_node(n, cfg.session_mins, 40.0, 4.0);
-        let events = 2.0 * n as f64 / (2.0 * cfg.session_mins * 60.0);
-        t2.row([
-            fmt_si(n as f64),
-            fmt_f(events),
-            fmt_f(bw),
-            (bw < 125_000.0).to_string(), // < 1 Mbit/s
-        ]);
+    /// A CI-sized configuration.
+    fn quick() -> Self {
+        Config {
+            nodes: 300,
+            lookups: 60,
+            ..Config::default()
+        }
     }
-    report.table(t2);
 
-    let chord = &rows[1];
-    let onehop_row = &rows[4];
-    report.check_with(
-        "E6.onehop-latency",
-        "one-hop beats multi-hop on latency",
-        "O(1) routing avoids multi-hop lookups",
-        format!(
-            "p50 {} ms (one-hop) vs {} ms (Chord, {} hops avg)",
-            fmt_f(onehop_row.p50_ms),
-            fmt_f(chord.p50_ms),
-            fmt_f(chord.hops)
-        ),
-        chord.p50_ms,
-        Expect::MoreThan(onehop_row.p50_ms * 1.5),
-        chord.hops > 2.0,
-    );
-    let can_row = &rows[0];
-    let pastry_row = &rows[2];
-    report.check_with(
-        "E6.geometry-hops",
-        "geometry sets the hop count",
-        "numerous DHT proposals: CAN, Chord, Pastry, Kademlia [5-8]",
-        format!(
-            "mean hops — CAN(d=2): {}, Chord: {}, Pastry: {}",
-            fmt_f(can_row.hops),
-            fmt_f(chord.hops),
-            fmt_f(pastry_row.hops)
-        ),
-        can_row.hops,
-        Expect::MoreThan(chord.hops),
-        pastry_row.hops < chord.hops,
-    );
-    let bw100k = onehop_bandwidth_per_node(100_000, cfg.session_mins, 40.0, 4.0);
-    report.check(
-        "E6.onehop-bandwidth",
-        "full membership is feasible at 10K-100K",
-        "full membership routing is possible for 10K-100K nodes",
-        format!(
-            "{} B/s per node at n=100K with 1-hour sessions",
-            fmt_f(bw100k)
-        ),
-        bw100k,
-        Expect::LessThan(125_000.0),
-    );
-    report
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
+
+    fn shards_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.shards)
+    }
+
+    fn run(&self) -> ExperimentReport {
+        let mut report = Self::report();
+        let rows = vec![
+            measure_can(self, self.seed ^ 0x05),
+            measure_chord(self, self.seed ^ 0x10),
+            measure_pastry(self, self.seed ^ 0x15),
+            measure_kademlia(self, self.seed ^ 0x20),
+            measure_onehop(self, self.seed ^ 0x30),
+        ];
+        let mut t = Table::new(
+            "Head-to-head at simulated scale",
+            &[
+                "protocol",
+                "mean hops/rounds",
+                "lookup p50 (ms)",
+                "maintenance msgs/node/min",
+            ],
+        );
+        for r in &rows {
+            report.absorb_metrics(r.metrics.clone());
+            t.row([
+                r.name.clone(),
+                fmt_f(r.hops),
+                fmt_f(r.p50_ms),
+                fmt_f(r.maint_msgs_per_node_min),
+            ]);
+        }
+        report.table(t);
+
+        // Feasibility extrapolation for the paper's 10K-100K band.
+        let mut t2 = Table::new(
+            "One-hop maintenance bandwidth (closed form, 1-hour sessions)",
+            &[
+                "n",
+                "events/s",
+                "bytes/s per node",
+                "feasible on broadband?",
+            ],
+        );
+        for &n in &[self.nodes, 10_000, 100_000] {
+            let bw = onehop_bandwidth_per_node(n, self.session_mins, 40.0, 4.0);
+            let events = 2.0 * n as f64 / (2.0 * self.session_mins * 60.0);
+            t2.row([
+                fmt_si(n as f64),
+                fmt_f(events),
+                fmt_f(bw),
+                (bw < 125_000.0).to_string(), // < 1 Mbit/s
+            ]);
+        }
+        report.table(t2);
+
+        let chord = &rows[1];
+        let onehop_row = &rows[4];
+        report.check_with(
+            "E6.onehop-latency",
+            "one-hop beats multi-hop on latency",
+            "O(1) routing avoids multi-hop lookups",
+            format!(
+                "p50 {} ms (one-hop) vs {} ms (Chord, {} hops avg)",
+                fmt_f(onehop_row.p50_ms),
+                fmt_f(chord.p50_ms),
+                fmt_f(chord.hops)
+            ),
+            chord.p50_ms,
+            Expect::MoreThan(onehop_row.p50_ms * 1.5),
+            chord.hops > 2.0,
+        );
+        let can_row = &rows[0];
+        let pastry_row = &rows[2];
+        report.check_with(
+            "E6.geometry-hops",
+            "geometry sets the hop count",
+            "numerous DHT proposals: CAN, Chord, Pastry, Kademlia [5-8]",
+            format!(
+                "mean hops — CAN(d=2): {}, Chord: {}, Pastry: {}",
+                fmt_f(can_row.hops),
+                fmt_f(chord.hops),
+                fmt_f(pastry_row.hops)
+            ),
+            can_row.hops,
+            Expect::MoreThan(chord.hops),
+            pastry_row.hops < chord.hops,
+        );
+        let bw100k = onehop_bandwidth_per_node(100_000, self.session_mins, 40.0, 4.0);
+        report.check(
+            "E6.onehop-bandwidth",
+            "full membership is feasible at 10K-100K",
+            "full membership routing is possible for 10K-100K nodes",
+            format!(
+                "{} B/s per node at n=100K with 1-hour sessions",
+                fmt_f(bw100k)
+            ),
+            bw100k,
+            Expect::LessThan(125_000.0),
+        );
+        report
+    }
 }
 
 #[cfg(test)]
@@ -443,7 +416,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_onehop_advantage() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 

@@ -15,10 +15,7 @@ use decent_chain::pow::PowParams;
 use decent_sim::prelude::*;
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "Throughput: VISA vs. Bitcoin vs. Ethereum (III-C P2)";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -49,79 +46,6 @@ impl Default for Config {
             seed: 0xE7,
             shards: 1,
         }
-    }
-}
-
-impl Config {
-    /// A CI-sized configuration.
-    pub fn quick() -> Self {
-        Config {
-            chain_nodes: 50,
-            bitcoin_hours: 8.0,
-            ethereum_mins: 30.0,
-            oltp_shards: 32,
-            ..Config::default()
-        }
-    }
-}
-
-/// Sweepable knobs.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "chain_nodes",
-        help: "nodes in each blockchain network (min 8)",
-        get: |c| c.chain_nodes as f64,
-        set: |c, v| c.chain_nodes = v.round().max(8.0) as usize,
-    },
-    Param {
-        name: "bitcoin_hours",
-        help: "simulated hours for the Bitcoin-like run (min 1)",
-        get: |c| c.bitcoin_hours,
-        set: |c, v| c.bitcoin_hours = v.max(1.0),
-    },
-    Param {
-        name: "ethereum_mins",
-        help: "simulated minutes for the Ethereum-like run (min 5)",
-        get: |c| c.ethereum_mins,
-        set: |c, v| c.ethereum_mins = v.max(5.0),
-    },
-    Param {
-        name: "oltp_shards",
-        help: "OLTP shards in the VISA cluster (min 1)",
-        get: |c| c.oltp_shards as f64,
-        set: |c, v| c.oltp_shards = v.round().max(1.0) as usize,
-    },
-];
-
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E7"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, exec: scenario::ExecPolicy) -> bool {
-        self.shards = exec.shard_count();
-        true
-    }
-    fn run(&self) -> ExperimentReport {
-        run(self)
     }
 }
 
@@ -197,87 +121,137 @@ fn run_oltp(cfg: &Config, horizon: SimDuration, seed: u64) -> (f64, MetricsSnaps
     (served as f64 / horizon.as_secs(), sim.metrics_snapshot())
 }
 
-/// Runs E7 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E7", TITLE);
-    let (btc_tps, btc_stale, btc_metrics) = run_chain(
-        cfg,
-        PowParams::bitcoin(),
-        2000,
-        SimDuration::from_hours(cfg.bitcoin_hours),
-        cfg.seed ^ 0x100,
-    );
-    let (eth_tps, eth_stale, eth_metrics) = run_chain(
-        cfg,
-        PowParams::ethereum(),
-        200, // ~gas-limited block of ~200 txs every 13 s
-        SimDuration::from_mins(cfg.ethereum_mins),
-        cfg.seed ^ 0x200,
-    );
-    let (visa_tps, visa_metrics) = run_oltp(cfg, SimDuration::from_secs(30.0), cfg.seed ^ 0x300);
-    report.absorb_metrics(btc_metrics);
-    report.absorb_metrics(eth_metrics);
-    report.absorb_metrics(visa_metrics);
+impl Experiment for Config {
+    const ID: &'static str = "E7";
+    const TITLE: &'static str = "Throughput: VISA vs. Bitcoin vs. Ethereum (III-C P2)";
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "chain_nodes",
+            help: "nodes in each blockchain network (min 8)",
+            get: |c| c.chain_nodes as f64,
+            set: |c, v| c.chain_nodes = v.round().max(8.0) as usize,
+        },
+        Param {
+            name: "bitcoin_hours",
+            help: "simulated hours for the Bitcoin-like run (min 1)",
+            get: |c| c.bitcoin_hours,
+            set: |c, v| c.bitcoin_hours = v.max(1.0),
+        },
+        Param {
+            name: "ethereum_mins",
+            help: "simulated minutes for the Ethereum-like run (min 5)",
+            get: |c| c.ethereum_mins,
+            set: |c, v| c.ethereum_mins = v.max(5.0),
+        },
+        Param {
+            name: "oltp_shards",
+            help: "OLTP shards in the VISA cluster (min 1)",
+            get: |c| c.oltp_shards as f64,
+            set: |c, v| c.oltp_shards = v.round().max(1.0) as usize,
+        },
+    ];
 
-    let mut t = Table::new(
-        "Sustained transaction throughput",
-        &["system", "architecture", "tx/s", "stale blocks"],
-    );
-    t.row([
-        "Bitcoin (sim)".to_string(),
-        "global broadcast + PoW, 1 MB / 600 s".to_string(),
-        fmt_f(btc_tps),
-        fmt_pct(btc_stale),
-    ]);
-    t.row([
-        "Ethereum-like (sim)".to_string(),
-        "global broadcast + PoW, gas-limited / 13 s".to_string(),
-        fmt_f(eth_tps),
-        fmt_pct(eth_stale),
-    ]);
-    t.row([
-        format!("VISA-like (sim, {} shards)", cfg.oltp_shards),
-        "shared-nothing partitioned cloud".to_string(),
-        fmt_si(visa_tps),
-        "n/a".to_string(),
-    ]);
-    t.row([
-        "paper's figures".to_string(),
-        "—".to_string(),
-        "3.3-7 / ~15 / 24k".to_string(),
-        "—".to_string(),
-    ]);
-    report.table(t);
+    /// A CI-sized configuration.
+    fn quick() -> Self {
+        Config {
+            chain_nodes: 50,
+            bitcoin_hours: 8.0,
+            ethereum_mins: 30.0,
+            oltp_shards: 32,
+            ..Config::default()
+        }
+    }
 
-    report.check(
-        "E7.btc-band",
-        "Bitcoin lands in the 3.3-7 tx/s band",
-        "Bitcoin can process between 3.3 and 7 tx/s",
-        format!("{} tx/s", fmt_f(btc_tps)),
-        btc_tps,
-        Expect::Within { lo: 2.5, hi: 8.0 },
-    );
-    report.check(
-        "E7.eth-band",
-        "Ethereum lands around 15 tx/s",
-        "Ethereum processes around 15 tx/s",
-        format!("{} tx/s", fmt_f(eth_tps)),
-        eth_tps,
-        Expect::Within { lo: 8.0, hi: 25.0 },
-    );
-    report.check(
-        "E7.visa-gap",
-        "partitioned cloud is three orders of magnitude faster",
-        "VISA processes 24,000 tx/s on partitioned stable servers",
-        format!(
-            "{} tx/s, {}x Bitcoin",
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
+
+    fn shards_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.shards)
+    }
+
+    fn run(&self) -> ExperimentReport {
+        let mut report = Self::report();
+        let (btc_tps, btc_stale, btc_metrics) = run_chain(
+            self,
+            PowParams::bitcoin(),
+            2000,
+            SimDuration::from_hours(self.bitcoin_hours),
+            self.seed ^ 0x100,
+        );
+        let (eth_tps, eth_stale, eth_metrics) = run_chain(
+            self,
+            PowParams::ethereum(),
+            200, // ~gas-limited block of ~200 txs every 13 s
+            SimDuration::from_mins(self.ethereum_mins),
+            self.seed ^ 0x200,
+        );
+        let (visa_tps, visa_metrics) =
+            run_oltp(self, SimDuration::from_secs(30.0), self.seed ^ 0x300);
+        report.absorb_metrics(btc_metrics);
+        report.absorb_metrics(eth_metrics);
+        report.absorb_metrics(visa_metrics);
+
+        let mut t = Table::new(
+            "Sustained transaction throughput",
+            &["system", "architecture", "tx/s", "stale blocks"],
+        );
+        t.row([
+            "Bitcoin (sim)".to_string(),
+            "global broadcast + PoW, 1 MB / 600 s".to_string(),
+            fmt_f(btc_tps),
+            fmt_pct(btc_stale),
+        ]);
+        t.row([
+            "Ethereum-like (sim)".to_string(),
+            "global broadcast + PoW, gas-limited / 13 s".to_string(),
+            fmt_f(eth_tps),
+            fmt_pct(eth_stale),
+        ]);
+        t.row([
+            format!("VISA-like (sim, {} shards)", self.oltp_shards),
+            "shared-nothing partitioned cloud".to_string(),
             fmt_si(visa_tps),
-            fmt_si(visa_tps / btc_tps.max(0.1))
-        ),
-        visa_tps,
-        Expect::MoreThan(1000.0 * btc_tps),
-    );
-    report
+            "n/a".to_string(),
+        ]);
+        t.row([
+            "paper's figures".to_string(),
+            "—".to_string(),
+            "3.3-7 / ~15 / 24k".to_string(),
+            "—".to_string(),
+        ]);
+        report.table(t);
+
+        report.check(
+            "E7.btc-band",
+            "Bitcoin lands in the 3.3-7 tx/s band",
+            "Bitcoin can process between 3.3 and 7 tx/s",
+            format!("{} tx/s", fmt_f(btc_tps)),
+            btc_tps,
+            Expect::Within { lo: 2.5, hi: 8.0 },
+        );
+        report.check(
+            "E7.eth-band",
+            "Ethereum lands around 15 tx/s",
+            "Ethereum processes around 15 tx/s",
+            format!("{} tx/s", fmt_f(eth_tps)),
+            eth_tps,
+            Expect::Within { lo: 8.0, hi: 25.0 },
+        );
+        report.check(
+            "E7.visa-gap",
+            "partitioned cloud is three orders of magnitude faster",
+            "VISA processes 24,000 tx/s on partitioned stable servers",
+            format!(
+                "{} tx/s, {}x Bitcoin",
+                fmt_si(visa_tps),
+                fmt_si(visa_tps / btc_tps.max(0.1))
+            ),
+            visa_tps,
+            Expect::MoreThan(1000.0 * btc_tps),
+        );
+        report
+    }
 }
 
 #[cfg(test)]
@@ -286,7 +260,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_throughput_gap() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

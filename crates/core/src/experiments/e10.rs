@@ -8,10 +8,7 @@ use decent_chain::economics::network_energy_twh_per_year;
 use decent_sim::report::{fmt_f, fmt_si};
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "Bitcoin energy consumption (III-B)";
+use crate::scenario::{Experiment, Param};
 
 /// Austria's annual electricity consumption, TWh (c. 2018).
 pub const AUSTRIA_TWH: f64 = 70.0;
@@ -41,114 +38,83 @@ impl Default for Config {
     }
 }
 
-impl Config {
+impl Experiment for Config {
+    const ID: &'static str = "E10";
+    const TITLE: &'static str = "Bitcoin energy consumption (III-B)";
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "tps",
+            help: "sustained transaction rate used for per-tx energy (min 0.1)",
+            get: |c| c.tps,
+            set: |c, v| c.tps = v.max(0.1),
+        },
+        Param {
+            name: "peak_hashrate",
+            help: "peak network hashrate tabulated, hashes/s (min 1e15)",
+            get: |c| *c.hashrates.last().expect("at least one hashrate"),
+            set: |c, v| *c.hashrates.last_mut().expect("at least one hashrate") = v.max(1e15),
+        },
+    ];
+
     /// A CI-sized configuration (identical — this experiment is cheap).
-    pub fn quick() -> Self {
+    fn quick() -> Self {
         Config::default()
     }
-}
 
-/// Sweepable knobs.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "tps",
-        help: "sustained transaction rate used for per-tx energy (min 0.1)",
-        get: |c| c.tps,
-        set: |c, v| c.tps = v.max(0.1),
-    },
-    Param {
-        name: "peak_hashrate",
-        help: "peak network hashrate tabulated, hashes/s (min 1e15)",
-        get: |c| *c.hashrates.last().expect("at least one hashrate"),
-        set: |c, v| *c.hashrates.last_mut().expect("at least one hashrate") = v.max(1e15),
-    },
-];
-
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E10"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    /// E10 is closed-form arithmetic over the fleet mix — there is no
-    /// RNG, so there is no seed to report.
-    fn seed(&self) -> Option<u64> {
+    /// Closed-form arithmetic over the fleet mix: there is no RNG, so
+    /// there is no seed, and `--seed` is visibly a no-op here.
+    fn seed_mut(&mut self) -> Option<&mut u64> {
         None
     }
-    /// Returns `false`: a seed override is a no-op here, and the
-    /// registry surfaces that (e.g. in `repro --list`) instead of
-    /// silently accepting it.
-    fn set_seed(&mut self, _seed: u64) -> bool {
-        false
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, _exec: scenario::ExecPolicy) -> bool {
-        // Closed-form energy arithmetic — there is no discrete-event loop to
-        // shard, so any shard count yields identical output trivially.
-        true
-    }
+
     fn run(&self) -> ExperimentReport {
-        run(self)
-    }
-}
+        let mut report = Self::report();
+        let mut t = Table::new(
+            "Annualized network energy vs. hashrate",
+            &[
+                "hashrate (H/s)",
+                "TWh/yr",
+                "vs. Austria",
+                "kWh per transaction",
+            ],
+        );
+        let mut peak = 0.0;
+        for &h in &self.hashrates {
+            let twh = network_energy_twh_per_year(h, &self.fleet);
+            peak = twh;
+            let per_tx = twh * 1e9 / (self.tps * 365.25 * 86_400.0);
+            t.row([
+                fmt_si(h),
+                fmt_f(twh),
+                format!("{}x", fmt_f(twh / AUSTRIA_TWH)),
+                fmt_f(per_tx),
+            ]);
+        }
+        report.table(t);
 
-/// Runs E10 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E10", TITLE);
-    let mut t = Table::new(
-        "Annualized network energy vs. hashrate",
-        &[
-            "hashrate (H/s)",
-            "TWh/yr",
-            "vs. Austria",
-            "kWh per transaction",
-        ],
-    );
-    let mut peak = 0.0;
-    for &h in &cfg.hashrates {
-        let twh = network_energy_twh_per_year(h, &cfg.fleet);
-        peak = twh;
-        let per_tx = twh * 1e9 / (cfg.tps * 365.25 * 86_400.0);
-        t.row([
-            fmt_si(h),
-            fmt_f(twh),
-            format!("{}x", fmt_f(twh / AUSTRIA_TWH)),
-            fmt_f(per_tx),
-        ]);
+        let per_tx_peak = peak * 1e9 / (self.tps * 365.25 * 86_400.0);
+        report.check(
+            "E10.austria-scale",
+            "peak consumption is country-scale",
+            "energy consumption peaked at ~70 TWh in 2018 (≈ Austria)",
+            format!(
+                "{} TWh/yr at peak hashrate ({}x Austria)",
+                fmt_f(peak),
+                fmt_f(peak / AUSTRIA_TWH)
+            ),
+            peak / AUSTRIA_TWH,
+            Expect::Within { lo: 0.4, hi: 2.0 },
+        );
+        report.check(
+            "E10.per-tx-energy",
+            "per-transaction energy is absurd for a payment rail",
+            "(implied by 70 TWh/yr at < 7 tx/s)",
+            format!("{} kWh per transaction", fmt_f(per_tx_peak)),
+            per_tx_peak,
+            Expect::MoreThan(100.0),
+        );
+        report
     }
-    report.table(t);
-
-    let per_tx_peak = peak * 1e9 / (cfg.tps * 365.25 * 86_400.0);
-    report.check(
-        "E10.austria-scale",
-        "peak consumption is country-scale",
-        "energy consumption peaked at ~70 TWh in 2018 (≈ Austria)",
-        format!(
-            "{} TWh/yr at peak hashrate ({}x Austria)",
-            fmt_f(peak),
-            fmt_f(peak / AUSTRIA_TWH)
-        ),
-        peak / AUSTRIA_TWH,
-        Expect::Within { lo: 0.4, hi: 2.0 },
-    );
-    report.check(
-        "E10.per-tx-energy",
-        "per-transaction energy is absurd for a payment rail",
-        "(implied by 70 TWh/yr at < 7 tx/s)",
-        format!("{} kWh per transaction", fmt_f(per_tx_peak)),
-        per_tx_peak,
-        Expect::MoreThan(100.0),
-    );
-    report
 }
 
 #[cfg(test)]
@@ -157,7 +123,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_energy_scale() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

@@ -16,10 +16,7 @@ use decent_chain::pow::PowParams;
 use decent_sim::prelude::*;
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "The scalability trilemma (III-C P2, [31])";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -54,77 +51,6 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// A CI-sized configuration.
-    pub fn quick() -> Self {
-        Config {
-            chain_nodes: 40,
-            chain_hours: 6.0,
-            ..Config::default()
-        }
-    }
-}
-
-/// Sweepable knobs.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "chain_nodes",
-        help: "nodes in the permissionless base chain (min 8)",
-        get: |c| c.chain_nodes as f64,
-        set: |c, v| c.chain_nodes = v.round().max(8.0) as usize,
-    },
-    Param {
-        name: "chain_hours",
-        help: "simulated hours for the base chain (min 1)",
-        get: |c| c.chain_hours,
-        set: |c, v| c.chain_hours = v.max(1.0),
-    },
-    Param {
-        name: "shards",
-        help: "shard count for the sharded variant (min 2)",
-        get: |c| c.shards as f64,
-        set: |c, v| c.shards = v.round().max(2.0) as usize,
-    },
-    Param {
-        name: "committee",
-        help: "committee size for the permissioned variant (min 4)",
-        get: |c| c.committee as f64,
-        set: |c, v| c.committee = v.round().max(4.0) as usize,
-    },
-];
-
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E11"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, exec: scenario::ExecPolicy) -> bool {
-        self.exec_shards = exec.shard_count();
-        true
-    }
-    fn run(&self) -> ExperimentReport {
-        run(self)
-    }
-}
-
 struct DesignPoint {
     name: String,
     tps: f64,
@@ -134,151 +60,198 @@ struct DesignPoint {
     attack_fraction: f64,
 }
 
-/// Runs E11 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E11", TITLE);
-
-    // Base permissionless chain.
-    let mut rng = rng_from_seed(cfg.seed);
-    let net = RegionNet::sampled(
-        cfg.chain_nodes,
-        &Region::BITCOIN_2019_DISTRIBUTION,
-        &mut rng,
-    );
-    let mut sim = Simulation::new(cfg.seed ^ 1, net);
-    sim.set_shards(cfg.exec_shards);
-    let ncfg = NetworkConfig {
-        nodes: cfg.chain_nodes,
-        miner_fraction: 0.25,
-        node: ChainNodeConfig {
-            params: PowParams::bitcoin(),
-            tx_rate: 1000.0,
-            ..ChainNodeConfig::default()
+impl Experiment for Config {
+    const ID: &'static str = "E11";
+    const TITLE: &'static str = "The scalability trilemma (III-C P2, [31])";
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "chain_nodes",
+            help: "nodes in the permissionless base chain (min 8)",
+            get: |c| c.chain_nodes as f64,
+            set: |c, v| c.chain_nodes = v.round().max(8.0) as usize,
         },
-        ..NetworkConfig::default()
-    };
-    let ids = build_network(&mut sim, &ncfg, cfg.seed ^ 2);
-    sim.run_until(SimTime::from_hours(cfg.chain_hours));
-    let base = chain_report(&sim, ids[cfg.chain_nodes - 1]);
-    report.absorb_metrics(sim.metrics_snapshot());
-
-    // Permissioned committee.
-    let (pbft_tps, _lat) = saturation_run(
-        &PbftConfig {
-            n: cfg.committee,
-            ..PbftConfig::default()
+        Param {
+            name: "chain_hours",
+            help: "simulated hours for the base chain (min 1)",
+            get: |c| c.chain_hours,
+            set: |c, v| c.chain_hours = v.max(1.0),
         },
-        400_000 / cfg.committee as u64,
-        SimDuration::from_secs(2.0),
-        cfg.seed ^ 3,
-    );
-    // Delegated / layer-2 style: 21 validators, measured the same way.
-    let (dpos_tps, _lat21) = saturation_run(
-        &PbftConfig {
-            n: 21,
-            ..PbftConfig::default()
+        Param {
+            name: "shards",
+            help: "shard count for the sharded variant (min 2)",
+            get: |c| c.shards as f64,
+            set: |c, v| c.shards = v.round().max(2.0) as usize,
         },
-        400_000 / 21,
-        SimDuration::from_secs(2.0),
-        cfg.seed ^ 4,
-    );
-
-    let points = vec![
-        DesignPoint {
-            name: "permissionless PoW (Bitcoin-like)".to_string(),
-            tps: base.tps,
-            validators: cfg.chain_nodes,
-            open: true,
-            attack_fraction: 0.5,
-        },
-        DesignPoint {
-            name: format!("sharded permissionless ({} shards)", cfg.shards),
-            tps: base.tps * cfg.shards as f64,
-            validators: cfg.chain_nodes,
-            open: true,
-            // One shard holds 1/k of the power; controlling 51% of a
-            // single shard corrupts that shard's transactions.
-            attack_fraction: 0.5 / cfg.shards as f64,
-        },
-        DesignPoint {
-            name: format!("permissioned BFT committee (n={})", cfg.committee),
-            tps: pbft_tps,
-            validators: cfg.committee,
-            open: false,
-            attack_fraction: 1.0 / 3.0,
-        },
-        DesignPoint {
-            name: "delegated / layer-2 (21 validators)".to_string(),
-            tps: dpos_tps,
-            validators: 21,
-            open: false,
-            attack_fraction: 1.0 / 3.0,
+        Param {
+            name: "committee",
+            help: "committee size for the permissioned variant (min 4)",
+            get: |c| c.committee as f64,
+            set: |c, v| c.committee = v.round().max(4.0) as usize,
         },
     ];
 
-    let mut t = Table::new(
-        "Design points on the trilemma",
-        &[
-            "design",
-            "tx/s",
-            "validators",
-            "open membership",
-            "attack needs (fraction of system)",
-        ],
-    );
-    for p in &points {
-        t.row([
-            p.name.clone(),
-            fmt_si(p.tps),
-            p.validators.to_string(),
-            p.open.to_string(),
-            fmt_pct(p.attack_fraction),
-        ]);
+    /// A CI-sized configuration.
+    fn quick() -> Self {
+        Config {
+            chain_nodes: 40,
+            chain_hours: 6.0,
+            ..Config::default()
+        }
     }
-    report.table(t);
 
-    // Trilemma check: call a point "scalable" if tps >= 1000, "decentralized"
-    // if open with >= 50 validators, "secure" if attack fraction >= 1/3.
-    let scores: Vec<(bool, bool, bool)> = points
-        .iter()
-        .map(|p| {
-            (
-                p.tps >= 1000.0,
-                p.open && p.validators >= 50,
-                p.attack_fraction >= 1.0 / 3.0 - 1e-9,
-            )
-        })
-        .collect();
-    let any_all_three = scores.iter().any(|&(s, d, c)| s && d && c);
-    let each_has_two = scores
-        .iter()
-        .filter(|&&(s, d, c)| (s as u8 + d as u8 + c as u8) >= 2)
-        .count();
-    report.check_with(
-        "E11.no-triple-point",
-        "no design point achieves all three",
-        "a blockchain can only address two of scalability, decentralization, security",
-        format!(
-            "0 of {} designs scored scalable+decentralized+secure; {} scored two",
-            points.len(),
-            each_has_two
-        ),
-        each_has_two as f64,
-        Expect::AtLeast(2.0),
-        !any_all_three,
-    );
-    report.structural(
-        "E11.sharding-tradeoff",
-        "sharding trades security for throughput",
-        "scalability is O(n) > O(c) only by shrinking per-transaction validation",
-        format!(
-            "{} shards: throughput x{}, attack threshold down to {}",
-            cfg.shards,
-            cfg.shards,
-            fmt_pct(0.5 / cfg.shards as f64)
-        ),
-    );
-    report
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
+
+    fn shards_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.exec_shards)
+    }
+
+    fn run(&self) -> ExperimentReport {
+        let mut report = Self::report();
+
+        // Base permissionless chain.
+        let mut rng = rng_from_seed(self.seed);
+        let net = RegionNet::sampled(
+            self.chain_nodes,
+            &Region::BITCOIN_2019_DISTRIBUTION,
+            &mut rng,
+        );
+        let mut sim = Simulation::new(self.seed ^ 1, net);
+        sim.set_shards(self.exec_shards);
+        let ncfg = NetworkConfig {
+            nodes: self.chain_nodes,
+            miner_fraction: 0.25,
+            node: ChainNodeConfig {
+                params: PowParams::bitcoin(),
+                tx_rate: 1000.0,
+                ..ChainNodeConfig::default()
+            },
+            ..NetworkConfig::default()
+        };
+        let ids = build_network(&mut sim, &ncfg, self.seed ^ 2);
+        sim.run_until(SimTime::from_hours(self.chain_hours));
+        let base = chain_report(&sim, ids[self.chain_nodes - 1]);
+        report.absorb_metrics(sim.metrics_snapshot());
+
+        // Permissioned committee.
+        let (pbft_tps, _lat) = saturation_run(
+            &PbftConfig {
+                n: self.committee,
+                ..PbftConfig::default()
+            },
+            400_000 / self.committee as u64,
+            SimDuration::from_secs(2.0),
+            self.seed ^ 3,
+        );
+        // Delegated / layer-2 style: 21 validators, measured the same way.
+        let (dpos_tps, _lat21) = saturation_run(
+            &PbftConfig {
+                n: 21,
+                ..PbftConfig::default()
+            },
+            400_000 / 21,
+            SimDuration::from_secs(2.0),
+            self.seed ^ 4,
+        );
+
+        let points = vec![
+            DesignPoint {
+                name: "permissionless PoW (Bitcoin-like)".to_string(),
+                tps: base.tps,
+                validators: self.chain_nodes,
+                open: true,
+                attack_fraction: 0.5,
+            },
+            DesignPoint {
+                name: format!("sharded permissionless ({} shards)", self.shards),
+                tps: base.tps * self.shards as f64,
+                validators: self.chain_nodes,
+                open: true,
+                // One shard holds 1/k of the power; controlling 51% of a
+                // single shard corrupts that shard's transactions.
+                attack_fraction: 0.5 / self.shards as f64,
+            },
+            DesignPoint {
+                name: format!("permissioned BFT committee (n={})", self.committee),
+                tps: pbft_tps,
+                validators: self.committee,
+                open: false,
+                attack_fraction: 1.0 / 3.0,
+            },
+            DesignPoint {
+                name: "delegated / layer-2 (21 validators)".to_string(),
+                tps: dpos_tps,
+                validators: 21,
+                open: false,
+                attack_fraction: 1.0 / 3.0,
+            },
+        ];
+
+        let mut t = Table::new(
+            "Design points on the trilemma",
+            &[
+                "design",
+                "tx/s",
+                "validators",
+                "open membership",
+                "attack needs (fraction of system)",
+            ],
+        );
+        for p in &points {
+            t.row([
+                p.name.clone(),
+                fmt_si(p.tps),
+                p.validators.to_string(),
+                p.open.to_string(),
+                fmt_pct(p.attack_fraction),
+            ]);
+        }
+        report.table(t);
+
+        // Trilemma check: call a point "scalable" if tps >= 1000, "decentralized"
+        // if open with >= 50 validators, "secure" if attack fraction >= 1/3.
+        let scores: Vec<(bool, bool, bool)> = points
+            .iter()
+            .map(|p| {
+                (
+                    p.tps >= 1000.0,
+                    p.open && p.validators >= 50,
+                    p.attack_fraction >= 1.0 / 3.0 - 1e-9,
+                )
+            })
+            .collect();
+        let any_all_three = scores.iter().any(|&(s, d, c)| s && d && c);
+        let each_has_two = scores
+            .iter()
+            .filter(|&&(s, d, c)| (s as u8 + d as u8 + c as u8) >= 2)
+            .count();
+        report.check_with(
+            "E11.no-triple-point",
+            "no design point achieves all three",
+            "a blockchain can only address two of scalability, decentralization, security",
+            format!(
+                "0 of {} designs scored scalable+decentralized+secure; {} scored two",
+                points.len(),
+                each_has_two
+            ),
+            each_has_two as f64,
+            Expect::AtLeast(2.0),
+            !any_all_three,
+        );
+        report.structural(
+            "E11.sharding-tradeoff",
+            "sharding trades security for throughput",
+            "scalability is O(n) > O(c) only by shrinking per-transaction validation",
+            format!(
+                "{} shards: throughput x{}, attack threshold down to {}",
+                self.shards,
+                self.shards,
+                fmt_pct(0.5 / self.shards as f64)
+            ),
+        );
+        report
+    }
 }
 
 #[cfg(test)]
@@ -287,7 +260,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_trilemma() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

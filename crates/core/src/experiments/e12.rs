@@ -13,10 +13,7 @@ use decent_chain::pow::PowParams;
 use decent_sim::prelude::*;
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "Permissioned BFT/CFT vs. proof-of-work (IV, [34][35])";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -47,75 +44,6 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// A CI-sized configuration.
-    pub fn quick() -> Self {
-        Config {
-            committee_sizes: vec![4, 16, 64],
-            chain_nodes: 40,
-            chain_hours: 6.0,
-            ..Config::default()
-        }
-    }
-}
-
-/// Sweepable knobs. `committee_max` drives the largest PBFT committee,
-/// which both throughput claims compare against.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "committee_max",
-        help: "largest PBFT committee size swept (min 4)",
-        get: |c| *c.committee_sizes.last().expect("at least one size") as f64,
-        set: |c, v| {
-            *c.committee_sizes.last_mut().expect("at least one size") = v.round().max(4.0) as usize
-        },
-    },
-    Param {
-        name: "chain_nodes",
-        help: "nodes in the PoW comparison network (min 8)",
-        get: |c| c.chain_nodes as f64,
-        set: |c, v| c.chain_nodes = v.round().max(8.0) as usize,
-    },
-    Param {
-        name: "chain_hours",
-        help: "simulated hours for the PoW run (min 1)",
-        get: |c| c.chain_hours,
-        set: |c, v| c.chain_hours = v.max(1.0),
-    },
-];
-
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E12"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, exec: scenario::ExecPolicy) -> bool {
-        self.shards = exec.shard_count();
-        true
-    }
-    fn run(&self) -> ExperimentReport {
-        run(self)
-    }
-}
-
 fn measure_raft(seed: u64, shards: usize) -> (f64, f64, MetricsSnapshot) {
     let mut sim = Simulation::new(seed, LanNet::datacenter());
     sim.set_shards(shards);
@@ -143,109 +71,156 @@ fn measure_raft(seed: u64, shards: usize) -> (f64, f64, MetricsSnapshot) {
     (tps, p50, sim.metrics_snapshot())
 }
 
-/// Runs E12 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E12", TITLE);
-    let mut t = Table::new(
-        "Ordering throughput and commit latency",
-        &["system", "replicas", "tx/s", "commit p50"],
-    );
-    let mut pbft_tps = Vec::new();
-    for (i, &n) in cfg.committee_sizes.iter().enumerate() {
-        let (tps, lat) = saturation_run(
-            &PbftConfig {
-                n,
-                ..PbftConfig::default()
+impl Experiment for Config {
+    const ID: &'static str = "E12";
+    const TITLE: &'static str = "Permissioned BFT/CFT vs. proof-of-work (IV, [34][35])";
+    /// Sweepable knobs. `committee_max` drives the largest PBFT committee,
+    /// which both throughput claims compare against.
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "committee_max",
+            help: "largest PBFT committee size swept (min 4)",
+            get: |c| *c.committee_sizes.last().expect("at least one size") as f64,
+            set: |c, v| {
+                *c.committee_sizes.last_mut().expect("at least one size") =
+                    v.round().max(4.0) as usize
             },
-            800_000 / n as u64,
-            SimDuration::from_secs(2.0),
-            cfg.seed ^ ((i as u64 + 1) << 8),
-        );
-        t.row([
-            "PBFT".to_string(),
-            n.to_string(),
-            fmt_si(tps),
-            format!("{:.1} ms", lat.p50 * 1e3),
-        ]);
-        pbft_tps.push(tps);
-    }
-    let (raft_tps, raft_p50, raft_metrics) = measure_raft(cfg.seed ^ 0x4A, cfg.shards);
-    report.absorb_metrics(raft_metrics);
-    t.row([
-        "Raft (CFT)".to_string(),
-        "5".to_string(),
-        fmt_si(raft_tps),
-        format!("{:.1} ms", raft_p50 * 1e3),
-    ]);
-
-    // The PoW comparison network.
-    let mut rng = rng_from_seed(cfg.seed ^ 0x50);
-    let net = RegionNet::sampled(
-        cfg.chain_nodes,
-        &Region::BITCOIN_2019_DISTRIBUTION,
-        &mut rng,
-    );
-    let mut sim = Simulation::new(cfg.seed ^ 0x51, net);
-    sim.set_shards(cfg.shards);
-    let ncfg = NetworkConfig {
-        nodes: cfg.chain_nodes,
-        miner_fraction: 0.25,
-        node: ChainNodeConfig {
-            params: PowParams::bitcoin(),
-            tx_rate: 1000.0,
-            ..ChainNodeConfig::default()
         },
-        ..NetworkConfig::default()
-    };
-    let ids = build_network(&mut sim, &ncfg, cfg.seed ^ 0x52);
-    sim.run_until(SimTime::from_hours(cfg.chain_hours));
-    let pow = chain_report(&sim, ids[cfg.chain_nodes - 1]);
-    report.absorb_metrics(sim.metrics_snapshot());
-    t.row([
-        "PoW (Bitcoin-like)".to_string(),
-        format!("{} (all validate)", cfg.chain_nodes),
-        fmt_f(pow.tps),
-        "~60 min (6 confirmations)".to_string(),
-    ]);
-    report.table(t);
+        Param {
+            name: "chain_nodes",
+            help: "nodes in the PoW comparison network (min 8)",
+            get: |c| c.chain_nodes as f64,
+            set: |c, v| c.chain_nodes = v.round().max(8.0) as usize,
+        },
+        Param {
+            name: "chain_hours",
+            help: "simulated hours for the PoW run (min 1)",
+            get: |c| c.chain_hours,
+            set: |c, v| c.chain_hours = v.max(1.0),
+        },
+    ];
 
-    let first = pbft_tps[0];
-    let last = *pbft_tps.last().expect("sizes");
-    let biggest = *cfg.committee_sizes.last().expect("sizes");
-    report.check(
-        "E12.bft-committee-cost",
-        "BFT throughput falls with committee size",
-        "traditional BFT limits the number of participating entities",
-        format!(
-            "{} tx/s at n={} -> {} tx/s at n={}",
-            fmt_si(first),
-            cfg.committee_sizes[0],
-            fmt_si(last),
-            biggest
-        ),
-        first,
-        Expect::MoreThan(2.0 * last),
-    );
-    report.check(
-        "E12.bft-beats-pow",
-        "even a large committee crushes PoW throughput",
-        "permissioned blockchains avoid costly proof-of-work",
-        format!(
-            "PBFT n={biggest}: {} tx/s vs PoW {} tx/s ({}x)",
-            fmt_si(last),
+    /// A CI-sized configuration.
+    fn quick() -> Self {
+        Config {
+            committee_sizes: vec![4, 16, 64],
+            chain_nodes: 40,
+            chain_hours: 6.0,
+            ..Config::default()
+        }
+    }
+
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
+
+    fn shards_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.shards)
+    }
+
+    fn run(&self) -> ExperimentReport {
+        let mut report = Self::report();
+        let mut t = Table::new(
+            "Ordering throughput and commit latency",
+            &["system", "replicas", "tx/s", "commit p50"],
+        );
+        let mut pbft_tps = Vec::new();
+        for (i, &n) in self.committee_sizes.iter().enumerate() {
+            let (tps, lat) = saturation_run(
+                &PbftConfig {
+                    n,
+                    ..PbftConfig::default()
+                },
+                800_000 / n as u64,
+                SimDuration::from_secs(2.0),
+                self.seed ^ ((i as u64 + 1) << 8),
+            );
+            t.row([
+                "PBFT".to_string(),
+                n.to_string(),
+                fmt_si(tps),
+                format!("{:.1} ms", lat.p50 * 1e3),
+            ]);
+            pbft_tps.push(tps);
+        }
+        let (raft_tps, raft_p50, raft_metrics) = measure_raft(self.seed ^ 0x4A, self.shards);
+        report.absorb_metrics(raft_metrics);
+        t.row([
+            "Raft (CFT)".to_string(),
+            "5".to_string(),
+            fmt_si(raft_tps),
+            format!("{:.1} ms", raft_p50 * 1e3),
+        ]);
+
+        // The PoW comparison network.
+        let mut rng = rng_from_seed(self.seed ^ 0x50);
+        let net = RegionNet::sampled(
+            self.chain_nodes,
+            &Region::BITCOIN_2019_DISTRIBUTION,
+            &mut rng,
+        );
+        let mut sim = Simulation::new(self.seed ^ 0x51, net);
+        sim.set_shards(self.shards);
+        let ncfg = NetworkConfig {
+            nodes: self.chain_nodes,
+            miner_fraction: 0.25,
+            node: ChainNodeConfig {
+                params: PowParams::bitcoin(),
+                tx_rate: 1000.0,
+                ..ChainNodeConfig::default()
+            },
+            ..NetworkConfig::default()
+        };
+        let ids = build_network(&mut sim, &ncfg, self.seed ^ 0x52);
+        sim.run_until(SimTime::from_hours(self.chain_hours));
+        let pow = chain_report(&sim, ids[self.chain_nodes - 1]);
+        report.absorb_metrics(sim.metrics_snapshot());
+        t.row([
+            "PoW (Bitcoin-like)".to_string(),
+            format!("{} (all validate)", self.chain_nodes),
             fmt_f(pow.tps),
-            fmt_si(last / pow.tps.max(0.1))
-        ),
-        last,
-        Expect::MoreThan(100.0 * pow.tps),
-    );
-    report.structural(
-        "E12.finality-gap",
-        "commit latency: milliseconds vs an hour",
-        "performance and finality motivate permissioned designs",
-        "PBFT p50 in milliseconds; PoW needs ~6 blocks (~1 h) for confidence",
-    );
-    report
+            "~60 min (6 confirmations)".to_string(),
+        ]);
+        report.table(t);
+
+        let first = pbft_tps[0];
+        let last = *pbft_tps.last().expect("sizes");
+        let biggest = *self.committee_sizes.last().expect("sizes");
+        report.check(
+            "E12.bft-committee-cost",
+            "BFT throughput falls with committee size",
+            "traditional BFT limits the number of participating entities",
+            format!(
+                "{} tx/s at n={} -> {} tx/s at n={}",
+                fmt_si(first),
+                self.committee_sizes[0],
+                fmt_si(last),
+                biggest
+            ),
+            first,
+            Expect::MoreThan(2.0 * last),
+        );
+        report.check(
+            "E12.bft-beats-pow",
+            "even a large committee crushes PoW throughput",
+            "permissioned blockchains avoid costly proof-of-work",
+            format!(
+                "PBFT n={biggest}: {} tx/s vs PoW {} tx/s ({}x)",
+                fmt_si(last),
+                fmt_f(pow.tps),
+                fmt_si(last / pow.tps.max(0.1))
+            ),
+            last,
+            Expect::MoreThan(100.0 * pow.tps),
+        );
+        report.structural(
+            "E12.finality-gap",
+            "commit latency: milliseconds vs an hour",
+            "performance and finality motivate permissioned designs",
+            "PBFT p50 in milliseconds; PoW needs ~6 blocks (~1 h) for confidence",
+        );
+        report
+    }
 }
 
 #[cfg(test)]
@@ -254,7 +229,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_bft_advantage() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

@@ -12,10 +12,7 @@ use decent_edge::service::{run_workload, EdgeConfig, Strategy};
 use decent_sim::prelude::*;
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "Edge-centric + permissioned trust vs. centralized cloud (V, Fig. 1)";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -43,65 +40,6 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// A CI-sized configuration.
-    pub fn quick() -> Self {
-        Config {
-            devices_per_region: 40,
-            requests_per_device: 3,
-            ..Config::default()
-        }
-    }
-}
-
-/// Sweepable knobs.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "devices_per_region",
-        help: "edge devices per region (min 8)",
-        get: |c| c.devices_per_region as f64,
-        set: |c, v| c.devices_per_region = v.round().max(8.0) as usize,
-    },
-    Param {
-        name: "requests_per_device",
-        help: "requests issued per device (min 1)",
-        get: |c| c.requests_per_device as f64,
-        set: |c, v| c.requests_per_device = v.round().max(1.0) as usize,
-    },
-];
-
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E13"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, exec: scenario::ExecPolicy) -> bool {
-        self.shards = exec.shard_count();
-        true
-    }
-    fn run(&self) -> ExperimentReport {
-        run(self)
-    }
-}
-
 /// Measures the one-time federation-join cost on the permissioned
 /// ledger (a channel transaction committing on all peers).
 fn federation_join_ms(seed: u64, shards: usize) -> (f64, MetricsSnapshot) {
@@ -123,99 +61,135 @@ fn federation_join_ms(seed: u64, shards: usize) -> (f64, MetricsSnapshot) {
     (ms, sim.metrics_snapshot())
 }
 
-/// Runs E13 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E13", TITLE);
-    let mut rows = Vec::new();
-    let mut t = Table::new(
-        "Service quality by architecture",
-        &[
-            "architecture",
-            "p50 (ms)",
-            "p99 (ms)",
-            "WAN traffic (MB)",
-            "control locality",
-        ],
-    );
-    for strategy in [Strategy::EdgeCentric, Strategy::CentralizedCloud] {
-        let ecfg = EdgeConfig {
-            strategy,
-            devices_per_region: cfg.devices_per_region,
-            shards: cfg.shards,
-            ..EdgeConfig::default()
-        };
-        let (mut lat, wan, locality) = run_workload(&ecfg, cfg.requests_per_device, cfg.seed);
-        t.row([
-            match strategy {
-                Strategy::EdgeCentric => "edge-centric + permissioned chain",
-                Strategy::CentralizedCloud => "centralized cloud + TTP",
-            }
-            .to_string(),
-            fmt_f(lat.percentile(0.5)),
-            fmt_f(lat.percentile(0.99)),
-            fmt_f(wan as f64 / 1e6),
-            fmt_pct(locality),
-        ]);
-        rows.push((lat.percentile(0.5), lat.percentile(0.99), wan, locality));
+impl Experiment for Config {
+    const ID: &'static str = "E13";
+    const TITLE: &'static str =
+        "Edge-centric + permissioned trust vs. centralized cloud (V, Fig. 1)";
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "devices_per_region",
+            help: "edge devices per region (min 8)",
+            get: |c| c.devices_per_region as f64,
+            set: |c, v| c.devices_per_region = v.round().max(8.0) as usize,
+        },
+        Param {
+            name: "requests_per_device",
+            help: "requests issued per device (min 1)",
+            get: |c| c.requests_per_device as f64,
+            set: |c, v| c.requests_per_device = v.round().max(1.0) as usize,
+        },
+    ];
+
+    /// A CI-sized configuration.
+    fn quick() -> Self {
+        Config {
+            devices_per_region: 40,
+            requests_per_device: 3,
+            ..Config::default()
+        }
     }
-    report.table(t);
 
-    let (join_ms, join_metrics) = federation_join_ms(cfg.seed ^ 0xFED, cfg.shards);
-    report.absorb_metrics(join_metrics);
-    let mut t2 = Table::new("Trust establishment cost", &["mechanism", "cost", "paid"]);
-    t2.row([
-        "federation join via permissioned chain".to_string(),
-        format!("{} ms", fmt_f(join_ms)),
-        "once per member".to_string(),
-    ]);
-    t2.row([
-        "TTP credential check".to_string(),
-        "one cloud round trip (~60-300 ms)".to_string(),
-        "every cold session".to_string(),
-    ]);
-    report.table(t2);
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
 
-    let (edge_p50, _, edge_wan, edge_local) = rows[0];
-    let (cloud_p50, _, cloud_wan, cloud_local) = rows[1];
-    report.check(
-        "E13.edge-latency",
-        "edge placement wins on latency",
-        "latency-sensitive services are a poor match for a centralized cloud",
-        format!(
-            "p50 {} ms (edge) vs {} ms (cloud)",
-            fmt_f(edge_p50),
-            fmt_f(cloud_p50)
-        ),
-        cloud_p50,
-        Expect::MoreThan(4.0 * edge_p50),
-    );
-    report.check_with(
-        "E13.control-locality",
-        "control moves to the edge",
-        "control must be at the edge",
-        format!(
-            "locality {} (edge) vs {} (cloud); WAN {} MB vs {} MB",
-            fmt_pct(edge_local),
-            fmt_pct(cloud_local),
-            fmt_f(edge_wan as f64 / 1e6),
-            fmt_f(cloud_wan as f64 / 1e6)
-        ),
-        edge_local,
-        Expect::MoreThan(0.9),
-        cloud_local < 0.1 && cloud_wan > 5 * edge_wan.max(1),
-    );
-    report.check(
-        "E13.trust-amortizes",
-        "permissioned trust amortizes",
-        "trust through permissioned blockchains enables decentralized control",
-        format!(
-            "{} ms once per member vs a TTP round trip on every cold session",
-            fmt_f(join_ms)
-        ),
-        join_ms,
-        Expect::LessThan(1000.0),
-    );
-    report
+    fn shards_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.shards)
+    }
+
+    fn run(&self) -> ExperimentReport {
+        let mut report = Self::report();
+        let mut rows = Vec::new();
+        let mut t = Table::new(
+            "Service quality by architecture",
+            &[
+                "architecture",
+                "p50 (ms)",
+                "p99 (ms)",
+                "WAN traffic (MB)",
+                "control locality",
+            ],
+        );
+        for strategy in [Strategy::EdgeCentric, Strategy::CentralizedCloud] {
+            let ecfg = EdgeConfig {
+                strategy,
+                devices_per_region: self.devices_per_region,
+                shards: self.shards,
+                ..EdgeConfig::default()
+            };
+            let (mut lat, wan, locality) = run_workload(&ecfg, self.requests_per_device, self.seed);
+            t.row([
+                match strategy {
+                    Strategy::EdgeCentric => "edge-centric + permissioned chain",
+                    Strategy::CentralizedCloud => "centralized cloud + TTP",
+                }
+                .to_string(),
+                fmt_f(lat.percentile(0.5)),
+                fmt_f(lat.percentile(0.99)),
+                fmt_f(wan as f64 / 1e6),
+                fmt_pct(locality),
+            ]);
+            rows.push((lat.percentile(0.5), lat.percentile(0.99), wan, locality));
+        }
+        report.table(t);
+
+        let (join_ms, join_metrics) = federation_join_ms(self.seed ^ 0xFED, self.shards);
+        report.absorb_metrics(join_metrics);
+        let mut t2 = Table::new("Trust establishment cost", &["mechanism", "cost", "paid"]);
+        t2.row([
+            "federation join via permissioned chain".to_string(),
+            format!("{} ms", fmt_f(join_ms)),
+            "once per member".to_string(),
+        ]);
+        t2.row([
+            "TTP credential check".to_string(),
+            "one cloud round trip (~60-300 ms)".to_string(),
+            "every cold session".to_string(),
+        ]);
+        report.table(t2);
+
+        let (edge_p50, _, edge_wan, edge_local) = rows[0];
+        let (cloud_p50, _, cloud_wan, cloud_local) = rows[1];
+        report.check(
+            "E13.edge-latency",
+            "edge placement wins on latency",
+            "latency-sensitive services are a poor match for a centralized cloud",
+            format!(
+                "p50 {} ms (edge) vs {} ms (cloud)",
+                fmt_f(edge_p50),
+                fmt_f(cloud_p50)
+            ),
+            cloud_p50,
+            Expect::MoreThan(4.0 * edge_p50),
+        );
+        report.check_with(
+            "E13.control-locality",
+            "control moves to the edge",
+            "control must be at the edge",
+            format!(
+                "locality {} (edge) vs {} (cloud); WAN {} MB vs {} MB",
+                fmt_pct(edge_local),
+                fmt_pct(cloud_local),
+                fmt_f(edge_wan as f64 / 1e6),
+                fmt_f(cloud_wan as f64 / 1e6)
+            ),
+            edge_local,
+            Expect::MoreThan(0.9),
+            cloud_local < 0.1 && cloud_wan > 5 * edge_wan.max(1),
+        );
+        report.check(
+            "E13.trust-amortizes",
+            "permissioned trust amortizes",
+            "trust through permissioned blockchains enables decentralized control",
+            format!(
+                "{} ms once per member vs a TTP round trip on every cold session",
+                fmt_f(join_ms)
+            ),
+            join_ms,
+            Expect::LessThan(1000.0),
+        );
+        report
+    }
 }
 
 #[cfg(test)]
@@ -224,7 +198,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_edge_advantage() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

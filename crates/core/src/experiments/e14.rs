@@ -12,10 +12,7 @@ use decent_chain::pow::PowParams;
 use decent_sim::prelude::*;
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "Fork rate vs. block interval; difficulty retargeting (III-A)";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -43,73 +40,6 @@ impl Default for Config {
             seed: 0xE14,
             shards: 1,
         }
-    }
-}
-
-impl Config {
-    /// A CI-sized configuration.
-    pub fn quick() -> Self {
-        Config {
-            nodes: 40,
-            intervals_secs: vec![5.0, 120.0, 600.0],
-            blocks_per_level: 120,
-            ..Config::default()
-        }
-    }
-}
-
-/// Sweepable knobs. `fastest_interval` moves the shortest block interval
-/// in the series — the one the fork-rate claim keys on.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "nodes",
-        help: "network size (min 8)",
-        get: |c| c.nodes as f64,
-        set: |c, v| c.nodes = v.round().max(8.0) as usize,
-    },
-    Param {
-        name: "fastest_interval",
-        help: "shortest target block interval swept, seconds (min 1)",
-        get: |c| c.intervals_secs[0],
-        set: |c, v| c.intervals_secs[0] = v.max(1.0),
-    },
-    Param {
-        name: "blocks_per_level",
-        help: "blocks observed per interval level (min 30)",
-        get: |c| c.blocks_per_level as f64,
-        set: |c, v| c.blocks_per_level = v.round().max(30.0) as u64,
-    },
-];
-
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E14"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, exec: scenario::ExecPolicy) -> bool {
-        self.shards = exec.shard_count();
-        true
-    }
-    fn run(&self) -> ExperimentReport {
-        run(self)
     }
 }
 
@@ -192,62 +122,107 @@ fn run_retarget(cfg: &Config, seed: u64) -> (f64, f64, f64, MetricsSnapshot) {
     (first, last, target, sim.metrics_snapshot())
 }
 
-/// Runs E14 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E14", TITLE);
-    let mut t = Table::new(
-        "Stale-block rate vs. target interval (planet-scale propagation)",
-        &["target interval (s)", "measured interval (s)", "stale rate"],
-    );
-    let mut stales = Vec::new();
-    for (i, &interval) in cfg.intervals_secs.iter().enumerate() {
-        let (stale, mean, metrics) = run_level(cfg, interval, cfg.seed ^ ((i as u64 + 1) << 8));
-        report.absorb_metrics(metrics);
-        t.row([fmt_f(interval), fmt_f(mean), fmt_pct(stale)]);
-        stales.push(stale);
+impl Experiment for Config {
+    const ID: &'static str = "E14";
+    const TITLE: &'static str = "Fork rate vs. block interval; difficulty retargeting (III-A)";
+    /// Sweepable knobs. `fastest_interval` moves the shortest block interval
+    /// in the series — the one the fork-rate claim keys on.
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "nodes",
+            help: "network size (min 8)",
+            get: |c| c.nodes as f64,
+            set: |c, v| c.nodes = v.round().max(8.0) as usize,
+        },
+        Param {
+            name: "fastest_interval",
+            help: "shortest target block interval swept, seconds (min 1)",
+            get: |c| c.intervals_secs[0],
+            set: |c, v| c.intervals_secs[0] = v.max(1.0),
+        },
+        Param {
+            name: "blocks_per_level",
+            help: "blocks observed per interval level (min 30)",
+            get: |c| c.blocks_per_level as f64,
+            set: |c, v| c.blocks_per_level = v.round().max(30.0) as u64,
+        },
+    ];
+
+    /// A CI-sized configuration.
+    fn quick() -> Self {
+        Config {
+            nodes: 40,
+            intervals_secs: vec![5.0, 120.0, 600.0],
+            blocks_per_level: 120,
+            ..Config::default()
+        }
     }
-    report.table(t);
 
-    let (first, last, target, retarget_metrics) = run_retarget(cfg, cfg.seed ^ 0xADA);
-    report.absorb_metrics(retarget_metrics);
-    let mut t2 = Table::new(
-        "Retarget convergence after a 2x hashrate surprise",
-        &["window", "mean interval (s)", "target (s)"],
-    );
-    t2.row(["first".to_string(), fmt_f(first), fmt_f(target)]);
-    t2.row(["after retargets".to_string(), fmt_f(last), fmt_f(target)]);
-    report.table(t2);
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
 
-    report.check_with(
-        "E14.fork-vs-interval",
-        "forks grow as the interval shrinks toward propagation delay",
-        "forks are occasional at 10-minute blocks (and would dominate otherwise)",
-        format!(
-            "stale rate {} at {}s vs {} at {}s",
-            fmt_pct(stales[0]),
-            cfg.intervals_secs[0],
-            fmt_pct(*stales.last().expect("levels")),
-            cfg.intervals_secs.last().expect("levels")
-        ),
-        stales[0],
-        Expect::MoreThan(3.0 * stales.last().expect("levels")),
-        *stales.last().unwrap() < 0.05,
-    );
-    report.check_with(
-        "E14.retarget-converges",
-        "retargeting restores the target interval",
-        "difficulty is adjusted so a block appears every 10 minutes",
-        format!(
-            "first window {}s (fast), settled to {}s (target {}s)",
-            fmt_f(first),
-            fmt_f(last),
-            fmt_f(target)
-        ),
-        first,
-        Expect::LessThan(0.8 * target),
-        (last - target).abs() < 0.3 * target,
-    );
-    report
+    fn shards_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.shards)
+    }
+
+    fn run(&self) -> ExperimentReport {
+        let mut report = Self::report();
+        let mut t = Table::new(
+            "Stale-block rate vs. target interval (planet-scale propagation)",
+            &["target interval (s)", "measured interval (s)", "stale rate"],
+        );
+        let mut stales = Vec::new();
+        for (i, &interval) in self.intervals_secs.iter().enumerate() {
+            let (stale, mean, metrics) =
+                run_level(self, interval, self.seed ^ ((i as u64 + 1) << 8));
+            report.absorb_metrics(metrics);
+            t.row([fmt_f(interval), fmt_f(mean), fmt_pct(stale)]);
+            stales.push(stale);
+        }
+        report.table(t);
+
+        let (first, last, target, retarget_metrics) = run_retarget(self, self.seed ^ 0xADA);
+        report.absorb_metrics(retarget_metrics);
+        let mut t2 = Table::new(
+            "Retarget convergence after a 2x hashrate surprise",
+            &["window", "mean interval (s)", "target (s)"],
+        );
+        t2.row(["first".to_string(), fmt_f(first), fmt_f(target)]);
+        t2.row(["after retargets".to_string(), fmt_f(last), fmt_f(target)]);
+        report.table(t2);
+
+        report.check_with(
+            "E14.fork-vs-interval",
+            "forks grow as the interval shrinks toward propagation delay",
+            "forks are occasional at 10-minute blocks (and would dominate otherwise)",
+            format!(
+                "stale rate {} at {}s vs {} at {}s",
+                fmt_pct(stales[0]),
+                self.intervals_secs[0],
+                fmt_pct(*stales.last().expect("levels")),
+                self.intervals_secs.last().expect("levels")
+            ),
+            stales[0],
+            Expect::MoreThan(3.0 * stales.last().expect("levels")),
+            *stales.last().unwrap() < 0.05,
+        );
+        report.check_with(
+            "E14.retarget-converges",
+            "retargeting restores the target interval",
+            "difficulty is adjusted so a block appears every 10 minutes",
+            format!(
+                "first window {}s (fast), settled to {}s (target {}s)",
+                fmt_f(first),
+                fmt_f(last),
+                fmt_f(target)
+            ),
+            first,
+            Expect::LessThan(0.8 * target),
+            (last - target).abs() < 0.3 * target,
+        );
+        report
+    }
 }
 
 #[cfg(test)]
@@ -256,7 +231,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_fork_behaviour() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

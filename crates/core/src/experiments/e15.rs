@@ -12,10 +12,7 @@ use decent_chain::pow::PowParams;
 use decent_sim::prelude::*;
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "Resource growth: full nodes vs. light clients (III-C P1)";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -46,167 +43,143 @@ impl Default for Config {
     }
 }
 
-impl Config {
+impl Experiment for Config {
+    const ID: &'static str = "E15";
+    const TITLE: &'static str = "Resource growth: full nodes vs. light clients (III-C P1)";
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "nodes",
+            help: "network size (min 8)",
+            get: |c| c.nodes as f64,
+            set: |c, v| c.nodes = v.round().max(8.0) as usize,
+        },
+        Param {
+            name: "days",
+            help: "simulated days of saturated chain activity (min 0.5)",
+            get: |c| c.days,
+            set: |c, v| c.days = v.max(0.5),
+        },
+    ];
+
     /// A CI-sized configuration.
-    pub fn quick() -> Self {
+    fn quick() -> Self {
         Config {
             nodes: 30,
             days: 1.0,
             ..Config::default()
         }
     }
-}
 
-/// Sweepable knobs.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "nodes",
-        help: "network size (min 8)",
-        get: |c| c.nodes as f64,
-        set: |c, v| c.nodes = v.round().max(8.0) as usize,
-    },
-    Param {
-        name: "days",
-        help: "simulated days of saturated chain activity (min 0.5)",
-        get: |c| c.days,
-        set: |c, v| c.days = v.max(0.5),
-    },
-];
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
 
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E15"
+    fn shards_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.shards)
     }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, exec: scenario::ExecPolicy) -> bool {
-        self.shards = exec.shard_count();
-        true
-    }
+
     fn run(&self) -> ExperimentReport {
-        run(self)
-    }
-}
+        let mut report = Self::report();
+        let mut sim = Simulation::new(self.seed, ConstantLatency::from_millis(80.0));
+        sim.set_shards(self.shards);
+        let ncfg = NetworkConfig {
+            nodes: self.nodes,
+            miner_fraction: 0.2,
+            light_fraction: 0.5,
+            node: ChainNodeConfig {
+                params: PowParams::bitcoin(),
+                tx_rate: 1000.0, // saturated 1 MB blocks
+                ..ChainNodeConfig::default()
+            },
+            ..NetworkConfig::default()
+        };
+        let ids = build_network(&mut sim, &ncfg, self.seed ^ 1);
+        sim.run_until(SimTime::from_days(self.days));
+        let full = ids
+            .iter()
+            .copied()
+            .find(|&i| !sim.node(i).is_miner() && sim.node(i).storage_bytes() > 1_000_000)
+            .or_else(|| ids.iter().copied().find(|&i| sim.node(i).is_miner()))
+            .expect("a full node");
+        let light = ids
+            .iter()
+            .copied()
+            .find(|&i| sim.node(i).storage_bytes() < 1_000_000 && !sim.node(i).is_miner())
+            .expect("a light node");
+        let full_storage = sim.node(full).storage_bytes() as f64;
+        let light_storage = sim.node(light).storage_bytes() as f64;
+        let full_bw = sim.node(full).bytes_received as f64;
+        let light_bw = sim.node(light).bytes_received as f64;
+        let per_day_full = full_storage / self.days;
+        let per_day_light = light_storage / self.days;
 
-/// Runs E15 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E15", TITLE);
-    let mut sim = Simulation::new(cfg.seed, ConstantLatency::from_millis(80.0));
-    sim.set_shards(cfg.shards);
-    let ncfg = NetworkConfig {
-        nodes: cfg.nodes,
-        miner_fraction: 0.2,
-        light_fraction: 0.5,
-        node: ChainNodeConfig {
-            params: PowParams::bitcoin(),
-            tx_rate: 1000.0, // saturated 1 MB blocks
-            ..ChainNodeConfig::default()
-        },
-        ..NetworkConfig::default()
-    };
-    let ids = build_network(&mut sim, &ncfg, cfg.seed ^ 1);
-    sim.run_until(SimTime::from_days(cfg.days));
-    let full = ids
-        .iter()
-        .copied()
-        .find(|&i| !sim.node(i).is_miner() && sim.node(i).storage_bytes() > 1_000_000)
-        .or_else(|| ids.iter().copied().find(|&i| sim.node(i).is_miner()))
-        .expect("a full node");
-    let light = ids
-        .iter()
-        .copied()
-        .find(|&i| sim.node(i).storage_bytes() < 1_000_000 && !sim.node(i).is_miner())
-        .expect("a light node");
-    let full_storage = sim.node(full).storage_bytes() as f64;
-    let light_storage = sim.node(light).storage_bytes() as f64;
-    let full_bw = sim.node(full).bytes_received as f64;
-    let light_bw = sim.node(light).bytes_received as f64;
-    let per_day_full = full_storage / cfg.days;
-    let per_day_light = light_storage / cfg.days;
-
-    let mut t = Table::new(
-        "Measured over the simulated window",
-        &[
-            "node type",
-            "storage",
-            "storage/day",
-            "block bytes received/day",
-        ],
-    );
-    t.row([
-        "full (validates)".to_string(),
-        fmt_si(full_storage),
-        fmt_si(per_day_full),
-        fmt_si(full_bw / cfg.days),
-    ]);
-    t.row([
-        "light (headers only)".to_string(),
-        fmt_si(light_storage),
-        fmt_si(per_day_light),
-        fmt_si(light_bw / cfg.days),
-    ]);
-    report.table(t);
-
-    let mut t2 = Table::new(
-        "Extrapolated history size",
-        &["years", "full node", "light client", "ratio"],
-    );
-    for &y in &cfg.years {
-        let f = per_day_full * 365.25 * y;
-        let l = per_day_light * 365.25 * y;
-        t2.row([
-            fmt_f(y),
-            fmt_si(f),
-            fmt_si(l),
-            format!("{}x", fmt_si(f / l.max(1.0))),
+        let mut t = Table::new(
+            "Measured over the simulated window",
+            &[
+                "node type",
+                "storage",
+                "storage/day",
+                "block bytes received/day",
+            ],
+        );
+        t.row([
+            "full (validates)".to_string(),
+            fmt_si(full_storage),
+            fmt_si(per_day_full),
+            fmt_si(full_bw / self.days),
         ]);
-    }
-    report.table(t2);
+        t.row([
+            "light (headers only)".to_string(),
+            fmt_si(light_storage),
+            fmt_si(per_day_light),
+            fmt_si(light_bw / self.days),
+        ]);
+        report.table(t);
 
-    let ten_year_gb = per_day_full * 365.25 * 10.0 / 1e9;
-    report.absorb_metrics(sim.metrics_snapshot());
-    report.check(
-        "E15.history-growth",
-        "full-node history grows without bound",
-        "each node requires more bandwidth, storage and compute to cope",
-        format!(
-            "{} GB after 10 years of saturated 1 MB blocks",
-            fmt_f(ten_year_gb)
-        ),
-        ten_year_gb,
-        Expect::MoreThan(200.0),
-    );
-    report.check_with(
-        "E15.light-client-shed",
-        "light clients shed the cost by shedding validation",
-        "full clients validate transactions whereas light clients do not",
-        format!(
-            "light client stores {}x less and receives {}x less",
-            fmt_si(full_storage / light_storage.max(1.0)),
-            fmt_si(full_bw / light_bw.max(1.0))
-        ),
-        full_storage,
-        Expect::MoreThan(500.0 * light_storage),
-        full_bw > 100.0 * light_bw,
-    );
-    report
+        let mut t2 = Table::new(
+            "Extrapolated history size",
+            &["years", "full node", "light client", "ratio"],
+        );
+        for &y in &self.years {
+            let f = per_day_full * 365.25 * y;
+            let l = per_day_light * 365.25 * y;
+            t2.row([
+                fmt_f(y),
+                fmt_si(f),
+                fmt_si(l),
+                format!("{}x", fmt_si(f / l.max(1.0))),
+            ]);
+        }
+        report.table(t2);
+
+        let ten_year_gb = per_day_full * 365.25 * 10.0 / 1e9;
+        report.absorb_metrics(sim.metrics_snapshot());
+        report.check(
+            "E15.history-growth",
+            "full-node history grows without bound",
+            "each node requires more bandwidth, storage and compute to cope",
+            format!(
+                "{} GB after 10 years of saturated 1 MB blocks",
+                fmt_f(ten_year_gb)
+            ),
+            ten_year_gb,
+            Expect::MoreThan(200.0),
+        );
+        report.check_with(
+            "E15.light-client-shed",
+            "light clients shed the cost by shedding validation",
+            "full clients validate transactions whereas light clients do not",
+            format!(
+                "light client stores {}x less and receives {}x less",
+                fmt_si(full_storage / light_storage.max(1.0)),
+                fmt_si(full_bw / light_bw.max(1.0))
+            ),
+            full_storage,
+            Expect::MoreThan(500.0 * light_storage),
+            full_bw > 100.0 * light_bw,
+        );
+        report
+    }
 }
 
 #[cfg(test)]
@@ -215,7 +188,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_growth_gap() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

@@ -10,10 +10,7 @@ use decent_chain::pos::{attack_cost_units, simulate_pos_attack, simulate_pow_att
 use decent_sim::report::{fmt_pct, fmt_si};
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "Nothing-at-stake: 'killing' proof-of-stake is free (III-C P2, [32])";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -39,134 +36,106 @@ impl Default for Config {
     }
 }
 
-impl Config {
+impl Experiment for Config {
+    const ID: &'static str = "E16";
+    const TITLE: &'static str =
+        "Nothing-at-stake: 'killing' proof-of-stake is free (III-C P2, [32])";
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "attacker",
+            help: "attacker stake/hashpower share (0.01-0.45)",
+            get: |c| c.attacker,
+            set: |c, v| c.attacker = v.clamp(0.01, 0.45),
+        },
+        Param {
+            name: "attempts",
+            help: "Monte Carlo attempts per point (min 500)",
+            get: |c| c.attempts as f64,
+            set: |c, v| c.attempts = v.round().max(500.0) as u64,
+        },
+    ];
+
     /// A CI-sized configuration.
-    pub fn quick() -> Self {
+    fn quick() -> Self {
         Config {
             rational_fractions: vec![0.0, 0.5, 0.95],
             attempts: 5_000,
             ..Config::default()
         }
     }
-}
 
-/// Sweepable knobs.
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "attacker",
-        help: "attacker stake/hashpower share (0.01-0.45)",
-        get: |c| c.attacker,
-        set: |c, v| c.attacker = v.clamp(0.01, 0.45),
-    },
-    Param {
-        name: "attempts",
-        help: "Monte Carlo attempts per point (min 500)",
-        get: |c| c.attempts as f64,
-        set: |c, v| c.attempts = v.round().max(500.0) as u64,
-    },
-];
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
 
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E16"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, _exec: scenario::ExecPolicy) -> bool {
-        // Monte Carlo attack races — there is no discrete-event loop to
-        // shard, so any shard count yields identical output trivially.
-        true
-    }
     fn run(&self) -> ExperimentReport {
-        run(self)
-    }
-}
-
-/// Runs E16 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E16", TITLE);
-    let mut t = Table::new(
-        "Probability of reversing a 6-confirmed payment (10% attacker)",
-        &[
-            "system",
-            "multi-minting stake",
-            "reversal probability",
-            "marginal attack cost",
-        ],
-    );
-    let pow = simulate_pow_attack(cfg.attacker, 6, cfg.attempts, cfg.seed ^ 1);
-    t.row([
-        "PoW".to_string(),
-        "impossible (hashes are exclusive)".to_string(),
-        fmt_pct(pow),
-        fmt_si(attack_cost_units(true, 600, 1e12)),
-    ]);
-    let mut curve = Vec::new();
-    for (i, &frac) in cfg.rational_fractions.iter().enumerate() {
-        let out = simulate_pos_attack(
-            &PosAttack {
-                attacker_stake: cfg.attacker,
-                rational_fraction: frac,
-                ..PosAttack::default()
-            },
-            cfg.attempts,
-            cfg.seed ^ ((i as u64 + 2) << 8),
+        let mut report = Self::report();
+        let mut t = Table::new(
+            "Probability of reversing a 6-confirmed payment (10% attacker)",
+            &[
+                "system",
+                "multi-minting stake",
+                "reversal probability",
+                "marginal attack cost",
+            ],
         );
+        let pow = simulate_pow_attack(self.attacker, 6, self.attempts, self.seed ^ 1);
         t.row([
-            "PoS".to_string(),
-            fmt_pct(frac),
-            fmt_pct(out.reversal_probability()),
-            fmt_si(attack_cost_units(false, 600, 1e12)),
+            "PoW".to_string(),
+            "impossible (hashes are exclusive)".to_string(),
+            fmt_pct(pow),
+            fmt_si(attack_cost_units(true, 600, 1e12)),
         ]);
-        curve.push(out.reversal_probability());
-    }
-    report.table(t);
+        let mut curve = Vec::new();
+        for (i, &frac) in self.rational_fractions.iter().enumerate() {
+            let out = simulate_pos_attack(
+                &PosAttack {
+                    attacker_stake: self.attacker,
+                    rational_fraction: frac,
+                    ..PosAttack::default()
+                },
+                self.attempts,
+                self.seed ^ ((i as u64 + 2) << 8),
+            );
+            t.row([
+                "PoS".to_string(),
+                fmt_pct(frac),
+                fmt_pct(out.reversal_probability()),
+                fmt_si(attack_cost_units(false, 600, 1e12)),
+            ]);
+            curve.push(out.reversal_probability());
+        }
+        report.table(t);
 
-    let disciplined = curve[0];
-    let rational = *curve.last().expect("points");
-    report.check_with(
-        "E16.nothing-at-stake",
-        "PoS security rests on unenforceable discipline",
-        "it costs nothing to 'kill' a proof-of-stake currency (Houy)",
-        format!(
-            "10% attacker reverses {} of payments with honest stake but {} once {} of stake multi-mints — at zero marginal cost",
-            fmt_pct(disciplined),
-            fmt_pct(rational),
-            fmt_pct(*cfg.rational_fractions.last().expect("points"))
-        ),
-        rational,
-        Expect::MoreThan(0.5),
-        disciplined < 0.05,
-    );
-    report.check(
-        "E16.pow-energy-safety",
-        "PoW buys safety with energy",
-        "proof-of-work defends against sybils at a huge energy price (III)",
-        format!(
-            "same attacker against PoW: {} reversal probability, but every attempt burns real energy",
-            fmt_pct(pow)
-        ),
-        pow,
-        Expect::LessThan(0.05),
-    );
-    report
+        let disciplined = curve[0];
+        let rational = *curve.last().expect("points");
+        report.check_with(
+            "E16.nothing-at-stake",
+            "PoS security rests on unenforceable discipline",
+            "it costs nothing to 'kill' a proof-of-stake currency (Houy)",
+            format!(
+                "10% attacker reverses {} of payments with honest stake but {} once {} of stake multi-mints — at zero marginal cost",
+                fmt_pct(disciplined),
+                fmt_pct(rational),
+                fmt_pct(*self.rational_fractions.last().expect("points"))
+            ),
+            rational,
+            Expect::MoreThan(0.5),
+            disciplined < 0.05,
+        );
+        report.check(
+            "E16.pow-energy-safety",
+            "PoW buys safety with energy",
+            "proof-of-work defends against sybils at a huge energy price (III)",
+            format!(
+                "same attacker against PoW: {} reversal probability, but every attempt burns real energy",
+                fmt_pct(pow)
+            ),
+            pow,
+            Expect::LessThan(0.05),
+        );
+        report
+    }
 }
 
 #[cfg(test)]
@@ -175,7 +144,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_nothing_at_stake() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

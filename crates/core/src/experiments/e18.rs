@@ -8,10 +8,7 @@ use decent_chain::feemarket::{simulate_congestion, FeeMarketConfig};
 use decent_sim::report::{fmt_f, fmt_pct};
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "A viral dapp congests the whole chain (III-C P3, CryptoKitties)";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -31,9 +28,33 @@ impl Default for Config {
     }
 }
 
-impl Config {
+impl Experiment for Config {
+    const ID: &'static str = "E18";
+    const TITLE: &'static str = "A viral dapp congests the whole chain (III-C P3, CryptoKitties)";
+    /// Sweepable knobs (reaching through to the fee-market model).
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "viral_multiplier",
+            help: "demand multiplier during the viral window (min 1)",
+            get: |c| c.market.viral_multiplier,
+            set: |c, v| c.market.viral_multiplier = v.max(1.0),
+        },
+        Param {
+            name: "block_capacity",
+            help: "transactions per block (min 10)",
+            get: |c| c.market.block_capacity as f64,
+            set: |c, v| c.market.block_capacity = v.round().max(10.0) as usize,
+        },
+        Param {
+            name: "viral_blocks",
+            help: "length of the viral window in blocks (min 10)",
+            get: |c| c.market.viral_blocks as f64,
+            set: |c, v| c.market.viral_blocks = v.round().max(10.0) as usize,
+        },
+    ];
+
     /// A CI-sized configuration.
-    pub fn quick() -> Self {
+    fn quick() -> Self {
         Config {
             market: FeeMarketConfig {
                 warmup_blocks: 50,
@@ -44,155 +65,103 @@ impl Config {
             ..Config::default()
         }
     }
-}
 
-/// Sweepable knobs (reaching through to the fee-market model).
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "viral_multiplier",
-        help: "demand multiplier during the viral window (min 1)",
-        get: |c| c.market.viral_multiplier,
-        set: |c, v| c.market.viral_multiplier = v.max(1.0),
-    },
-    Param {
-        name: "block_capacity",
-        help: "transactions per block (min 10)",
-        get: |c| c.market.block_capacity as f64,
-        set: |c, v| c.market.block_capacity = v.round().max(10.0) as usize,
-    },
-    Param {
-        name: "viral_blocks",
-        help: "length of the viral window in blocks (min 10)",
-        get: |c| c.market.viral_blocks as f64,
-        set: |c, v| c.market.viral_blocks = v.round().max(10.0) as usize,
-    },
-];
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
 
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E18"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, _exec: scenario::ExecPolicy) -> bool {
-        // Monte Carlo fee-market model — there is no discrete-event loop to
-        // shard, so any shard count yields identical output trivially.
-        true
-    }
     fn run(&self) -> ExperimentReport {
-        run(self)
-    }
-}
+        let mut report = Self::report();
+        let mut r = simulate_congestion(&self.market, self.seed);
+        let mut t = Table::new(
+            "Fee market before / during / after the viral window",
+            &[
+                "phase",
+                "submitted",
+                "failed",
+                "failure rate",
+                "median fee paid",
+            ],
+        );
+        let rows: Vec<(&str, &mut decent_chain::feemarket::PhaseStats)> = vec![
+            ("before", &mut r.before),
+            ("during (6x demand)", &mut r.during),
+            ("after", &mut r.after),
+        ];
+        let mut stats = Vec::new();
+        for (name, phase) in rows {
+            t.row([
+                name.to_string(),
+                phase.submitted.to_string(),
+                phase.failed.to_string(),
+                fmt_pct(phase.failure_rate()),
+                fmt_f(phase.median_paid_fee()),
+            ]);
+            stats.push((phase.failure_rate(), phase.median_paid_fee()));
+        }
+        report.table(t);
 
-/// Runs E18 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E18", TITLE);
-    let mut r = simulate_congestion(&cfg.market, cfg.seed);
-    let mut t = Table::new(
-        "Fee market before / during / after the viral window",
-        &[
-            "phase",
-            "submitted",
-            "failed",
-            "failure rate",
-            "median fee paid",
-        ],
-    );
-    let rows: Vec<(&str, &mut decent_chain::feemarket::PhaseStats)> = vec![
-        ("before", &mut r.before),
-        ("during (6x demand)", &mut r.during),
-        ("after", &mut r.after),
-    ];
-    let mut stats = Vec::new();
-    for (name, phase) in rows {
-        t.row([
-            name.to_string(),
-            phase.submitted.to_string(),
-            phase.failed.to_string(),
-            fmt_pct(phase.failure_rate()),
-            fmt_f(phase.median_paid_fee()),
-        ]);
-        stats.push((phase.failure_rate(), phase.median_paid_fee()));
-    }
-    report.table(t);
-
-    // The counterfactual the paper implies: a provisioned cloud absorbs it.
-    let provisioned = {
-        let mut m = cfg.market.clone();
-        m.block_capacity = (m.base_demand_per_block as f64 * m.viral_multiplier * 1.3) as usize;
-        simulate_congestion(&m, cfg.seed ^ 1)
-    };
-    let mut t2 = Table::new(
-        "Counterfactual: capacity provisioned for the spike (cloud-style)",
-        &["phase", "failure rate"],
-    );
-    t2.row([
-        "during (6x demand)".to_string(),
-        fmt_pct(provisioned.during.failure_rate()),
-    ]);
-    report.table(t2);
-
-    let (calm_fail, calm_fee) = stats[0];
-    let (viral_fail, viral_fee) = stats[1];
-    let (after_fail, _) = stats[2];
-    report.check_with(
-        "E18.viral-failures",
-        "a sixfold spike fails many transactions",
-        "traffic rose sixfold provoking the failure of many transactions",
-        format!(
-            "failure rate {} -> {} when demand multiplies by {}",
-            fmt_pct(calm_fail),
-            fmt_pct(viral_fail),
-            cfg.market.viral_multiplier
-        ),
-        viral_fail,
-        Expect::MoreThan(0.3),
-        calm_fail < 0.05,
-    );
-    report.check(
-        "E18.congestion-tax",
-        "every unrelated user pays the congestion tax",
-        "storing state on-chain becomes extremely expensive (III-C P4)",
-        format!(
-            "median fee paid: {} -> {}",
-            fmt_f(calm_fee),
-            fmt_f(viral_fee)
-        ),
-        viral_fee,
-        Expect::MoreThan(2.0 * calm_fee),
-    );
-    report.check_with(
-        "E18.no-elasticity",
-        "the chain cannot scale out; a cloud can",
-        "(the paper's contrast with elastic cloud services)",
-        format!(
-            "fixed capacity: {} failures during the spike; provisioned capacity: {}; post-fad recovery to {}",
-            fmt_pct(viral_fail),
+        // The counterfactual the paper implies: a provisioned cloud absorbs it.
+        let provisioned = {
+            let mut m = self.market.clone();
+            m.block_capacity = (m.base_demand_per_block as f64 * m.viral_multiplier * 1.3) as usize;
+            simulate_congestion(&m, self.seed ^ 1)
+        };
+        let mut t2 = Table::new(
+            "Counterfactual: capacity provisioned for the spike (cloud-style)",
+            &["phase", "failure rate"],
+        );
+        t2.row([
+            "during (6x demand)".to_string(),
             fmt_pct(provisioned.during.failure_rate()),
-            fmt_pct(after_fail)
-        ),
-        provisioned.during.failure_rate(),
-        Expect::LessThan(0.02),
-        after_fail < viral_fail / 2.0,
-    );
-    report
+        ]);
+        report.table(t2);
+
+        let (calm_fail, calm_fee) = stats[0];
+        let (viral_fail, viral_fee) = stats[1];
+        let (after_fail, _) = stats[2];
+        report.check_with(
+            "E18.viral-failures",
+            "a sixfold spike fails many transactions",
+            "traffic rose sixfold provoking the failure of many transactions",
+            format!(
+                "failure rate {} -> {} when demand multiplies by {}",
+                fmt_pct(calm_fail),
+                fmt_pct(viral_fail),
+                self.market.viral_multiplier
+            ),
+            viral_fail,
+            Expect::MoreThan(0.3),
+            calm_fail < 0.05,
+        );
+        report.check(
+            "E18.congestion-tax",
+            "every unrelated user pays the congestion tax",
+            "storing state on-chain becomes extremely expensive (III-C P4)",
+            format!(
+                "median fee paid: {} -> {}",
+                fmt_f(calm_fee),
+                fmt_f(viral_fee)
+            ),
+            viral_fee,
+            Expect::MoreThan(2.0 * calm_fee),
+        );
+        report.check_with(
+            "E18.no-elasticity",
+            "the chain cannot scale out; a cloud can",
+            "(the paper's contrast with elastic cloud services)",
+            format!(
+                "fixed capacity: {} failures during the spike; provisioned capacity: {}; post-fad recovery to {}",
+                fmt_pct(viral_fail),
+                fmt_pct(provisioned.during.failure_rate()),
+                fmt_pct(after_fail)
+            ),
+            provisioned.during.failure_rate(),
+            Expect::LessThan(0.02),
+            after_fail < viral_fail / 2.0,
+        );
+        report
+    }
 }
 
 #[cfg(test)]
@@ -201,7 +170,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_the_incident() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

@@ -23,10 +23,7 @@ use decent_overlay::kademlia::{build_network, KadConfig, KadNode};
 use decent_sim::prelude::*;
 
 use crate::report::{Expect, ExperimentReport, Table};
-use crate::scenario::{self, Param, ParamSpec, Scenario};
-
-/// One-line title shared by the report header and the registry listing.
-pub const TITLE: &str = "Resilience across a partition-heal cycle: DHT vs. PBFT (II-B P2, IV)";
+use crate::scenario::{Experiment, Param};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -70,84 +67,10 @@ impl Default for Config {
 }
 
 impl Config {
-    /// A CI-sized configuration.
-    pub fn quick() -> Self {
-        Config {
-            kad_nodes: 150,
-            values: 40,
-            lookups_per_phase: 60,
-            ops_per_phase: 150,
-            ..Config::default()
-        }
-    }
-
     /// Nodes on the minority side of the DHT cut.
     fn minority_count(&self) -> usize {
         ((self.kad_nodes as f64 * self.partition_frac).round() as usize)
             .clamp(1, self.kad_nodes - 1)
-    }
-}
-
-/// Sweepable knobs: the FaultPlan itself is the axis here. The timeline
-/// below is derived from these so a sweep moves the scripted faults, and
-/// at the defaults every derived time lands exactly on the historical
-/// schedule (partition `[60 s, 120 s)`, burst `[180 s, 210 s)`).
-const PARAMS: &[Param<Config>] = &[
-    Param {
-        name: "partition_frac",
-        help: "fraction of DHT nodes cut off by the partition (0.05-0.9)",
-        get: |c| c.partition_frac,
-        set: |c, v| c.partition_frac = v.clamp(0.05, 0.9),
-    },
-    Param {
-        name: "partition_secs",
-        help: "partition duration before the heal, seconds (30-600)",
-        get: |c| c.partition_secs,
-        set: |c, v| c.partition_secs = v.clamp(30.0, 600.0),
-    },
-    Param {
-        name: "burst_secs",
-        help: "correlated crash-burst width, seconds (10-300)",
-        get: |c| c.burst_secs,
-        set: |c, v| c.burst_secs = v.clamp(10.0, 300.0),
-    },
-    Param {
-        name: "lookups_per_phase",
-        help: "value lookups issued per phase (min 10)",
-        get: |c| c.lookups_per_phase as f64,
-        set: |c, v| c.lookups_per_phase = v.round().max(10.0) as usize,
-    },
-];
-
-impl Scenario for Config {
-    fn id(&self) -> &'static str {
-        "E19"
-    }
-    fn description(&self) -> &'static str {
-        TITLE
-    }
-    fn seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-    fn set_seed(&mut self, seed: u64) -> bool {
-        self.seed = seed;
-        true
-    }
-    fn params(&self) -> Vec<ParamSpec> {
-        scenario::specs(PARAMS)
-    }
-    fn get_param(&self, name: &str) -> Option<f64> {
-        scenario::get_in(PARAMS, self, name)
-    }
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        scenario::set_in(PARAMS, self, name, value)
-    }
-    fn set_exec(&mut self, exec: scenario::ExecPolicy) -> bool {
-        self.shards = exec.shard_count();
-        true
-    }
-    fn run(&self) -> ExperimentReport {
-        run(self)
     }
 }
 
@@ -377,159 +300,213 @@ fn run_pbft(cfg: &Config) -> (PbftOutcome, MetricsSnapshot) {
     (out, sim.metrics_snapshot())
 }
 
-/// Runs E19 and produces the report.
-pub fn run(cfg: &Config) -> ExperimentReport {
-    let mut report = ExperimentReport::new("E19", TITLE);
-
-    let (dht, dht_metrics) = run_dht(cfg);
-    let mut t = Table::new(
-        "Kademlia value lookups under scripted faults",
-        &["phase", "issued", "completed", "success", "p50 latency"],
-    );
-    for p in &dht {
-        let mut lat = p.lat.clone();
-        t.row([
-            p.name.to_string(),
-            p.issued.to_string(),
-            p.done.to_string(),
-            fmt_pct(p.success()),
-            format!("{:.2} s", lat.percentile(0.5)),
-        ]);
-    }
-    report.table(t);
-
-    let (pbft, pbft_metrics) = run_pbft(cfg);
-    let mut t = Table::new(
-        "PBFT (n=7, f=2) across a 5/2 partition",
-        &[
-            "phase",
-            "majority executed",
-            "commit p50",
-            "minority executed",
-        ],
-    );
-    let pbft_rows = [
-        ("pre-partition", &pbft.maj_pre, pbft.min_pre),
-        ("partitioned", &pbft.maj_during, pbft.min_during),
-        ("healed", &pbft.maj_post, pbft.min_post),
+impl Experiment for Config {
+    const ID: &'static str = "E19";
+    const TITLE: &'static str =
+        "Resilience across a partition-heal cycle: DHT vs. PBFT (II-B P2, IV)";
+    /// Sweepable knobs: the FaultPlan itself is the axis here. The
+    /// `Timeline` is derived from these so a sweep moves the scripted
+    /// faults, and at the defaults every derived time lands exactly on the
+    /// historical schedule (partition `[60 s, 120 s)`, burst `[180 s, 210 s)`).
+    const PARAMS: &'static [Param<Self>] = &[
+        Param {
+            name: "partition_frac",
+            help: "fraction of DHT nodes cut off by the partition (0.05-0.9)",
+            get: |c| c.partition_frac,
+            set: |c, v| c.partition_frac = v.clamp(0.05, 0.9),
+        },
+        Param {
+            name: "partition_secs",
+            help: "partition duration before the heal, seconds (30-600)",
+            get: |c| c.partition_secs,
+            set: |c, v| c.partition_secs = v.clamp(30.0, 600.0),
+        },
+        Param {
+            name: "burst_secs",
+            help: "correlated crash-burst width, seconds (10-300)",
+            get: |c| c.burst_secs,
+            set: |c, v| c.burst_secs = v.clamp(10.0, 300.0),
+        },
+        Param {
+            name: "lookups_per_phase",
+            help: "value lookups issued per phase (min 10)",
+            get: |c| c.lookups_per_phase as f64,
+            set: |c, v| c.lookups_per_phase = v.round().max(10.0) as usize,
+        },
     ];
-    for (name, maj, min_execd) in pbft_rows {
-        let mut lat = maj.1.clone();
-        t.row([
-            name.to_string(),
-            maj.0.to_string(),
-            format!("{:.1} ms", lat.percentile(0.5) * 1e3),
-            min_execd.to_string(),
-        ]);
+
+    /// A CI-sized configuration.
+    fn quick() -> Self {
+        Config {
+            kad_nodes: 150,
+            values: 40,
+            lookups_per_phase: 60,
+            ops_per_phase: 150,
+            ..Config::default()
+        }
     }
-    report.table(t);
 
-    // --- DHT claims -----------------------------------------------------
-    let pre = dht[0].success();
-    let during = &dht[1];
-    let healed = &dht[2];
-    let burst = &dht[3];
-    report.check_with(
-        "E19.dht-degrades-gracefully",
-        "DHT keeps resolving through a partition",
-        "open overlays degrade gracefully where quorum systems halt (II-B P2)",
-        format!(
-            "majority-side success {} during the cut (pre-partition {}); all {} lookups terminated",
-            fmt_pct(during.success()),
-            fmt_pct(pre),
-            during.issued
-        ),
-        during.success(),
-        Expect::AtLeast(0.75),
-        during.done == during.issued,
-    );
-    report.check_with(
-        "E19.dht-recovers-after-heal",
-        "lookup success returns to baseline after the heal",
-        "churn-tolerant overlays re-absorb healed segments (II-B P2)",
-        format!(
-            "healed success {} vs. pre-partition {}",
-            fmt_pct(healed.success()),
-            fmt_pct(pre)
-        ),
-        healed.success(),
-        Expect::AtLeast(0.95),
-        healed.success() >= pre - 0.05,
-    );
-    report.check(
-        "E19.dht-survives-crash-burst",
-        "k-replication rides out a correlated crash burst",
-        "replication masks correlated failures short of a full replica-set loss",
-        format!(
-            "survivor-side success {} with a quarter of the network down",
-            fmt_pct(burst.success())
-        ),
-        burst.success(),
-        Expect::AtLeast(0.70),
-    );
+    fn seed_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seed)
+    }
 
-    // --- PBFT claims ----------------------------------------------------
-    let ops = cfg.ops_per_phase as f64;
-    report.check(
-        "E19.pbft-stalls-in-minority",
-        "the minority partition commits nothing",
-        "consensus is confined to subsets holding a quorum (IV)",
-        format!(
-            "minority executed {} of {} requests during the cut ({} view-change attempts)",
-            pbft.min_during, cfg.ops_per_phase, pbft.min_view_changes
-        ),
-        pbft.min_during as f64,
-        Expect::AtMost(0.0),
-    );
-    report.check_with(
-        "E19.pbft-majority-lives",
-        "the quorum side keeps committing at LAN latency",
-        "a 2f+1 subset makes progress regardless of the rest (IV)",
-        format!(
-            "majority executed {} of {} during the cut, commit p50 {:.1} ms",
-            pbft.maj_during.0,
-            cfg.ops_per_phase,
-            pbft.maj_during.1.clone().percentile(0.5) * 1e3
-        ),
-        pbft.maj_during.0 as f64 / ops,
-        Expect::AtLeast(0.999),
-        pbft.maj_during.1.clone().percentile(0.5) < 1.0,
-    );
-    report.check(
-        "E19.pbft-heals",
-        "post-heal requests commit cluster-wide again",
-        "progress resumes once the partition heals (IV)",
-        format!(
-            "majority executed {} of {} post-heal requests",
-            pbft.maj_post.0, cfg.ops_per_phase
-        ),
-        pbft.maj_post.0 as f64 / ops,
-        Expect::AtLeast(0.999),
-    );
-    report.structural(
-        "E19.minority-needs-state-transfer",
-        "a healed minority needs state transfer to catch up",
-        "managed deployments must provision recovery, not just consensus (IV)",
-        format!(
-            "minority executed {} requests post-heal: it re-joins consensus on new \
-             instances but cannot execute past its partition-era sequence gap \
-             without a state-transfer protocol, which this PBFT model omits",
-            pbft.min_post
-        ),
-    );
-    report.structural(
-        "E19.partition-drops-counted",
-        "the fault layer accounts for every boundary crossing",
-        "scripted faults make partition sensitivity measurable, not asserted",
-        format!(
-            "{} messages dropped at partition boundaries across both runs",
-            dht_metrics.counter("msgs_dropped_partition")
-                + pbft_metrics.counter("msgs_dropped_partition")
-        ),
-    );
-    report.absorb_metrics(dht_metrics);
-    report.absorb_metrics(pbft_metrics);
-    report
+    fn shards_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.shards)
+    }
+
+    fn run(&self) -> ExperimentReport {
+        let mut report = Self::report();
+
+        let (dht, dht_metrics) = run_dht(self);
+        let mut t = Table::new(
+            "Kademlia value lookups under scripted faults",
+            &["phase", "issued", "completed", "success", "p50 latency"],
+        );
+        for p in &dht {
+            let mut lat = p.lat.clone();
+            t.row([
+                p.name.to_string(),
+                p.issued.to_string(),
+                p.done.to_string(),
+                fmt_pct(p.success()),
+                format!("{:.2} s", lat.percentile(0.5)),
+            ]);
+        }
+        report.table(t);
+
+        let (pbft, pbft_metrics) = run_pbft(self);
+        let mut t = Table::new(
+            "PBFT (n=7, f=2) across a 5/2 partition",
+            &[
+                "phase",
+                "majority executed",
+                "commit p50",
+                "minority executed",
+            ],
+        );
+        let pbft_rows = [
+            ("pre-partition", &pbft.maj_pre, pbft.min_pre),
+            ("partitioned", &pbft.maj_during, pbft.min_during),
+            ("healed", &pbft.maj_post, pbft.min_post),
+        ];
+        for (name, maj, min_execd) in pbft_rows {
+            let mut lat = maj.1.clone();
+            t.row([
+                name.to_string(),
+                maj.0.to_string(),
+                format!("{:.1} ms", lat.percentile(0.5) * 1e3),
+                min_execd.to_string(),
+            ]);
+        }
+        report.table(t);
+
+        // --- DHT claims -----------------------------------------------------
+        let pre = dht[0].success();
+        let during = &dht[1];
+        let healed = &dht[2];
+        let burst = &dht[3];
+        report.check_with(
+            "E19.dht-degrades-gracefully",
+            "DHT keeps resolving through a partition",
+            "open overlays degrade gracefully where quorum systems halt (II-B P2)",
+            format!(
+                "majority-side success {} during the cut (pre-partition {}); all {} lookups terminated",
+                fmt_pct(during.success()),
+                fmt_pct(pre),
+                during.issued
+            ),
+            during.success(),
+            Expect::AtLeast(0.75),
+            during.done == during.issued,
+        );
+        report.check_with(
+            "E19.dht-recovers-after-heal",
+            "lookup success returns to baseline after the heal",
+            "churn-tolerant overlays re-absorb healed segments (II-B P2)",
+            format!(
+                "healed success {} vs. pre-partition {}",
+                fmt_pct(healed.success()),
+                fmt_pct(pre)
+            ),
+            healed.success(),
+            Expect::AtLeast(0.95),
+            healed.success() >= pre - 0.05,
+        );
+        report.check(
+            "E19.dht-survives-crash-burst",
+            "k-replication rides out a correlated crash burst",
+            "replication masks correlated failures short of a full replica-set loss",
+            format!(
+                "survivor-side success {} with a quarter of the network down",
+                fmt_pct(burst.success())
+            ),
+            burst.success(),
+            Expect::AtLeast(0.70),
+        );
+
+        // --- PBFT claims ----------------------------------------------------
+        let ops = self.ops_per_phase as f64;
+        report.check(
+            "E19.pbft-stalls-in-minority",
+            "the minority partition commits nothing",
+            "consensus is confined to subsets holding a quorum (IV)",
+            format!(
+                "minority executed {} of {} requests during the cut ({} view-change attempts)",
+                pbft.min_during, self.ops_per_phase, pbft.min_view_changes
+            ),
+            pbft.min_during as f64,
+            Expect::AtMost(0.0),
+        );
+        report.check_with(
+            "E19.pbft-majority-lives",
+            "the quorum side keeps committing at LAN latency",
+            "a 2f+1 subset makes progress regardless of the rest (IV)",
+            format!(
+                "majority executed {} of {} during the cut, commit p50 {:.1} ms",
+                pbft.maj_during.0,
+                self.ops_per_phase,
+                pbft.maj_during.1.clone().percentile(0.5) * 1e3
+            ),
+            pbft.maj_during.0 as f64 / ops,
+            Expect::AtLeast(0.999),
+            pbft.maj_during.1.clone().percentile(0.5) < 1.0,
+        );
+        report.check(
+            "E19.pbft-heals",
+            "post-heal requests commit cluster-wide again",
+            "progress resumes once the partition heals (IV)",
+            format!(
+                "majority executed {} of {} post-heal requests",
+                pbft.maj_post.0, self.ops_per_phase
+            ),
+            pbft.maj_post.0 as f64 / ops,
+            Expect::AtLeast(0.999),
+        );
+        report.structural(
+            "E19.minority-needs-state-transfer",
+            "a healed minority needs state transfer to catch up",
+            "managed deployments must provision recovery, not just consensus (IV)",
+            format!(
+                "minority executed {} requests post-heal: it re-joins consensus on new \
+                 instances but cannot execute past its partition-era sequence gap \
+                 without a state-transfer protocol, which this PBFT model omits",
+                pbft.min_post
+            ),
+        );
+        report.structural(
+            "E19.partition-drops-counted",
+            "the fault layer accounts for every boundary crossing",
+            "scripted faults make partition sensitivity measurable, not asserted",
+            format!(
+                "{} messages dropped at partition boundaries across both runs",
+                dht_metrics.counter("msgs_dropped_partition")
+                    + pbft_metrics.counter("msgs_dropped_partition")
+            ),
+        );
+        report.absorb_metrics(dht_metrics);
+        report.absorb_metrics(pbft_metrics);
+        report
+    }
 }
 
 #[cfg(test)]
@@ -538,7 +515,7 @@ mod tests {
 
     #[test]
     fn quick_run_survives_partition_heal_cycle() {
-        let r = run(&Config::quick());
+        let r = Config::quick().run();
         assert!(r.all_hold(), "{r}");
     }
 }

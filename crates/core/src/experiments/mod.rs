@@ -1,14 +1,15 @@
 //! One experiment per quantitative claim of the paper (see
-//! [`crate::claims`] for the mapping).
+//! [`crate::claims`] for the mapping), and the runner that turns a
+//! list of ids into a [`RunReport`].
 //!
-//! Every experiment exposes a `Config` (with `Default` = paper scale
-//! and `Config::quick()` = CI scale), a `run(&Config) ->
-//! ExperimentReport` entry point, and an implementation of
-//! [`crate::scenario::Scenario`] on its `Config`. The scenario registry
-//! ([`crate::scenario::all`]) is the single source of truth for ids and
-//! descriptions; the harness entry points here add seed overrides
-//! ([`run_seeded`]) and a deterministic parallel runner
-//! ([`run_report`]) that fans experiments across a thread pool.
+//! Every `eNN` module declares its experiment once, as an
+//! [`Experiment`](crate::scenario::Experiment) implementation on its
+//! `Config` (`Default` = paper scale, `quick()` = CI scale); the
+//! [`crate::scenario`] registry names each module on one line and
+//! everything else — listing, dispatch, seeding, sweeps — derives from
+//! those two places. To run one experiment, `scenario::build(id,
+//! quick)` it and call `run()`; to run several and collect the
+//! machine-readable report, use [`run_report`].
 
 pub mod e01;
 pub mod e02;
@@ -30,61 +31,12 @@ pub mod e17;
 pub mod e18;
 pub mod e19;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crate::report::{ExperimentReport, ExperimentRun, RunReport};
-use crate::scenario;
+use decent_sim::sweep::sweep_with;
 
-/// Runs one experiment by id at quick (CI) or full (paper) scale.
-///
-/// Returns `None` for an unknown id.
-pub fn run_by_id(id: &str, quick: bool) -> Option<ExperimentReport> {
-    run_seeded(id, quick, None)
-}
-
-/// Runs one experiment by id with an optional seed override.
-///
-/// `seed = None` keeps the experiment's built-in config seed (the
-/// reproducible default). E10 is closed-form arithmetic with no RNG, so
-/// a seed override is a no-op there ([`scenario::Scenario::set_seed`]
-/// returns `false`).
-///
-/// Returns `None` for an unknown id.
-pub fn run_seeded(id: &str, quick: bool, seed: Option<u64>) -> Option<ExperimentReport> {
-    run_seeded_exec(id, quick, seed, scenario::ExecPolicy::serial())
-}
-
-/// Runs one experiment by id with an optional seed override and an
-/// execution policy (shard count for the windowed parallel executor).
-///
-/// The policy is a pure execution knob: a scenario that accepts it
-/// ([`scenario::Scenario::set_exec`] returns `true`) produces the same
-/// report bytes at any shard count, and scenarios that cannot shard
-/// (their node types are not `Send`) silently stay serial. Either way
-/// the policy never appears in report JSON.
-///
-/// Returns `None` for an unknown id.
-pub fn run_seeded_exec(
-    id: &str,
-    quick: bool,
-    seed: Option<u64>,
-    exec: scenario::ExecPolicy,
-) -> Option<ExperimentReport> {
-    let mut s = scenario::build(id, quick)?;
-    if let Some(seed) = seed {
-        s.set_seed(seed);
-    }
-    if exec.shard_count() > 1 {
-        s.set_exec(exec);
-    }
-    Some(s.run())
-}
-
-/// Runs every experiment in registry order.
-pub fn run_all(quick: bool) -> Vec<ExperimentReport> {
-    scenario::all(quick).iter().map(|s| s.run()).collect()
-}
+use crate::report::{ExperimentRun, RunReport};
+use crate::scenario::{self, ExecPolicy, Scenario};
 
 /// Runs the given experiments across `jobs` worker threads and collects
 /// a [`RunReport`].
@@ -95,19 +47,23 @@ pub fn run_all(quick: bool) -> Vec<ExperimentReport> {
 /// per-experiment trace is bit-identical to a serial run. `jobs = 1`
 /// *is* the serial run — same code path, same report bytes.
 ///
+/// `seed = None` keeps each experiment's built-in config seed (the
+/// reproducible default); E10 has no RNG, so an override is a no-op
+/// there.
+///
 /// # Panics
 ///
 /// Panics on an unknown id (callers validate ids against
 /// [`scenario::ids`] first) or `jobs == 0`.
 pub fn run_report(ids: &[&str], quick: bool, seed: Option<u64>, jobs: usize) -> RunReport {
-    run_report_exec(ids, quick, seed, jobs, scenario::ExecPolicy::serial())
+    run_report_exec(ids, quick, seed, jobs, ExecPolicy::serial())
 }
 
 /// [`run_report`] with an execution policy for each experiment's inner
-/// simulations (see [`run_seeded_exec`]). Sharding composes with the
-/// experiment-level fan-out: `jobs` picks how many experiments run at
-/// once, `exec` picks how many worker threads each simulation uses, and
-/// neither knob changes a byte of the report.
+/// simulations. Sharding composes with the experiment-level fan-out:
+/// `jobs` picks how many experiments run at once, `exec` picks how many
+/// worker threads each simulation uses, and neither knob changes a byte
+/// of the report.
 ///
 /// # Panics
 ///
@@ -117,50 +73,28 @@ pub fn run_report_exec(
     quick: bool,
     seed: Option<u64>,
     jobs: usize,
-    exec: scenario::ExecPolicy,
+    exec: ExecPolicy,
 ) -> RunReport {
-    assert!(jobs > 0, "jobs must be >= 1");
-    for id in ids {
-        assert!(
-            scenario::build(id, quick).is_some(),
-            "unknown experiment id {id}"
-        );
-    }
-    let workers = jobs.min(ids.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<ExperimentRun>> = Vec::new();
-    slots.resize_with(ids.len(), || None);
-    // decent-lint: allow(D010) reason="experiment fan-out harness: one single-writer Mutex per result slot, never touched by sim events"
-    let slot_refs: Vec<std::sync::Mutex<&mut Option<ExperimentRun>>> =
-        // decent-lint: allow(D010) reason="see above: the constructor line of the same single-writer slot vector"
-        slots.iter_mut().map(std::sync::Mutex::new).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // decent-lint: allow(D007) reason="work-stealing cursor: claim order cannot affect results, which are written by input index"
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(id) = ids.get(i) else { break };
-                // decent-lint: allow(D002) reason="harness-only wall_ms measurement; excluded from the canonical report JSON (tests/run_report.rs pins this)"
-                let t0 = Instant::now();
-                let report = run_seeded_exec(id, quick, seed, exec).expect("id validated above");
-                let run = ExperimentRun {
-                    report,
-                    seed,
-                    wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                };
-                **slot_refs[i].lock().expect("slot lock") = Some(run);
-            });
+    let scenarios: Vec<Box<dyn Scenario>> = ids
+        .iter()
+        .map(|id| {
+            scenario::configure(id, quick, seed, exec)
+                .unwrap_or_else(|| panic!("unknown experiment id {id}"))
+        })
+        .collect();
+    let runs = sweep_with(&scenarios, jobs, |s| {
+        // decent-lint: allow(D002) reason="harness-only wall_ms measurement; excluded from the canonical report JSON (tests/run_report.rs pins this)"
+        let t0 = Instant::now();
+        let report = s.run();
+        ExperimentRun {
+            report,
+            seed,
+            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         }
     });
-
-    drop(slot_refs);
     RunReport {
         mode: if quick { "quick" } else { "full" }.to_string(),
-        runs: slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
-            .collect(),
+        runs,
     }
 }
 
@@ -169,15 +103,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unknown_id_is_none() {
-        assert!(run_by_id("E99", true).is_none());
-        assert!(run_seeded("", true, Some(1)).is_none());
+    #[should_panic(expected = "unknown experiment id E99")]
+    fn unknown_id_panics_before_anything_runs() {
+        run_report(&["E10", "E99"], true, None, 1);
     }
 
     #[test]
-    fn run_by_id_matches_registry_run() {
-        let direct = run_by_id("E10", true).expect("known id");
+    fn run_report_matches_registry_run() {
+        let direct = run_report(&["E10"], true, None, 1);
         let via_registry = scenario::build("E10", true).expect("known id").run();
-        assert_eq!(format!("{direct}"), format!("{via_registry}"));
+        assert_eq!(
+            format!("{}", direct.runs[0].report),
+            format!("{via_registry}")
+        );
     }
 }

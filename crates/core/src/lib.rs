@@ -13,7 +13,7 @@
 //!
 //! ```no_run
 //! // Run the selfish-mining experiment at CI scale and print it.
-//! let report = decent_core::experiments::run_by_id("E9", true).unwrap();
+//! let report = decent_core::scenario::build("E9", true).unwrap().run();
 //! println!("{report}");
 //! assert!(report.all_hold());
 //! ```

@@ -1,29 +1,21 @@
-//! The [`Scenario`] trait: one uniform surface over every experiment.
+//! The experiment layer's two traits and its registry.
 //!
-//! Each `experiments::eNN` module used to be a free-standing
-//! `Config` + `run()` pair, wired together by a `macro_rules!` dispatch
-//! and two hand-maintained `ALL`/`DESCRIPTIONS` arrays. This module
-//! replaces all of that with a trait implemented *by the config types
-//! themselves* and a single factory registry ([`build`] / [`all`] /
-//! [`ids`]) the `repro --list` output and the dispatch all derive
-//! from.
+//! An experiment is a **declaration**: its `Config` type implements
+//! [`Experiment`], stating once what only that experiment knows — id,
+//! title, the table of sweepable knobs, the two scales, where its seed
+//! lives, where a shard count goes, and how to run. Everything else is
+//! derived from the declaration here:
 //!
-//! A scenario exposes:
-//!
-//! - identity: [`Scenario::id`] and [`Scenario::description`] (the same
-//!   title string the experiment's report header uses, so the listing
-//!   can never drift from the reports);
-//! - seeding: [`Scenario::seed`] / [`Scenario::set_seed`]. `set_seed`
-//!   returns whether the scenario actually consumes the seed — E10 is
-//!   closed-form arithmetic with no RNG, so a `--seed` override is
-//!   visibly a no-op there instead of a silently accepted one;
-//! - a typed parameter map ([`Scenario::params`]): named `f64`
-//!   getter/setter views over the config's sweepable knobs, which is
-//!   what makes generic sensitivity analysis
-//!   ([`crate::sensitivity`]) possible without bespoke per-experiment
-//!   code;
-//! - execution: [`Scenario::run`] produces the
-//!   [`ExperimentReport`].
+//! - the object-safe [`Scenario`] surface (identity, seeding, the
+//!   name → `f64` parameter map, execution policy, `run`) is
+//!   implemented once, for every [`Experiment`];
+//! - the registry is one line per experiment; [`ids`], [`all`] and
+//!   [`build`] read it, and `repro --list`, the runners
+//!   ([`crate::experiments`]) and the sweeps ([`crate::sensitivity`])
+//!   go through those;
+//! - the report header comes from the same `ID`/`TITLE` consts
+//!   ([`Experiment::report`]), so a listing line and a report cannot
+//!   disagree.
 //!
 //! Integer-valued knobs round-trip exactly through their `f64` views
 //! (`get` widens, `set` rounds), so setting a parameter to its current
@@ -36,9 +28,8 @@ use crate::experiments::{
 use crate::report::ExperimentReport;
 
 /// A named, documented `f64` view over one sweepable knob of a config
-/// type `C`. Experiment modules declare a `&[Param<Config>]` table and
-/// forward the trait's param methods to it via [`specs`], [`get_in`]
-/// and [`set_in`].
+/// type `C`. Each experiment declares its table as
+/// [`Experiment::PARAMS`].
 pub struct Param<C> {
     /// Parameter name (stable: `repro --sweep EXP:name=..` keys on it).
     pub name: &'static str,
@@ -62,44 +53,6 @@ pub struct ParamSpec {
     pub help: &'static str,
 }
 
-/// Type-erased specs for a module's param table.
-pub fn specs<C>(params: &[Param<C>]) -> Vec<ParamSpec> {
-    params
-        .iter()
-        .map(|p| ParamSpec {
-            name: p.name,
-            help: p.help,
-        })
-        .collect()
-}
-
-/// Reads the named parameter from `cfg`, if the table declares it.
-pub fn get_in<C>(params: &[Param<C>], cfg: &C, name: &str) -> Option<f64> {
-    params.iter().find(|p| p.name == name).map(|p| (p.get)(cfg))
-}
-
-/// Writes the named parameter into `cfg`. Rejects unknown names (the
-/// error lists what *is* sweepable) and non-finite values.
-pub fn set_in<C>(params: &[Param<C>], cfg: &mut C, name: &str, value: f64) -> Result<(), String> {
-    if !value.is_finite() {
-        return Err(format!("parameter {name} must be finite, got {value}"));
-    }
-    match params.iter().find(|p| p.name == name) {
-        Some(p) => {
-            (p.set)(cfg, value);
-            Ok(())
-        }
-        None => {
-            let known: Vec<&str> = params.iter().map(|p| p.name).collect();
-            Err(if known.is_empty() {
-                format!("unknown parameter {name} (this scenario has no sweepable parameters)")
-            } else {
-                format!("unknown parameter {name} (sweepable: {})", known.join(", "))
-            })
-        }
-    }
-}
-
 /// How a scenario should *execute* — knobs that change wall-clock
 /// behaviour but, by the engine's determinism contract, never results.
 ///
@@ -110,7 +63,7 @@ pub fn set_in<C>(params: &[Param<C>], cfg: &mut C, name: &str, value: f64) -> Re
 pub struct ExecPolicy {
     /// Worker shards per simulation (`0` or `1` = serial). Applied via
     /// [`Simulation::set_shards`](decent_sim::engine::Simulation::set_shards)
-    /// by scenarios whose node state is `Send`.
+    /// by every scenario that runs simulations.
     pub shards: usize,
 }
 
@@ -131,18 +84,51 @@ impl ExecPolicy {
     }
 }
 
+/// What an experiment declares about itself, on its `Config` type
+/// (`Default` = paper scale). [`Scenario`] is derived from this.
+pub trait Experiment: Clone + Default + Send + Sync + 'static {
+    /// Stable experiment id (`"E1"` … `"E19"`).
+    const ID: &'static str;
+    /// One-line title: the report header and the `repro --list` line.
+    const TITLE: &'static str;
+    /// The sweepable knobs.
+    const PARAMS: &'static [Param<Self>];
+
+    /// A CI-sized configuration.
+    fn quick() -> Self;
+
+    /// The base RNG seed the run derives its streams from, or `None`
+    /// for a closed-form experiment with no RNG (E10).
+    fn seed_mut(&mut self) -> Option<&mut u64>;
+
+    /// Where the shard count of the experiment's simulations goes.
+    /// `None` (the default) is for experiments with no discrete-event
+    /// loop: closed-form or Monte Carlo, nothing to shard.
+    fn shards_mut(&mut self) -> Option<&mut usize> {
+        None
+    }
+
+    /// Runs the experiment on this config.
+    fn run(&self) -> ExperimentReport;
+
+    /// An empty report carrying this experiment's id and title.
+    fn report() -> ExperimentReport {
+        ExperimentReport::new(Self::ID, Self::TITLE)
+    }
+}
+
 /// One experiment behind a uniform, object-safe surface: identity,
-/// seeding, a typed parameter map, and execution.
+/// seeding, a typed parameter map, execution policy and `run`.
 ///
-/// Implemented by each experiment's `Config` type; constructed through
-/// the registry ([`build`] / [`all`]) at either scale (`quick` = CI,
-/// default = paper).
-pub trait Scenario: Send {
+/// Implemented once, below, for every [`Experiment`]; constructed
+/// through the registry ([`build`] / [`all`]) at either scale
+/// (`quick` = CI, default = paper).
+pub trait Scenario: Send + Sync {
     /// Stable experiment id (`"E1"` … `"E19"`).
     fn id(&self) -> &'static str;
 
     /// One-line title — the same string the experiment's report header
-    /// carries, so `repro --list` and the reports cannot drift apart.
+    /// carries.
     fn description(&self) -> &'static str;
 
     /// The base RNG seed the run derives its streams from, or `None`
@@ -161,194 +147,153 @@ pub trait Scenario: Send {
     /// Reads a knob by name (`None` = not a declared parameter).
     fn get_param(&self, name: &str) -> Option<f64>;
 
-    /// Writes a knob by name; errors name the sweepable set.
+    /// Writes a knob by name. Rejects unknown names (the error lists
+    /// what *is* sweepable) and non-finite values.
     fn set_param(&mut self, name: &str, value: f64) -> Result<(), String>;
 
-    /// Applies an execution policy (`repro --shards N`).
-    ///
-    /// Returns whether the scenario honours it. Every registered
-    /// experiment now does — all node state is `Send` — so the default
-    /// `false` exists only as a guard for future scenarios that cannot
-    /// shard; closed-form scenarios with no simulation (E10) honour it
-    /// vacuously. Either way the results are byte-identical; only
-    /// wall-clock changes.
-    fn set_exec(&mut self, exec: ExecPolicy) -> bool {
-        let _ = exec;
-        false
-    }
+    /// Applies an execution policy (`repro --shards N`) to the
+    /// scenario's simulations; a scenario without an event loop has
+    /// nothing to apply it to. Either way the results are
+    /// byte-identical; only wall-clock changes.
+    fn set_exec(&mut self, exec: ExecPolicy);
 
     /// Runs the experiment on the current config.
     fn run(&self) -> ExperimentReport;
 }
 
-/// Builds one scenario at quick (CI) or default (paper) scale.
-type Factory = fn(bool) -> Box<dyn Scenario>;
+impl<E: Experiment> Scenario for E {
+    fn id(&self) -> &'static str {
+        E::ID
+    }
+    fn description(&self) -> &'static str {
+        E::TITLE
+    }
+    fn seed(&self) -> Option<u64> {
+        // The declaration names the seed's place once, as `seed_mut`;
+        // reading it goes through a scratch copy of the (small) config.
+        self.clone().seed_mut().copied()
+    }
+    fn set_seed(&mut self, seed: u64) -> bool {
+        self.seed_mut().map(|s| *s = seed).is_some()
+    }
+    fn params(&self) -> Vec<ParamSpec> {
+        E::PARAMS
+            .iter()
+            .map(|p| ParamSpec {
+                name: p.name,
+                help: p.help,
+            })
+            .collect()
+    }
+    fn get_param(&self, name: &str) -> Option<f64> {
+        E::PARAMS
+            .iter()
+            .find(|p| p.name == name)
+            .map(|p| (p.get)(self))
+    }
+    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
+        if !value.is_finite() {
+            return Err(format!("parameter {name} must be finite, got {value}"));
+        }
+        match E::PARAMS.iter().find(|p| p.name == name) {
+            Some(p) => {
+                (p.set)(self, value);
+                Ok(())
+            }
+            None => {
+                let known: Vec<&str> = E::PARAMS.iter().map(|p| p.name).collect();
+                Err(if known.is_empty() {
+                    format!("unknown parameter {name} (this scenario has no sweepable parameters)")
+                } else {
+                    format!("unknown parameter {name} (sweepable: {})", known.join(", "))
+                })
+            }
+        }
+    }
+    fn set_exec(&mut self, exec: ExecPolicy) {
+        if let Some(shards) = self.shards_mut() {
+            *shards = exec.shard_count();
+        }
+    }
+    fn run(&self) -> ExperimentReport {
+        Experiment::run(self)
+    }
+}
 
-/// The experiment registry: one factory per experiment, in id order.
-/// This is the single source of truth — ids ([`ids`]), listings, and
-/// dispatch ([`build`]) all derive from it. E1–E15 reproduce the
-/// paper's explicit quantitative claims; E16–E18 cover the secondary
-/// claims it makes in passing (nothing-at-stake, layer-2
+/// One registry line: an experiment's id and how to construct it at
+/// quick (CI) or default (paper) scale.
+struct Entry {
+    id: &'static str,
+    build: fn(bool) -> Box<dyn Scenario>,
+}
+
+const fn entry<E: Experiment>() -> Entry {
+    Entry {
+        id: E::ID,
+        build: |quick| Box::new(if quick { E::quick() } else { E::default() }),
+    }
+}
+
+/// The experiment registry, in id order: ids ([`ids`]), listings
+/// ([`all`]) and dispatch ([`build`]) all read it. E1–E15 reproduce
+/// the paper's explicit quantitative claims; E16–E18 cover the
+/// secondary claims it makes in passing (nothing-at-stake, layer-2
 /// centralization, dapp congestion); E19 stresses both architectures
 /// with scripted fault injection.
-const FACTORIES: [Factory; 19] = [
-    |q| {
-        Box::new(if q {
-            e01::Config::quick()
-        } else {
-            e01::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e02::Config::quick()
-        } else {
-            e02::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e03::Config::quick()
-        } else {
-            e03::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e04::Config::quick()
-        } else {
-            e04::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e05::Config::quick()
-        } else {
-            e05::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e06::Config::quick()
-        } else {
-            e06::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e07::Config::quick()
-        } else {
-            e07::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e08::Config::quick()
-        } else {
-            e08::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e09::Config::quick()
-        } else {
-            e09::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e10::Config::quick()
-        } else {
-            e10::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e11::Config::quick()
-        } else {
-            e11::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e12::Config::quick()
-        } else {
-            e12::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e13::Config::quick()
-        } else {
-            e13::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e14::Config::quick()
-        } else {
-            e14::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e15::Config::quick()
-        } else {
-            e15::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e16::Config::quick()
-        } else {
-            e16::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e17::Config::quick()
-        } else {
-            e17::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e18::Config::quick()
-        } else {
-            e18::Config::default()
-        })
-    },
-    |q| {
-        Box::new(if q {
-            e19::Config::quick()
-        } else {
-            e19::Config::default()
-        })
-    },
+const REGISTRY: [Entry; 19] = [
+    entry::<e01::Config>(),
+    entry::<e02::Config>(),
+    entry::<e03::Config>(),
+    entry::<e04::Config>(),
+    entry::<e05::Config>(),
+    entry::<e06::Config>(),
+    entry::<e07::Config>(),
+    entry::<e08::Config>(),
+    entry::<e09::Config>(),
+    entry::<e10::Config>(),
+    entry::<e11::Config>(),
+    entry::<e12::Config>(),
+    entry::<e13::Config>(),
+    entry::<e14::Config>(),
+    entry::<e15::Config>(),
+    entry::<e16::Config>(),
+    entry::<e17::Config>(),
+    entry::<e18::Config>(),
+    entry::<e19::Config>(),
 ];
-
-/// Number of registered scenarios.
-pub fn count() -> usize {
-    FACTORIES.len()
-}
 
 /// Registered experiment ids, in registry order.
 pub fn ids() -> Vec<&'static str> {
-    FACTORIES.iter().map(|f| f(true).id()).collect()
+    REGISTRY.iter().map(|e| e.id).collect()
 }
 
 /// Builds every scenario at the given scale, in registry order.
 pub fn all(quick: bool) -> Vec<Box<dyn Scenario>> {
-    FACTORIES.iter().map(|f| f(quick)).collect()
+    REGISTRY.iter().map(|e| (e.build)(quick)).collect()
 }
 
 /// Builds one scenario by id (case-insensitive: `"e19"` works).
 /// Returns `None` for an unknown id.
 pub fn build(id: &str, quick: bool) -> Option<Box<dyn Scenario>> {
-    FACTORIES
-        .iter()
-        .map(|f| f(quick))
-        .find(|s| s.id().eq_ignore_ascii_case(id))
+    let entry = REGISTRY.iter().find(|e| e.id.eq_ignore_ascii_case(id))?;
+    Some((entry.build)(quick))
+}
+
+/// [`build`], then the seed override (if any) and the execution
+/// policy: the one way a point run and a sweep point get a scenario
+/// ready to run.
+pub(crate) fn configure(
+    id: &str,
+    quick: bool,
+    seed: Option<u64>,
+    exec: ExecPolicy,
+) -> Option<Box<dyn Scenario>> {
+    let mut s = build(id, quick)?;
+    if let Some(seed) = seed {
+        s.set_seed(seed);
+    }
+    s.set_exec(exec);
+    Some(s)
 }
 
 #[cfg(test)]
@@ -358,19 +303,44 @@ mod tests {
     #[test]
     fn registry_ids_are_unique_and_well_formed() {
         let ids = ids();
-        assert_eq!(ids.len(), count());
+        assert_eq!(ids.len(), REGISTRY.len());
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(*id, format!("E{}", i + 1), "registry must stay in id order");
             assert!(ids.iter().filter(|x| **x == *id).count() == 1, "dup {id}");
+        }
+        // The id on a registry line is the id of what that line builds,
+        // at both scales, and `all` is `build` over `ids`.
+        for quick in [true, false] {
+            let all = all(quick);
+            assert_eq!(all.len(), ids.len());
+            for (id, s) in ids.iter().zip(&all) {
+                assert_eq!(s.id(), *id);
+                assert_eq!(build(id, quick).expect("listed id builds").id(), *id);
+            }
         }
     }
 
     #[test]
     fn build_is_case_insensitive_and_rejects_unknown() {
-        assert_eq!(build("e19", true).unwrap().id(), "E19");
-        assert_eq!(build("E7", false).unwrap().id(), "E7");
-        assert!(build("E99", true).is_none());
-        assert!(build("", true).is_none());
+        for quick in [true, false] {
+            assert_eq!(build("e19", quick).unwrap().id(), "E19");
+            assert_eq!(build("E7", quick).unwrap().id(), "E7");
+            assert!(build("E99", quick).is_none());
+            assert!(build("", quick).is_none());
+        }
+        // The listing line is the module's title const, not a copy.
+        assert_eq!(
+            build("e1", true).unwrap().description(),
+            <e01::Config as Experiment>::TITLE
+        );
+        assert_eq!(
+            build("E10", false).unwrap().description(),
+            <e10::Config as Experiment>::TITLE
+        );
+        assert_eq!(
+            e19::Config::report().title,
+            build("E19", true).unwrap().description()
+        );
     }
 
     #[test]
@@ -413,14 +383,18 @@ mod tests {
 
     #[test]
     fn e10_is_visibly_seedless() {
-        let mut s = build("E10", true).unwrap();
-        assert_eq!(s.seed(), None);
-        assert!(!s.set_seed(42), "E10 must report the seed as unused");
-        // Every other scenario consumes its seed.
-        for mut s in all(true) {
-            if s.id() != "E10" {
-                assert!(s.set_seed(7), "{} should use seeds", s.id());
-                assert_eq!(s.seed(), Some(7));
+        for quick in [true, false] {
+            // Every scenario but E10 consumes its seed.
+            for mut s in all(quick) {
+                if s.id() == "E10" {
+                    assert_eq!(s.seed(), None);
+                    assert!(!s.set_seed(42), "E10 must report the seed as unused");
+                    assert_eq!(s.seed(), None);
+                } else {
+                    assert!(s.seed().is_some(), "{} has a built-in seed", s.id());
+                    assert!(s.set_seed(7), "{} should use seeds", s.id());
+                    assert_eq!(s.seed(), Some(7));
+                }
             }
         }
     }

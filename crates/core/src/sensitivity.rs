@@ -378,19 +378,9 @@ impl SweepReport {
 /// built-in seed as the base. Either way point `i` runs at
 /// [`point_seed`]`(base, i)`. Seedless scenarios (E10) run every point
 /// unseeded — their curve still varies through the parameter itself.
+/// `exec` is applied to every grid point; shards compose with `jobs`
+/// and change nothing in the sweep output.
 pub fn run_sweep(
-    spec: &SweepSpec,
-    quick: bool,
-    seed: Option<u64>,
-    jobs: usize,
-) -> Result<SweepReport, String> {
-    run_sweep_exec(spec, quick, seed, jobs, scenario::ExecPolicy::serial())
-}
-
-/// [`run_sweep`] with an execution policy applied to every grid point
-/// (see [`crate::experiments::run_seeded_exec`]). Shards compose with
-/// `jobs` and change nothing in the sweep output.
-pub fn run_sweep_exec(
     spec: &SweepSpec,
     quick: bool,
     seed: Option<u64>,
@@ -434,21 +424,15 @@ pub fn run_sweep_exec(
     let values = grid(spec.lo, spec.hi, spec.steps);
     let indexed: Vec<(usize, f64)> = values.into_iter().enumerate().collect();
     let points = sweep_with(&indexed, jobs, |&(i, requested)| {
-        let mut s = scenario::build(&spec.exp, quick).expect("id validated above");
+        let seed = base_seed.map(|base| point_seed(base, i));
+        let mut s = scenario::configure(&spec.exp, quick, seed, exec).expect("id validated above");
         s.set_param(&spec.param, requested)
             .expect("param validated above");
         let applied = s.get_param(&spec.param).expect("param validated above");
-        let seed_used = base_seed.and_then(|base| {
-            let p = point_seed(base, i);
-            s.set_seed(p).then_some(p)
-        });
-        if exec.shard_count() > 1 {
-            s.set_exec(exec);
-        }
         SweepPoint {
             requested,
             applied,
-            seed: seed_used,
+            seed: s.seed(),
             report: s.run(),
         }
     });
@@ -477,6 +461,7 @@ pub fn run_sweep_exec(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ExecPolicy;
 
     #[test]
     fn spec_parses_the_cli_syntax() {
@@ -527,10 +512,10 @@ mod tests {
     #[test]
     fn run_sweep_rejects_unknown_ids_and_params() {
         let spec = SweepSpec::parse("E99:x=0..1:2").unwrap();
-        let err = run_sweep(&spec, true, None, 1).unwrap_err();
+        let err = run_sweep(&spec, true, None, 1, ExecPolicy::serial()).unwrap_err();
         assert!(err.contains("unknown experiment"), "{err}");
         let spec = SweepSpec::parse("E10:frobnication=0..1:2").unwrap();
-        let err = run_sweep(&spec, true, None, 1).unwrap_err();
+        let err = run_sweep(&spec, true, None, 1, ExecPolicy::serial()).unwrap_err();
         assert!(err.contains("unknown parameter"), "{err}");
         assert!(err.contains("tps"), "error lists the knobs: {err}");
     }
@@ -538,8 +523,8 @@ mod tests {
     #[test]
     fn e10_sweep_runs_seedless_and_deterministic() {
         let spec = SweepSpec::parse("E10:tps=3.5..7:2").unwrap();
-        let a = run_sweep(&spec, true, None, 1).unwrap();
-        let b = run_sweep(&spec, true, Some(42), 2).unwrap();
+        let a = run_sweep(&spec, true, None, 1, ExecPolicy::serial()).unwrap();
+        let b = run_sweep(&spec, true, Some(42), 2, ExecPolicy::serial()).unwrap();
         assert_eq!(a.points.len(), 2);
         assert!(a.points.iter().all(|p| p.seed.is_none()));
         // Seed overrides cannot perturb a seedless scenario's curve.

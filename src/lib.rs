@@ -21,10 +21,10 @@
 //! # Examples
 //!
 //! ```
-//! use decent::core::experiments;
+//! use decent::core::scenario;
 //!
 //! // Check one of the paper's claims end to end (CI scale).
-//! let report = experiments::run_by_id("E10", true).unwrap();
+//! let report = scenario::build("E10", true).unwrap().run();
 //! assert!(report.all_hold());
 //! ```
 //!

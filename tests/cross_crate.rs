@@ -1,7 +1,7 @@
 //! Cross-crate integration: scenarios that span the substrate crates,
 //! plus consistency of the claim catalog with the experiment registry.
 
-use decent::core::{claims, experiments, scenario};
+use decent::core::{claims, scenario};
 use decent::sim::prelude::*;
 
 /// Every claim maps to a registered scenario and vice versa.
@@ -14,12 +14,12 @@ fn claims_and_experiments_are_in_bijection() {
     assert_eq!(claimed, registered);
 }
 
-/// `run_by_id` rejects unknown ids and accepts every registered one
+/// The registry rejects unknown ids and dispatches a registered one
 /// (checked cheaply via the experiment that needs no simulation).
 #[test]
 fn experiment_registry_dispatches() {
-    assert!(experiments::run_by_id("E99", true).is_none());
-    let r = experiments::run_by_id("E10", true).expect("registered");
+    assert!(scenario::build("E99", true).is_none());
+    let r = scenario::build("E10", true).expect("registered").run();
     assert_eq!(r.id, "E10");
     assert!(!r.tables.is_empty());
     assert!(!r.findings.is_empty());

@@ -120,7 +120,7 @@ fn edge_workload_is_deterministic() {
 #[test]
 fn experiment_reports_are_deterministic() {
     // A cheap experiment, run twice end to end.
-    let a = decent::core::experiments::run_by_id("E10", true).unwrap();
-    let b = decent::core::experiments::run_by_id("E10", true).unwrap();
+    let a = decent::core::scenario::build("E10", true).unwrap().run();
+    let b = decent::core::scenario::build("E10", true).unwrap().run();
     assert_eq!(a, b);
 }

@@ -8,8 +8,7 @@
 //! equivalence guarantee, not just internal consistency.
 
 use decent_chain::node::{build_network as chain_build, report as chain_report, NetworkConfig};
-use decent_core::experiments;
-use decent_core::scenario::ExecPolicy;
+use decent_core::scenario::{self, ExecPolicy};
 use decent_overlay::id::Key;
 use decent_overlay::kademlia::{build_network as kad_build, KadConfig};
 use decent_sim::prelude::*;
@@ -36,7 +35,9 @@ fn assert_findings_exec(
     md_fnv: u64,
     md_len: usize,
 ) {
-    let rep = experiments::run_seeded_exec(id, true, None, exec).expect("known experiment id");
+    let mut scenario = scenario::build(id, true).expect("known experiment id");
+    scenario.set_exec(exec);
+    let rep = scenario.run();
     let got: Vec<(String, String)> = rep
         .findings
         .iter()

@@ -486,7 +486,7 @@ proptest! {
     // scenario, "set" the swept parameter to a grid holding only its
     // current value, derive point seed 0 (== the base seed), run. If
     // any of those steps perturbed the config or an RNG stream, the
-    // rendered report would differ from a plain `run_seeded` call.
+    // rendered report would differ from a plain `run_report` call.
     // Cheap experiments only (the same trio the run-report tests
     // use); the property is about the harness, not the workload.
     #[test]
@@ -496,7 +496,8 @@ proptest! {
         seed in proptest::option::of(any::<u64>()),
     ) {
         use decent::core::sensitivity::{run_sweep, SweepSpec};
-        use decent::core::{experiments, scenario};
+        use decent::core::scenario::{self, ExecPolicy};
+        use decent::core::experiments::run_report;
         const CHEAP: [&str; 3] = ["E10", "E16", "E18"];
         let id = CHEAP[which];
         let probe = scenario::build(id, true).expect("registered id");
@@ -510,8 +511,8 @@ proptest! {
             hi: v,
             steps: 1,
         };
-        let sweep = run_sweep(&spec, true, seed, 1).expect("valid sweep");
-        let direct = experiments::run_seeded(id, true, seed).expect("registered id");
+        let sweep = run_sweep(&spec, true, seed, 1, ExecPolicy::serial()).expect("valid sweep");
+        let direct = &run_report(&[id], true, seed, 1).runs[0].report;
         prop_assert_eq!(sweep.points.len(), 1);
         prop_assert_eq!(sweep.points[0].applied, v);
         prop_assert_eq!(
