@@ -20,8 +20,9 @@
 //!
 //! Experiments are independent simulations, so they fan out across a
 //! thread pool (`--jobs`, default = available cores). Within one
-//! experiment, `--shards N` runs each simulation on the engine's
-//! windowed sharded executor (N worker threads per simulation; default
+//! experiment, `--shards N` lets each simulation use the engine's
+//! windowed sharded executor (up to N worker threads, wherever its
+//! conservative windows are full enough to repay their barrier; default
 //! 1 = serial). Parallelism never changes results on either axis: each
 //! experiment seeds its own RNG streams, the sharded executor commits
 //! events in the exact serial `(time, seq)` order, and the canonical

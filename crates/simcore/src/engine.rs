@@ -71,6 +71,7 @@ use crate::metrics::{LogHistogram, Metric, MetricsSnapshot};
 use crate::net::NetworkModel;
 use crate::rng::{derive_seed, rng_from_seed, SimRng};
 use crate::sched::{BinaryHeapScheduler, Scheduler, TimingWheel};
+use crate::shard::Policy;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EventTag, Trace};
 
@@ -91,6 +92,12 @@ pub(crate) const DRIVER_ORIGIN: u32 = u32::MAX;
 /// the `(time, seq)` schedule execution-strategy-independent.
 pub(crate) fn pack_seq(origin: u32, ctr: u32) -> u64 {
     ((origin as u64) << 32) | ctr as u64
+}
+
+/// Whether an event at `t` fires in an advance to `limit`.
+#[inline]
+pub(crate) fn due(t: SimTime, limit: SimTime, inclusive: bool) -> bool {
+    t < limit || (t == limit && inclusive)
 }
 
 /// A protocol participant.
@@ -473,21 +480,30 @@ pub(crate) struct Core<S> {
     /// Per-node network-model RNG streams, outside the node store so
     /// the commit phase can route messages while workers hold the rows.
     pub(crate) net_rngs: Vec<SimRng>,
-    /// One event queue per shard; events for node `n` live in queue
-    /// `n % shards`. Serial execution uses a single queue.
-    pub(crate) queues: Vec<S>,
+    /// The serial layout: every pending event, in one queue. Empty
+    /// while the windowed layout holds the events.
+    pub(crate) queue: S,
+    /// The windowed layout: one queue per shard, events for node `n` in
+    /// queue `n % shards`. Empty in the serial layout.
+    pub(crate) shard_queues: Vec<S>,
+    /// The shard count asked for with [`Simulation::set_shards`]; which
+    /// layout the events are in is the policy's decision, not this.
     pub(crate) shards: usize,
+    /// When a conservative window repays its barrier (see `shard.rs`).
+    pub(crate) policy: Policy,
     pub(crate) now: SimTime,
     pub(crate) net: Box<dyn NetworkModel>,
     pub(crate) counters: Counters,
     pub(crate) events_processed: u64,
-    /// Conservative windows executed by the sharded path (zero on
-    /// serial runs). Like `activations`, a deterministic cost counter
-    /// for the bench harness — the per-link lookahead's whole point is
-    /// fewer, wider windows — and deliberately *not* part of
-    /// [`Simulation::metrics_snapshot`], so window policy can change
-    /// without touching observable output.
+    /// Conservative windows executed on worker threads (zero while the
+    /// policy keeps a run serial). Like `activations`, a deterministic
+    /// cost counter for the bench harness — the per-link lookahead's
+    /// whole point is fewer, wider windows — and deliberately *not*
+    /// part of [`Simulation::metrics_snapshot`], so window policy can
+    /// change without touching observable output.
     pub(crate) windows: u64,
+    /// Moves between the serial and the windowed layout, either way.
+    pub(crate) switches: u64,
     /// Events ever pushed (queues and hooks), engine-tracked so the
     /// count is identical across schedulers and shard counts.
     scheduled: u64,
@@ -510,6 +526,14 @@ impl<S> Core<S> {
         self.pending -= 1;
         if let Some(trace) = &mut self.trace {
             trace.record(time, node, tag);
+        }
+    }
+
+    /// Ends an advance that ran out of due events: an inclusive bound is
+    /// reached even when nothing fires at it.
+    pub(crate) fn finish_advance(&mut self, limit: SimTime, inclusive: bool) {
+        if self.now < limit && inclusive && limit != SimTime::MAX {
+            self.now = limit;
         }
     }
 
@@ -555,8 +579,13 @@ impl<M: Clone, S: Scheduler<EngineEvent<M>>> Sink<M> for Core<S> {
 
     fn push(&mut self, time: SimTime, seq: u64, ev: EngineEvent<M>) {
         self.note_pushed(1);
-        let qi = ev.node % self.shards;
-        self.queues[qi].schedule(time, seq, ev);
+        match &mut self.shard_queues[..] {
+            [] => self.queue.schedule(time, seq, ev),
+            queues => {
+                let qi = ev.node % queues.len();
+                queues[qi].schedule(time, seq, ev);
+            }
+        }
     }
 
     fn send(&mut self, send: SendRec<M>) {
@@ -602,9 +631,9 @@ impl<N: Node, S: Scheduler<EngineEvent<<N as Node>::Msg>>> SchedulerFor<N> for S
 /// whose scheduling pattern defeats the wheel.
 pub type HeapSim<N> = Simulation<N, BinaryHeapScheduler<EngineEvent<<N as Node>::Msg>>>;
 
-/// A monomorphized windowed (sharded) executor, installed by
-/// [`Simulation::set_shards`].
-type WindowedFn<N, S> = fn(&mut Simulation<N, S>, SimTime, bool);
+/// The monomorphized adaptive (serial or windowed) executor, installed
+/// by [`Simulation::set_shards`].
+type AdaptiveFn<N, S> = fn(&mut Simulation<N, S>, SimTime, bool);
 
 /// A deterministic discrete-event simulation over nodes of type `N`.
 ///
@@ -622,9 +651,10 @@ pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
     /// models each in their own dense array (see [`crate::arena`]).
     pub(crate) store: NodeStore<N>,
     pub(crate) core: Core<S>,
-    /// Monomorphized windowed executor, set by [`Simulation::set_shards`]
-    /// (where the `Send` bounds it needs are available).
-    windowed: Option<WindowedFn<N, S>>,
+    /// Monomorphized adaptive executor, set by [`Simulation::set_shards`]
+    /// (where the `Send` bounds it needs are available) while more than
+    /// one shard is asked for.
+    adaptive: Option<AdaptiveFn<N, S>>,
     /// Driver hooks, kept out of the event queues so sharded execution
     /// can advance node events in parallel and still hand hooks to the
     /// driver serially, in deterministic `(time, seq)` order.
@@ -664,19 +694,22 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
             store: NodeStore::new(),
             core: Core {
                 net_rngs: Vec::new(),
-                queues: vec![S::new()],
+                queue: S::new(),
+                shard_queues: Vec::new(),
                 shards: 1,
+                policy: Policy::new(false),
                 now: SimTime::ZERO,
                 net: Box::new(net),
                 counters: Counters::default(),
                 events_processed: 0,
                 windows: 0,
+                switches: 0,
                 scheduled: 0,
                 pending: 0,
                 peak_pending: 0,
                 trace: None,
             },
-            windowed: None,
+            adaptive: None,
             hooks: BinaryHeap::new(),
             seed,
             driver_ctr: 0,
@@ -685,19 +718,25 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         }
     }
 
-    /// Partitions execution across `shards` worker threads.
+    /// Asks for execution on up to `shards` worker threads.
     ///
-    /// Nodes are assigned to shards by `id % shards` and advanced under
-    /// conservative time windows sized by the network model's
-    /// [`lookahead`](NetworkModel::lookahead); cross-shard messages merge
-    /// through a deterministic `(time, seq)` queue at window boundaries.
-    /// Results are **byte-identical** to serial execution for any shard
-    /// count: the event schedule and every RNG stream are independent of
-    /// the partitioning by construction. Models without a positive
-    /// lookahead fall back to serial-equivalent stepping.
+    /// This is a request, not a layout. The engine keeps every pending
+    /// event in one queue and runs the serial loop until its policy —
+    /// computed from the network model's
+    /// [`lookahead`](NetworkModel::lookahead), the distance to the
+    /// advance bound and a trailing mean of events per conservative
+    /// window, never from a clock or the host — says a window repays
+    /// its barrier. Only then are nodes dealt to shards by
+    /// `id % shards` and advanced under conservative time windows;
+    /// cross-shard messages merge through a deterministic `(time, seq)`
+    /// queue at window boundaries. Results are **byte-identical** to
+    /// serial execution for any shard count, whichever way the policy
+    /// decides: the event schedule and every RNG stream are independent
+    /// of the partitioning by construction. Models without a positive
+    /// lookahead always run serially.
     ///
-    /// May be called at any point; pending events are re-routed. Passing
-    /// `0` or `1` restores serial execution.
+    /// May be called at any point. Passing `0` or `1` withdraws the
+    /// request.
     pub fn set_shards(&mut self, shards: usize)
     where
         N: Send,
@@ -705,30 +744,49 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         S: Send,
     {
         let shards = shards.max(1);
-        let core = &mut self.core;
-        if shards == core.shards {
+        if shards == self.core.shards {
             return;
         }
-        let mut all: Vec<(SimTime, u64, EngineEvent<N::Msg>)> =
-            Vec::with_capacity(core.pending as usize);
-        for q in &mut core.queues {
-            while let Some(e) = q.pop() {
-                all.push(e);
-            }
-        }
-        core.shards = shards;
-        core.queues = (0..shards).map(|_| S::new()).collect();
-        for (t, s, ev) in all {
-            core.queues[ev.node % shards].schedule(t, s, ev);
-        }
-        self.windowed = if shards > 1 {
-            Some(crate::shard::windowed_advance::<N, S> as fn(&mut Simulation<N, S>, SimTime, bool))
-        } else {
-            None
-        };
+        // A windowed layout was dealt for the old count.
+        self.merge_queues();
+        self.core.shards = shards;
+        self.core.policy = Policy::new(crate::stress::windows_forced());
+        self.adaptive =
+            (shards > 1).then_some(crate::shard::adaptive_advance::<N, S> as AdaptiveFn<N, S>);
     }
 
-    /// The number of execution shards (1 = serial).
+    /// Serial to windowed layout: deals every pending event to the queue
+    /// of its node's shard. The new queues start at the current time,
+    /// so a timing wheel files the events by their distance from now,
+    /// not from time zero.
+    pub(crate) fn split_queues(&mut self) {
+        let core = &mut self.core;
+        let shards = core.shards;
+        core.shard_queues = (0..shards).map(|_| S::new_at(core.now)).collect();
+        while let Some((t, s, ev)) = core.queue.pop() {
+            core.shard_queues[ev.node % shards].schedule(t, s, ev);
+        }
+        // Popping moved the old queue's clock to its last event.
+        core.queue = S::new();
+        core.switches += 1;
+    }
+
+    /// Windowed to serial layout; does nothing in the serial layout.
+    pub(crate) fn merge_queues(&mut self) {
+        let core = &mut self.core;
+        if core.shard_queues.is_empty() {
+            return;
+        }
+        core.queue = S::new_at(core.now);
+        for mut q in std::mem::take(&mut core.shard_queues) {
+            while let Some((t, s, ev)) = q.pop() {
+                core.queue.schedule(t, s, ev);
+            }
+        }
+        core.switches += 1;
+    }
+
+    /// The shard count asked for (1 = serial).
     pub fn shards(&self) -> usize {
         self.core.shards
     }
@@ -931,12 +989,22 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         self.core.counters.activations
     }
 
-    /// Conservative windows executed by the sharded path so far (zero
-    /// on serial runs). A deterministic cost counter for the bench
-    /// harness: wider lookahead windows mean fewer windows per run and
-    /// more events per window. Not part of the metrics snapshot.
+    /// Conservative windows executed on worker threads so far: zero on
+    /// a run that asked for no shards, and zero on one whose windows
+    /// the policy never found worth a barrier. A deterministic cost
+    /// counter for the bench harness (a pure function of seed, config
+    /// and shard count): wider lookahead windows mean fewer windows per
+    /// run and more events per window. Not part of the metrics snapshot.
     pub fn windows(&self) -> u64 {
         self.core.windows
+    }
+
+    /// How often the pending events moved between the one-queue serial
+    /// layout and the per-shard windowed layout, either way. As
+    /// deterministic as [`windows`](Simulation::windows), and as absent
+    /// from the metrics snapshot.
+    pub fn layout_switches(&self) -> u64 {
+        self.core.switches
     }
 
     /// A [`MetricsSnapshot`] of the engine's counters: event-loop
@@ -1019,10 +1087,12 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// Returns false when the queue is exhausted or the next event lies
     /// beyond the deadline (in which case time advances to the deadline).
     /// Always serial: single-stepping a sharded simulation is valid and
-    /// produces the same schedule, one event at a time.
+    /// produces the same schedule, one event at a time (a windowed
+    /// layout is merged back into one queue first).
     pub fn step(&mut self, deadline: SimTime, driver: &mut impl Driver<N, S>) -> bool {
+        self.merge_queues();
         let hook_time = self.hooks.peek().map(|&Reverse((t, _, _))| t);
-        let event_time = self.next_event_time();
+        let event_time = self.core.queue.next_time();
         let hook_first = match (hook_time, event_time) {
             (Some(h), Some(e)) => h <= e,
             (Some(_), None) => true,
@@ -1042,7 +1112,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         if hook_first {
             self.fire_hook(driver);
         } else {
-            let (time, _seq, ev) = self.pop_next_event().expect("peeked");
+            let (time, _seq, ev) = self.core.queue.pop().expect("peeked");
             self.core.counters.activations += 1;
             self.fire(time, ev);
         }
@@ -1062,47 +1132,44 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         driver.on_hook(tag, self);
     }
 
-    /// Advances node events up to `limit` using the configured execution
-    /// strategy (`inclusive` controls whether events *at* `limit` fire).
+    /// Advances node events up to `limit` (`inclusive` controls whether
+    /// events *at* `limit` fire): the serial loop, unless shards were
+    /// asked for, in which case the policy in `shard.rs` picks between
+    /// that loop and conservative windows as it goes.
     fn advance_events(&mut self, limit: SimTime, inclusive: bool) {
-        match self.windowed {
+        match self.adaptive {
             Some(f) => f(self, limit, inclusive),
             None => self.advance_serial(limit, inclusive),
         }
     }
 
-    /// Serial event loop: merged `(time, seq)`-ordered pops across all
-    /// queues. This is both the `shards == 1` main path and the fallback
-    /// for sharded simulations whose network model has no usable
-    /// lookahead (degenerate windows must not deadlock or reorder).
+    /// Serial event loop over the one queue of the serial layout.
     ///
-    /// With a single queue, consecutive events bound for the same node
-    /// are drained in one *activation* (batched delivery): the node's
-    /// row stays hot in cache across the whole run of its due events.
-    /// Each batched event is still the exact queue head at the moment it
-    /// is popped — a handler can schedule a same-time event that sorts
-    /// *before* an already-queued one, so the peek-then-pop discipline
-    /// (never pop ahead) is what keeps the order byte-identical to the
-    /// unbatched loop.
+    /// Consecutive events bound for the same node are drained in one
+    /// *activation* (batched delivery): the node's row stays hot in
+    /// cache across the whole run of its due events. Each batched event
+    /// is still the exact queue head at the moment it is popped — a
+    /// handler can schedule a same-time event that sorts *before* an
+    /// already-queued one, so the peek-then-pop discipline (never pop
+    /// ahead) is what keeps the order byte-identical to the unbatched
+    /// loop.
     pub(crate) fn advance_serial(&mut self, limit: SimTime, inclusive: bool) {
-        let due = |t: SimTime| t < limit || (t == limit && inclusive);
-        while self.next_event_time().is_some_and(due) {
-            let (time, _seq, ev) = self.pop_next_event().expect("peeked");
+        debug_assert!(self.core.shard_queues.is_empty(), "windowed layout");
+        let due = |t: SimTime| due(t, limit, inclusive);
+        while self.core.queue.next_time().is_some_and(due) {
+            let (time, _seq, ev) = self.core.queue.pop().expect("peeked");
             self.core.counters.activations += 1;
             let node = ev.node;
             self.fire(time, ev);
             // Same activation: drain queue-head events for the same node
             // while they remain within the advance bound.
-            while self.core.shards == 1
-                && matches!(self.core.queues[0].peek(), Some((t, _, next)) if next.node == node && due(t))
+            while matches!(self.core.queue.peek(), Some((t, _, next)) if next.node == node && due(t))
             {
-                let (time, _seq, ev) = self.core.queues[0].pop().expect("peeked");
+                let (time, _seq, ev) = self.core.queue.pop().expect("peeked");
                 self.fire(time, ev);
             }
         }
-        if self.core.now < limit && inclusive && limit != SimTime::MAX {
-            self.core.now = limit;
-        }
+        self.core.finish_advance(limit, inclusive);
     }
 
     /// Runs one dequeued node event through the kernel, with the
@@ -1118,51 +1185,6 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
             &mut self.scratch,
             &mut self.core,
         );
-    }
-
-    /// Earliest pending node-event time across all queues.
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        self.core
-            .queues
-            .iter_mut()
-            .filter_map(|q| q.next_time())
-            .min()
-    }
-
-    /// Pops the globally earliest `(time, seq)` event. With one queue
-    /// this is a plain pop; with several, same-time heads are compared by
-    /// seq (losers are re-scheduled, which the [`Scheduler`] contract
-    /// permits at the dequeue frontier).
-    fn pop_next_event(&mut self) -> Option<(SimTime, u64, EngineEvent<N::Msg>)> {
-        let queues = &mut self.core.queues;
-        if let [only] = &mut queues[..] {
-            return only.pop();
-        }
-        let mut best: Option<(SimTime, u64, usize, EngineEvent<N::Msg>)> = None;
-        for qi in 0..queues.len() {
-            let Some(t) = queues[qi].next_time() else {
-                continue;
-            };
-            if let Some((bt, _, _, _)) = &best {
-                if t > *bt {
-                    continue;
-                }
-            }
-            let (t, s, ev) = queues[qi].pop().expect("peeked");
-            match best.take() {
-                Some((bt, bs, bqi, bev)) => {
-                    if (t, s) < (bt, bs) {
-                        queues[bqi].schedule(bt, bs, bev);
-                        best = Some((t, s, qi, ev));
-                    } else {
-                        queues[qi].schedule(t, s, ev);
-                        best = Some((bt, bs, bqi, bev));
-                    }
-                }
-                None => best = Some((t, s, qi, ev)),
-            }
-        }
-        best.map(|(t, s, _, ev)| (t, s, ev))
     }
 
     pub(crate) fn next_driver_seq(&mut self) -> u64 {

@@ -89,6 +89,19 @@ pub trait Scheduler<T> {
     where
         Self: Sized;
 
+    /// Creates an empty scheduler whose dequeue frontier is already at
+    /// `now`, for a queue that takes over a run in progress: nothing
+    /// earlier than `now` will be scheduled into it. Implementations
+    /// that file events by their distance from an internal clock
+    /// ([`TimingWheel`]) start that clock here, not at time zero.
+    fn new_at(now: SimTime) -> Self
+    where
+        Self: Sized,
+    {
+        let _ = now;
+        Self::new()
+    }
+
     /// Enqueues `item` at `time` with tie-break counter `seq`.
     fn schedule(&mut self, time: SimTime, seq: u64, item: T);
 
@@ -507,6 +520,16 @@ impl<T> Scheduler<T> for TimingWheel<T> {
         TimingWheel::with_tick_shift(Self::DEFAULT_TICK_SHIFT)
     }
 
+    fn new_at(now: SimTime) -> Self {
+        // The state of a wheel that ran up to `now` and is empty: an
+        // event lands in the level its distance from `now` picks. A
+        // wheel at tick zero sends every event past its own horizon
+        // (18 simulated minutes) through the overflow heap.
+        let mut wheel = Self::new();
+        wheel.current = wheel.tick_of(now.as_nanos());
+        wheel
+    }
+
     fn schedule(&mut self, time: SimTime, seq: u64, item: T) {
         let idx = self.alloc(time.as_nanos(), seq, item);
         self.place(idx);
@@ -703,6 +726,30 @@ mod tests {
         assert_eq!(w.op_stats().overflow_peak, 2);
         while w.pop().is_some() {}
         assert!(w.op_stats().cascades > 0 || w.op_stats().popped == 2);
+    }
+
+    #[test]
+    fn a_wheel_started_late_matches_the_heap_without_overflow() {
+        // Mid-window, mid-level start ticks; events from "now" itself
+        // out to just under the horizon (2^24 ticks of 2^16 ns).
+        for start in [0u64, 1, 12_345_678_901, 172_800_000_000_000] {
+            let mut rng = rng_from_seed(start);
+            let mut w: TimingWheel<u64> = TimingWheel::new_at(SimTime::from_nanos(start));
+            let mut h: BinaryHeapScheduler<u64> = BinaryHeapScheduler::new();
+            for seq in 0..2000u64 {
+                let delta = match seq % 4 {
+                    0 => 0,
+                    1 => rng.gen_range(0u64..1 << 20),
+                    2 => rng.gen_range(0u64..1 << 30),
+                    _ => rng.gen_range(0u64..(1 << 40) - (1 << 16)),
+                };
+                let t = SimTime::from_nanos(start + delta);
+                w.schedule(t, seq, seq);
+                h.schedule(t, seq, seq);
+            }
+            assert_eq!(w.op_stats().overflow_peak, 0, "start {start}");
+            assert_eq!(drain(&mut w), drain(&mut h), "start {start}");
+        }
     }
 
     #[test]

@@ -1,4 +1,16 @@
-//! Sharded (conservatively parallel) execution of a simulation.
+//! Sharded (conservatively parallel) execution of a simulation, and
+//! the policy that decides when to use it.
+//!
+//! [`Simulation::set_shards`] is a request. [`adaptive_advance`], which
+//! it installs, keeps the serial layout — one queue, the serial loop —
+//! and cuts its advance into *virtual* windows one global lookahead
+//! wide, counting the events of each. When the [`Policy`] finds windows
+//! dense enough to repay a barrier it deals the pending events to one
+//! queue per shard and hands over to [`windowed_advance`]; when they
+//! thin out again it merges the queues back. Every input of the policy
+//! is a function of `(seed, config, shards)`: event counts, the network
+//! model's lookahead, the distance to the advance bound. No clock, no
+//! thread id, no host property.
 //!
 //! [`windowed_advance`] partitions nodes across worker threads by
 //! `id % shards` and advances the shards in lockstep over *conservative
@@ -39,16 +51,16 @@
 //! [`crate::engine`]), the resulting event schedule, metrics, and node
 //! states are byte-identical to a serial run.
 //!
-//! Models without a positive lookahead (or degenerate windows at the
-//! end of time) fall back to serial-equivalent stepping rather than
-//! deadlock or reorder.
+//! Models without a positive lookahead have no conservative window and
+//! run the serial loop throughout.
 
 // decent-lint: allow(D010) reason="the executor's own window-barrier plumbing: workers park here deterministically (DESIGN.md §4i)"
 use std::sync::mpsc::{Receiver, Sender};
 
 use crate::arena::SlotView;
 use crate::engine::{
-    dispatch, Counters, Effect, EngineEvent, Node, NodeId, SchedulerFor, SendRec, Simulation, Sink,
+    dispatch, due, Counters, Effect, EngineEvent, Node, NodeId, SchedulerFor, SendRec, Simulation,
+    Sink,
 };
 use crate::sched::Scheduler;
 use crate::time::{SimDuration, SimTime};
@@ -155,10 +167,72 @@ fn row_lookaheads(
         .collect()
 }
 
-/// Windowed parallel equivalent of
-/// [`advance_serial`](Simulation::advance_serial); installed by
+/// Windows in the policy's trailing mean.
+const TRAIL: usize = 16;
+/// Mean events per window at which the windowed layout is entered. A
+/// window costs 15–60 µs of channel wake and park whatever it holds;
+/// at 512 events (some 100 µs of dispatch at 200 ns an event, split
+/// over the workers) the barrier stops being the larger part.
+const ENTER_MEAN: u64 = 512;
+/// Mean events per window under which the windowed layout is left
+/// again. A quarter of [`ENTER_MEAN`], so a run whose windows hover
+/// around either threshold does not move its queues back and forth.
+const LEAVE_MEAN: u64 = 128;
+/// Windows that must fit between the queue head and the advance bound
+/// before the windowed layout is entered: worker threads are spawned
+/// per advance, and an advance of a few windows cannot repay them.
+const MIN_WINDOWS_AHEAD: u64 = 16;
+
+/// Decides, from deterministic inputs alone, whether conservative
+/// windows repay their barrier. Lives in [`Core`](crate::engine::Core)
+/// and carries over from one advance to the next, so a run driven by
+/// hooks does not probe again after each of them.
+pub(crate) struct Policy {
+    /// Events committed in each of the last [`TRAIL`] windows: virtual
+    /// ones in the serial layout, real ones in the windowed layout.
+    recent: [u64; TRAIL],
+    cursor: usize,
+    sum: u64,
+    /// Test override ([`crate::stress::force_windows`]): always enter,
+    /// never leave.
+    forced: bool,
+}
+
+impl Policy {
+    pub(crate) fn new(forced: bool) -> Self {
+        Policy {
+            recent: [0; TRAIL],
+            cursor: 0,
+            sum: 0,
+            forced,
+        }
+    }
+
+    fn record(&mut self, events: u64) {
+        self.sum = self.sum - self.recent[self.cursor] + events;
+        self.recent[self.cursor] = events;
+        self.cursor = (self.cursor + 1) % TRAIL;
+    }
+
+    /// Whether to enter the windowed layout with `ahead` left between
+    /// the queue head and the advance bound.
+    fn enter(&self, ahead: SimDuration, la: SimDuration) -> bool {
+        self.forced
+            || (self.sum >= ENTER_MEAN * TRAIL as u64
+                && ahead.as_nanos() / la.as_nanos() >= MIN_WINDOWS_AHEAD)
+    }
+
+    /// Whether to leave the windowed layout.
+    fn leave(&self) -> bool {
+        !self.forced && self.sum < LEAVE_MEAN * TRAIL as u64
+    }
+}
+
+/// [`advance_serial`](Simulation::advance_serial) for a simulation that
+/// asked for shards: the same events in the same order, in whichever
+/// layout the [`Policy`] currently finds cheaper. Installed by
 /// [`Simulation::set_shards`].
-pub(crate) fn windowed_advance<N, S>(sim: &mut Simulation<N, S>, limit: SimTime, inclusive: bool)
+pub(crate) fn adaptive_advance<N, S>(sim: &mut Simulation<N, S>, limit: SimTime, inclusive: bool)
 where
     N: Node + Send,
     N::Msg: Send,
@@ -167,26 +241,98 @@ where
     let la = match sim.core.net.lookahead() {
         Some(la) if !la.is_zero() => la,
         // No conservative window exists (adaptive latency, or a model
-        // that can deliver instantly): degrade to the serial loop,
-        // which pops the same (time, seq) order one event at a time.
-        _ => return sim.advance_serial(limit, inclusive),
+        // that can deliver instantly).
+        _ => {
+            sim.merge_queues();
+            return sim.advance_serial(limit, inclusive);
+        }
     };
+    loop {
+        if sim.core.shard_queues.is_empty() {
+            if !serial_stretch(sim, la, limit, inclusive) {
+                return;
+            }
+            sim.split_queues();
+        }
+        if !windowed_advance(sim, la, limit, inclusive) {
+            return;
+        }
+        sim.merge_queues();
+    }
+}
+
+/// Runs the serial loop one virtual window at a time, until the advance
+/// is done (false) or the policy asks for real windows (true). A
+/// virtual window is one global lookahead wide, the narrowest a real
+/// one can be, so its event count never flatters the windowed layout.
+fn serial_stretch<N: Node, S: SchedulerFor<N>>(
+    sim: &mut Simulation<N, S>,
+    la: SimDuration,
+    limit: SimTime,
+    inclusive: bool,
+) -> bool {
+    let due = |t: SimTime| due(t, limit, inclusive);
+    while let Some(head) = sim.core.queue.next_time().filter(|&t| due(t)) {
+        if sim.core.policy.enter(limit.saturating_since(head), la) {
+            return true;
+        }
+        let before = sim.core.events_processed;
+        if head + la < limit {
+            sim.advance_serial(head + la, false);
+        } else {
+            sim.advance_serial(limit, inclusive);
+        }
+        sim.core.policy.record(sim.core.events_processed - before);
+    }
+    sim.core.finish_advance(limit, inclusive);
+    false
+}
+
+/// Advances the windowed layout over conservative windows on one worker
+/// thread per shard, until the advance is done (false) or the policy
+/// asks for the serial layout back (true). Either way the queues are
+/// back in [`Core`](crate::engine::Core) on return.
+fn windowed_advance<N, S>(
+    sim: &mut Simulation<N, S>,
+    la: SimDuration,
+    limit: SimTime,
+    inclusive: bool,
+) -> bool
+where
+    N: Node + Send,
+    N::Msg: Send,
+    S: SchedulerFor<N> + Send,
+{
     // Disjoint halves: workers take the node rows, the commit phase
     // owns everything else (network model, RNG streams, counters).
     let Simulation { store, core, .. } = sim;
-    let shards = core.shards;
-    debug_assert!(shards > 1, "windowed executor installed for serial sim");
+    let shards = core.shard_queues.len();
+    let due = |t: SimTime| due(t, limit, inclusive);
+    let mut heads: Vec<Option<SimTime>> = core
+        .shard_queues
+        .iter_mut()
+        .map(|q| q.next_time())
+        .collect();
+    if !heads.iter().flatten().any(|&t| due(t)) {
+        // Nothing to do before the bound: no thread is worth spawning.
+        core.finish_advance(limit, inclusive);
+        return false;
+    }
+    if core.policy.leave() {
+        return true;
+    }
     let row_la = row_lookaheads(
         core.net.shard_lookahead(store.len(), shards),
         la,
         store.len(),
         shards,
     );
-    let queues: Vec<S> = std::mem::take(&mut core.queues);
+    let queues: Vec<S> = std::mem::take(&mut core.shard_queues);
     let parts = store.partition(shards);
 
     let mut returned: Vec<S> = Vec::with_capacity(shards);
     let mut leftover_feeds: Vec<Feed<N::Msg>> = Vec::new();
+    let mut leave = false;
     std::thread::scope(|sc| {
         let mut cmd_txs: Vec<Sender<Cmd<N::Msg>>> = Vec::with_capacity(shards);
         let mut out_rxs: Vec<Receiver<WindowOut<N::Msg>>> = Vec::with_capacity(shards);
@@ -201,22 +347,6 @@ where
             );
             cmd_txs.push(cmd_tx);
             out_rxs.push(out_rx);
-        }
-
-        // Learn each worker's queue head with a zero-width probe window
-        // (nothing can fire strictly before time zero).
-        let mut heads: Vec<Option<SimTime>> = vec![None; shards];
-        for tx in &cmd_txs {
-            tx.send(Cmd::Run {
-                end: SimTime::ZERO,
-                feed: Vec::new(),
-            })
-            .expect("worker alive");
-        }
-        for (i, rx) in out_rxs.iter().enumerate() {
-            let out = rx.recv().expect("worker alive");
-            debug_assert!(out.recs.is_empty(), "zero-width window drained events");
-            heads[i] = out.next_time;
         }
 
         let mut feeds: Vec<Feed<N::Msg>> = (0..shards).map(|_| Vec::new()).collect();
@@ -238,18 +368,17 @@ where
                 let e = h + row_la[j];
                 end_raw = Some(end_raw.map_or(e, |m: SimTime| m.min(e)));
             }
-            let Some(t0) = tmin else { break };
-            if t0 > limit || (t0 == limit && !inclusive) {
+            let Some(t0) = tmin.filter(|&t| due(t)) else {
                 break;
-            }
+            };
             let end = clamp_end(end_raw.expect("some shard has work"), limit, inclusive);
             if end <= t0 {
                 // Only reachable with windows saturated at the end of
-                // time; stop rather than spin (remaining events stay
-                // queued for a later, serial-fallback advance).
+                // time; stop rather than spin (the events stay queued).
                 break;
             }
             core.windows += 1;
+            let committed = core.events_processed;
             for (tx, feed) in cmd_txs.iter().zip(feeds.iter_mut()) {
                 tx.send(Cmd::Run {
                     end,
@@ -300,6 +429,11 @@ where
                     });
                 }
             }
+            core.policy.record(core.events_processed - committed);
+            if core.policy.leave() {
+                leave = true;
+                break;
+            }
         }
 
         for tx in &cmd_txs {
@@ -318,10 +452,11 @@ where
             returned[qi].schedule(t, s, ev);
         }
     }
-    core.queues = returned;
-    if core.now < limit && inclusive && limit != SimTime::MAX {
-        core.now = limit;
+    core.shard_queues = returned;
+    if !leave {
+        core.finish_advance(limit, inclusive);
     }
+    leave
 }
 
 /// The window [`Sink`]: a shard's queue plus the log of the window in
@@ -553,10 +688,15 @@ mod tests {
                 SimDuration::from_millis(w as f64 * 17.0),
             );
         }
-        if shards > 1 {
-            sim.set_shards(shards);
-        }
+        // Ten nodes never fill a window: without the override the policy
+        // would keep every run here serial.
+        let _windows = crate::stress::force_windows();
+        sim.set_shards(shards);
         sim.run_until(SimTime::from_secs(30.0));
+        assert_eq!(
+            sim.windows() > 0,
+            shards > 1 && sim.core.net.lookahead().is_some_and(|la| !la.is_zero())
+        );
         (
             sim.events_processed(),
             sim.events_cancelled(),
@@ -618,11 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_lookahead_falls_back_to_serial() {
+    fn zero_lookahead_stays_serial() {
         type Wheel = TimingWheel<EngineEvent<Msg>>;
         // A zero-latency link means no conservative window exists; the
-        // sharded sim must quietly use serial-equivalent stepping (and
-        // in particular must not deadlock).
+        // sharded sim must quietly run the serial loop (and in
+        // particular must not deadlock), even with windows forced.
         let serial = run::<Wheel>(6, 1, ConstantLatency::from_millis(0.0));
         assert_eq!(
             run::<Wheel>(6, 4, ConstantLatency::from_millis(0.0)),
@@ -630,8 +770,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn set_shards_migrates_pending_events_and_back() {
+    /// Six gossiping peers with twelve pings injected over the first
+    /// 400 ms.
+    fn six_peers() -> (Simulation<Peer>, Vec<NodeId>) {
         let mut sim: Simulation<Peer> = Simulation::new(7, UniformLatency::from_millis(20.0, 80.0));
         let ids: Vec<_> = (0..6)
             .map(|_| {
@@ -648,31 +789,32 @@ mod tests {
                 SimDuration::from_millis(w as f64 * 31.0),
             );
         }
+        (sim, ids)
+    }
+
+    #[test]
+    fn set_shards_migrates_pending_events_and_back() {
+        let (mut sim, ids) = six_peers();
         sim.run_until(SimTime::from_secs(0.1));
-        sim.set_shards(4);
+        {
+            let _windows = crate::stress::force_windows();
+            sim.set_shards(4);
+        }
         assert_eq!(sim.shards(), 4);
         sim.run_until(SimTime::from_secs(0.2));
+        assert_eq!(sim.core.shard_queues.len(), 4, "windowed layout");
+        // Single-stepping is serial: it takes the one-queue layout back.
+        assert!(sim.step(SimTime::from_secs(0.3), &mut crate::engine::NoDriver));
+        assert!(sim.core.shard_queues.is_empty());
+        sim.run_until(SimTime::from_secs(0.4));
+        assert_eq!(sim.core.shard_queues.len(), 4);
         sim.set_shards(1);
         assert_eq!(sim.shards(), 1);
+        assert!(sim.core.shard_queues.is_empty());
+        assert_eq!(sim.layout_switches(), 4);
         sim.run_until(SimTime::from_secs(30.0));
 
-        let mut serial: Simulation<Peer> =
-            Simulation::new(7, UniformLatency::from_millis(20.0, 80.0));
-        let sids: Vec<_> = (0..6)
-            .map(|_| {
-                serial.add_node(Peer {
-                    n: 6,
-                    ..Peer::default()
-                })
-            })
-            .collect();
-        for w in 0..12u32 {
-            serial.inject(
-                sids[w as usize % sids.len()],
-                Msg::Ping(w),
-                SimDuration::from_millis(w as f64 * 31.0),
-            );
-        }
+        let (mut serial, sids) = six_peers();
         serial.run_until(SimTime::from_secs(30.0));
         assert_eq!(sim.events_processed(), serial.events_processed());
         assert_eq!(sim.stats(), serial.stats());
@@ -680,6 +822,36 @@ mod tests {
             assert_eq!(sim.node(a).pings, serial.node(b).pings);
             assert_eq!(sim.node(a).timers, serial.node(b).timers);
         }
+    }
+
+    #[test]
+    fn a_layout_switch_at_a_late_clock_files_by_distance_from_now() {
+        // Two simulated days in, timers 700 ms out are far past the
+        // 18-minute horizon of a wheel at tick zero, but close to the
+        // clock.
+        let (mut sim, _) = six_peers();
+        sim.run_until(SimTime::from_secs(2.0 * 86_400.0));
+        assert_eq!(sim.core.pending, 0);
+        for id in 0..6 {
+            sim.invoke(id, |_n, ctx| {
+                for k in 0..50 {
+                    ctx.set_timer(SimDuration::from_millis(700.0 + k as f64), 1_000 + k);
+                }
+            });
+        }
+        let pending = sim.core.pending;
+        assert_eq!(pending, 300);
+        sim.core.shards = 2;
+        sim.split_queues();
+        let stats: Vec<_> = sim.core.shard_queues.iter().map(|q| q.op_stats()).collect();
+        assert!(stats.iter().all(|s| s.overflow_peak == 0), "{stats:?}");
+        // One schedule per pending event, and no cascade yet: O(pending).
+        assert_eq!(stats.iter().map(|s| s.scheduled).sum::<u64>(), pending);
+        assert!(stats.iter().all(|s| s.cascades == 0), "{stats:?}");
+        sim.merge_queues();
+        let merged = sim.core.queue.op_stats();
+        assert_eq!((merged.scheduled, merged.overflow_peak), (pending, 0));
+        assert_eq!(sim.layout_switches(), 2);
     }
 
     #[test]

@@ -18,7 +18,12 @@
 //! without widening the engine API it exists to audit. It is a no-op
 //! (one relaxed load) unless a test turns it on, and nothing in the
 //! simulation may ever read it back into event state.
+//!
+//! [`force_windows`] is the second test hook here: the equivalence
+//! suites run sims of 10–150 nodes, which the executor's policy would
+//! keep serial, and use it to put the windowed path under test anyway.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::rng::derive_seed;
@@ -32,6 +37,43 @@ static INTERLEAVE_SEED: AtomicU64 = AtomicU64::new(0);
 pub fn set_interleave_seed(seed: u64) {
     // decent-lint: allow(D007) reason="test-harness knob written before a run; perturbs thread timing only and is never read into sim state"
     INTERLEAVE_SEED.store(seed, Ordering::Relaxed);
+}
+
+thread_local! {
+    /// Per thread, not per process: a test binary runs its tests on
+    /// concurrent threads, and some of them pin adaptive window counts.
+    static FORCE_WINDOWS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// While the returned guard lives, every [`set_shards`] call made on
+/// this thread builds a simulation that runs all of its events in
+/// conservative windows, however few each window holds. Test-only by
+/// convention, like the interleave seed: it changes how events are
+/// executed, never what they compute.
+///
+/// [`set_shards`]: crate::engine::Simulation::set_shards
+pub fn force_windows() -> ForceWindows {
+    ForceWindows {
+        was: FORCE_WINDOWS.replace(true),
+    }
+}
+
+/// Restores the thread's previous setting when dropped.
+#[derive(Debug)]
+#[must_use = "windows are forced only while the guard lives"]
+pub struct ForceWindows {
+    was: bool,
+}
+
+impl Drop for ForceWindows {
+    fn drop(&mut self) {
+        FORCE_WINDOWS.set(self.was);
+    }
+}
+
+/// Read once per simulation, by `set_shards`.
+pub(crate) fn windows_forced() -> bool {
+    FORCE_WINDOWS.get()
 }
 
 /// Called by shard workers between event dispatches. With a nonzero

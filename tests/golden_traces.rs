@@ -78,9 +78,11 @@ fn e1_quick_golden() {
 
 /// E1 replayed on the sharded executor must reproduce the serial pins
 /// byte-for-byte: same findings, same markdown hash, same length. This
-/// is the report-level golden for the `--shards` path.
+/// is the report-level golden for the `--shards` path, on windows the
+/// policy would not open for a 1 500-node overlay.
 #[test]
 fn e1_quick_golden_sharded() {
+    let _windows = decent_sim::stress::force_windows();
     assert_findings_exec(
         "E1",
         ExecPolicy::sharded(4),
@@ -232,6 +234,7 @@ fn faulty_partition_heal<S: SchedulerFor<decent_overlay::kademlia::KadNode> + Se
             42,
             Faulty::new(UniformLatency::from_millis(20.0, 80.0), plan),
         );
+        let _windows = decent_sim::stress::force_windows();
         sim.set_shards(shards);
         let ids = kad_build(&mut sim, 200, &KadConfig::default(), 0.1, 8, 7);
         sim.run_until(SimTime::from_secs(1.0));

@@ -28,6 +28,8 @@ fn run_kad<S: SchedulerFor<KadNode> + Send>(
 ) -> Fingerprint {
     let mut sim: Simulation<KadNode, S> =
         Simulation::with_scheduler(seed, UniformLatency::from_millis(20.0, 80.0));
+    // Under 140 nodes: windows the policy would never open.
+    let _windows = decent_sim::stress::force_windows();
     sim.set_shards(shards);
     let ids = build_network(
         &mut sim,
@@ -98,6 +100,7 @@ fn kad_matches_golden_sharded() {
     fn golden_run<S: SchedulerFor<KadNode> + Send>(shards: usize) -> (u64, u64, u64) {
         let mut sim: Simulation<KadNode, S> =
             Simulation::with_scheduler(42, UniformLatency::from_millis(20.0, 80.0));
+        let _windows = decent_sim::stress::force_windows();
         sim.set_shards(shards);
         let ids = build_network(&mut sim, 200, &KadConfig::default(), 0.1, 8, 7);
         sim.run_until(SimTime::from_secs(1.0));

@@ -139,6 +139,9 @@ fn run_blob<P: Payload, S: SchedulerFor<Blob<P>> + Send>(
         seed,
         Faulty::new(UniformLatency::from_millis(10.0, 60.0), plan),
     );
+    // Payloads must cross worker threads: force the windows the policy
+    // would not open for a sim this small.
+    let _windows = decent::sim::stress::force_windows();
     sim.set_shards(shards);
     sim.enable_trace(1 << 16);
     for _ in 0..n {

@@ -15,10 +15,12 @@
 //!
 //! The hook is a process-global knob, so everything lives in one test
 //! function; the guard resets the seed even on assertion failure.
+//! Perturbation only happens inside shard workers, and the policy would
+//! start none for sims this small, so the whole test forces windows.
 
 use decent::core::{experiments, scenario::ExecPolicy};
 use decent::sim::prelude::*;
-use decent::sim::stress::set_interleave_seed;
+use decent::sim::stress::{force_windows, set_interleave_seed};
 use decent::sim::trace::EventRecord;
 use rand::Rng;
 
@@ -121,6 +123,7 @@ fn report_json(id: &str, shards: usize) -> String {
 #[test]
 fn perturbed_interleavings_reproduce_the_serial_bytes() {
     let _guard = HookGuard;
+    let _windows = force_windows();
 
     // Baselines are captured with the hook off: the unperturbed serial
     // run is the contract every perturbed sharded run must hit.

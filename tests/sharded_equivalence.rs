@@ -9,6 +9,12 @@
 //! full fingerprints to match exactly. A single diverging event would
 //! change the trace tuple stream and fail the property.
 //!
+//! The simulations here are small (2–150 nodes), and the executor's
+//! policy would keep them serial however many shards they ask for, so
+//! the engine-level runs force conservative windows
+//! (`stress::force_windows`) to put the windowed path under test; the
+//! report-level property runs both forced and as the policy decides.
+//!
 //! Three layers:
 //!
 //! - engine-level: a gossip workload under randomized partitions,
@@ -20,7 +26,8 @@
 //!   serial and sharded runs;
 //! - window-level: one region-aligned chain configuration whose event
 //!   and window counts are pinned with the per-link lookahead matrix
-//!   active and hidden — the only place `sim.windows()` is asserted.
+//!   active and hidden, and the `chain_dense` network of `benchmark/`,
+//!   which the policy keeps serial at every shard count.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -32,6 +39,7 @@ use decent::core::experiments::{e01, e05, e12, e14, e19};
 use decent::core::report::{ExperimentRun, RunReport};
 use decent::core::scenario::{ExecPolicy, Experiment, Scenario};
 use decent::sim::prelude::*;
+use decent::sim::stress::force_windows;
 use decent::sim::trace::EventRecord;
 
 /// A rumor-mongering node: forwards each first-seen rumor to a few
@@ -159,6 +167,7 @@ fn run_gossip<S: SchedulerFor<Gossip> + Send>(
         seed,
         Faulty::new(UniformLatency::from_millis(10.0, 60.0), plan.clone()),
     );
+    let _windows = force_windows();
     sim.set_shards(shards);
     sim.enable_trace(1 << 16);
     for _ in 0..n {
@@ -179,6 +188,7 @@ fn run_gossip<S: SchedulerFor<Gossip> + Send>(
         );
     }
     sim.run_until(SimTime::from_secs(30.0));
+    assert_eq!(sim.windows() > 0, shards > 1, "windows were not forced");
     let trace: Vec<EventRecord> = sim
         .trace()
         .expect("trace enabled")
@@ -257,6 +267,7 @@ struct ChainFingerprint {
 fn run_chain<S: SchedulerFor<ChainNode> + Send>(seed: u64, shards: usize) -> ChainFingerprint {
     let mut sim: Simulation<ChainNode, S> =
         Simulation::with_scheduler(seed, UniformLatency::from_millis(40.0, 120.0));
+    let _windows = force_windows();
     sim.set_shards(shards);
     sim.enable_trace(1 << 16);
     let ncfg = NetworkConfig {
@@ -273,6 +284,7 @@ fn run_chain<S: SchedulerFor<ChainNode> + Send>(seed: u64, shards: usize) -> Cha
     };
     let ids = build_network(&mut sim, &ncfg, seed ^ 0xC4A1);
     sim.run_until(SimTime::from_secs(600.0));
+    assert_eq!(sim.windows() > 0, shards > 1, "windows were not forced");
     let state = ids
         .iter()
         .map(|&id| {
@@ -313,6 +325,7 @@ struct PbftFingerprint {
 fn run_pbft<S: SchedulerFor<PbftReplica> + Send>(seed: u64, shards: usize) -> PbftFingerprint {
     let mut sim: Simulation<PbftReplica, S> =
         Simulation::with_scheduler(seed, LanNet::datacenter());
+    let _windows = force_windows();
     sim.set_shards(shards);
     sim.enable_trace(1 << 16);
     let cfg = PbftConfig {
@@ -332,6 +345,7 @@ fn run_pbft<S: SchedulerFor<PbftReplica> + Send>(seed: u64, shards: usize) -> Pb
         }
     }
     sim.run_until(SimTime::from_secs(10.0));
+    assert_eq!(sim.windows() > 0, shards > 1, "windows were not forced");
     let state = ids
         .iter()
         .map(|&id| {
@@ -428,23 +442,27 @@ impl<M: NetworkModel> NetworkModel for GlobalBoundOnly<M> {
     }
 }
 
-/// The one deterministic finding behind `NetworkModel::shard_lookahead`
-/// (DESIGN.md §4i): a 150-node PoW relay on a `RegionNet` whose regions
-/// line up with `id % 4` sharding, so every cross-shard link has an
-/// inter-region floor (58 ms or more) where the global bound is the
-/// matrix's intra-Europe 11 ms. `(events, windows)` after an hour.
-fn region_aligned_chain(shards: usize, per_link: bool) -> (u64, u64) {
-    const SEED: u64 = 0xB9;
-    const NODES: usize = 150;
+/// A PoW relay (`benchmark/`'s `chain_dense` configuration) on a
+/// `RegionNet` whose regions line up with `id % 4` sharding, run to
+/// `horizon_s`. `per_link` false hides the model's `shard_lookahead`
+/// matrix; `forced` true runs every event in a conservative window.
+fn region_aligned_chain(
+    seed: u64,
+    nodes: usize,
+    horizon_s: f64,
+    shards: usize,
+    per_link: bool,
+    forced: bool,
+) -> Simulation<ChainNode> {
     const REGIONS: [Region; 4] = [
         Region::NorthAmerica,
         Region::Europe,
         Region::AsiaPacific,
         Region::Japan,
     ];
-    let net = RegionNet::new((0..NODES).map(|id| REGIONS[id % 4]).collect());
+    let net = RegionNet::new((0..nodes).map(|id| REGIONS[id % 4]).collect());
     let ncfg = NetworkConfig {
-        nodes: NODES,
+        nodes,
         miner_fraction: 0.3,
         node: ChainNodeConfig {
             params: PowParams {
@@ -457,68 +475,120 @@ fn region_aligned_chain(shards: usize, per_link: bool) -> (u64, u64) {
         ..NetworkConfig::default()
     };
     let mut sim: Simulation<ChainNode> = if per_link {
-        Simulation::new(SEED, net)
+        Simulation::new(seed, net)
     } else {
-        Simulation::new(SEED, GlobalBoundOnly(net))
+        Simulation::new(seed, GlobalBoundOnly(net))
     };
+    let _windows = forced.then(force_windows);
     sim.set_shards(shards);
-    build_network(&mut sim, &ncfg, SEED ^ 2);
-    sim.run_until(SimTime::from_secs(3_600.0));
-    (sim.events_processed(), sim.windows())
+    build_network(&mut sim, &ncfg, seed ^ 2);
+    sim.run_until(SimTime::from_secs(horizon_s));
+    sim
 }
 
+/// The one deterministic finding behind `NetworkModel::shard_lookahead`
+/// (DESIGN.md §4i): with 150 nodes on region-aligned shards every
+/// cross-shard link has an inter-region floor (58 ms or more) where the
+/// global bound is the matrix's intra-Europe 11 ms. `(events, windows)`
+/// after an hour, with windows forced: at 4.6 events a window the
+/// policy would open none.
 #[test]
 fn per_link_lookahead_needs_fewer_windows_for_the_same_events() {
-    assert_eq!(region_aligned_chain(1, true), (72_826, 0));
-    assert_eq!(region_aligned_chain(4, true), (72_826, 4_428));
-    assert_eq!(region_aligned_chain(4, false), (72_826, 5_612));
+    let run = |shards, per_link| {
+        let sim = region_aligned_chain(0xB9, 150, 3_600.0, shards, per_link, true);
+        (sim.events_processed(), sim.windows())
+    };
+    assert_eq!(run(1, true), (72_826, 0));
+    assert_eq!(run(4, true), (72_826, 4_428));
+    assert_eq!(run(4, false), (72_826, 5_612));
+}
+
+/// `benchmark/`'s `chain_dense` network (1 000 nodes, seed 185) cut to
+/// 2 000 simulated seconds, with the policy deciding. "Event-dense" is
+/// per wall second, not per window: the relay commits under two events
+/// per 11 ms lookahead, so no window repays a barrier and every shard
+/// count runs the serial loop on one queue.
+#[test]
+fn the_policy_keeps_a_chain_dense_shaped_run_serial() {
+    for shards in [1, 2, 4] {
+        let sim = region_aligned_chain(185, 1_000, 2_000.0, shards, true, false);
+        assert_eq!(
+            (sim.events_processed(), sim.windows(), sim.layout_switches()),
+            (169_048, 0, 0),
+            "shards={shards}"
+        );
+    }
+}
+
+/// Report-level equivalence: the canonical RunReport JSON from a
+/// sharded experiment run is byte-identical to the serial run, with
+/// conservative windows forced or left to the policy.
+fn assert_report_bytes_hold(which: usize, shards: usize, seed: Option<u64>, forced: bool) {
+    let run = |exec: ExecPolicy| {
+        let mut s = shrunk_scenario(which);
+        if let Some(seed) = seed {
+            s.set_seed(seed);
+        }
+        s.set_exec(exec);
+        RunReport {
+            mode: "quick".to_string(),
+            runs: vec![ExperimentRun {
+                report: s.run(),
+                seed,
+                wall_ms: 0.0,
+            }],
+        }
+    };
+    let serial = run(ExecPolicy::serial());
+    let sharded = {
+        let _windows = forced.then(force_windows);
+        run(ExecPolicy::sharded(shards))
+    };
+    let id = serial.runs[0].report.id;
+    assert_eq!(
+        serial.to_json_text(),
+        sharded.to_json_text(),
+        "{id} canonical RunReport JSON changed under shards={shards} forced={forced}"
+    );
+    assert_eq!(
+        serial.runs[0].report.to_markdown(),
+        sharded.runs[0].report.to_markdown(),
+        "{id} rendered report changed under shards={shards} forced={forced}"
+    );
 }
 
 proptest! {
     // Full experiments are expensive: a few cases suffice because each
-    // one already covers thousands of events end-to-end.
+    // one already covers thousands of events end-to-end. The pool spans
+    // every family that drives a discrete-event simulation: overlay
+    // (E1/E5), fault injection (E19), chain PoW (E14), and
+    // BFT/permissioned (E12). Two properties over the same cases, so
+    // the harness runs them side by side.
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    // Report-level equivalence: the canonical RunReport JSON from a
-    // sharded experiment run is byte-identical to the serial run. The
-    // pool spans every family that drives a discrete-event simulation:
-    // overlay (E1/E5), fault injection (E19), chain PoW (E14), and
-    // BFT/permissioned (E12).
+    // Every event in a conservative window.
     #[test]
     fn report_json_is_byte_identical_under_sharding(
         which in 0usize..5,
         shards in (1usize..4).prop_map(|i| 1usize << i),
         seed in proptest::option::of(any::<u64>()),
     ) {
-        let run = |exec: ExecPolicy| {
-            let mut s = shrunk_scenario(which);
-            if let Some(seed) = seed {
-                s.set_seed(seed);
-            }
-            s.set_exec(exec);
-            RunReport {
-                mode: "quick".to_string(),
-                runs: vec![ExperimentRun { report: s.run(), seed, wall_ms: 0.0 }],
-            }
-        };
-        let serial = run(ExecPolicy::serial());
-        let sharded = run(ExecPolicy::sharded(shards));
-        let id = serial.runs[0].report.id;
-        prop_assert_eq!(
-            serial.to_json_text(),
-            sharded.to_json_text(),
-            "{} canonical RunReport JSON changed under shards={}", id, shards
-        );
-        prop_assert_eq!(
-            serial.runs[0].report.to_markdown(),
-            sharded.runs[0].report.to_markdown(),
-            "{} rendered report changed under shards={}", id, shards
-        );
+        assert_report_bytes_hold(which, shards, seed, true);
+    }
+
+    // As `repro --shards N` runs it: the policy picks the layout.
+    #[test]
+    fn report_json_is_byte_identical_when_the_policy_decides(
+        which in 0usize..5,
+        shards in (1usize..4).prop_map(|i| 1usize << i),
+        seed in proptest::option::of(any::<u64>()),
+    ) {
+        assert_report_bytes_hold(which, shards, seed, false);
     }
 }
 
 /// E1, E5, E19, E14 and E12, each shrunk below quick scale through its
-/// own size fields: the property above is about the executor, not the
+/// own size fields: the properties above are about the executor, not the
 /// workload, and every case runs its scenario twice. (E12's sweepable
 /// knobs do not reach its dominant cost, the 4-replica PBFT saturation
 /// run, so the configs are built directly rather than via `set_param`.)
