@@ -3,16 +3,21 @@
 //!
 //! Measures, in this process, a 3 000-node Kademlia overlay on
 //! `UniformLatency(30, 120 ms)` at seed `0xB6`: 300 lookups issued up
-//! front, then one drain to 600 s of simulated time. The counters cover
-//! the drain only — the steady-state delivery path — and are pure
-//! functions of the seed, so CI can gate on them even on a slow shared
-//! runner:
+//! front, then one drain to 600 s of simulated time. The counters are
+//! pure functions of the seed, so CI can gate on them even on a slow
+//! shared runner. All but one cover the drain only — the steady-state
+//! delivery path:
 //!
 //! - `events` / `activations` / `peak_queue_depth` must equal the
 //!   baseline exactly: any drift is a behaviour change;
 //! - `alloc_bytes` / `alloc_calls`, counted by the global allocator
 //!   installed here, may drift within ±10 % to absorb allocator-library
 //!   churn;
+//! - `build_live_bytes_per_node`, same band: the bytes `build_network`
+//!   allocates and does not free, per node — the footprint of a seeded
+//!   node without a wall clock or an RSS read. Requested bytes would
+//!   not do: a `Vec` that grows requests as much in total as many small
+//!   ones do, it just does not keep it;
 //! - `wall_s` / `events_per_sec` are printed and never gated.
 //!
 //! A baseline that lacks a gated counter fails the gate. Timing
@@ -63,12 +68,13 @@ fn report_only(_baseline: f64, _current: f64) -> bool {
 
 /// Every counter `measure` reports: its key, and its policy as the
 /// table prints it and as a test.
-const GATE: [(&str, &str, Policy); 7] = [
+const GATE: [(&str, &str, Policy); 8] = [
     ("events", "exact", exact),
     ("activations", "exact", exact),
     ("peak_queue_depth", "exact", exact),
     ("alloc_bytes", "±10%", within_band),
     ("alloc_calls", "±10%", within_band),
+    ("build_live_bytes_per_node", "±10%", within_band),
     ("wall_s", "report only", report_only),
     ("events_per_sec", "report only", report_only),
 ];
@@ -81,6 +87,7 @@ thread_local! {
     // and stays valid during thread teardown.
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static FREED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_alloc(bytes: usize) {
@@ -88,16 +95,27 @@ fn count_alloc(bytes: usize) {
     ALLOC_CALLS.with(|c| c.set(c.get() + 1));
 }
 
+fn count_free(bytes: usize) {
+    FREED_BYTES.with(|b| b.set(b.get() + bytes as u64));
+}
+
 /// `(bytes requested, allocation calls)` by the calling thread so far.
 fn alloc_snapshot() -> (u64, u64) {
     (ALLOC_BYTES.get(), ALLOC_CALLS.get())
+}
+
+/// Bytes the calling thread has requested and not given back. Signed:
+/// a thread may free what another allocated.
+fn live_bytes() -> i64 {
+    ALLOC_BYTES.get() as i64 - FREED_BYTES.get() as i64
 }
 
 /// Counts every allocation request handed to the system allocator.
 /// Byte counts are request sizes (`Layout::size`), so they are a pure
 /// function of the thread's allocation sequence. `realloc` counts the
 /// full new size: a growth realloc touches (copies) the whole new
-/// block, which is exactly the cache cost the counter stands for.
+/// block, which is exactly the cache cost the counter stands for; the
+/// old block's size counts as freed.
 struct CountingAlloc;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -113,12 +131,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // decent-lint: allow(D005) reason="GlobalAlloc contract requires unsafe fn"
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_free(layout.size());
         System.dealloc(ptr, layout)
     }
 
     // decent-lint: allow(D005) reason="GlobalAlloc contract requires unsafe fn"
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_alloc(new_size);
+        count_free(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -132,7 +152,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn measure(nodes: usize, lookups: usize) -> Json {
     let mut sim: Simulation<KadNode> =
         Simulation::new(SEED, UniformLatency::from_millis(30.0, 120.0));
+    let live_before = live_bytes();
     let ids = build_network(&mut sim, nodes, &KadConfig::default(), 0.0, 8, SEED ^ 1);
+    let build_live_bytes = live_bytes() - live_before;
     sim.run_until(SimTime::from_secs(1.0));
     for i in 0..lookups as u64 {
         let origin = ids[(i as usize * 131) % ids.len()];
@@ -167,9 +189,10 @@ fn measure(nodes: usize, lookups: usize) -> Json {
         (
             "note",
             Json::str(
-                "events, activations and peak_queue_depth are gated exactly, alloc_bytes and \
-                 alloc_calls within ±10%: all five are pure functions of the seed. wall_s and \
-                 events_per_sec depend on the host and are never gated.",
+                "events, activations and peak_queue_depth are gated exactly, alloc_bytes, \
+                 alloc_calls and build_live_bytes_per_node within ±10%: all six are pure \
+                 functions of the seed. wall_s and events_per_sec depend on the host and are \
+                 never gated.",
             ),
         ),
         ("events", Json::int(events)),
@@ -180,6 +203,10 @@ fn measure(nodes: usize, lookups: usize) -> Json {
         ("peak_queue_depth", Json::int(peak_queue_depth)),
         ("alloc_bytes", Json::int(bytes_after - bytes_before)),
         ("alloc_calls", Json::int(calls_after - calls_before)),
+        (
+            "build_live_bytes_per_node",
+            Json::num(build_live_bytes as f64 / nodes as f64),
+        ),
         ("wall_s", Json::num(wall)),
         ("events_per_sec", Json::num(events as f64 / wall.max(1e-9))),
     ])
@@ -334,7 +361,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// The five counters a drift in which fails the gate.
+    /// The six counters a drift in which fails the gate.
     fn gated_keys() -> impl Iterator<Item = &'static str> {
         let gated = GATE.iter().filter(|g| g.1 != "report only");
         gated.map(|g| g.0)
@@ -348,6 +375,14 @@ mod tests {
         drop(v);
         assert!(b1 - b0 >= 4096, "alloc bytes uncounted");
         assert!(c1 > c0, "alloc calls uncounted");
+
+        let live0 = live_bytes();
+        let mut v: Vec<u8> = Vec::with_capacity(16);
+        v.reserve_exact(4096);
+        let grown = live_bytes() - live0;
+        drop(v);
+        assert_eq!(grown, 4096, "realloc must free the old block");
+        assert_eq!(live_bytes(), live0, "freed bytes uncounted");
 
         let j = measure(50, 5);
         for (key, ..) in GATE {
@@ -365,7 +400,7 @@ mod tests {
 
         let a = measure(60, 6);
         let b = measure(60, 6);
-        assert_eq!(gated_keys().count(), 5);
+        assert_eq!(gated_keys().count(), 6);
         for key in gated_keys() {
             assert_eq!(
                 num_field(&a, key),
@@ -383,6 +418,7 @@ mod tests {
             ("peak_queue_depth", Json::int(5)),
             ("alloc_bytes", Json::int(alloc_bytes)),
             ("alloc_calls", Json::int(10)),
+            ("build_live_bytes_per_node", Json::num(1500.5)),
             ("wall_s", Json::num(0.5)),
             ("events_per_sec", Json::num(events as f64 / 0.5)),
         ])

@@ -20,6 +20,7 @@
 //! (DESIGN.md §4h).
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use decent_sim::prelude::*;
 
@@ -175,10 +176,30 @@ struct RpcEntry {
     peer: NodeId,
 }
 
+/// One routing-table entry. `node` and `key` are stored flat: a nested
+/// [`Contact`] pads to 32 B and the bucket tag would then make 48.
 #[derive(Copy, Clone, Debug)]
 struct BucketEntry {
-    contact: Contact,
+    node: NodeId,
+    key: Key,
     last_seen: SimTime,
+    /// The bucket this entry sits in: the length of the key prefix it
+    /// shares with the table's owner.
+    bucket: u8,
+}
+
+const _: () = {
+    assert!(KEY_BITS <= u8::MAX as usize + 1, "the bucket tag is a u8");
+    assert!(std::mem::size_of::<BucketEntry>() <= 40);
+};
+
+impl BucketEntry {
+    fn contact(&self) -> Contact {
+        Contact {
+            node: self.node,
+            key: self.key,
+        }
+    }
 }
 
 const REFRESH_TAG: u64 = 0;
@@ -190,7 +211,11 @@ pub struct KadNode {
     cfg: KadConfig,
     responsive: bool,
     sybil_directory: Option<Vec<Contact>>,
-    buckets: Vec<Vec<BucketEntry>>,
+    // The routing table, all k-buckets in one vector: entries grouped
+    // by ascending bucket tag (`bucket_of` finds a bucket's range), and
+    // inside a bucket in LRU-list order: a new or re-seen entry goes to
+    // the tail, an evicting entry takes the evicted one's place.
+    table: Vec<BucketEntry>,
     // Ordered collections throughout: today every access is a point
     // lookup, but the determinism contract (DESIGN.md §4e) wants the
     // hasher structurally unable to leak into event order if a future
@@ -205,9 +230,6 @@ pub struct KadNode {
     lookups: SlotArena<Lookup>,
     rpc_to_lookup: Vec<RpcEntry>,
     next_id: u64,
-    // Reusable staging buffer for closest-contact computation; contents
-    // are dead between handler activations.
-    scratch: Vec<Contact>,
     /// Completed lookups, harvested by the experiment harness.
     pub results: Vec<LookupResult>,
 }
@@ -220,12 +242,11 @@ impl KadNode {
             cfg,
             responsive: true,
             sybil_directory: None,
-            buckets: vec![Vec::new(); KEY_BITS],
+            table: Vec::new(),
             store: BTreeSet::new(),
             lookups: SlotArena::new(),
             rpc_to_lookup: Vec::new(),
             next_id: 1,
-            scratch: Vec::new(),
             results: Vec::new(),
         }
     }
@@ -249,17 +270,10 @@ impl KadNode {
     }
 
     /// Interns the k directory entries closest to `target` (sybil
-    /// reply set), staged through the scratch buffer.
-    fn sybil_reply(&mut self, target: &Key) -> Interned<[Contact]> {
-        self.scratch.clear();
-        if let Some(dir) = &self.sybil_directory {
-            self.scratch.extend_from_slice(dir);
-        }
-        self.scratch
-            // decent-lint: allow(D009) reason="(xor_distance, node) is injective: node ids are unique per entry"
-            .sort_unstable_by_key(|a| (a.key.xor_distance(target), a.node));
-        self.scratch.truncate(self.cfg.k);
-        Interned::from_slice(&self.scratch)
+    /// reply set).
+    fn sybil_reply(&self, target: &Key) -> Interned<[Contact]> {
+        let directory = self.sybil_directory.iter().flatten().copied();
+        Interned::from_vec(closest_k(directory, target, self.cfg.k))
     }
 
     /// This node's overlay key.
@@ -274,6 +288,7 @@ impl KadNode {
 
     /// Inserts contacts directly into the routing table (bootstrap).
     pub fn seed_routing_table(&mut self, contacts: &[Contact], now: SimTime) {
+        self.table.reserve(contacts.len());
         for &c in contacts {
             self.touch(c, now);
         }
@@ -286,38 +301,23 @@ impl KadNode {
     /// al.).
     pub fn force_insert(&mut self, contacts: &[Contact], now: SimTime) {
         for &contact in contacts {
-            if contact.key == self.key {
-                continue;
-            }
-            let Some(bucket_idx) = self.key.xor_distance(&contact.key).bucket() else {
+            let Some((entry, range)) = self.bucket_of(contact, now) else {
                 continue;
             };
-            let idx = KEY_BITS - 1 - bucket_idx;
-            let k = self.cfg.k;
-            let bucket = &mut self.buckets[idx];
-            if let Some(pos) = bucket.iter().position(|e| e.contact.node == contact.node) {
-                bucket[pos].last_seen = now;
-                continue;
-            }
-            if bucket.len() < k {
-                bucket.push(BucketEntry {
-                    contact,
-                    last_seen: now,
-                });
-            } else if let Some((pos, _)) =
-                bucket.iter().enumerate().min_by_key(|(_, e)| e.last_seen)
-            {
-                bucket[pos] = BucketEntry {
-                    contact,
-                    last_seen: now,
-                };
+            let bucket = &mut self.table[range.clone()];
+            if let Some(e) = bucket.iter_mut().find(|e| e.node == contact.node) {
+                e.last_seen = now;
+            } else if bucket.len() < self.cfg.k {
+                self.table.insert(range.end, entry);
+            } else if let Some(oldest) = bucket.iter_mut().min_by_key(|e| e.last_seen) {
+                *oldest = entry;
             }
         }
     }
 
     /// Number of routing-table entries.
     pub fn table_size(&self) -> usize {
-        self.buckets.iter().map(|b| b.len()).sum()
+        self.table.len()
     }
 
     /// Whether `key` is stored locally.
@@ -340,21 +340,15 @@ impl KadNode {
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let k = self.cfg.k;
-        {
-            let Self {
-                buckets, scratch, ..
-            } = self;
-            Self::closest_into(buckets, &target, k, scratch);
-        }
-        // closest_into leaves the scratch buffer distance-sorted, so the
-        // shortlist is born in lookup order.
-        let mut shortlist: Vec<ShortEntry> = Vec::with_capacity(self.scratch.len());
-        shortlist.extend(self.scratch.iter().map(|&contact| ShortEntry {
+        // The closest contacts come nearest first, so the shortlist is
+        // born in lookup order.
+        let closest = self.closest_contacts(&target, self.cfg.k);
+        let entries = closest.iter().map(|&contact| ShortEntry {
             dist: contact.key.xor_distance(&target),
             contact,
             state: EntryState::Candidate,
-        }));
+        });
+        let shortlist: Vec<ShortEntry> = entries.collect();
         let lookup = Lookup {
             id,
             target,
@@ -377,121 +371,90 @@ impl KadNode {
         id
     }
 
-    /// The k closest contacts to `target` from the routing table.
+    /// The `n` closest contacts to `target` from the routing table.
     pub fn closest_contacts(&self, target: &Key, n: usize) -> Vec<Contact> {
-        let mut all = Vec::new();
-        Self::closest_into(&self.buckets, target, n, &mut all);
-        all
+        closest_k(self.table.iter().map(BucketEntry::contact), target, n)
     }
 
-    /// Fills `out` with the `n` closest routing-table contacts to
-    /// `target`, sorted by distance. The `(distance, node)` sort key is
-    /// a total order over distinct contacts, so the unstable sort is
-    /// deterministic; distances tie only for equal keys.
-    fn closest_into(buckets: &[Vec<BucketEntry>], target: &Key, n: usize, out: &mut Vec<Contact>) {
-        out.clear();
-        out.extend(buckets.iter().flatten().map(|e| e.contact));
-        // decent-lint: allow(D009) reason="(xor_distance, node) is injective: one entry per node id across buckets"
-        out.sort_unstable_by_key(|c| (c.key.xor_distance(target), c.node));
-        out.truncate(n);
+    /// Interns the k closest contacts as a reply payload.
+    fn closest_reply(&self, target: &Key) -> Interned<[Contact]> {
+        Interned::from_vec(self.closest_contacts(target, self.cfg.k))
     }
 
-    /// Stages the k closest contacts in the scratch buffer and interns
-    /// them as a reply payload with one exact-size allocation.
-    fn closest_reply(&mut self, target: &Key) -> Interned<[Contact]> {
-        let k = self.cfg.k;
-        let Self {
-            buckets, scratch, ..
-        } = self;
-        Self::closest_into(buckets, target, k, scratch);
-        Interned::from_slice(scratch)
+    /// The entry `contact` would get if seen at `now`, and the range of
+    /// the table its bucket occupies today; `None` for this node's own
+    /// key, which has no bucket.
+    fn bucket_of(&self, contact: Contact, now: SimTime) -> Option<(BucketEntry, Range<usize>)> {
+        // Bucket index counts from the most significant differing bit;
+        // the tag is the shared-prefix length.
+        let bucket = (KEY_BITS - 1 - self.key.xor_distance(&contact.key).bucket()?) as u8;
+        let start = self.table.partition_point(|e| e.bucket < bucket);
+        let len = self.table[start..].partition_point(|e| e.bucket == bucket);
+        let entry = BucketEntry {
+            node: contact.node,
+            key: contact.key,
+            last_seen: now,
+            bucket,
+        };
+        Some((entry, start..start + len))
     }
 
     fn touch(&mut self, contact: Contact, now: SimTime) {
-        if contact.key == self.key {
-            return;
-        }
-        let Some(bucket_idx) = self.key.xor_distance(&contact.key).bucket() else {
+        let Some((entry, range)) = self.bucket_of(contact, now) else {
             return;
         };
-        // Bucket index counts from the most significant differing bit;
-        // store in vector position = shared-prefix length.
-        let idx = KEY_BITS - 1 - bucket_idx;
-        let k = self.cfg.k;
-        let staleness = self.cfg.staleness;
-        let bucket = &mut self.buckets[idx];
-        if let Some(pos) = bucket.iter().position(|e| e.contact.node == contact.node) {
-            let mut e = bucket.remove(pos);
-            e.last_seen = now;
-            bucket.push(e);
-            return;
-        }
-        if bucket.len() < k {
-            bucket.push(BucketEntry {
-                contact,
-                last_seen: now,
-            });
-            return;
-        }
-        // Full: evict the least-recently-seen entry if it is stale.
-        if let Some((pos, oldest)) = bucket
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.last_seen)
-            .map(|(i, e)| (i, e.last_seen))
-        {
-            if now.saturating_since(oldest) > staleness {
-                bucket[pos] = BucketEntry {
-                    contact,
-                    last_seen: now,
-                };
+        let bucket = &mut self.table[range.clone()];
+        if let Some(pos) = bucket.iter().position(|e| e.node == contact.node) {
+            // Seen again: most recently seen sits at the bucket's tail.
+            bucket[pos].last_seen = now;
+            bucket[pos..].rotate_left(1);
+        } else if bucket.len() < self.cfg.k {
+            self.table.insert(range.end, entry);
+        } else if let Some(oldest) = bucket.iter_mut().min_by_key(|e| e.last_seen) {
+            // Full: evict the least-recently-seen entry if it is stale.
+            if now.saturating_since(oldest.last_seen) > self.cfg.staleness {
+                *oldest = entry;
             }
         }
     }
 
     fn note_failed(&mut self, node: NodeId) {
-        for bucket in &mut self.buckets {
-            bucket.retain(|e| e.contact.node != node);
-        }
+        self.table.retain(|e| e.node != node);
     }
 
     fn drive_lookup(&mut self, idx: SlotIdx, ctx: &mut Context<'_, KadMsg>) {
-        let (k, alpha, timeout, from_key) =
-            (self.cfg.k, self.cfg.alpha, self.cfg.rpc_timeout, self.key);
-        let mut to_send: Vec<NodeId> = Vec::new();
-        let mut finished = false;
-        {
-            let Some(lookup) = self.lookups.get_mut(idx) else {
-                return;
-            };
-            // Fire queries at candidates among the k closest non-failed
-            // entries until alpha are in flight.
-            while lookup.inflight < alpha {
-                let next = lookup
-                    .shortlist
-                    .iter_mut()
-                    .filter(|e| e.state != EntryState::Failed)
-                    .take(k)
-                    .find(|e| e.state == EntryState::Candidate);
-                let Some(entry) = next else { break };
-                entry.state = EntryState::Waiting;
-                lookup.inflight += 1;
-                lookup.rpcs += 1;
-                to_send.push(entry.contact.node);
-            }
-            if lookup.inflight == 0 {
-                finished = true;
-            }
-        }
-        for peer in to_send {
-            let rpc = self.next_id;
-            self.next_id += 1;
-            self.rpc_to_lookup.push(RpcEntry {
+        let from_key = self.key;
+        let Self {
+            cfg,
+            lookups,
+            rpc_to_lookup,
+            next_id,
+            ..
+        } = self;
+        let Some(lookup) = lookups.get_mut(idx) else {
+            return;
+        };
+        // Fire queries at candidates among the k closest non-failed
+        // entries until alpha are in flight.
+        while lookup.inflight < cfg.alpha {
+            let next = lookup
+                .shortlist
+                .iter_mut()
+                .filter(|e| e.state != EntryState::Failed)
+                .take(cfg.k)
+                .find(|e| e.state == EntryState::Candidate);
+            let Some(entry) = next else { break };
+            entry.state = EntryState::Waiting;
+            lookup.inflight += 1;
+            lookup.rpcs += 1;
+            let peer = entry.contact.node;
+            let rpc = *next_id;
+            *next_id += 1;
+            rpc_to_lookup.push(RpcEntry {
                 rpc,
                 lookup: idx,
                 peer,
             });
-            let lookup = self.lookups.get(idx).expect("live lookup");
             let msg = if lookup.is_value {
                 KadMsg::FindValue {
                     rpc,
@@ -506,9 +469,9 @@ impl KadNode {
                 }
             };
             ctx.send(peer, msg);
-            ctx.set_timer(timeout, rpc);
+            ctx.set_timer(cfg.rpc_timeout, rpc);
         }
-        if finished {
+        if lookup.inflight == 0 {
             self.finish_lookup(idx, false, ctx);
         }
     }
@@ -555,24 +518,28 @@ impl KadNode {
         let Some(lookup) = self.lookups.get_mut(idx) else {
             return;
         };
+        let shortlist = &mut lookup.shortlist;
         for &c in contacts {
             if c.key == my_key {
                 continue;
             }
-            if lookup.shortlist.iter().any(|e| e.contact.node == c.node) {
+            if shortlist.iter().any(|e| e.contact.node == c.node) {
                 continue;
             }
-            lookup.shortlist.push(ShortEntry {
-                dist: c.key.xor_distance(target),
-                contact: c,
-                state: EntryState::Candidate,
-            });
+            // The shortlist is strictly increasing in `(dist, node)`,
+            // injective because it is deduplicated by node above: every
+            // new contact has exactly one place in it.
+            let dist = c.key.xor_distance(target);
+            let at = shortlist.partition_point(|e| (e.dist, e.contact.node) < (dist, c.node));
+            shortlist.insert(
+                at,
+                ShortEntry {
+                    dist,
+                    contact: c,
+                    state: EntryState::Candidate,
+                },
+            );
         }
-        // The in-place sort skips the stable sort's temp buffer.
-        lookup
-            .shortlist
-            // decent-lint: allow(D009) reason="(dist, node) is injective: the shortlist is deduplicated by node above"
-            .sort_unstable_by_key(|a| (a.dist, a.contact.node));
     }
 
     fn on_reply(
@@ -753,6 +720,28 @@ impl Node for KadNode {
     }
 }
 
+/// The `n` candidates closest to `target`, nearest first, ordered by
+/// `(xor_distance, node)`. Each candidate's rank is computed once and
+/// only the `n` winners are sorted. The distance determines the key, so
+/// two candidates of equal rank are the same contact: the whole-tuple
+/// order is total and the unstable selection and sort are deterministic.
+///
+/// The ranks are staged in a local vector, not in the node: `malloc`
+/// hands every call the same hot chunk, where a per-node buffer is cold
+/// memory touched once per request (DESIGN.md §4g has the measurement).
+fn closest_k(candidates: impl Iterator<Item = Contact>, target: &Key, n: usize) -> Vec<Contact> {
+    let mut ranked: Vec<(Distance, NodeId, Key)> = candidates
+        .map(|c| (c.key.xor_distance(target), c.node, c.key))
+        .collect();
+    if n < ranked.len() {
+        ranked.select_nth_unstable(n);
+        ranked.truncate(n);
+    }
+    ranked.sort_unstable();
+    let contacts = ranked.iter().map(|&(_, node, key)| Contact { node, key });
+    contacts.collect()
+}
+
 use rand::Rng;
 
 /// Builds a pre-converged Kademlia network of `n` nodes.
@@ -826,7 +815,7 @@ pub fn build_network<S: SchedulerFor<KadNode>>(
             .filter(|c| c.node != id)
             .cloned()
             .collect();
-        near.sort_by_key(|a| a.key.xor_distance(&me));
+        near.sort_by_cached_key(|a| a.key.xor_distance(&me));
         let mut seeds: Vec<Contact> = near.into_iter().take(cfg.k).collect();
         for _ in 0..extra_random {
             seeds.push(contacts[rng.gen_range(0..n)]);
@@ -1042,5 +1031,263 @@ mod tests {
             })
             .count();
         assert!(with_victim < 10, "dead node should be evicted somewhere");
+    }
+
+    // The three mechanisms below each replaced a simpler one — a `Vec`
+    // per bucket, collect-all + full sort, append + full sort — that is
+    // kept here as the model the replacement must agree with, over
+    // seeded random operation sequences (a failure prints its seed).
+
+    /// The routing table as one `Vec` per bucket.
+    struct NestedTable {
+        key: Key,
+        cfg: KadConfig,
+        buckets: Vec<Vec<(Contact, SimTime)>>,
+    }
+
+    impl NestedTable {
+        fn new(key: Key, cfg: KadConfig) -> Self {
+            NestedTable {
+                key,
+                cfg,
+                buckets: vec![Vec::new(); KEY_BITS],
+            }
+        }
+
+        fn bucket(&mut self, c: &Contact) -> Option<&mut Vec<(Contact, SimTime)>> {
+            let idx = KEY_BITS - 1 - self.key.xor_distance(&c.key).bucket()?;
+            Some(&mut self.buckets[idx])
+        }
+
+        /// Position of the first entry with the smallest `last_seen`.
+        fn oldest(bucket: &[(Contact, SimTime)]) -> usize {
+            let mut oldest = 0;
+            for (i, e) in bucket.iter().enumerate() {
+                if e.1 < bucket[oldest].1 {
+                    oldest = i;
+                }
+            }
+            oldest
+        }
+
+        fn touch(&mut self, c: Contact, now: SimTime) {
+            let (k, staleness) = (self.cfg.k, self.cfg.staleness);
+            let Some(bucket) = self.bucket(&c) else {
+                return;
+            };
+            if let Some(pos) = bucket.iter().position(|e| e.0.node == c.node) {
+                let seen = bucket.remove(pos);
+                bucket.push((seen.0, now));
+            } else if bucket.len() < k {
+                bucket.push((c, now));
+            } else {
+                let pos = Self::oldest(bucket);
+                if now.saturating_since(bucket[pos].1) > staleness {
+                    bucket[pos] = (c, now);
+                }
+            }
+        }
+
+        fn force_insert(&mut self, c: Contact, now: SimTime) {
+            let k = self.cfg.k;
+            let Some(bucket) = self.bucket(&c) else {
+                return;
+            };
+            if let Some(e) = bucket.iter_mut().find(|e| e.0.node == c.node) {
+                e.1 = now;
+            } else if bucket.len() < k {
+                bucket.push((c, now));
+            } else {
+                let pos = Self::oldest(bucket);
+                bucket[pos] = (c, now);
+            }
+        }
+
+        fn note_failed(&mut self, node: NodeId) {
+            for bucket in &mut self.buckets {
+                bucket.retain(|e| e.0.node != node);
+            }
+        }
+    }
+
+    /// The flat table read back as one `Vec` per bucket.
+    fn nested(node: &KadNode) -> Vec<Vec<(Contact, SimTime)>> {
+        assert!(node.table.is_sorted_by_key(|e| e.bucket));
+        let mut buckets = vec![Vec::new(); KEY_BITS];
+        for e in &node.table {
+            buckets[e.bucket as usize].push((e.contact(), e.last_seen));
+        }
+        buckets
+    }
+
+    /// Node ids 0..40 over five buckets of a k = 3 table, so buckets
+    /// fill; now and then a known id under a key of another bucket. The
+    /// deepest bucket holds a single key, so its ids tie on distance.
+    fn random_contact(me: &Key, rng: &mut SimRng) -> Contact {
+        const PREFIXES: [usize; 5] = [0, 1, 2, 7, KEY_BITS - 1];
+        let node: NodeId = rng.gen_range(0..40);
+        let home = if rng.gen_bool(0.05) {
+            rng.gen_range(0..PREFIXES.len())
+        } else {
+            node % PREFIXES.len()
+        };
+        // Derived from the id, so an id keeps its key across draws.
+        let mut key_rng = rng_from_seed((node * PREFIXES.len() + home) as u64);
+        Contact {
+            node,
+            key: me.random_in_bucket(PREFIXES[home], &mut key_rng),
+        }
+    }
+
+    fn random_contacts(me: &Key, rng: &mut SimRng) -> Vec<Contact> {
+        (0..rng.gen_range(1..8))
+            .map(|_| random_contact(me, rng))
+            .collect()
+    }
+
+    #[test]
+    fn flat_table_keeps_the_nested_tables_buckets() {
+        for seed in 0..40 {
+            let mut rng = rng_from_seed(seed);
+            let me = Key::random(&mut rng);
+            let cfg = KadConfig {
+                k: 3,
+                staleness: SimDuration::from_secs(10.0),
+                ..KadConfig::default()
+            };
+            let mut node = KadNode::new(me, cfg.clone());
+            let mut model = NestedTable::new(me, cfg);
+            let mut now = SimTime::ZERO;
+            for step in 0..400 {
+                // Equal times tie `last_seen`; 30 s makes every entry stale.
+                now += SimDuration::from_secs([0.0, 0.0, 1.0, 30.0][rng.gen_range(0..4usize)]);
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let c = random_contact(&me, &mut rng);
+                        node.touch(c, now);
+                        model.touch(c, now);
+                    }
+                    5 => {
+                        let own = Contact { node: 99, key: me };
+                        node.touch(own, now);
+                        model.touch(own, now);
+                    }
+                    6 => {
+                        let cs = random_contacts(&me, &mut rng);
+                        node.seed_routing_table(&cs, now);
+                        cs.iter().for_each(|&c| model.touch(c, now));
+                    }
+                    7 => {
+                        let cs = random_contacts(&me, &mut rng);
+                        node.force_insert(&cs, now);
+                        cs.iter().for_each(|&c| model.force_insert(c, now));
+                    }
+                    _ => {
+                        let failed = rng.gen_range(0..40);
+                        node.note_failed(failed);
+                        model.note_failed(failed);
+                    }
+                }
+                assert_eq!(nested(&node), model.buckets, "seed {seed} step {step}");
+                assert_eq!(node.table_size(), model.buckets.iter().map(Vec::len).sum());
+            }
+        }
+    }
+
+    /// Collect every candidate, sort them all, keep `n`.
+    fn full_sort_closest(all: &[Contact], target: &Key, n: usize) -> Vec<Contact> {
+        let mut all = all.to_vec();
+        all.sort_by_key(|c| (c.key.xor_distance(target), c.node));
+        all.truncate(n);
+        all
+    }
+
+    #[test]
+    fn closest_k_is_the_head_of_the_full_sort() {
+        for seed in 0..40 {
+            let mut rng = rng_from_seed(seed);
+            let me = Key::random(&mut rng);
+            let mut node = KadNode::new(me, KadConfig::default());
+            let k = node.cfg.k;
+            // An empty table first, then one of 1 to 300 entries over
+            // every bucket random keys reach; every eighth id shares
+            // one key, so distances tie.
+            let shared = Key::random(&mut rng);
+            for fill in [0, rng.gen_range(1..300)] {
+                let seeds: Vec<Contact> = (0..fill)
+                    .map(|node| Contact {
+                        node,
+                        key: if node % 8 == 0 {
+                            shared
+                        } else {
+                            Key::random(&mut rng)
+                        },
+                    })
+                    .collect();
+                node.seed_routing_table(&seeds, SimTime::ZERO);
+                let all: Vec<Contact> = node.table.iter().map(BucketEntry::contact).collect();
+                let target = Key::random(&mut rng);
+                for n in [0, 1, k, all.len(), all.len() + 1] {
+                    assert_eq!(
+                        node.closest_contacts(&target, n),
+                        full_sort_closest(&all, &target, n),
+                        "seed {seed} n {n} of {}",
+                        all.len()
+                    );
+                }
+                // The sybil directory goes through the same helper.
+                node.make_sybil(seeds.clone());
+                assert_eq!(
+                    node.sybil_reply(&target)[..],
+                    full_sort_closest(&seeds, &target, k),
+                    "seed {seed} directory of {fill}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shortlist_stays_sorted_as_the_full_sort_would_leave_it() {
+        for seed in 0..40 {
+            let mut rng = rng_from_seed(seed);
+            let me = Key::random(&mut rng);
+            let mut node = KadNode::new(me, KadConfig::default());
+            node.seed_routing_table(&random_contacts(&me, &mut rng), SimTime::ZERO);
+            let target = Key::random(&mut rng);
+            let mut effects = Vec::new();
+            let mut ctx_rng = rng_from_seed(seed);
+            let mut ctx = Context::new(SimTime::ZERO, 0, &mut ctx_rng, &mut effects);
+            node.start_lookup(target, false, &mut ctx);
+            let idx = node.rpc_to_lookup[0].lookup;
+            let shortlist = |node: &KadNode| -> Vec<(Distance, Contact, EntryState)> {
+                let lookup = node.lookups.get(idx).expect("lookup in flight");
+                let entries = lookup.shortlist.iter();
+                entries.map(|e| (e.dist, e.contact, e.state)).collect()
+            };
+            let mut model = shortlist(&node);
+            for reply in 0..60 {
+                // Ids repeat within a reply and across replies, some
+                // under a second key; sometimes the node's own key.
+                let mut contacts = random_contacts(&me, &mut rng);
+                if rng.gen_bool(0.2) {
+                    contacts.push(Contact { node: 99, key: me });
+                }
+                node.merge_contacts(idx, &contacts, &target);
+                // Append what is new by node id, then sort everything.
+                for &c in contacts.iter().filter(|c| c.key != me) {
+                    if model.iter().all(|e| e.1.node != c.node) {
+                        model.push((c.key.xor_distance(&target), c, EntryState::Candidate));
+                    }
+                }
+                model.sort_by_key(|e| (e.0, e.1.node));
+                let got = shortlist(&node);
+                assert_eq!(got, model, "seed {seed} reply {reply}");
+                assert!(
+                    got.windows(2)
+                        .all(|w| (w[0].0, w[0].1.node) < (w[1].0, w[1].1.node)),
+                    "seed {seed} reply {reply}: not strictly increasing"
+                );
+            }
+        }
     }
 }
