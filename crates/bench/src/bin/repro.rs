@@ -1,6 +1,12 @@
 //! Regenerates every experiment report (the paper's "tables and
 //! figures") as markdown or as a machine-readable JSON run report.
 //!
+//! One of the two binaries of `decent-bench`, the package that drives
+//! the workspace. The other, `perf-gate`, re-measures one small serial
+//! configuration and holds its deterministic cost counters against
+//! `baselines/perf_quick.json`. Timing lives in the standalone
+//! `benchmark/` package, not here.
+//!
 //! ```text
 //! repro [--quick] [--exp E7[,E9,...]] [--csv DIR] [--claims] [--list]
 //!       [--json PATH] [--format md|json] [--summary PATH]

@@ -17,7 +17,7 @@
 //! batches on a bandwidth-limited network ([`LanNet`]) plus the O(n²)
 //! vote traffic.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use decent_sim::prelude::*;
 
@@ -367,6 +367,10 @@ impl PbftReplica {
         let i_am_new_primary = (new_view % self.cfg.n as u64) as usize == self.index;
         if enough && i_am_new_primary {
             self.enter_view(new_view, ctx);
+            // A replica that was never primary has proposed nothing:
+            // resume after what it executed, not at sequence 1, where
+            // proposals would commit and never execute.
+            self.next_seq = self.next_seq.max(self.last_executed + 1);
             let bytes = self.cfg.vote_bytes;
             self.broadcast(
                 PbftMsg::NewView {
@@ -381,21 +385,23 @@ impl PbftReplica {
 
     fn enter_view(&mut self, view: u64, ctx: &mut Context<'_, PbftMsg>) {
         self.view = view;
+        // decent-lint: allow(D001) reason="pure predicate: the closure writes no captured state"
         self.view_votes.retain(|&v, _| v > view);
         // Re-buffer any proposed-but-uncommitted requests so the new
-        // primary can propose them again.
-        let mut stranded: Vec<Request> = Vec::new();
-        self.log.retain(|_, inst| {
-            if !inst.committed {
-                if let Some(b) = &inst.batch {
-                    stranded.extend(b.iter().copied());
-                }
-                false
-            } else {
-                true
+        // primary can propose them again, in ascending sequence order:
+        // what it proposes next must not depend on the hasher.
+        let stranded = self
+            .log
+            .iter()
+            .filter(|(_, inst)| !inst.committed)
+            .map(|(&seq, _)| seq)
+            .collect::<BTreeSet<u64>>();
+        for seq in stranded {
+            let inst = self.log.remove(&seq).expect("listed above");
+            if let Some(batch) = inst.batch {
+                self.buffer.extend(batch.iter().copied());
             }
-        });
-        self.buffer.extend(stranded);
+        }
         self.arm_watchdog(ctx);
     }
 
@@ -628,6 +634,70 @@ mod tests {
             r.executed.len(),
             500,
             "work must complete under the new primary"
+        );
+    }
+
+    /// A saturated cluster whose primary dies with proposals in flight,
+    /// while backup 3 is away: what the primary proposed last reached
+    /// replicas 1 and 2 only, one commit vote short of a quorum. Returns
+    /// the new primary's buffer as it takes over and its execution
+    /// record at the end.
+    fn primary_dies_with_instances_in_flight() -> (Vec<Request>, Vec<ExecRecord>) {
+        const OPS: u64 = 20_000;
+        let cfg = PbftConfig {
+            view_timeout: SimDuration::from_millis(500.0),
+            ..PbftConfig::default()
+        };
+        let mut sim = Simulation::new(67, LanNet::datacenter());
+        let ids = build_cluster(&mut sim, &cfg, &[]);
+        for &id in &ids {
+            sim.node_mut(id).submit_many(0..OPS, SimTime::ZERO);
+        }
+        sim.schedule_stop(ids[3], SimTime::from_secs(0.050));
+        sim.schedule_stop(ids[0], SimTime::from_secs(0.080));
+        sim.schedule_start(ids[3], SimTime::from_secs(0.120));
+        // The dead primary's transmit queue has drained; no watchdog
+        // has seen a silent half second yet.
+        sim.run_until(SimTime::from_secs(0.9));
+        let next = sim.node(ids[1]);
+        assert_eq!(next.view(), 0);
+        let in_flight = next
+            .log
+            .iter()
+            .filter(|(_, inst)| !inst.committed)
+            .filter_map(|(&seq, inst)| Some((seq, inst.batch.clone()?)))
+            .collect::<std::collections::BTreeMap<u64, Batch>>();
+        assert!(
+            in_flight.len() >= 2,
+            "the scenario must strand at least two instances, got {}",
+            in_flight.len()
+        );
+        let ascending: Vec<Request> = in_flight.values().flat_map(|b| b.iter().copied()).collect();
+        while sim.node(ids[1]).view() == 0 {
+            sim.run_until(sim.now() + SimDuration::from_millis(1.0));
+        }
+        let buffer = sim.node(ids[1]).buffer.clone();
+        assert!(
+            buffer.ends_with(&ascending),
+            "stranded batches must be re-buffered in ascending sequence order"
+        );
+        sim.run_until(SimTime::from_secs(10.0));
+        for &id in &ids[1..3] {
+            let r = sim.node(id);
+            assert_eq!(r.view(), 1);
+            // `executed` records an id's first execution only.
+            assert_eq!(r.executed.len() as u64, OPS, "every request executes");
+        }
+        (buffer, sim.node(ids[1]).executed.clone())
+    }
+
+    #[test]
+    fn view_change_rebuffers_stranded_instances_in_sequence_order() {
+        // Every `HashMap` draws a fresh `RandomState`, so a second run in
+        // the same process iterates `log` in a different order.
+        assert_eq!(
+            primary_dies_with_instances_in_flight(),
+            primary_dies_with_instances_in_flight()
         );
     }
 

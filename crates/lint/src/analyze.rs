@@ -18,7 +18,8 @@ use crate::scope::{ScopeKind, ScopeTree};
 use crate::symbols::SymbolTable;
 
 /// Iteration methods on `HashMap`/`HashSet` whose visit order is the
-/// hasher's (D001 trigger set).
+/// hasher's (D001 trigger set). `retain` returns nothing, so no chain
+/// can prove it order-insensitive: its closure may write captured state.
 const ITER_METHODS: &[&str] = &[
     "iter",
     "iter_mut",
@@ -29,6 +30,7 @@ const ITER_METHODS: &[&str] = &[
     "into_iter",
     "into_keys",
     "into_values",
+    "retain",
 ];
 
 /// Commutative / order-insensitive chain terminators: an iteration that

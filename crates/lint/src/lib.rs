@@ -56,7 +56,6 @@ pub mod analyze;
 pub mod lex;
 pub mod report;
 pub mod rules;
-pub mod schema;
 pub mod scope;
 pub mod symbols;
 pub mod workspace;

@@ -1,16 +1,13 @@
 //! `decent-lint` CLI.
 //!
 //! ```text
-//! cargo run -p decent-lint -- --workspace [--root DIR] [--json PATH] [--md PATH] [--quiet]
+//! cargo run -p decent-lint -- --workspace [--root DIR] [--md PATH] [--quiet]
 //! cargo run -p decent-lint -- --rules
 //! cargo run -p decent-lint -- --explain D007
-//! cargo run -p decent-lint -- --schema-check lint-report.json
 //! ```
 //!
 //! Exit status: 0 when clean, 1 when any finding (including unused or
 //! malformed pragmas) survives, 2 on usage or I/O errors.
-//! `--schema-check` exits 0 on a valid report regardless of how many
-//! findings it records — it validates the document, not the tree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,30 +18,25 @@ use std::process::ExitCode;
 use decent_lint::{
     lint_workspace, report,
     rules::{Rule, ALL_RULES},
-    schema,
 };
 
 struct Cli {
     workspace: bool,
     root: PathBuf,
-    json: Option<PathBuf>,
     md: Option<PathBuf>,
     quiet: bool,
     rules: bool,
     explain: Option<String>,
-    schema_check: Option<PathBuf>,
 }
 
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli {
         workspace: false,
         root: PathBuf::from("."),
-        json: None,
         md: None,
         quiet: false,
         rules: false,
         explain: None,
-        schema_check: None,
     };
     let mut args = args.peekable();
     while let Some(a) = args.next() {
@@ -55,25 +47,17 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
             "--root" => {
                 cli.root = PathBuf::from(args.next().ok_or("--root needs a directory")?);
             }
-            "--json" => {
-                cli.json = Some(PathBuf::from(args.next().ok_or("--json needs a path")?));
-            }
             "--md" => {
                 cli.md = Some(PathBuf::from(args.next().ok_or("--md needs a path")?));
             }
             "--explain" => {
                 cli.explain = Some(args.next().ok_or("--explain needs a rule id (e.g. D007)")?);
             }
-            "--schema-check" => {
-                cli.schema_check = Some(PathBuf::from(
-                    args.next().ok_or("--schema-check needs a report path")?,
-                ));
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if !cli.workspace && !cli.rules && cli.explain.is_none() && cli.schema_check.is_none() {
-        return Err("nothing to do: pass --workspace (and optionally --json PATH)".to_string());
+    if !cli.workspace && !cli.rules && cli.explain.is_none() {
+        return Err("nothing to do: pass --workspace (and optionally --md PATH)".to_string());
     }
     Ok(cli)
 }
@@ -100,8 +84,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("decent-lint: {e}");
             eprintln!(
-                "usage: decent-lint --workspace [--root DIR] [--json PATH] [--md PATH] [--quiet] \
-                 | --rules | --explain CODE | --schema-check PATH"
+                "usage: decent-lint --workspace [--root DIR] [--md PATH] [--quiet] \
+                 | --rules | --explain CODE"
             );
             return ExitCode::from(2);
         }
@@ -113,31 +97,6 @@ fn main() -> ExitCode {
         };
         print!("{}", explain(rule));
         return ExitCode::SUCCESS;
-    }
-    if let Some(path) = &cli.schema_check {
-        let doc = match std::fs::read_to_string(path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("decent-lint: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        return match schema::check_report(&doc) {
-            Ok(summary) => {
-                println!(
-                    "decent-lint: {} is a valid {} report ({} finding(s), {} file(s) scanned)",
-                    path.display(),
-                    report::LINT_REPORT_SCHEMA,
-                    summary.findings,
-                    summary.files_scanned
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("decent-lint: {}: {e}", path.display());
-                ExitCode::FAILURE
-            }
-        };
     }
     if cli.rules {
         for r in ALL_RULES {
@@ -154,13 +113,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = &cli.json {
-        let doc = report::to_json(&ws.findings, ws.files_scanned, ws.pragmas_used);
-        if let Err(e) = std::fs::write(path, doc + "\n") {
-            eprintln!("decent-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
     if let Some(path) = &cli.md {
         let doc = report::to_markdown(&ws.findings, ws.files_scanned, ws.pragmas_used);
         if let Err(e) = std::fs::write(path, doc) {
@@ -178,5 +130,23 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Result<(), String> {
+        parse_args(args.iter().map(|a| a.to_string())).map(|_| ())
+    }
+
+    #[test]
+    fn the_removed_json_flags_are_unknown_arguments() {
+        assert!(parse(&["--workspace", "--md", "x.md", "--quiet"]).is_ok());
+        for flag in ["--json", "--schema-check"] {
+            let err = parse(&["--workspace", flag, "x.json"]).unwrap_err();
+            assert_eq!(err, format!("unknown argument `{flag}`"));
+        }
     }
 }

@@ -1,18 +1,7 @@
-//! Findings output: human-readable text, a deterministic JSON document
-//! (`decent.lint-report/2`), and a markdown per-rule table for CI step
-//! summaries.
-//!
-//! The JSON is produced by a local writer in the same spirit as
-//! `decent_sim::json` — insertion-ordered keys, one canonical string
-//! escape — but kept here so the lint crate stays dependency-free and
-//! buildable before anything else in the workspace.
+//! Findings output: human-readable text, and a markdown per-rule table
+//! for CI step summaries.
 
 use crate::rules::{Finding, ALL_RULES};
-
-/// Schema identifier embedded in the JSON report. Version 2 grew the
-/// rule set to D001–D010 (the `rule_totals` object gained keys; the
-/// field shapes are unchanged from version 1).
-pub const LINT_REPORT_SCHEMA: &str = "decent.lint-report/2";
 
 /// Renders findings as human-readable lines plus a summary tail.
 pub fn to_text(findings: &[Finding], files_scanned: usize, pragmas_used: usize) -> String {
@@ -32,43 +21,6 @@ pub fn to_text(findings: &[Finding], files_scanned: usize, pragmas_used: usize) 
         ));
     }
     out
-}
-
-/// Renders the deterministic JSON report. Findings must already be in
-/// their stable file/line/rule order (the analyzer guarantees this).
-pub fn to_json(findings: &[Finding], files_scanned: usize, pragmas_used: usize) -> String {
-    let mut s = String::new();
-    s.push_str("{\"schema\":");
-    write_str(&mut s, LINT_REPORT_SCHEMA);
-    s.push_str(&format!(",\"files_scanned\":{files_scanned}"));
-    s.push_str(&format!(",\"pragmas_used\":{pragmas_used}"));
-    s.push_str(",\"rule_totals\":{");
-    let mut first = true;
-    for rule in ALL_RULES {
-        let n = findings.iter().filter(|f| f.rule == rule).count();
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        write_str(&mut s, rule.code());
-        s.push_str(&format!(":{n}"));
-    }
-    s.push_str("},\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"file\":");
-        write_str(&mut s, &f.file);
-        s.push_str(&format!(",\"line\":{}", f.line));
-        s.push_str(",\"rule\":");
-        write_str(&mut s, f.rule.code());
-        s.push_str(",\"message\":");
-        write_str(&mut s, &f.message);
-        s.push('}');
-    }
-    s.push_str("]}");
-    s
 }
 
 /// Renders the per-rule finding table as GitHub-flavored markdown, for
@@ -98,23 +50,6 @@ pub fn to_markdown(findings: &[Finding], files_scanned: usize, pragmas_used: usi
     s
 }
 
-/// Writes a JSON string literal with the canonical escapes.
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,18 +62,6 @@ mod tests {
             rule: Rule::D002,
             message: "`Instant::now()`".to_string(),
         }
-    }
-
-    #[test]
-    fn json_is_stable_and_escaped() {
-        let f = vec![finding()];
-        let a = to_json(&f, 3, 1);
-        let b = to_json(&f, 3, 1);
-        assert_eq!(a, b);
-        assert!(a.starts_with("{\"schema\":\"decent.lint-report/2\""));
-        assert!(a.contains("\"rule\":\"D002\""));
-        assert!(a.contains("\"rule_totals\":{\"D001\":0,\"D002\":1"));
-        assert!(a.contains("\"D010\":0"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The typed rule set of the determinism contract (DESIGN.md §4e, §4j).
+//! The typed rule set of the determinism contract (DESIGN.md §4e).
 
 use std::fmt;
 

@@ -20,6 +20,15 @@ fn violations(scores: HashMap<u64, u64>, seen: HashSet<u64>, t: &Tracker) -> Vec
     out
 }
 
+fn retain_visits_in_hasher_order(t: &mut Tracker, moved: &mut Vec<u64>) {
+    t.pending.retain(|_, v| {
+        moved.push(*v);
+        false
+    });
+    // decent-lint: allow(D001) reason="pure predicate: writes no captured state"
+    t.pending.retain(|k, _| *k > 3);
+}
+
 fn legal(scores: &HashMap<u64, u64>, seen: &HashSet<u64>) -> u64 {
     let total: u64 = scores.values().sum();
     let hits = seen.iter().filter(|v| **v > 3).count();

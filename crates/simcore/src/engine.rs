@@ -63,9 +63,6 @@
 //! assert_eq!(sim.node(a).heard, 1); // got the pong back
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::arena::{NodeStore, SlotView};
 use crate::metrics::{LogHistogram, Metric, MetricsSnapshot};
 use crate::net::NetworkModel;
@@ -79,7 +76,7 @@ use crate::trace::{EventTag, Trace};
 pub type NodeId = usize;
 
 /// Pseudo-sender for messages injected from outside the simulation
-/// (e.g. by a [`Driver`] acting as a client population).
+/// (e.g. by a harness acting as a client population).
 pub const EXTERNAL: NodeId = usize::MAX;
 
 /// Origin marker for events created outside any node handler (driver
@@ -504,10 +501,10 @@ pub(crate) struct Core<S> {
     pub(crate) windows: u64,
     /// Moves between the serial and the windowed layout, either way.
     pub(crate) switches: u64,
-    /// Events ever pushed (queues and hooks), engine-tracked so the
-    /// count is identical across schedulers and shard counts.
+    /// Events ever pushed, engine-tracked so the count is identical
+    /// across schedulers and shard counts.
     scheduled: u64,
-    /// Events currently pending across all queues (hooks excluded).
+    /// Events currently pending across all queues.
     pub(crate) pending: u64,
     /// High-water mark of `pending`, reconstructed exactly in canonical
     /// event order under sharded execution.
@@ -593,28 +590,6 @@ impl<M: Clone, S: Scheduler<EngineEvent<M>>> Sink<M> for Core<S> {
     }
 }
 
-/// Experiment-side hook receiver.
-///
-/// Drivers generate workload and take measurements from outside the node
-/// set: schedule a hook with [`Simulation::schedule_hook`] and react to it
-/// here with full mutable access to the simulation.
-///
-/// The `S` parameter names the simulation's scheduler and defaults to the
-/// engine default ([`TimingWheel`]); drivers that should work with any
-/// scheduler can stay generic over `S: SchedulerFor<N>`.
-pub trait Driver<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
-    /// Called when a hook scheduled with the given tag fires.
-    fn on_hook(&mut self, tag: u64, sim: &mut Simulation<N, S>);
-}
-
-/// A driver that ignores all hooks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoDriver;
-
-impl<N: Node, S: SchedulerFor<N>> Driver<N, S> for NoDriver {
-    fn on_hook(&mut self, _tag: u64, _sim: &mut Simulation<N, S>) {}
-}
-
 /// Shorthand bound for "a scheduler usable by a simulation over `N`".
 ///
 /// Blanket-implemented for every `Scheduler<EngineEvent<N::Msg>>`, so
@@ -655,10 +630,6 @@ pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
     /// (where the `Send` bounds it needs are available) while more than
     /// one shard is asked for.
     adaptive: Option<AdaptiveFn<N, S>>,
-    /// Driver hooks, kept out of the event queues so sharded execution
-    /// can advance node events in parallel and still hand hooks to the
-    /// driver serially, in deterministic `(time, seq)` order.
-    hooks: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     seed: u64,
     driver_ctr: u32,
     rng: SimRng,
@@ -710,7 +681,6 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
                 trace: None,
             },
             adaptive: None,
-            hooks: BinaryHeap::new(),
             seed,
             driver_ctr: 0,
             rng: rng_from_seed(seed),
@@ -886,16 +856,6 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         );
     }
 
-    /// Schedules a driver hook with `tag` at `at`.
-    ///
-    /// Hooks fire *before* any node event carrying the same timestamp,
-    /// and in scheduling order among themselves.
-    pub fn schedule_hook(&mut self, at: SimTime, tag: u64) {
-        let seq = self.next_driver_seq();
-        self.core.scheduled += 1;
-        self.hooks.push(Reverse((at, seq, tag)));
-    }
-
     /// Injects a message from [`EXTERNAL`] to `dst`, delivered after `delay`.
     pub fn inject(&mut self, dst: NodeId, msg: N::Msg, delay: SimDuration) {
         let seq = self.next_driver_seq();
@@ -1058,78 +1018,9 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     }
 
     /// Runs until the event queue is empty or `deadline` is reached,
-    /// whichever comes first, without a driver.
+    /// whichever comes first.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.run_with_driver(deadline, &mut NoDriver);
-    }
-
-    /// Runs until the queue is empty or `deadline` is reached, dispatching
-    /// hook events to `driver`.
-    pub fn run_with_driver(&mut self, deadline: SimTime, driver: &mut impl Driver<N, S>) {
-        loop {
-            match self.hooks.peek() {
-                Some(&Reverse((t, _, _))) if t <= deadline => {
-                    // All node events strictly before the hook, then the hook.
-                    self.advance_events(t, false);
-                    self.fire_hook(driver);
-                }
-                _ => {
-                    self.advance_events(deadline, true);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Processes a single event (or hook) if one exists at or before
-    /// `deadline`.
-    ///
-    /// Returns false when the queue is exhausted or the next event lies
-    /// beyond the deadline (in which case time advances to the deadline).
-    /// Always serial: single-stepping a sharded simulation is valid and
-    /// produces the same schedule, one event at a time (a windowed
-    /// layout is merged back into one queue first).
-    pub fn step(&mut self, deadline: SimTime, driver: &mut impl Driver<N, S>) -> bool {
-        self.merge_queues();
-        let hook_time = self.hooks.peek().map(|&Reverse((t, _, _))| t);
-        let event_time = self.core.queue.next_time();
-        let hook_first = match (hook_time, event_time) {
-            (Some(h), Some(e)) => h <= e,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => {
-                if self.core.now < deadline && deadline != SimTime::MAX {
-                    self.core.now = deadline;
-                }
-                return false;
-            }
-        };
-        let head = if hook_first { hook_time } else { event_time }.expect("chosen head");
-        if head > deadline {
-            self.core.now = deadline;
-            return false;
-        }
-        if hook_first {
-            self.fire_hook(driver);
-        } else {
-            let (time, _seq, ev) = self.core.queue.pop().expect("peeked");
-            self.core.counters.activations += 1;
-            self.fire(time, ev);
-        }
-        true
-    }
-
-    /// Pops the earliest hook and hands it to `driver`.
-    fn fire_hook(&mut self, driver: &mut impl Driver<N, S>) {
-        let Reverse((t, _seq, tag)) = self.hooks.pop().expect("peeked");
-        if self.core.now < t {
-            self.core.now = t;
-        }
-        self.core.events_processed += 1;
-        if let Some(trace) = &mut self.core.trace {
-            trace.record(t, 0, EventTag::Hook);
-        }
-        driver.on_hook(tag, self);
+        self.advance_events(deadline, true);
     }
 
     /// Advances node events up to `limit` (`inclusive` controls whether
@@ -1277,12 +1168,11 @@ mod tests {
     fn latency_is_applied() {
         let (mut sim, a, b) = two_peers();
         sim.invoke(a, |_n, ctx| ctx.send(b, Msg::Ping(1)));
-        let mut d = NoDriver;
-        // start events for a and b
-        assert!(sim.step(SimTime::MAX, &mut d));
-        assert!(sim.step(SimTime::MAX, &mut d));
-        // delivery at exactly 10 ms
-        assert!(sim.step(SimTime::MAX, &mut d));
+        // Delivery at exactly 10 ms: not a tick earlier.
+        sim.run_until(SimTime::from_nanos(9_999_999));
+        assert!(sim.node(b).pings.is_empty());
+        sim.run_until(SimTime::from_secs(0.010));
+        assert_eq!(sim.node(b).pings, vec![1]);
         assert_eq!(sim.now(), SimTime::from_secs(0.010));
     }
 
@@ -1386,51 +1276,6 @@ mod tests {
         };
         assert_eq!(run(77), run(77));
         assert_ne!(run(77).0, 0);
-    }
-
-    #[test]
-    fn hooks_reach_driver() {
-        struct Count(u64, Vec<u64>);
-        impl Driver<Peer> for Count {
-            fn on_hook(&mut self, tag: u64, sim: &mut Simulation<Peer>) {
-                self.0 += 1;
-                self.1.push(tag);
-                if tag < 3 {
-                    sim.schedule_hook(sim.now() + SimDuration::from_secs(1.0), tag + 1);
-                }
-            }
-        }
-        let (mut sim, _a, _b) = two_peers();
-        sim.schedule_hook(SimTime::from_secs(1.0), 0);
-        let mut d = Count(0, Vec::new());
-        sim.run_with_driver(SimTime::from_secs(60.0), &mut d);
-        assert_eq!(d.1, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn hooks_fire_before_same_time_events() {
-        struct Saw(Vec<(u64, u64)>);
-        impl Driver<Peer> for Saw {
-            fn on_hook(&mut self, tag: u64, sim: &mut Simulation<Peer>) {
-                self.0.push((tag, sim.stats().delivered));
-            }
-        }
-        let (mut sim, _a, b) = two_peers();
-        // Delivery and hook at exactly t = 5 ms: hook must see the
-        // pre-delivery state.
-        sim.inject(b, Msg::Ping(1), SimDuration::from_millis(5.0));
-        sim.schedule_hook(SimTime::from_secs(0.005), 7);
-        sim.run_until(SimTime::from_secs(1.0));
-        assert_eq!(sim.node(b).pings, vec![1]);
-        let mut sim2 = {
-            let (mut s, _a, b) = two_peers();
-            s.inject(b, Msg::Ping(1), SimDuration::from_millis(5.0));
-            s.schedule_hook(SimTime::from_secs(0.005), 7);
-            s
-        };
-        let mut d = Saw(Vec::new());
-        sim2.run_with_driver(SimTime::from_secs(1.0), &mut d);
-        assert_eq!(d.0, vec![(7, 0)], "hook fired after same-time delivery");
     }
 
     #[test]

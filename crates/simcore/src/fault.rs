@@ -50,15 +50,10 @@
 //! let a = sim.add_node(Count(0));
 //! let b = sim.add_node(Count(0));
 //! for t in [0.5, 2.0, 4.0] {
-//!     sim.schedule_hook(SimTime::from_secs(t), 0);
+//!     sim.run_until(SimTime::from_secs(t));
+//!     sim.invoke(a, |_n, ctx| ctx.send(b, ()));
 //! }
-//! struct Ping;
-//! impl<S: SchedulerFor<Count>> Driver<Count, S> for Ping {
-//!     fn on_hook(&mut self, _tag: u64, sim: &mut Simulation<Count, S>) {
-//!         sim.invoke(0, |_n, ctx| ctx.send(1, ()));
-//!     }
-//! }
-//! sim.run_with_driver(SimTime::from_secs(5.0), &mut Ping);
+//! sim.run_until(SimTime::from_secs(5.0));
 //! assert_eq!(sim.node(b).0, 2); // the t=2s send crossed the partition
 //! assert_eq!(sim.metrics_snapshot().counter("msgs_dropped_partition"), 1);
 //! ```

@@ -76,16 +76,14 @@ pub mod trace;
 pub mod prelude {
     pub use crate::arena::{SlotArena, SlotIdx};
     pub use crate::churn::ChurnModel;
-    pub use crate::dist::{Exp, LogNormal, Pareto, Sample, Weibull, Zipf};
+    pub use crate::dist::{Exp, LogNormal, Sample, Zipf};
     pub use crate::engine::{
-        Context, Driver, EngineEvent, HeapSim, NoDriver, Node, NodeId, SchedulerFor, Simulation,
-        EXTERNAL,
+        Context, EngineEvent, Node, NodeId, SchedulerFor, Simulation, EXTERNAL,
     };
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultStats, Faulty, LinkSet};
     pub use crate::json::Json;
     pub use crate::metrics::{
-        gini, top_k_share, Counter, Histogram, LogHistogram, Metric, MetricsSnapshot, Summary,
-        TimeSeries,
+        gini, top_k_share, Counter, Histogram, Metric, MetricsSnapshot, Summary,
     };
     pub use crate::net::{
         ConstantLatency, LanNet, Lossy, NetworkModel, Region, RegionNet, UniformLatency,
@@ -93,8 +91,7 @@ pub mod prelude {
     pub use crate::payload::Interned;
     pub use crate::report::{fmt_f, fmt_pct, fmt_si, Table};
     pub use crate::rng::{derive_seed, rng_from_seed, SimRng};
-    pub use crate::sched::{BinaryHeapScheduler, SchedStats, Scheduler, TimingWheel};
-    pub use crate::sweep::sweep;
+    pub use crate::sched::{BinaryHeapScheduler, Scheduler, TimingWheel};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::Graph;
     pub use crate::trace::{EventRecord, EventTag, Trace};

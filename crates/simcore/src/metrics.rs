@@ -1,10 +1,15 @@
 //! Measurement primitives: counters, histograms with exact percentiles,
-//! fixed-footprint log-linear histograms, engine metric snapshots, and
-//! time series.
+//! fixed-footprint log-linear histograms, and engine metric snapshots.
+//!
+//! There are two histograms, each for one stated reason. [`Histogram`]
+//! (every sample kept, exact percentiles) is the report type: the
+//! E1/E4/E6/E12/E13/E19 claims compare exact p50/p99 and their report
+//! bytes are pinned. [`LogHistogram`] (252 fixed buckets, at most 12.5 %
+//! quantile error, no allocation) is the always-on engine instrument
+//! (`message_bytes`, `partition_duration_ms`). Merging them would move
+//! report bytes, so they stay two types.
 
 use std::fmt;
-
-use crate::time::SimTime;
 
 /// A monotone event counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -221,63 +226,6 @@ impl fmt::Display for Summary {
             "n={} mean={:.3} p50={:.3} p90={:.3} p99={:.3} max={:.3}",
             self.count, self.mean, self.p50, self.p90, self.p99, self.max
         )
-    }
-}
-
-/// A `(time, value)` series.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries::default()
-    }
-
-    /// Appends a point. Times should be non-decreasing.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.points.push((t, v));
-    }
-
-    /// The recorded points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns true if no points were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Last value, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-
-    /// Time-weighted average over the recorded span (simple mean of
-    /// values when fewer than two points).
-    pub fn time_weighted_mean(&self) -> f64 {
-        if self.points.len() < 2 {
-            return self.points.first().map_or(0.0, |&(_, v)| v);
-        }
-        let mut area = 0.0;
-        for w in self.points.windows(2) {
-            let dt = (w[1].0 - w[0].0).as_secs();
-            area += w[0].1 * dt;
-        }
-        let span = (self.points[self.points.len() - 1].0 - self.points[0].0).as_secs();
-        if span == 0.0 {
-            self.points[0].1
-        } else {
-            area / span
-        }
     }
 }
 
@@ -752,17 +700,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn histogram_rejects_nan() {
         Histogram::new().record(f64::NAN);
-    }
-
-    #[test]
-    fn time_series_weighted_mean() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(0.0), 10.0);
-        ts.push(SimTime::from_secs(1.0), 0.0);
-        ts.push(SimTime::from_secs(3.0), 0.0);
-        // 10 for 1s, then 0 for 2s => 10/3.
-        assert!((ts.time_weighted_mean() - 10.0 / 3.0).abs() < 1e-9);
-        assert_eq!(ts.last(), Some(0.0));
     }
 
     #[test]

@@ -9,42 +9,27 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 // decent-lint: allow(D010) reason="sweep harness, not node code: one uncontended Mutex per pre-sized result slot"
 use std::sync::Mutex;
 
-/// Runs `f` over every parameter, in parallel, returning results in
-/// input order.
-///
-/// Uses up to `std::thread::available_parallelism()` worker threads
-/// (capped by the number of parameters). Panics in `f` propagate.
+/// Runs `f` over every parameter on up to `jobs` worker threads (capped
+/// by the number of parameters), returning results in input order.
+/// Panics in `f` propagate.
 ///
 /// Workers claim points with a single atomic fetch-add over the
 /// immutable input slice; each result lands in its own pre-allocated
 /// slot. Nothing is locked on the hot path, so dense grids of cheap
-/// points no longer serialize on a shared work-queue mutex.
-///
-/// # Examples
-///
-/// ```
-/// use decent_sim::sweep::sweep;
-///
-/// let squares = sweep(&[1u64, 2, 3, 4], |x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// ```
-pub fn sweep<P, R, F>(params: &[P], f: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    sweep_with(params, workers, f)
-}
-
-/// [`sweep`] with an explicit worker-thread count.
+/// points do not serialize on a shared work-queue mutex.
 ///
 /// `jobs = 1` runs the points serially on the calling thread — same
 /// code path per point, so serial and parallel sweeps produce
 /// identical results for deterministic `f`.
+///
+/// # Examples
+///
+/// ```
+/// use decent_sim::sweep::sweep_with;
+///
+/// let squares = sweep_with(&[1u64, 2, 3, 4], 2, |x| x * x);
+/// assert_eq!(squares, vec![1, 4, 9, 16]);
+/// ```
 ///
 /// # Panics
 ///
@@ -130,13 +115,13 @@ mod tests {
     #[test]
     fn preserves_order() {
         let input: Vec<u64> = (0..100).collect();
-        let out = sweep(&input, |x| x * 2);
+        let out = sweep_with(&input, 4, |x| x * 2);
         assert_eq!(out, (0..100u64).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<u64> = sweep(&[], |x: &u64| *x);
+        let out: Vec<u64> = sweep_with(&[], 4, |x: &u64| *x);
         assert!(out.is_empty());
     }
 
@@ -178,7 +163,7 @@ mod tests {
             sim.events_processed()
         };
         let seeds = [1u64, 2, 3, 4, 5, 6, 7, 8];
-        let parallel = sweep(&seeds, run);
+        let parallel = sweep_with(&seeds, 4, run);
         let serial: Vec<u64> = seeds.iter().map(run).collect();
         assert_eq!(parallel, serial);
     }

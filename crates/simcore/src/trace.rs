@@ -45,18 +45,15 @@ pub enum EventTag {
     Start,
     /// A node going offline.
     Stop,
-    /// A driver hook.
-    Hook,
 }
 
 impl EventTag {
     /// All tags, in counter order.
-    pub const ALL: [EventTag; 5] = [
+    pub const ALL: [EventTag; 4] = [
         EventTag::Deliver,
         EventTag::Timer,
         EventTag::Start,
         EventTag::Stop,
-        EventTag::Hook,
     ];
 
     pub(crate) fn index(self) -> usize {
@@ -65,7 +62,6 @@ impl EventTag {
             EventTag::Timer => 1,
             EventTag::Start => 2,
             EventTag::Stop => 3,
-            EventTag::Hook => 4,
         }
     }
 }
@@ -75,7 +71,7 @@ impl EventTag {
 pub struct EventRecord {
     /// When it was dispatched.
     pub time: SimTime,
-    /// The node it targeted (0 for hooks).
+    /// The node it targeted.
     pub node: NodeId,
     /// What kind of event it was.
     pub kind: EventTag,
@@ -86,7 +82,7 @@ pub struct EventRecord {
 pub struct Trace {
     ring: VecDeque<EventRecord>,
     capacity: usize,
-    counts: [u64; 5],
+    counts: [u64; 4],
 }
 
 impl Trace {
@@ -95,7 +91,7 @@ impl Trace {
         Trace {
             ring: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
-            counts: [0; 5],
+            counts: [0; 4],
         }
     }
 
@@ -141,13 +137,12 @@ impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "trace: {} events (deliver {}, timer {}, start {}, stop {}, hook {})",
+            "trace: {} events (deliver {}, timer {}, start {}, stop {})",
             self.total(),
             self.counts[0],
             self.counts[1],
             self.counts[2],
-            self.counts[3],
-            self.counts[4]
+            self.counts[3]
         )?;
         for r in &self.ring {
             writeln!(f, "  {} node={} {:?}", r.time, r.node, r.kind)?;
