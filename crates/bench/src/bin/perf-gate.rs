@@ -5,7 +5,7 @@
 //! `UniformLatency(30, 120 ms)` at seed `0xB6`: 300 lookups issued up
 //! front, then one drain to 600 s of simulated time. The counters are
 //! pure functions of the seed, so CI can gate on them even on a slow
-//! shared runner. All but one cover the drain only — the steady-state
+//! shared runner. All but two cover the drain only — the steady-state
 //! delivery path:
 //!
 //! - `events` / `activations` / `peak_queue_depth` must equal the
@@ -18,6 +18,10 @@
 //!   node without a wall clock or an RSS read. Requested bytes would
 //!   not do: a `Vec` that grows requests as much in total as many small
 //!   ones do, it just does not keep it;
+//! - `drained_live_bytes_per_node`, same band: the same count once the
+//!   drain is over and every result harvested — what the lookups left
+//!   in the nodes. A table that over-allocates when it learns its first
+//!   contact after the build shows here and nowhere above;
 //! - `wall_s` / `events_per_sec` are printed and never gated.
 //!
 //! A baseline that lacks a gated counter fails the gate. Timing
@@ -68,13 +72,14 @@ fn report_only(_baseline: f64, _current: f64) -> bool {
 
 /// Every counter `measure` reports: its key, and its policy as the
 /// table prints it and as a test.
-const GATE: [(&str, &str, Policy); 8] = [
+const GATE: [(&str, &str, Policy); 9] = [
     ("events", "exact", exact),
     ("activations", "exact", exact),
     ("peak_queue_depth", "exact", exact),
     ("alloc_bytes", "±10%", within_band),
     ("alloc_calls", "±10%", within_band),
     ("build_live_bytes_per_node", "±10%", within_band),
+    ("drained_live_bytes_per_node", "±10%", within_band),
     ("wall_s", "report only", report_only),
     ("events_per_sec", "report only", report_only),
 ];
@@ -172,6 +177,12 @@ fn measure(nodes: usize, lookups: usize) -> Json {
     let (bytes_after, calls_after) = alloc_snapshot();
     let events = sim.events_processed() - events_before;
     let peak_queue_depth = sim.metrics_snapshot().counter("peak_queue_depth");
+    // Harvested as `benchmark/` harvests a wave: what stays live is what
+    // the lookups left in the nodes and the engine.
+    for &id in &ids {
+        sim.node_mut(id).results.clear();
+    }
+    let drained_live_bytes = live_bytes() - live_before;
     Json::obj([
         (
             "benchmark",
@@ -190,9 +201,9 @@ fn measure(nodes: usize, lookups: usize) -> Json {
             "note",
             Json::str(
                 "events, activations and peak_queue_depth are gated exactly, alloc_bytes, \
-                 alloc_calls and build_live_bytes_per_node within ±10%: all six are pure \
-                 functions of the seed. wall_s and events_per_sec depend on the host and are \
-                 never gated.",
+                 alloc_calls, build_live_bytes_per_node and drained_live_bytes_per_node within \
+                 ±10%: all seven are pure functions of the seed. wall_s and events_per_sec \
+                 depend on the host and are never gated.",
             ),
         ),
         ("events", Json::int(events)),
@@ -206,6 +217,10 @@ fn measure(nodes: usize, lookups: usize) -> Json {
         (
             "build_live_bytes_per_node",
             Json::num(build_live_bytes as f64 / nodes as f64),
+        ),
+        (
+            "drained_live_bytes_per_node",
+            Json::num(drained_live_bytes as f64 / nodes as f64),
         ),
         ("wall_s", Json::num(wall)),
         ("events_per_sec", Json::num(events as f64 / wall.max(1e-9))),
@@ -361,7 +376,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// The six counters a drift in which fails the gate.
+    /// The seven counters a drift in which fails the gate.
     fn gated_keys() -> impl Iterator<Item = &'static str> {
         let gated = GATE.iter().filter(|g| g.1 != "report only");
         gated.map(|g| g.0)
@@ -400,7 +415,7 @@ mod tests {
 
         let a = measure(60, 6);
         let b = measure(60, 6);
-        assert_eq!(gated_keys().count(), 6);
+        assert_eq!(gated_keys().count(), 7);
         for key in gated_keys() {
             assert_eq!(
                 num_field(&a, key),
@@ -419,6 +434,7 @@ mod tests {
             ("alloc_bytes", Json::int(alloc_bytes)),
             ("alloc_calls", Json::int(10)),
             ("build_live_bytes_per_node", Json::num(1500.5)),
+            ("drained_live_bytes_per_node", Json::num(2500.5)),
             ("wall_s", Json::num(0.5)),
             ("events_per_sec", Json::num(events as f64 / 0.5)),
         ])

@@ -3,6 +3,7 @@
 //! Kademlia interprets [`Key`]s under the XOR metric; Chord interprets
 //! them as points on a mod-2^160 ring. Both views are provided here.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use rand::Rng;
@@ -25,8 +26,25 @@ const KEY_BYTES: usize = KEY_BITS / 8;
 /// assert_ne!(a, b);
 /// assert_eq!(a.xor_distance(&b).leading_zeros(), a.xor_distance(&b).leading_zeros());
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Key([u8; KEY_BYTES]);
+
+const _: () = assert!(KEY_BYTES == 16 + 4, "Key::words reads a u128 and a u32");
+
+/// Big-endian numeric order, compared on two machine words instead of
+/// byte by byte. Only the comparison uses words: a `(u128, u32)` field
+/// would be 32 bytes at align 16 where the byte array is 20 at align 1.
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.words().cmp(&other.words())
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Key {
     /// The all-zero key.
@@ -113,14 +131,23 @@ impl Key {
         }
     }
 
+    /// The key as a big-endian number in two words: the first 16 bytes
+    /// and the last 4.
+    fn words(&self) -> (u128, u32) {
+        let (mut hi, mut lo) = ([0u8; 16], [0u8; 4]);
+        hi.copy_from_slice(&self.0[..16]);
+        lo.copy_from_slice(&self.0[16..]);
+        (u128::from_be_bytes(hi), u32::from_be_bytes(lo))
+    }
+
     /// Number of leading zero bits.
     pub fn leading_zeros(&self) -> usize {
-        for (i, &b) in self.0.iter().enumerate() {
-            if b != 0 {
-                return i * 8 + b.leading_zeros() as usize;
-            }
+        let (hi, lo) = self.words();
+        if hi != 0 {
+            hi.leading_zeros() as usize
+        } else {
+            128 + lo.leading_zeros() as usize
         }
-        KEY_BITS
     }
 
     /// `self + 2^exp (mod 2^160)` — the Chord finger-start computation.
@@ -310,6 +337,49 @@ mod tests {
             "only {} distinct leading bytes",
             firsts.len()
         );
+    }
+
+    #[test]
+    fn word_order_is_byte_order() {
+        let same = |a: Key, b: Key| {
+            assert_eq!(a.cmp(&b), a.as_bytes().cmp(b.as_bytes()), "{a:?} {b:?}");
+            assert_eq!(a < b, a.as_bytes() < b.as_bytes());
+        };
+        let mut rng = rng_from_seed(4);
+        for _ in 0..10_000 {
+            same(Key::random(&mut rng), Key::random(&mut rng));
+        }
+        // Pairs that differ in one byte only: the first and last byte of
+        // each word.
+        for byte in [0, 15, 16, 19] {
+            let a = Key::random(&mut rng);
+            let mut bytes = *a.as_bytes();
+            bytes[byte] ^= 0x80;
+            let b = Key::from_bytes(bytes);
+            same(a, b);
+            same(b, a);
+            same(a, a);
+        }
+    }
+
+    #[test]
+    fn leading_zeros_is_the_byte_loops() {
+        fn byte_loop(k: &Key) -> usize {
+            for (i, &b) in k.as_bytes().iter().enumerate() {
+                if b != 0 {
+                    return i * 8 + b.leading_zeros() as usize;
+                }
+            }
+            KEY_BITS
+        }
+        let single_bits = (0..KEY_BITS).map(|i| {
+            let mut k = Key::ZERO;
+            k.set_bit(i, true);
+            k
+        });
+        for k in single_bits.chain([Key::ZERO, Key::MAX]) {
+            assert_eq!(k.leading_zeros(), byte_loop(&k), "{:?}", k.as_bytes());
+        }
     }
 
     #[test]

@@ -147,10 +147,13 @@ enum EntryState {
     Failed,
 }
 
+/// One shortlist entry. The contact's key is not stored: it is
+/// `dist ^ target` ([`key_at`]), and only a finished lookup's `closest`
+/// needs it.
 #[derive(Clone, Debug)]
 struct ShortEntry {
     dist: Distance,
-    contact: Contact,
+    node: u32,
     state: EntryState,
 }
 
@@ -168,6 +171,16 @@ struct Lookup {
     timeouts: usize,
 }
 
+impl Lookup {
+    /// Records how the RPC to `peer` ended.
+    fn mark(&mut self, peer: NodeId, state: EntryState) {
+        let mut entries = self.shortlist.iter_mut();
+        if let Some(e) = entries.find(|e| e.node as NodeId == peer) {
+            e.state = state;
+        }
+    }
+}
+
 /// One in-flight RPC: correlation id, owning lookup slot, queried peer.
 #[derive(Copy, Clone, Debug)]
 struct RpcEntry {
@@ -176,30 +189,72 @@ struct RpcEntry {
     peer: NodeId,
 }
 
-/// One routing-table entry. `node` and `key` are stored flat: a nested
-/// [`Contact`] pads to 32 B and the bucket tag would then make 48.
+/// One routing-table entry, 32 bytes. The simulator's dense ids and
+/// `TcpRuntime`'s directory ids fit a `u32`; a contact whose id does not
+/// is never stored ([`KadNode::bucket_of`]).
 #[derive(Copy, Clone, Debug)]
 struct BucketEntry {
-    node: NodeId,
+    /// `bucket << 56 | last_seen_ns`. The bucket tag — the length of the
+    /// key prefix this entry shares with the table's owner — is stored,
+    /// not recomputed from the keys: `bucket_of`'s `partition_point`
+    /// reads it from every entry it probes. Entries of one bucket share
+    /// the top byte, so they order by this word as they do by
+    /// `last_seen`.
+    seen: u64,
+    node: u32,
     key: Key,
-    last_seen: SimTime,
-    /// The bucket this entry sits in: the length of the key prefix it
-    /// shares with the table's owner.
-    bucket: u8,
 }
+
+const SEEN_BITS: u32 = 56;
 
 const _: () = {
     assert!(KEY_BITS <= u8::MAX as usize + 1, "the bucket tag is a u8");
-    assert!(std::mem::size_of::<BucketEntry>() <= 40);
+    assert!(std::mem::size_of::<BucketEntry>() <= 32);
+    assert!(std::mem::size_of::<ShortEntry>() <= 28);
 };
 
+/// Bucket tag and `now` in one word.
+///
+/// # Panics
+///
+/// Panics if `now` does not fit 56 bits of nanoseconds.
+fn pack_seen(tag: u8, now: SimTime) -> u64 {
+    assert!(
+        now.as_nanos() >> SEEN_BITS == 0,
+        "a routing entry's last_seen holds 2^56 ns (2.28 simulated years), now is {now:?}"
+    );
+    u64::from(tag) << SEEN_BITS | now.as_nanos()
+}
+
 impl BucketEntry {
+    fn bucket(&self) -> u8 {
+        (self.seen >> SEEN_BITS) as u8
+    }
+
+    fn last_seen(&self) -> SimTime {
+        SimTime::from_nanos(self.seen & ((1 << SEEN_BITS) - 1))
+    }
+
+    fn see(&mut self, now: SimTime) {
+        self.seen = pack_seen(self.bucket(), now);
+    }
+
     fn contact(&self) -> Contact {
         Contact {
-            node: self.node,
+            node: self.node as NodeId,
             key: self.key,
         }
     }
+}
+
+/// Entries a full table grows by. `Vec`'s own doubling would hold 56
+/// entries' memory for a seeded node's 29th contact (DESIGN.md §4g has
+/// the 4 / 8 / 16 measurement).
+const STEP: usize = 8;
+
+/// The key at distance `dist` from `target`.
+fn key_at(dist: Distance, target: &Key) -> Key {
+    *dist.as_key().xor_distance(target).as_key()
 }
 
 const REFRESH_TAG: u64 = 0;
@@ -288,7 +343,7 @@ impl KadNode {
 
     /// Inserts contacts directly into the routing table (bootstrap).
     pub fn seed_routing_table(&mut self, contacts: &[Contact], now: SimTime) {
-        self.table.reserve(contacts.len());
+        self.table.reserve_exact(contacts.len());
         for &c in contacts {
             self.touch(c, now);
         }
@@ -305,11 +360,11 @@ impl KadNode {
                 continue;
             };
             let bucket = &mut self.table[range.clone()];
-            if let Some(e) = bucket.iter_mut().find(|e| e.node == contact.node) {
-                e.last_seen = now;
+            if let Some(e) = bucket.iter_mut().find(|e| e.node == entry.node) {
+                e.see(now);
             } else if bucket.len() < self.cfg.k {
-                self.table.insert(range.end, entry);
-            } else if let Some(oldest) = bucket.iter_mut().min_by_key(|e| e.last_seen) {
+                self.insert_entry(range.end, entry);
+            } else if let Some(oldest) = bucket.iter_mut().min_by_key(|e| e.seen) {
                 *oldest = entry;
             }
         }
@@ -343,10 +398,12 @@ impl KadNode {
         // The closest contacts come nearest first, so the shortlist is
         // born in lookup order.
         let closest = self.closest_contacts(&target, self.cfg.k);
-        let entries = closest.iter().map(|&contact| ShortEntry {
-            dist: contact.key.xor_distance(&target),
-            contact,
-            state: EntryState::Candidate,
+        let entries = closest.iter().filter_map(|contact| {
+            Some(ShortEntry {
+                dist: contact.key.xor_distance(&target),
+                node: u32::try_from(contact.node).ok()?,
+                state: EntryState::Candidate,
+            })
         });
         let shortlist: Vec<ShortEntry> = entries.collect();
         let lookup = Lookup {
@@ -381,45 +438,53 @@ impl KadNode {
         Interned::from_vec(self.closest_contacts(target, self.cfg.k))
     }
 
-    /// The entry `contact` would get if seen at `now`, and the range of
-    /// the table its bucket occupies today; `None` for this node's own
-    /// key, which has no bucket.
-    fn bucket_of(&self, contact: Contact, now: SimTime) -> Option<(BucketEntry, Range<usize>)> {
+    /// The entry `c` would get if seen at `now`, and the range of the
+    /// table its bucket occupies today; `None` for this node's own key,
+    /// which has no bucket, and for an id beyond `u32`, which no
+    /// directory holds and a socket peer can still put in a reply.
+    fn bucket_of(&self, c: Contact, now: SimTime) -> Option<(BucketEntry, Range<usize>)> {
+        let node = u32::try_from(c.node).ok()?;
         // Bucket index counts from the most significant differing bit;
         // the tag is the shared-prefix length.
-        let bucket = (KEY_BITS - 1 - self.key.xor_distance(&contact.key).bucket()?) as u8;
-        let start = self.table.partition_point(|e| e.bucket < bucket);
-        let len = self.table[start..].partition_point(|e| e.bucket == bucket);
+        let bucket = (KEY_BITS - 1 - self.key.xor_distance(&c.key).bucket()?) as u8;
+        let start = self.table.partition_point(|e| e.bucket() < bucket);
+        let len = self.table[start..].partition_point(|e| e.bucket() == bucket);
         let entry = BucketEntry {
-            node: contact.node,
-            key: contact.key,
-            last_seen: now,
-            bucket,
+            seen: pack_seen(bucket, now),
+            node,
+            key: c.key,
         };
         Some((entry, start..start + len))
     }
 
-    fn touch(&mut self, contact: Contact, now: SimTime) {
-        let Some((entry, range)) = self.bucket_of(contact, now) else {
+    fn insert_entry(&mut self, at: usize, entry: BucketEntry) {
+        if self.table.len() == self.table.capacity() {
+            self.table.reserve_exact(STEP);
+        }
+        self.table.insert(at, entry);
+    }
+
+    fn touch(&mut self, c: Contact, now: SimTime) {
+        let Some((entry, range)) = self.bucket_of(c, now) else {
             return;
         };
         let bucket = &mut self.table[range.clone()];
-        if let Some(pos) = bucket.iter().position(|e| e.node == contact.node) {
+        if let Some(pos) = bucket.iter().position(|e| e.node == entry.node) {
             // Seen again: most recently seen sits at the bucket's tail.
-            bucket[pos].last_seen = now;
+            bucket[pos].see(now);
             bucket[pos..].rotate_left(1);
         } else if bucket.len() < self.cfg.k {
-            self.table.insert(range.end, entry);
-        } else if let Some(oldest) = bucket.iter_mut().min_by_key(|e| e.last_seen) {
+            self.insert_entry(range.end, entry);
+        } else if let Some(oldest) = bucket.iter_mut().min_by_key(|e| e.seen) {
             // Full: evict the least-recently-seen entry if it is stale.
-            if now.saturating_since(oldest.last_seen) > self.cfg.staleness {
+            if now.saturating_since(oldest.last_seen()) > self.cfg.staleness {
                 *oldest = entry;
             }
         }
     }
 
     fn note_failed(&mut self, node: NodeId) {
-        self.table.retain(|e| e.node != node);
+        self.table.retain(|e| e.node as NodeId != node);
     }
 
     fn drive_lookup(&mut self, idx: SlotIdx, ctx: &mut Context<'_, KadMsg>) {
@@ -447,7 +512,7 @@ impl KadNode {
             entry.state = EntryState::Waiting;
             lookup.inflight += 1;
             lookup.rpcs += 1;
-            let peer = entry.contact.node;
+            let peer = entry.node as NodeId;
             let rpc = *next_id;
             *next_id += 1;
             rpc_to_lookup.push(RpcEntry {
@@ -485,7 +550,10 @@ impl KadNode {
             .iter()
             .filter(|e| e.state == EntryState::Responded)
             .take(self.cfg.k)
-            .map(|e| e.contact)
+            .map(|e| Contact {
+                node: e.node as NodeId,
+                key: key_at(e.dist, &lookup.target),
+            })
             .collect();
         // Path caching: replicate a found value to the closest queried
         // node that did not have it (and locally), so popular keys stop
@@ -523,19 +591,22 @@ impl KadNode {
             if c.key == my_key {
                 continue;
             }
-            if shortlist.iter().any(|e| e.contact.node == c.node) {
+            let Ok(node) = u32::try_from(c.node) else {
+                continue;
+            };
+            if shortlist.iter().any(|e| e.node == node) {
                 continue;
             }
             // The shortlist is strictly increasing in `(dist, node)`,
             // injective because it is deduplicated by node above: every
             // new contact has exactly one place in it.
             let dist = c.key.xor_distance(target);
-            let at = shortlist.partition_point(|e| (e.dist, e.contact.node) < (dist, c.node));
+            let at = shortlist.partition_point(|e| (e.dist, e.node) < (dist, node));
             shortlist.insert(
                 at,
                 ShortEntry {
                     dist,
-                    contact: c,
+                    node,
                     state: EntryState::Candidate,
                 },
             );
@@ -565,9 +636,7 @@ impl KadNode {
         let target = match self.lookups.get_mut(idx) {
             Some(lookup) => {
                 lookup.inflight = lookup.inflight.saturating_sub(1);
-                if let Some(e) = lookup.shortlist.iter_mut().find(|e| e.contact.node == from) {
-                    e.state = EntryState::Responded;
-                }
+                lookup.mark(from, EntryState::Responded);
                 lookup.target
             }
             None => return,
@@ -706,9 +775,7 @@ impl Node for KadNode {
         if let Some(lookup) = self.lookups.get_mut(idx) {
             lookup.inflight = lookup.inflight.saturating_sub(1);
             lookup.timeouts += 1;
-            if let Some(e) = lookup.shortlist.iter_mut().find(|e| e.contact.node == peer) {
-                e.state = EntryState::Failed;
-            }
+            lookup.mark(peer, EntryState::Failed);
         }
         self.drive_lookup(idx, ctx);
     }
@@ -1112,10 +1179,10 @@ mod tests {
 
     /// The flat table read back as one `Vec` per bucket.
     fn nested(node: &KadNode) -> Vec<Vec<(Contact, SimTime)>> {
-        assert!(node.table.is_sorted_by_key(|e| e.bucket));
+        assert!(node.table.is_sorted_by_key(|e| e.bucket()));
         let mut buckets = vec![Vec::new(); KEY_BITS];
         for e in &node.table {
-            buckets[e.bucket as usize].push((e.contact(), e.last_seen));
+            buckets[e.bucket() as usize].push((e.contact(), e.last_seen()));
         }
         buckets
     }
@@ -1261,8 +1328,14 @@ mod tests {
             let idx = node.rpc_to_lookup[0].lookup;
             let shortlist = |node: &KadNode| -> Vec<(Distance, Contact, EntryState)> {
                 let lookup = node.lookups.get(idx).expect("lookup in flight");
-                let entries = lookup.shortlist.iter();
-                entries.map(|e| (e.dist, e.contact, e.state)).collect()
+                let entries = lookup.shortlist.iter().map(|e| {
+                    let contact = Contact {
+                        node: e.node as NodeId,
+                        key: key_at(e.dist, &target),
+                    };
+                    (e.dist, contact, e.state)
+                });
+                entries.collect()
             };
             let mut model = shortlist(&node);
             for reply in 0..60 {
@@ -1288,6 +1361,107 @@ mod tests {
                     "seed {seed} reply {reply}: not strictly increasing"
                 );
             }
+            // `closest` carries the keys the replies carried, rebuilt
+            // from the distances.
+            let lookup = node.lookups.get_mut(idx).expect("lookup in flight");
+            for e in &mut lookup.shortlist {
+                e.state = EntryState::Responded;
+            }
+            node.finish_lookup(idx, false, &mut ctx);
+            let want: Vec<Contact> = model.iter().take(node.cfg.k).map(|e| e.1).collect();
+            assert_eq!(node.results[0].closest, want, "seed {seed}");
         }
+    }
+
+    /// A contact in bucket `bucket` of a `Key::ZERO` table.
+    fn contact_in(bucket: usize, node: NodeId) -> Contact {
+        let key = Key::ZERO.random_in_bucket(bucket, &mut rng_from_seed(node as u64));
+        Contact { node, key }
+    }
+
+    #[test]
+    fn table_grows_by_a_step_and_a_seeded_table_is_exact() {
+        // 17 buckets of k = 20, so every touch inserts.
+        let mut node = KadNode::new(Key::ZERO, KadConfig::default());
+        for i in 0..340 {
+            node.touch(contact_in(i / 20, i), SimTime::ZERO);
+            assert_eq!(node.table.len(), i + 1);
+            assert!(
+                node.table.capacity() < node.table.len() + STEP,
+                "{} slots for {} entries",
+                node.table.capacity(),
+                node.table.len()
+            );
+        }
+        let mut node = KadNode::new(Key::ZERO, KadConfig::default());
+        let seeds: Vec<Contact> = (0..28).map(|i| contact_in(i / 20, i)).collect();
+        node.seed_routing_table(&seeds, SimTime::ZERO);
+        assert_eq!(node.table.len(), 28);
+        assert_eq!(node.table.capacity(), 28);
+    }
+
+    #[test]
+    fn an_id_beyond_u32_is_ignored_not_truncated() {
+        let run = |hostile: &[NodeId]| {
+            let mut node = KadNode::new(Key::ZERO, KadConfig::default());
+            node.seed_routing_table(&[contact_in(0, 1)], SimTime::ZERO);
+            let mut effects = Vec::new();
+            let mut rng = rng_from_seed(1);
+            let mut ctx = Context::new(SimTime::ZERO, 0, &mut rng, &mut effects);
+            let target = Key::from_u64(7);
+            node.start_lookup(target, false, &mut ctx);
+            let rpc = node.rpc_to_lookup[0].rpc;
+            let mut closest: Vec<Contact> = hostile.iter().map(|&id| contact_in(3, id)).collect();
+            closest.push(contact_in(3, 5));
+            let reply = KadMsg::FindNodeReply {
+                rpc,
+                from_key: contact_in(0, 1).key,
+                closest: Interned::from_vec(closest),
+            };
+            node.on_message(1, reply, &mut ctx);
+            let table: Vec<(Contact, SimTime)> = nested(&node).concat();
+            let lookup = node.lookups.iter().next().expect("one lookup").1;
+            let shortlist: Vec<(Distance, u32)> =
+                lookup.shortlist.iter().map(|e| (e.dist, e.node)).collect();
+            // The one new contact is queried next; its reply ends the lookup.
+            let rpc = node.rpc_to_lookup[0].rpc;
+            assert_eq!(node.rpc_to_lookup[0].peer, 5);
+            let reply = KadMsg::FindNodeReply {
+                rpc,
+                from_key: contact_in(3, 5).key,
+                closest: Interned::from_slice(&[]),
+            };
+            node.on_message(5, reply, &mut ctx);
+            assert_eq!(node.results.len(), 1, "lookup completes");
+            (table, shortlist, node.results[0].closest.clone())
+        };
+        let valid_alone = run(&[]);
+        assert_eq!(valid_alone.0.len(), 2);
+        assert_eq!(valid_alone.1.len(), 2);
+        assert_eq!(run(&[usize::MAX, u32::MAX as usize + 1]), valid_alone);
+        // Truncated with `as u32` this one is the valid contact's id, and
+        // comes before it.
+        assert_eq!(run(&[u32::MAX as usize + 1 + 5]), valid_alone);
+    }
+
+    #[test]
+    fn the_packed_word_holds_the_last_bucket_at_the_last_nanosecond() {
+        let last = SimTime::from_nanos((1 << SEEN_BITS) - 1);
+        let mut node = KadNode::new(Key::ZERO, KadConfig::default());
+        let c = contact_in(KEY_BITS - 1, 7);
+        node.touch(c, last);
+        assert_eq!(node.table[0].bucket() as usize, KEY_BITS - 1);
+        assert_eq!(node.table[0].last_seen(), last);
+        // Seen again, through `see`.
+        node.touch(c, SimTime::ZERO);
+        node.touch(c, last);
+        assert_eq!(nested(&node)[KEY_BITS - 1], [(c, last)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "2^56 ns")]
+    fn a_time_beyond_the_packed_word_is_refused() {
+        let mut node = KadNode::new(Key::ZERO, KadConfig::default());
+        node.touch(contact_in(0, 1), SimTime::from_nanos(1 << SEEN_BITS));
     }
 }
