@@ -7,17 +7,20 @@
 //! client operations. A silent or crashed primary is replaced through a
 //! view change after `view_timeout`.
 //!
-//! Clients are modelled as broadcast submitters: every replica buffers
-//! each request, the current primary proposes batches from its buffer,
-//! and duplicate suppression happens at execution by request id (a
-//! standard modelling simplification; checkpoints/GC are out of scope).
+//! Clients are modelled as broadcast submitters: every replica queues
+//! each request, and every `batch_interval` the current primary takes
+//! the next `batch_max` requests off the front of its queue, dropping
+//! any it has already executed as it reaches them. Nothing bounds the
+//! instances in flight: the primary proposes whenever it has work.
+//! Duplicate suppression happens at execution by request id (a standard
+//! modelling simplification; checkpoints/GC are out of scope).
 //!
 //! The scaling shape the paper relies on — throughput falling as the
 //! replica count grows — emerges from the primary's O(n) outbound
 //! batches on a bandwidth-limited network ([`LanNet`]) plus the O(n²)
 //! vote traffic.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use decent_sim::prelude::*;
 
@@ -167,7 +170,7 @@ pub struct PbftReplica {
     next_seq: u64,
     log: HashMap<u64, Instance>,
     last_executed: u64,
-    buffer: Vec<Request>,
+    buffer: VecDeque<Request>,
     executed_ids: HashSet<u64>,
     view_votes: HashMap<u64, HashSet<usize>>,
     /// Progress marker used by the view-change watchdog.
@@ -192,7 +195,7 @@ impl PbftReplica {
             next_seq: 1,
             log: HashMap::new(),
             last_executed: 0,
-            buffer: Vec::new(),
+            buffer: VecDeque::new(),
             executed_ids: HashSet::new(),
             view_votes: HashMap::new(),
             progress: 0,
@@ -213,14 +216,38 @@ impl PbftReplica {
 
     /// Buffers a client request (driver entry point).
     pub fn submit(&mut self, id: u64, ctx: &mut Context<'_, PbftMsg>) {
-        self.buffer.push((id, ctx.now()));
+        self.buffer.push_back((id, ctx.now()));
     }
 
     /// Buffers many requests at once (saturation workloads).
     pub fn submit_many(&mut self, ids: impl IntoIterator<Item = u64>, now: SimTime) {
-        for id in ids {
-            self.buffer.push((id, now));
+        self.buffer.extend(ids.into_iter().map(|id| (id, now)));
+    }
+
+    /// Pops the next batch off the front of the queue: up to `batch_max`
+    /// requests not yet executed. Executed ids are dropped when they
+    /// reach the front and do not count toward `batch_max`; those deeper
+    /// in the queue wait until they are reached, which yields the same
+    /// batches as filtering the whole queue first (`executed_ids` only
+    /// grows).
+    fn take_batch(&mut self) -> Vec<Request> {
+        let mut batch = Vec::with_capacity(self.buffer.len().min(self.cfg.batch_max));
+        while batch.len() < self.cfg.batch_max {
+            let Some(req) = self.buffer.pop_front() else {
+                break;
+            };
+            if !self.executed_ids.contains(&req.0) {
+                batch.push(req);
+            }
         }
+        batch
+    }
+
+    /// Whether any buffered request is still unexecuted.
+    fn has_buffered_work(&self) -> bool {
+        self.buffer
+            .iter()
+            .any(|(id, _)| !self.executed_ids.contains(id))
     }
 
     fn digest_of(batch: &Batch) -> u64 {
@@ -243,15 +270,14 @@ impl PbftReplica {
             return;
         }
         // Propose only requests not already executed (dedup after view
-        // changes) and keep at most one unfinished instance window of
-        // `pipeline` batches in flight to bound memory.
-        self.buffer
-            .retain(|(id, _)| !self.executed_ids.contains(id));
-        if self.buffer.is_empty() {
+        // changes), skipping executed ids as they are taken. There is no
+        // in-flight bound: a new instance starts every `batch_interval`
+        // however many earlier ones are still uncommitted.
+        let batch = self.take_batch();
+        if batch.is_empty() {
             return;
         }
-        let take = self.buffer.len().min(self.cfg.batch_max);
-        let batch: Batch = Interned::from_vec(self.buffer.drain(..take).collect());
+        let batch: Batch = Interned::from_vec(batch);
         let seq = self.next_seq;
         self.next_seq += 1;
         let digest = Self::digest_of(&batch);
@@ -481,10 +507,7 @@ impl Node for PbftReplica {
             let marker = tag & 0xFFFF_FFFF;
             // Pending work = unexecuted buffered requests (backups keep
             // their request copies until execution) or stuck instances.
-            let has_work = self
-                .buffer
-                .iter()
-                .any(|(id, _)| !self.executed_ids.contains(id))
+            let has_work = self.has_buffered_work()
                 || self.log.values().any(|i| i.batch.is_some() && !i.committed);
             if has_work && marker == (self.progress & 0xFFFF_FFFF) {
                 // No progress since the watchdog was armed.
@@ -554,6 +577,8 @@ pub fn saturation_run(
 
 #[cfg(test)]
 mod tests {
+    use rand::Rng;
+
     use super::*;
 
     #[test]
@@ -676,7 +701,7 @@ mod tests {
         while sim.node(ids[1]).view() == 0 {
             sim.run_until(sim.now() + SimDuration::from_millis(1.0));
         }
-        let buffer = sim.node(ids[1]).buffer.clone();
+        let buffer: Vec<Request> = sim.node(ids[1]).buffer.iter().copied().collect();
         assert!(
             buffer.ends_with(&ascending),
             "stranded batches must be re-buffered in ascending sequence order"
@@ -725,6 +750,77 @@ mod tests {
         assert!(tput > 10_000.0);
         // Commit latency under saturation stays sub-second.
         assert!(lat.p50 < 1.0, "p50 {}", lat.p50);
+    }
+
+    /// The proposer before the queue: drop every executed id from the
+    /// whole backlog, then take `batch_max` off the front.
+    fn retain_then_take(
+        backlog: &mut Vec<Request>,
+        executed_ids: &HashSet<u64>,
+        batch_max: usize,
+    ) -> Vec<Request> {
+        backlog.retain(|(id, _)| !executed_ids.contains(id));
+        let take = backlog.len().min(batch_max);
+        backlog.drain(..take).collect()
+    }
+
+    #[test]
+    fn queue_takes_the_batches_of_retain_then_take() {
+        let (mut head_skips, mut deep_skips) = (0, 0);
+        for seed in 0..40 {
+            let mut rng = rng_from_seed(seed);
+            let peers = (0..4).collect();
+            let mut r = PbftReplica::new(0, PbftConfig::default(), peers, Behavior::Correct);
+            let mut model: Vec<Request> = Vec::new();
+            let mut proposed: Vec<Vec<Request>> = Vec::new();
+            for step in 0..200 {
+                let now = SimTime::from_secs(step as f64);
+                match rng.gen_range(0..10) {
+                    // Ids repeat, and some are executed already.
+                    0..=2 => {
+                        let ids: Vec<u64> = (0..rng.gen_range(1..12))
+                            .map(|_| rng.gen_range(0..64))
+                            .collect();
+                        r.submit_many(ids.iter().copied(), now);
+                        model.extend(ids.iter().map(|&id| (id, now)));
+                    }
+                    3..=4 => {
+                        r.executed_ids.insert(rng.gen_range(0..64));
+                    }
+                    5..=8 => {
+                        r.cfg.batch_max = rng.gen_range(1..=8);
+                        let before: Vec<Request> = r.buffer.iter().copied().collect();
+                        let got = r.take_batch();
+                        let want = retain_then_take(&mut model, &r.executed_ids, r.cfg.batch_max);
+                        assert_eq!(got, want, "seed {seed} step {step}");
+                        let popped = before.len() - r.buffer.len();
+                        let any_executed = |reqs: &[Request]| {
+                            reqs.iter().any(|(id, _)| r.executed_ids.contains(id))
+                        };
+                        head_skips += usize::from(any_executed(&before[..popped]));
+                        deep_skips += usize::from(any_executed(&before[popped..]));
+                        proposed.push(got);
+                    }
+                    // A view change re-buffers a stranded batch at the back.
+                    _ if !proposed.is_empty() => {
+                        let stranded = proposed.swap_remove(rng.gen_range(0..proposed.len()));
+                        r.buffer.extend(stranded.iter().copied());
+                        model.extend(stranded);
+                    }
+                    _ => {}
+                }
+                let model_has_work = model.iter().any(|(id, _)| !r.executed_ids.contains(id));
+                assert_eq!(
+                    r.has_buffered_work(),
+                    model_has_work,
+                    "seed {seed} step {step}"
+                );
+            }
+        }
+        assert!(
+            head_skips > 0 && deep_skips > 0,
+            "executed ids skipped at the head {head_skips} times, left deep {deep_skips} times"
+        );
     }
 
     #[test]

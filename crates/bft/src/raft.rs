@@ -268,12 +268,15 @@ impl RaftNode {
     /// AppendEntries to every follower.
     fn replicate(&mut self, ctx: &mut Context<'_, RaftMsg>) {
         debug_assert_eq!(self.role, Role::Leader);
-        // Move unapplied buffered requests into the log.
-        let buffered: Vec<(u64, SimTime)> = self.buffer.drain(..).collect();
-        let in_log: HashSet<u64> = self.log[1..].iter().map(|&(_, id, _)| id).collect();
-        for (id, t) in buffered {
-            if !in_log.contains(&id) && !self.applied_ids.contains(&id) {
-                self.log.push((self.term, id, t));
+        // Move unapplied buffered requests into the log. The set of logged
+        // ids costs the whole log, so it is built once per client burst,
+        // not at every heartbeat.
+        if !self.buffer.is_empty() {
+            let in_log: HashSet<u64> = self.log[1..].iter().map(|&(_, id, _)| id).collect();
+            for (id, t) in self.buffer.drain(..) {
+                if !in_log.contains(&id) && !self.applied_ids.contains(&id) {
+                    self.log.push((self.term, id, t));
+                }
             }
         }
         self.match_index[self.index] = self.last_log_index();
@@ -641,6 +644,45 @@ mod tests {
             1500,
             "recovered node must catch up"
         );
+    }
+
+    #[test]
+    fn an_overlapping_burst_is_logged_once() {
+        // Ten entries per AppendEntries keep the first burst replicating
+        // when the second arrives: only the set of logged ids keeps its
+        // unapplied overlap out of the log a second time.
+        let mut sim = Simulation::new(77, LanNet::datacenter());
+        let cfg = RaftConfig {
+            batch_max: 10,
+            ..RaftConfig::default()
+        };
+        let ids = build_cluster(&mut sim, &cfg);
+        sim.run_until(SimTime::from_secs(1.0));
+        for &id in &ids {
+            sim.node_mut(id)
+                .submit_many(0..100, SimTime::from_secs(1.0));
+        }
+        sim.run_until(SimTime::from_secs(1.12));
+        let leader = sim.node(current_leader(&sim, &ids).expect("leader"));
+        assert!(
+            (50..100).any(|id| leader.log.iter().any(|e| e.1 == id)
+                && !leader.applied_ids.contains(&id)),
+            "the overlap must be logged and not yet applied"
+        );
+        for &id in &ids {
+            sim.node_mut(id)
+                .submit_many(50..150, SimTime::from_secs(1.12));
+        }
+        sim.run_until(SimTime::from_secs(5.0));
+        let leader = sim.node(current_leader(&sim, &ids).expect("leader"));
+        let mut logged: Vec<u64> = leader.log[1..].iter().map(|e| e.1).collect();
+        logged.sort_unstable();
+        assert_eq!(logged, (0..150).collect::<Vec<u64>>());
+        let reference = leader.committed_ids();
+        assert_eq!(reference.len(), 150);
+        for &id in &ids {
+            assert_eq!(sim.node(id).committed_ids(), reference, "node {id}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! on-chain transaction) and the **routing centralization** the paper
 //! points at — traffic concentrates on a few well-funded hubs.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use rand::Rng;
 
@@ -46,8 +46,10 @@ struct ChannelState {
 #[derive(Clone, Debug)]
 pub struct ChannelNet {
     n: usize,
-    channels: HashMap<(usize, usize), ChannelState>,
-    adjacency: Vec<Vec<usize>>,
+    /// Balances, indexed by channel number (opening order).
+    channels: Vec<ChannelState>,
+    /// Per node, `(peer, channel number)` in opening order.
+    adjacency: Vec<Vec<(usize, usize)>>,
     /// On-chain transactions spent opening channels.
     pub onchain_txs: u64,
     /// Successful off-chain payments.
@@ -63,7 +65,7 @@ impl ChannelNet {
     pub fn new(n: usize) -> Self {
         ChannelNet {
             n,
-            channels: HashMap::new(),
+            channels: Vec::new(),
             adjacency: vec![Vec::new(); n],
             onchain_txs: 0,
             payments_ok: 0,
@@ -87,48 +89,45 @@ impl ChannelNet {
         self.channels.len()
     }
 
-    fn key(a: usize, b: usize) -> (usize, usize) {
-        if a < b {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
     /// Opens a channel funded with `amount` on each side; costs one
-    /// on-chain transaction.
+    /// on-chain transaction. Re-opening an existing channel adds funds.
     ///
     /// # Panics
     ///
     /// Panics on self-channels or out-of-range endpoints.
     pub fn open_channel(&mut self, a: usize, b: usize, amount: f64) {
         assert!(a != b && a < self.n && b < self.n, "bad endpoints");
-        let key = Self::key(a, b);
-        let entry = self.channels.entry(key).or_insert_with(|| {
-            self.adjacency[a].push(b);
-            self.adjacency[b].push(a);
-            ChannelState {
-                lo_to_hi: 0.0,
-                hi_to_lo: 0.0,
+        let existing = self.adjacency[a].iter().find(|&&(peer, _)| peer == b);
+        let ch = match existing {
+            Some(&(_, ch)) => ch,
+            None => {
+                let ch = self.channels.len();
+                self.channels.push(ChannelState {
+                    lo_to_hi: 0.0,
+                    hi_to_lo: 0.0,
+                });
+                self.adjacency[a].push((b, ch));
+                self.adjacency[b].push((a, ch));
+                ch
             }
-        });
-        entry.lo_to_hi += amount;
-        entry.hi_to_lo += amount;
+        };
+        let st = &mut self.channels[ch];
+        st.lo_to_hi += amount;
+        st.hi_to_lo += amount;
         self.onchain_txs += 1;
     }
 
-    fn capacity(&self, from: usize, to: usize) -> f64 {
-        let key = Self::key(from, to);
-        match self.channels.get(&key) {
-            Some(st) if from < to => st.lo_to_hi,
-            Some(st) => st.hi_to_lo,
-            None => 0.0,
+    fn capacity(&self, from: usize, to: usize, ch: usize) -> f64 {
+        let st = &self.channels[ch];
+        if from < to {
+            st.lo_to_hi
+        } else {
+            st.hi_to_lo
         }
     }
 
-    fn shift(&mut self, from: usize, to: usize, amount: f64) {
-        let key = Self::key(from, to);
-        let st = self.channels.get_mut(&key).expect("channel exists");
+    fn shift(&mut self, from: usize, to: usize, ch: usize, amount: f64) {
+        let st = &mut self.channels[ch];
         if from < to {
             st.lo_to_hi -= amount;
             st.hi_to_lo += amount;
@@ -138,10 +137,12 @@ impl ChannelNet {
         }
     }
 
-    /// Dijkstra over hop count among edges with enough capacity.
-    fn route(&self, from: usize, to: usize, amount: f64) -> Option<Vec<usize>> {
+    /// Dijkstra over hop count among edges with enough capacity. Returns
+    /// the hops after `from` as `(node, channel into it)`.
+    fn route(&self, from: usize, to: usize, amount: f64) -> Option<Vec<(usize, usize)>> {
         let mut dist = vec![usize::MAX; self.n];
-        let mut prev = vec![usize::MAX; self.n];
+        // `(previous node, channel from it)`.
+        let mut prev = vec![(usize::MAX, usize::MAX); self.n];
         let mut heap = BinaryHeap::new();
         dist[from] = 0;
         heap.push(std::cmp::Reverse((0usize, from)));
@@ -152,13 +153,13 @@ impl ChannelNet {
             if d > dist[v] {
                 continue;
             }
-            for &w in &self.adjacency[v] {
-                if self.capacity(v, w) + 1e-12 < amount {
+            for &(w, ch) in &self.adjacency[v] {
+                if self.capacity(v, w, ch) + 1e-12 < amount {
                     continue;
                 }
                 if d + 1 < dist[w] {
                     dist[w] = d + 1;
-                    prev[w] = v;
+                    prev[w] = (v, ch);
                     heap.push(std::cmp::Reverse((d + 1, w)));
                 }
             }
@@ -166,24 +167,27 @@ impl ChannelNet {
         if dist[to] == usize::MAX {
             return None;
         }
-        let mut path = vec![to];
+        let mut hops = Vec::new();
         let mut cur = to;
         while cur != from {
-            cur = prev[cur];
-            path.push(cur);
+            let (p, ch) = prev[cur];
+            hops.push((cur, ch));
+            cur = p;
         }
-        path.reverse();
-        Some(path)
+        hops.reverse();
+        Some(hops)
     }
 
     /// Attempts an off-chain payment; returns true on success.
     pub fn pay(&mut self, from: usize, to: usize, amount: f64) -> bool {
         match self.route(from, to, amount) {
-            Some(path) => {
-                for hop in path.windows(2) {
-                    self.shift(hop[0], hop[1], amount);
+            Some(hops) => {
+                let mut at = from;
+                for &(next, ch) in &hops {
+                    self.shift(at, next, ch, amount);
+                    at = next;
                 }
-                for &mid in &path[1..path.len() - 1] {
+                for &(mid, _) in &hops[..hops.len() - 1] {
                     self.forwards[mid] += 1;
                 }
                 self.payments_ok += 1;

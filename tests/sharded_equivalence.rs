@@ -589,9 +589,11 @@ proptest! {
 
 /// E1, E5, E19, E14 and E12, each shrunk below quick scale through its
 /// own size fields: the properties above are about the executor, not the
-/// workload, and every case runs its scenario twice. (E12's sweepable
-/// knobs do not reach its dominant cost, the 4-replica PBFT saturation
-/// run, so the configs are built directly rather than via `set_param`.)
+/// workload, and every case runs its scenario twice. (E12's committee
+/// list is built directly because `set_param` reaches only its largest
+/// committee; the PBFT saturation runs it drives never run sharded —
+/// `saturation_run` builds its own serial simulation — so each one
+/// dropped is time saved, not coverage lost.)
 fn shrunk_scenario(which: usize) -> Box<dyn Scenario> {
     match which {
         0 => Box::new(e01::Config {
