@@ -126,21 +126,21 @@ struct CountingAlloc;
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // whose `GlobalAlloc` contract is the one the caller already upholds;
 // the counters touch no allocator state.
-// decent-lint: allow(D005) reason="counting global allocator: the one sanctioned unsafe site in the workspace, perf-gate binary only, delegates verbatim to System"
+#[expect(
+    unsafe_code,
+    reason = "counting global allocator: the one sanctioned unsafe site in the workspace, perf-gate binary only, delegates verbatim to System; the GlobalAlloc contract requires unsafe fns"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
-    // decent-lint: allow(D005) reason="GlobalAlloc contract requires unsafe fn"
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_alloc(layout.size());
         System.alloc(layout)
     }
 
-    // decent-lint: allow(D005) reason="GlobalAlloc contract requires unsafe fn"
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         count_free(layout.size());
         System.dealloc(ptr, layout)
     }
 
-    // decent-lint: allow(D005) reason="GlobalAlloc contract requires unsafe fn"
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_alloc(new_size);
         count_free(layout.size());
@@ -170,7 +170,10 @@ fn measure(nodes: usize, lookups: usize) -> Json {
     let events_before = sim.events_processed();
     let activations_before = sim.activations();
     let (bytes_before, calls_before) = alloc_snapshot();
-    // decent-lint: allow(D002) reason="perf gate: wall-clock is reported, never gated and never fed back into simulation state"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "perf gate: wall-clock is reported, never gated and never fed back into simulation state"
+    )]
     let t0 = Instant::now();
     sim.run_until(SimTime::from_secs(HORIZON_S as f64));
     let wall = t0.elapsed().as_secs_f64();

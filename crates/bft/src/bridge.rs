@@ -117,7 +117,10 @@ pub fn committed_phase<S: SchedulerFor<FabricNode>>(
 /// Submits `(transfer, phase)` through `gateway`, retrying with fresh
 /// transaction ids until a valid commit, a permanent failure (all
 /// `attempts` rejected), or the deadline.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one retry loop's independent inputs; a struct would only rename them"
+)]
 fn submit_with_retry<S: SchedulerFor<FabricNode>>(
     sim: &mut Simulation<FabricNode, S>,
     island: &FabricNetwork,

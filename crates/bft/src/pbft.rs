@@ -411,11 +411,18 @@ impl PbftReplica {
 
     fn enter_view(&mut self, view: u64, ctx: &mut Context<'_, PbftMsg>) {
         self.view = view;
-        // decent-lint: allow(D001) reason="pure predicate: the closure writes no captured state"
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pure predicate: the closure writes no captured state"
+        )]
         self.view_votes.retain(|&v, _| v > view);
         // Re-buffer any proposed-but-uncommitted requests so the new
         // primary can propose them again, in ascending sequence order:
         // what it proposes next must not depend on the hasher.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected into a BTreeSet: the hasher's visit order is sorted away"
+        )]
         let stranded = self
             .log
             .iter()
@@ -507,6 +514,10 @@ impl Node for PbftReplica {
             let marker = tag & 0xFFFF_FFFF;
             // Pending work = unexecuted buffered requests (backups keep
             // their request copies until execution) or stuck instances.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "`any` over a pure predicate: the same answer in every visit order"
+            )]
             let has_work = self.has_buffered_work()
                 || self.log.values().any(|i| i.batch.is_some() && !i.committed);
             if has_work && marker == (self.progress & 0xFFFF_FFFF) {
@@ -686,6 +697,10 @@ mod tests {
         sim.run_until(SimTime::from_secs(0.9));
         let next = sim.node(ids[1]);
         assert_eq!(next.view(), 0);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected into a BTreeMap: the hasher's visit order is sorted away"
+        )]
         let in_flight = next
             .log
             .iter()

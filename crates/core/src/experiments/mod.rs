@@ -83,7 +83,10 @@ pub fn run_report_exec(
         })
         .collect();
     let runs = sweep_with(&scenarios, jobs, |s| {
-        // decent-lint: allow(D002) reason="harness-only wall_ms measurement; excluded from the canonical report JSON (tests/run_report.rs pins this)"
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "harness-only wall_ms measurement; excluded from the canonical report JSON (tests/run_report.rs pins this)"
+        )]
         let t0 = Instant::now();
         let report = s.run();
         ExperimentRun {

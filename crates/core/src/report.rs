@@ -167,7 +167,10 @@ impl ExperimentReport {
     /// is `expect.eval(value) && also`. For claims whose acceptance
     /// shape needs a second measured quantity (e.g. "at least 10 s *and*
     /// 5× slower than the alternative").
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "`check`'s fields plus the side condition; call sites read as a table row"
+    )]
     pub fn check_with(
         &mut self,
         claim: impl Into<String>,
@@ -194,7 +197,10 @@ impl ExperimentReport {
         self.push_finding(claim, name, paper, measured, 1.0, Expect::Structural, true)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one parameter per `Finding` field, shared by the three public constructors"
+    )]
     fn push_finding(
         &mut self,
         claim: impl Into<String>,

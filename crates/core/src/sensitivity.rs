@@ -312,7 +312,17 @@ impl SweepReport {
         self.to_json().to_string_pretty()
     }
 
-    /// A human-readable robustness summary as markdown.
+    /// Claims that fail at every grid point: no value on the grid
+    /// rescues them, so they have no crossover either.
+    fn failing_everywhere(&self) -> Vec<&RobustnessCurve> {
+        self.curves
+            .iter()
+            .filter(|c| !c.points.is_empty() && c.points.iter().all(|p| !p.holds))
+            .collect()
+    }
+
+    /// A human-readable robustness summary as markdown. A row whose
+    /// setter changed the grid value reads `requested → applied`.
     pub fn to_markdown(&self) -> String {
         let mut out = format!(
             "## Sensitivity: {} — {} over {} = {}..{} ({} points, {} mode)\n\n",
@@ -337,9 +347,14 @@ impl SweepReport {
                 .filter(|f| !f.holds)
                 .map(|f| f.claim.as_str())
                 .collect();
+            let value = if p.applied == p.requested {
+                p.applied.to_string()
+            } else {
+                format!("{} → {}", p.requested, p.applied)
+            };
             out.push_str(&format!(
                 "| {} | {} | {} |\n",
-                p.applied,
+                value,
                 if failing.is_empty() { "yes" } else { "**no**" },
                 if failing.is_empty() {
                     "—".to_string()
@@ -350,12 +365,22 @@ impl SweepReport {
         }
         out.push('\n');
         let flipping = self.flipping_claims();
-        if flipping.is_empty() {
+        let failing = self.failing_everywhere();
+        if flipping.is_empty() && failing.is_empty() {
             out.push_str(&format!(
                 "Every claim keeps its verdict across the whole {} grid — robust.\n",
                 self.param
             ));
-        } else {
+        }
+        if !failing.is_empty() {
+            let ids: Vec<String> = failing.iter().map(|c| format!("`{}`", c.claim)).collect();
+            out.push_str(&format!(
+                "Failing at every point of the {} grid: {}.\n",
+                self.param,
+                ids.join(", ")
+            ));
+        }
+        if !flipping.is_empty() {
             out.push_str("### Verdict crossovers\n\n");
             for c in flipping {
                 for x in &c.crossovers {
@@ -555,5 +580,48 @@ mod tests {
         assert_eq!(curve.crossovers[0].hi, 3.0);
         assert!(curve.crossovers[0].from && !curve.crossovers[0].to);
         assert!(!curve.crossovers[1].from && curve.crossovers[1].to);
+    }
+
+    #[test]
+    fn summary_names_claims_that_fail_everywhere_and_shows_clamping() {
+        // Synthetic: both grid values clamp to 0.9, where one claim holds
+        // and the other fails — no verdict flips, and nothing is robust.
+        use crate::report::{Expect, ExperimentReport};
+        let mk = |requested: f64| {
+            let mut r = ExperimentReport::new("EX", "x");
+            r.check("EX.holds", "h", "p", "m", 1.0, Expect::AtLeast(0.5));
+            r.check("EX.fails", "f", "p", "m", 0.1, Expect::AtLeast(0.5));
+            SweepPoint {
+                requested,
+                applied: 0.9,
+                seed: None,
+                report: r,
+            }
+        };
+        let points = vec![mk(2.0), mk(3.0)];
+        let curves = ["EX.holds", "EX.fails"]
+            .iter()
+            .map(|c| RobustnessCurve::from_points(c, &points))
+            .collect();
+        let report = SweepReport {
+            mode: "quick".to_string(),
+            exp: "EX",
+            title: "x",
+            param: "frac".to_string(),
+            param_help: String::new(),
+            spec: SweepSpec::parse("EX:frac=2..3:2").unwrap(),
+            seed_override: None,
+            points,
+            curves,
+        };
+        assert!(report.flipping_claims().is_empty());
+        let md = report.to_markdown();
+        assert!(!md.contains("robust"), "{md}");
+        assert!(
+            md.contains("Failing at every point of the frac grid: `EX.fails`."),
+            "{md}"
+        );
+        assert!(md.contains("| 2 → 0.9 | **no** | EX.fails |"), "{md}");
+        assert!(md.contains("| 3 → 0.9 | **no** | EX.fails |"), "{md}");
     }
 }

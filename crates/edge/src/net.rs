@@ -106,7 +106,10 @@ impl NetworkModel for EdgeNet {
         }
         let (base, wan) = self.base_delay(self.placements[src], self.placements[dst]);
         if wan {
-            // decent-lint: allow(D007) reason="merge-only WAN byte counter: Relaxed fetch_add, read solely after the run completes"
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "merge-only WAN byte counter: Relaxed fetch_add, read solely after the run completes"
+            )]
             self.wan_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
         let jitter = 0.9 + 0.2 * rng.gen::<f64>();

@@ -35,6 +35,12 @@
 //! for — demos and load tests, while claims and CI stay on the sim
 //! backend (DESIGN.md §4h).
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the real-time backend: wall-clock timers, helper threads and their channels and locks are its job; no simulation runs here (DESIGN.md §4e, §4h)"
+)]
+
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;

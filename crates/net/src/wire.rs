@@ -10,7 +10,9 @@
 //!
 //! `len` covers the sender id and the payload (not itself), and is
 //! capped at [`MAX_FRAME`] so a corrupt or hostile peer cannot trigger
-//! an unbounded allocation. Payload encoding is up to the message
+//! an unbounded allocation. Nor can it make the reader allocate what it
+//! only claims: the payload buffer starts at most 64 KiB long and grows
+//! as bytes arrive. Payload encoding is up to the message
 //! type's [`Wire`] impl; the primitive helpers here keep those impls
 //! short and byte-order consistent (everything little-endian).
 //!
@@ -45,6 +47,9 @@ use decent_sim::prelude::NodeId;
 
 /// Hard cap on a frame's `len` field (sender id + payload), 1 MiB.
 pub const MAX_FRAME: u32 = 1 << 20;
+
+/// Most payload bytes [`read_frame`] allocates before any arrive.
+const READ_PREALLOC: usize = 64 * 1024;
 
 /// Decoding failure: the bytes on the wire do not form a valid message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,7 +153,8 @@ pub fn write_frame<W: Write>(w: &mut W, from: NodeId, payload: &[u8]) -> io::Res
 }
 
 /// Reads one frame, returning `Ok(None)` on a clean end-of-stream
-/// (connection closed between frames).
+/// (connection closed between frames). A stream that ends mid-frame is
+/// an `UnexpectedEof` error.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(NodeId, Vec<u8>)>> {
     let mut lenb = [0u8; 4];
     if !read_exact_or_eof(r, &mut lenb)? {
@@ -163,8 +169,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(NodeId, Vec<u8>)>> {
     }
     let mut fromb = [0u8; 8];
     r.read_exact(&mut fromb)?;
-    let mut payload = vec![0u8; len as usize - 8];
-    r.read_exact(&mut payload)?;
+    let want = len as usize - 8;
+    let mut payload = Vec::with_capacity(want.min(READ_PREALLOC));
+    r.take(want as u64).read_to_end(&mut payload)?;
+    if payload.len() < want {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "eof mid-frame",
+        ));
+    }
     Ok(Some((u64::from_le_bytes(fromb) as NodeId, payload)))
 }
 
@@ -237,6 +250,40 @@ mod tests {
         assert_eq!(
             read_frame(&mut r).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
+        );
+    }
+
+    /// Serves `script`, then EOF, recording the largest buffer any
+    /// `read` call was offered.
+    struct Recording<'a> {
+        script: &'a [u8],
+        largest_offer: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_offer = self.largest_offer.max(buf.len());
+            self.script.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_lying_length_costs_only_the_bytes_sent() {
+        let mut script = MAX_FRAME.to_le_bytes().to_vec();
+        script.extend_from_slice(&5u64.to_le_bytes());
+        script.extend_from_slice(b"abc");
+        let mut r = Recording {
+            script: &script,
+            largest_offer: 0,
+        };
+        assert_eq!(
+            read_frame(&mut r).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        assert!(
+            r.largest_offer <= READ_PREALLOC,
+            "a 1 MiB claim backed by 3 bytes was offered a {}-byte buffer",
+            r.largest_offer
         );
     }
 

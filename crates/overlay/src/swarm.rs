@@ -230,7 +230,7 @@ impl SwarmSim {
     }
 
     /// Executes one rechoke round.
-    #[allow(clippy::needless_range_loop)] // indices address several arrays
+    #[expect(clippy::needless_range_loop, reason = "indices address several arrays")]
     pub fn step(&mut self) {
         self.round += 1;
         let n = self.peers.len();

@@ -446,10 +446,10 @@ impl fmt::Debug for LogHistogram {
 }
 
 /// One metric in a [`MetricsSnapshot`].
-// Dist carries a ~2 KiB histogram while Counter/Peak are one word, but
-// snapshots hold a dozen entries built once per run — boxing would cost
-// an indirection on every percentile read for no measurable saving.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "Dist carries a ~2 KiB histogram while Counter/Peak are one word, but snapshots hold a dozen entries built once per run: boxing would cost an indirection on every percentile read for no measurable saving"
+)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum Metric {
     /// A monotone count; merged by addition.

@@ -447,7 +447,10 @@ impl<T> TimingWheel<T> {
                     head = self.slab[head as usize].next;
                 }
                 let slab = &self.slab;
-                // decent-lint: allow(D009) reason="(time, seq) is injective: seq is unique per scheduled event"
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "(time, seq) is injective: seq is unique per scheduled event"
+                )]
                 self.lane.sort_unstable_by_key(|&j| {
                     let n = &slab[j as usize];
                     (n.time, n.seq)

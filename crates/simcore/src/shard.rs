@@ -54,7 +54,10 @@
 //! Models without a positive lookahead have no conservative window and
 //! run the serial loop throughout.
 
-// decent-lint: allow(D010) reason="the executor's own window-barrier plumbing: workers park here deterministically (DESIGN.md §4i)"
+#[expect(
+    clippy::disallowed_types,
+    reason = "the executor's own window-barrier plumbing: workers park here deterministically (DESIGN.md §4i)"
+)]
 use std::sync::mpsc::{Receiver, Sender};
 
 use crate::arena::SlotView;
@@ -334,13 +337,27 @@ where
     let mut leftover_feeds: Vec<Feed<N::Msg>> = Vec::new();
     let mut leave = false;
     std::thread::scope(|sc| {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "window-barrier command channels, one per shard, driven by the merge loop"
+        )]
         let mut cmd_txs: Vec<Sender<Cmd<N::Msg>>> = Vec::with_capacity(shards);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "window-barrier result channels, one per shard, read in shard order"
+        )]
         let mut out_rxs: Vec<Receiver<WindowOut<N::Msg>>> = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for (i, (part, queue)) in parts.into_iter().zip(queues).enumerate() {
-            // decent-lint: allow(D010) reason="window-barrier command channel: send/recv pairs are fully ordered by the merge loop"
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "window-barrier command channel: send/recv pairs are fully ordered by the merge loop"
+            )]
             let (cmd_tx, cmd_rx) = std::sync::mpsc::channel::<Cmd<N::Msg>>();
-            // decent-lint: allow(D010) reason="window-barrier result channel: one message per window, joined before commit"
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "window-barrier result channel: one message per window, joined before commit"
+            )]
             let (out_tx, out_rx) = std::sync::mpsc::channel::<WindowOut<N::Msg>>();
             handles.push(
                 sc.spawn(move || worker_main::<N, S>(i, shards, part, queue, cmd_rx, out_tx)),
@@ -515,6 +532,10 @@ impl<M, S: Scheduler<EngineEvent<M>>> Worker<M, S> {
 /// event is still the exact queue head, so the per-event dispatch log —
 /// and therefore the committed order — is byte-identical to the
 /// unbatched drain.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the worker's ends of its two window-barrier channels"
+)]
 fn worker_main<N, S>(
     shard: usize,
     shards: usize,

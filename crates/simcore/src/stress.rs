@@ -3,7 +3,7 @@
 //!
 //! The byte-identity contract (DESIGN.md §4i) says a sharded run's
 //! output is a pure function of the seed, independent of how the OS
-//! happens to schedule worker threads. The lint rules forbid the
+//! happens to schedule worker threads. The clippy rules forbid the
 //! constructs that could break that; this module attacks it from the
 //! other side: with a nonzero perturbation seed, every shard worker
 //! injects deterministic-per-seed but *schedule-shifting* yields and
@@ -35,7 +35,10 @@ static INTERLEAVE_SEED: AtomicU64 = AtomicU64::new(0);
 /// (0 disables). Test-only by convention: perturbation changes *thread
 /// timing*, never results — that is exactly the property under test.
 pub fn set_interleave_seed(seed: u64) {
-    // decent-lint: allow(D007) reason="test-harness knob written before a run; perturbs thread timing only and is never read into sim state"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-harness knob written before a run; perturbs thread timing only and is never read into sim state"
+    )]
     INTERLEAVE_SEED.store(seed, Ordering::Relaxed);
 }
 

@@ -6,7 +6,10 @@
 //! determinism is preserved because each point owns its seed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-// decent-lint: allow(D010) reason="sweep harness, not node code: one uncontended Mutex per pre-sized result slot"
+#[expect(
+    clippy::disallowed_types,
+    reason = "sweep harness, not node code: one uncontended Mutex per pre-sized result slot"
+)]
 use std::sync::Mutex;
 
 /// Runs `f` over every parameter on up to `jobs` worker threads (capped
@@ -55,12 +58,18 @@ where
     let next = AtomicUsize::new(0);
     let mut results: Vec<Option<R>> = Vec::new();
     results.resize_with(n, || None);
-    // decent-lint: allow(D010) reason="each slot has exactly one writer; the lock never blocks a sim event"
+    #[expect(
+        clippy::disallowed_types,
+        reason = "each slot has exactly one writer; the lock never blocks a sim event"
+    )]
     let slots: Vec<Mutex<&mut Option<R>>> = results.iter_mut().map(Mutex::new).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                // decent-lint: allow(D007) reason="work-stealing cursor: claim order cannot affect results, which are written by input index"
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "work-stealing cursor: claim order cannot affect results, which are written by input index"
+                )]
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(param) = params.get(i) else { break };
                 let out = f(param);

@@ -3,7 +3,8 @@
 //! one process traverse any hash-ordered collection differently. If a
 //! hash iteration order leaked into results, the runs below would
 //! diverge — this is the dynamic counterpart of the static D001 rule
-//! (`decent-lint`, DESIGN.md §4e).
+//! (clippy's `disallowed-methods` and `iter_over_hash_type`, DESIGN.md
+//! §4e).
 
 use decent::core::experiments::run_report;
 use decent::sim::json::Json;
@@ -29,9 +30,10 @@ fn repeated_runs_are_hasher_independent() {
 }
 
 /// The canonical run-report JSON must not carry a wall-clock field —
-/// `wall_ms` is harness telemetry, measured behind a `decent-lint:
-/// allow(D002)` pragma and deliberately excluded from serialization so
-/// reports stay byte-comparable across machines.
+/// `wall_ms` is harness telemetry, measured behind an
+/// `#[expect(clippy::disallowed_methods)]` exemption and deliberately
+/// excluded from serialization so reports stay byte-comparable across
+/// machines.
 #[test]
 fn canonical_report_has_no_wall_clock_field() {
     let run = run_report(&["E10"], true, None, 1);

@@ -32,13 +32,15 @@ fn listing_descriptions_match_report_titles() {
 /// runner. Piggybacks the full pass to check title/description
 /// equality for every experiment, not just the cheap trio.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "CI wall-clock budget check; timings are asserted against, never serialized"
+)]
 fn quick_configs_run_under_ci_budget() {
     const PER_EXPERIMENT: Duration = Duration::from_secs(120);
     const TOTAL: Duration = Duration::from_secs(300);
-    // decent-lint: allow(D002) reason="CI wall-clock budget check; timings are asserted against, never serialized"
     let start = Instant::now();
     for s in scenario::all(true) {
-        // decent-lint: allow(D002) reason="CI wall-clock budget check; timings are asserted against, never serialized"
         let t = Instant::now();
         let report = s.run();
         let elapsed = t.elapsed();

@@ -11,7 +11,7 @@
 //! the canonical report JSON and the engine-level trace fingerprint
 //! must be *byte-identical* to the unperturbed serial run, for every
 //! perturbation seed and shard count. Any hidden ordering dependence —
-//! the dynamic shadow of lint rules D007/D010 — shows up as a diff.
+//! the dynamic shadow of determinism rules D007/D010 — shows up as a diff.
 //!
 //! The hook is a process-global knob, so everything lives in one test
 //! function; the guard resets the seed even on assertion failure.
