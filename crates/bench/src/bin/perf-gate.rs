@@ -10,6 +10,11 @@
 //!
 //! - `events` / `activations` / `peak_queue_depth` must equal the
 //!   baseline exactly: any drift is a behaviour change;
+//! - `cascades`, exact too: the timing wheel's reorganizations during
+//!   the drain (`decent_sim::sched::SchedStats::cascades`). Event order
+//!   cannot show how the wheel crosses idle time; this counter does — a
+//!   wheel that walks an idle gap window by window instead of jumping
+//!   it fails here;
 //! - `alloc_bytes` / `alloc_calls`, counted by the global allocator
 //!   installed here, may drift within ±10 % to absorb allocator-library
 //!   churn;
@@ -72,10 +77,11 @@ fn report_only(_baseline: f64, _current: f64) -> bool {
 
 /// Every counter `measure` reports: its key, and its policy as the
 /// table prints it and as a test.
-const GATE: [(&str, &str, Policy); 9] = [
+const GATE: [(&str, &str, Policy); 10] = [
     ("events", "exact", exact),
     ("activations", "exact", exact),
     ("peak_queue_depth", "exact", exact),
+    ("cascades", "exact", exact),
     ("alloc_bytes", "±10%", within_band),
     ("alloc_calls", "±10%", within_band),
     ("build_live_bytes_per_node", "±10%", within_band),
@@ -169,6 +175,7 @@ fn measure(nodes: usize, lookups: usize) -> Json {
     }
     let events_before = sim.events_processed();
     let activations_before = sim.activations();
+    let cascades_before = sim.sched_stats().cascades;
     let (bytes_before, calls_before) = alloc_snapshot();
     #[expect(
         clippy::disallowed_methods,
@@ -203,10 +210,10 @@ fn measure(nodes: usize, lookups: usize) -> Json {
         (
             "note",
             Json::str(
-                "events, activations and peak_queue_depth are gated exactly, alloc_bytes, \
-                 alloc_calls, build_live_bytes_per_node and drained_live_bytes_per_node within \
-                 ±10%: all seven are pure functions of the seed. wall_s and events_per_sec \
-                 depend on the host and are never gated.",
+                "events, activations, peak_queue_depth and cascades are gated exactly, \
+                 alloc_bytes, alloc_calls, build_live_bytes_per_node and \
+                 drained_live_bytes_per_node within ±10%: all eight are pure functions of the \
+                 seed. wall_s and events_per_sec depend on the host and are never gated.",
             ),
         ),
         ("events", Json::int(events)),
@@ -215,6 +222,10 @@ fn measure(nodes: usize, lookups: usize) -> Json {
             Json::int(sim.activations() - activations_before),
         ),
         ("peak_queue_depth", Json::int(peak_queue_depth)),
+        (
+            "cascades",
+            Json::int(sim.sched_stats().cascades - cascades_before),
+        ),
         ("alloc_bytes", Json::int(bytes_after - bytes_before)),
         ("alloc_calls", Json::int(calls_after - calls_before)),
         (
@@ -379,7 +390,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// The seven counters a drift in which fails the gate.
+    /// The eight counters a drift in which fails the gate.
     fn gated_keys() -> impl Iterator<Item = &'static str> {
         let gated = GATE.iter().filter(|g| g.1 != "report only");
         gated.map(|g| g.0)
@@ -418,7 +429,7 @@ mod tests {
 
         let a = measure(60, 6);
         let b = measure(60, 6);
-        assert_eq!(gated_keys().count(), 7);
+        assert_eq!(gated_keys().count(), 8);
         for key in gated_keys() {
             assert_eq!(
                 num_field(&a, key),
@@ -434,6 +445,7 @@ mod tests {
             ("events", Json::int(events)),
             ("activations", Json::int(events)),
             ("peak_queue_depth", Json::int(5)),
+            ("cascades", Json::int(7)),
             ("alloc_bytes", Json::int(alloc_bytes)),
             ("alloc_calls", Json::int(10)),
             ("build_live_bytes_per_node", Json::num(1500.5)),

@@ -96,6 +96,7 @@ pub struct ChainNode {
     /// The node's view of the block tree.
     pub view: ChainView,
     orphans: HashMap<BlockId, Vec<Interned<Block>>>,
+    /// Block ids asked for and not yet accepted.
     requested: HashSet<BlockId>,
     validating: VecDeque<Interned<Block>>,
     mining_epoch: u64,
@@ -233,7 +234,7 @@ impl ChainNode {
         let n = up_to.min(self.unpublished.len());
         for block in self.unpublished.drain(..n) {
             self.public_height = self.public_height.max(block.height);
-            for &peer in &self.neighbors.clone() {
+            for &peer in &self.neighbors {
                 ctx.send_sized(peer, ChainMsg::InvBlock(block.id), 36);
             }
         }
@@ -279,6 +280,9 @@ impl ChainNode {
         let height = block.height;
         self.public_height = self.public_height.max(height);
         let tip_moved = self.view.accept(block.clone(), ctx.now());
+        // Both lookups in `requested` first check `view`, so an accepted
+        // id is never looked up again.
+        self.requested.remove(&id);
         if tip_moved {
             self.refresh_backlog(ctx.now());
             self.backlog = (self.backlog - block.txs.len() as f64).max(0.0);
@@ -290,7 +294,7 @@ impl ChainNode {
             }
         }
         // Relay the announcement to all neighbors.
-        for &n in &self.neighbors.clone() {
+        for &n in &self.neighbors {
             ctx.send_sized(n, ChainMsg::InvBlock(id), 36);
         }
         // Unblock any orphans waiting on this block.
@@ -371,7 +375,7 @@ impl Node for ChainNode {
                 // Orphan: hold it and fetch the parent from anyone who
                 // announces it (we re-request opportunistically).
                 if self.requested.insert(parent) {
-                    for &n in &self.neighbors.clone() {
+                    for &n in &self.neighbors {
                         ctx.send_sized(n, ChainMsg::GetBlock(parent), 36);
                     }
                 }

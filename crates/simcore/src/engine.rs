@@ -67,7 +67,7 @@ use crate::arena::{NodeStore, SlotView};
 use crate::metrics::{LogHistogram, Metric, MetricsSnapshot};
 use crate::net::NetworkModel;
 use crate::rng::{derive_seed, rng_from_seed, SimRng};
-use crate::sched::{BinaryHeapScheduler, Scheduler, TimingWheel};
+use crate::sched::{BinaryHeapScheduler, SchedStats, Scheduler, TimingWheel};
 use crate::shard::Policy;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EventTag, Trace};
@@ -965,6 +965,15 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// from the metrics snapshot.
     pub fn layout_switches(&self) -> u64 {
         self.core.switches
+    }
+
+    /// The serial queue's own operation counters: how hard the
+    /// scheduler implementation was driven, cascades included. A queue
+    /// rebuilt by a layout switch starts from zero, and the per-shard
+    /// queues of the windowed layout are not counted. Scheduler-specific
+    /// by design, so never part of the metrics snapshot.
+    pub fn sched_stats(&self) -> SchedStats {
+        self.core.queue.op_stats()
     }
 
     /// A [`MetricsSnapshot`] of the engine's counters: event-loop

@@ -54,8 +54,8 @@ use crate::time::SimTime;
 ///
 /// Purely observational: tracking these is a couple of integer updates
 /// per operation and never changes dequeue order. They surface through
-/// [`crate::engine::Simulation::metrics_snapshot`] so every run report
-/// can state how hard the event queue was driven.
+/// [`crate::engine::Simulation::sched_stats`], never through the metrics
+/// snapshot, which holds no scheduler-dependent detail.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Events ever enqueued.
@@ -64,8 +64,11 @@ pub struct SchedStats {
     pub popped: u64,
     /// Largest number of simultaneously pending events.
     pub peak_len: u64,
-    /// Implementation-specific reorganizations (timing-wheel cascades;
-    /// 0 for the binary heap).
+    /// Implementation-specific reorganizations; 0 for the binary heap.
+    /// For the timing wheel, one per cascade: when the clock steps into
+    /// the next 64-tick window, and when it jumps over idle windows to
+    /// the next occupied higher-level slot. An idle gap therefore costs
+    /// at most a few cascades per level, however long it is.
     pub cascades: u64,
     /// Peak size of the far-future overflow heap (timing wheel only).
     pub overflow_peak: u64,
@@ -458,8 +461,18 @@ impl<T> TimingWheel<T> {
                 continue;
             }
             // Level 0 exhausted: advance to the next window and cascade.
+            // While level 0 stays empty, jump over the idle windows
+            // straight to the next occupied higher-level slot.
             self.current = window + SLOTS as u64;
             self.cascade();
+            while self.occupied[0] == 0 {
+                let Some(tick) = self.next_slot_entry() else {
+                    break;
+                };
+                debug_assert!(tick > self.current, "idle jump must move the clock");
+                self.current = tick;
+                self.cascade();
+            }
             if self.occupied.iter().all(|&b| b == 0) {
                 // Wheels empty — jump the clock to the overflow frontier.
                 let Some(&Reverse((time, _, _))) = self.overflow.peek() else {
@@ -473,6 +486,36 @@ impl<T> TimingWheel<T> {
                 self.pull_overflow();
             }
         }
+    }
+
+    /// The earliest tick after `current` at which the clock enters an
+    /// occupied slot of levels 1 and up, or `None` when those levels are
+    /// empty. Level `k`'s slot `s` is entered next at the first multiple
+    /// of `64^k` past `current` whose level-`k` position is `s`: later in
+    /// this rotation if `s` lies past the level's current position,
+    /// otherwise — `s` at that position included — one rotation on.
+    ///
+    /// No overflow event is due before the returned tick: the cascade
+    /// that preceded the call pulled in everything within `2^24` ticks of
+    /// `current`, and every occupied slot is entered within that span.
+    fn next_slot_entry(&self) -> Option<u64> {
+        (1..LEVELS)
+            .filter(|&level| self.occupied[level] != 0)
+            .map(|level| {
+                let shift = SLOT_BITS * level as u32;
+                let index = self.current >> shift;
+                let pos = (index & (SLOTS as u64 - 1)) as u32;
+                let rotation = index & !(SLOTS as u64 - 1);
+                let bits = self.occupied[level];
+                let later = bits & (u64::MAX << pos) << 1;
+                let entry = if later != 0 {
+                    rotation + u64::from(later.trailing_zeros())
+                } else {
+                    rotation + SLOTS as u64 + u64::from(bits.trailing_zeros())
+                };
+                entry << shift
+            })
+            .min()
     }
 
     /// Drains higher-level slots the clock has just entered back into the
@@ -728,7 +771,179 @@ mod tests {
         w.schedule(SimTime::from_nanos(1 << 37), 1, 1);
         assert_eq!(w.op_stats().overflow_peak, 2);
         while w.pop().is_some() {}
-        assert!(w.op_stats().cascades > 0 || w.op_stats().popped == 2);
+        // One cascade as the clock leaves each event's window finds the
+        // wheel empty and jumps to the overflow frontier.
+        let st = w.op_stats();
+        assert_eq!((st.popped, st.cascades), (2, 2), "{st:?}");
+    }
+
+    #[test]
+    fn an_idle_gap_costs_a_few_cascades_not_one_per_window() {
+        // Walking a 1 000 s gap one 64-tick window at a time would take
+        // 476 837 cascades.
+        for gap in [1.0, 60.0, 1_000.0] {
+            let mut w: TimingWheel<u32> = TimingWheel::new();
+            w.schedule(SimTime::from_secs(1.0), 0, 0);
+            w.schedule(SimTime::from_secs(1.0 + gap), 1, 1);
+            while w.pop().is_some() {}
+            let st = w.op_stats();
+            assert_eq!(st.popped, 2);
+            assert!(st.cascades <= 8, "gap {gap} s: {st:?}");
+        }
+        // An event past the horizon, waiting in the overflow heap, must
+        // not stop the wheel from jumping the gaps before it.
+        let mut w: TimingWheel<u32> = TimingWheel::new();
+        for (seq, secs) in [1.0, 1_001.0, 2.0 * 86_400.0].into_iter().enumerate() {
+            w.schedule(SimTime::from_secs(secs), seq as u64, 0);
+        }
+        while w.pop().is_some() {}
+        let st = w.op_stats();
+        assert_eq!((st.popped, st.overflow_peak), (3, 1));
+        assert!(st.cascades <= 8, "{st:?}");
+    }
+
+    /// A wheel of one-nanosecond ticks whose clock has been driven to
+    /// `start` by popping an event there, so tick arithmetic is plain
+    /// nanoseconds.
+    fn wheel_at(start: u64) -> TimingWheel<u64> {
+        let mut w = TimingWheel::with_tick_shift(0);
+        w.schedule(SimTime::from_nanos(start), 0, 0);
+        assert_eq!(w.pop().map(|(t, ..)| t.as_nanos()), Some(start));
+        assert_eq!(w.current, start);
+        w
+    }
+
+    /// Drains `w` and a heap holding the same `times` (seqs from 1),
+    /// comparing every `next_time` and pop.
+    fn assert_drains_like_heap(mut w: TimingWheel<u64>, times: &[u64], case: &str) {
+        let mut h: BinaryHeapScheduler<u64> = BinaryHeapScheduler::new();
+        for (seq, &t) in (1u64..).zip(times) {
+            w.schedule(SimTime::from_nanos(t), seq, t);
+            h.schedule(SimTime::from_nanos(t), seq, t);
+        }
+        loop {
+            assert_eq!(w.next_time(), h.next_time(), "{case}");
+            let popped = w.pop();
+            assert_eq!(popped, h.pop(), "{case}");
+            if popped.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// Tick distances at every level's slot and rotation boundaries, and
+    /// either side of the `2^24`-tick horizon.
+    fn boundary_deltas() -> Vec<u64> {
+        let mut deltas = vec![1, 2, 63, 3 << 24];
+        for level in 0..LEVELS as u32 {
+            let slot = 1u64 << (SLOT_BITS * level);
+            let rotation = slot << SLOT_BITS;
+            deltas.extend([slot, slot + 1, 63 * slot + 7]);
+            deltas.extend([rotation - 1, rotation, rotation + 1]);
+        }
+        deltas
+    }
+
+    #[test]
+    fn sparse_schedules_across_idle_gaps_match_heap() {
+        // Starts on and just off every level's slot boundary, so some
+        // deltas land in the slot at the clock's own position.
+        let starts = [
+            0u64,
+            1,
+            60,
+            64,
+            4_095,
+            4_097,
+            262_143,
+            262_145,
+            (1 << 24) - 3,
+            (1 << 24) + 70,
+            123_456_789,
+        ];
+        let deltas = boundary_deltas();
+        for &start in &starts {
+            for &d1 in &deltas {
+                for &d2 in &deltas {
+                    let case = format!("start {start}, +{d1}, +{d2}");
+                    // Both filed against the clock at `start`...
+                    let times = [start + d1, start + d1 + d2];
+                    assert_drains_like_heap(wheel_at(start), &times, &case);
+                    // ...and the second against the clock at the first.
+                    let w = wheel_at(start + d1);
+                    assert_drains_like_heap(w, &[start + d1 + d2], &case);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_event_in_the_slot_at_the_clock_waits_a_full_rotation() {
+        for level in 1..LEVELS {
+            let shift = SLOT_BITS * level as u32;
+            // Off the level's slot boundary, so a delta of one tick short
+            // of a full rotation maps back onto the clock's own slot.
+            let start = (5u64 << shift) + 3;
+            let delta = (1u64 << (shift + SLOT_BITS)) - 1;
+            let mut w = wheel_at(start);
+            w.schedule(SimTime::from_nanos(start + delta), 1, 0);
+            let pos = (start >> shift) & (SLOTS as u64 - 1);
+            assert_eq!(w.occupied[level], 1 << pos, "level {level}");
+            let w = wheel_at(start);
+            assert_drains_like_heap(w, &[start + delta, start + 1], &format!("level {level}"));
+        }
+    }
+
+    #[test]
+    fn events_either_side_of_the_horizon_match_heap() {
+        let horizon = 1u64 << 24;
+        for start in [0u64, 77, 5 << 18, (9 << 24) + 12_345] {
+            let times = [start + horizon - 1, start + horizon, start + horizon + 1];
+            let mut w = wheel_at(start);
+            w.schedule(SimTime::from_nanos(times[0]), 100, 0);
+            assert_eq!(w.overflow.len(), 0, "start {start}");
+            w.schedule(SimTime::from_nanos(times[1]), 101, 0);
+            assert_eq!(w.overflow.len(), 1, "start {start}");
+            assert_drains_like_heap(wheel_at(start), &times, &format!("start {start}"));
+        }
+    }
+
+    #[test]
+    fn a_wrapped_level0_entry_before_an_idle_gap_is_not_skipped() {
+        // At tick 60, tick 70 sits in level-0 slot 6, behind the cursor:
+        // it is due in the next window, before the far event.
+        let mut w = wheel_at(60);
+        w.schedule(SimTime::from_nanos(70), 1, 0);
+        assert_eq!(w.occupied[0], 1 << 6);
+        for far in [5_000, 5_000_000, 50_000_000] {
+            assert_drains_like_heap(wheel_at(60), &[70, 60 + far, 63], &format!("far {far}"));
+        }
+    }
+
+    #[test]
+    fn sparse_random_interleavings_match_heap() {
+        // At most three events pending, gaps spread over every scale from
+        // one tick to well past the horizon: most pops cross idle time.
+        for seed in 0..20u64 {
+            let mut rng = rng_from_seed(seed);
+            let mut w: TimingWheel<u64> = TimingWheel::with_tick_shift(0);
+            let mut h: BinaryHeapScheduler<u64> = BinaryHeapScheduler::new();
+            let mut frontier = 0u64;
+            for seq in 0..2_000u64 {
+                if w.is_empty() || (w.len() < 3 && rng.gen::<f64>() < 0.5) {
+                    let bits = rng.gen_range(0u32..27);
+                    let t = SimTime::from_nanos(frontier + rng.gen_range(0u64..1 << bits));
+                    w.schedule(t, seq, seq);
+                    h.schedule(t, seq, seq);
+                } else {
+                    assert_eq!(w.next_time(), h.next_time(), "seed {seed}");
+                    let popped = w.pop();
+                    assert_eq!(popped, h.pop(), "seed {seed}");
+                    frontier = popped.expect("non-empty").0.as_nanos();
+                }
+            }
+            assert_eq!(drain(&mut w), drain(&mut h), "seed {seed}");
+        }
     }
 
     #[test]

@@ -865,7 +865,7 @@ mod tests {
         assert_eq!(stats.iter().map(|s| s.scheduled).sum::<u64>(), pending);
         assert!(stats.iter().all(|s| s.cascades == 0), "{stats:?}");
         sim.merge_queues();
-        let merged = sim.core.queue.op_stats();
+        let merged = sim.sched_stats();
         assert_eq!((merged.scheduled, merged.overflow_peak), (pending, 0));
         assert_eq!(sim.layout_switches(), 2);
     }
