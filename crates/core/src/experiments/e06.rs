@@ -7,15 +7,16 @@
 //! routing and full membership is the right decision instead of
 //! maintaining routing tables and suffering multi-hop lookups."
 //!
-//! We measure all three designs head-to-head at a simulable size, then
-//! extrapolate the one-hop maintenance bandwidth to 10K and 100K with
-//! the same closed form Gupta et al. use (validated against the
-//! simulation at the measured size).
+//! We simulate five overlays head-to-head at 1 000 nodes (300 at quick
+//! scale): CAN, Chord and Pastry on the recursive lookup core, Kademlia,
+//! and one-hop. The one-hop maintenance bandwidth at 10K and 100K is
+//! the closed form Gupta et al. use, not a simulation.
 
 use decent_overlay::can;
 use decent_overlay::chord::{build_ring, ChordConfig};
 use decent_overlay::id::Key;
-use decent_overlay::kademlia::{self, KadConfig};
+use decent_overlay::kademlia::{self, Contact, KadConfig};
+use decent_overlay::lookup::Outcome;
 use decent_overlay::onehop::{self, OneHopConfig};
 use decent_overlay::pastry::{self, PastryConfig};
 use decent_sim::prelude::*;
@@ -26,7 +27,7 @@ use crate::scenario::{Experiment, Param};
 /// Experiment parameters.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Head-to-head network size (all three protocols simulated).
+    /// Head-to-head network size (all five overlays simulated).
     pub nodes: usize,
     /// Lookups per protocol.
     pub lookups: usize,
@@ -60,205 +61,152 @@ struct ProtocolRow {
     metrics: MetricsSnapshot,
 }
 
-fn measure_chord(cfg: &Config, seed: u64) -> ProtocolRow {
+impl ProtocolRow {
+    fn new<N: Node>(name: String, lookups: (f64, f64), maint: f64, sim: &Simulation<N>) -> Self {
+        let (hops, p50_ms) = lookups;
+        ProtocolRow {
+            name,
+            hops,
+            p50_ms,
+            maint_msgs_per_node_min: maint,
+            metrics: sim.metrics_snapshot(),
+        }
+    }
+}
+
+/// An empty simulation on E6's latency model and the run's shards.
+fn simulation<N: Node<Msg: Send> + Send>(cfg: &Config, seed: u64) -> Simulation<N> {
     let mut sim = Simulation::new(seed, UniformLatency::from_millis(30.0, 120.0));
     sim.set_shards(cfg.shards);
-    let ids = build_ring(&mut sim, cfg.nodes, &ChordConfig::default(), seed ^ 1);
+    sim
+}
+
+/// Runs to t = 1 s, then a lookup-free two-minute window; returns its
+/// maintenance messages per node per minute.
+fn maintenance<N: Node>(sim: &mut Simulation<N>, nodes: usize) -> f64 {
     sim.run_until(SimTime::from_secs(1.0));
-    // Maintenance window: no lookups for two minutes.
     let before = sim.stats().sent;
     sim.run_until(sim.now() + SimDuration::from_mins(2.0));
-    let maint = (sim.stats().sent - before) as f64 / cfg.nodes as f64 / 2.0;
-    for i in 0..cfg.lookups as u64 {
-        let origin = ids[(i as usize * 31) % ids.len()];
-        let t = Key::from_u64(5000 + i);
-        sim.invoke(origin, |n, ctx| {
-            n.start_lookup(t, ctx);
-        });
+    (sim.stats().sent - before) as f64 / nodes as f64 / 2.0
+}
+
+/// Issues `lookups` lookups 150 ms apart, the `i`-th from
+/// `ids[i * stride % n]` by `issue(sim, origin, i)`, then drains 60 s.
+fn paced_lookups<N: Node>(
+    sim: &mut Simulation<N>,
+    ids: &[NodeId],
+    lookups: usize,
+    stride: usize,
+    mut issue: impl FnMut(&mut Simulation<N>, NodeId, u64),
+) {
+    for i in 0..lookups {
+        issue(sim, ids[(i * stride) % ids.len()], i as u64);
         let next = sim.now() + SimDuration::from_millis(150.0);
         sim.run_until(next);
     }
     sim.run_until(sim.now() + SimDuration::from_secs(60.0));
+}
+
+/// Mean hops and p50 latency (ms) of the successful lookups.
+fn harvest<'a, T: 'a, O: 'a>(outcomes: impl Iterator<Item = &'a Outcome<T, O>>) -> (f64, f64) {
     let (mut hops, mut lat) = (Histogram::new(), Histogram::new());
-    for &id in &ids {
-        for r in &sim.node(id).results {
-            if r.success {
-                hops.record(r.hops as f64);
-                lat.record(r.latency.as_millis());
-            }
-        }
+    for r in outcomes.filter(|r| r.success) {
+        hops.record(r.hops as f64);
+        lat.record(r.latency.as_millis());
     }
-    ProtocolRow {
-        name: format!("Chord (n={})", cfg.nodes),
-        hops: hops.mean(),
-        p50_ms: lat.percentile(0.5),
-        maint_msgs_per_node_min: maint,
-        metrics: sim.metrics_snapshot(),
-    }
+    (hops.mean(), lat.percentile(0.5))
+}
+
+fn measure_chord(cfg: &Config, seed: u64) -> ProtocolRow {
+    let mut sim = simulation(cfg, seed);
+    let ids = build_ring(&mut sim, cfg.nodes, &ChordConfig::default(), seed ^ 1);
+    let maint = maintenance(&mut sim, cfg.nodes);
+    paced_lookups(&mut sim, &ids, cfg.lookups, 31, |sim, origin, i| {
+        let t = Key::from_u64(5000 + i);
+        sim.invoke(origin, |n, ctx| n.start_lookup(t, ctx));
+    });
+    let lookups = harvest(ids.iter().flat_map(|&id| &sim.node(id).results));
+    ProtocolRow::new(format!("Chord (n={})", cfg.nodes), lookups, maint, &sim)
 }
 
 fn measure_kademlia(cfg: &Config, seed: u64) -> ProtocolRow {
-    let mut sim = Simulation::new(seed, UniformLatency::from_millis(30.0, 120.0));
+    let mut sim = simulation(cfg, seed);
     let kad = KadConfig {
         k: 10,
         alpha: 3,
         refresh_interval: Some(SimDuration::from_mins(1.0)),
         ..KadConfig::default()
     };
-    sim.set_shards(cfg.shards);
     let ids = kademlia::build_network(&mut sim, cfg.nodes, &kad, 0.0, 8, seed ^ 2);
-    sim.run_until(SimTime::from_secs(1.0));
-    let before = sim.stats().sent;
-    sim.run_until(sim.now() + SimDuration::from_mins(2.0));
-    let maint = (sim.stats().sent - before) as f64 / cfg.nodes as f64 / 2.0;
-    for i in 0..cfg.lookups as u64 {
-        let origin = ids[(i as usize * 29) % ids.len()];
+    let maint = maintenance(&mut sim, cfg.nodes);
+    paced_lookups(&mut sim, &ids, cfg.lookups, 29, |sim, origin, i| {
         let t = Key::from_u64(7000 + i);
-        sim.invoke(origin, |n, ctx| {
-            n.start_lookup(t, false, ctx);
-        });
-        let next = sim.now() + SimDuration::from_millis(150.0);
-        sim.run_until(next);
-    }
-    sim.run_until(sim.now() + SimDuration::from_secs(60.0));
+        sim.invoke(origin, |n, ctx| n.start_lookup(t, false, ctx));
+    });
     let (mut rpc_rounds, mut lat) = (Histogram::new(), Histogram::new());
-    for &id in &ids {
-        for r in &sim.node(id).results {
-            // Approximate "hops" as sequential RPC rounds (rpcs / alpha).
-            rpc_rounds.record(r.rpcs as f64 / 3.0);
-            lat.record(r.latency.as_millis());
-        }
+    for r in ids.iter().flat_map(|&id| &sim.node(id).results) {
+        // Approximate "hops" as sequential RPC rounds (rpcs / alpha).
+        rpc_rounds.record(r.rpcs as f64 / 3.0);
+        lat.record(r.latency.as_millis());
     }
-    ProtocolRow {
-        name: format!("Kademlia (n={})", cfg.nodes),
-        hops: rpc_rounds.mean(),
-        p50_ms: lat.percentile(0.5),
-        maint_msgs_per_node_min: maint,
-        metrics: sim.metrics_snapshot(),
-    }
+    let lookups = (rpc_rounds.mean(), lat.percentile(0.5));
+    ProtocolRow::new(format!("Kademlia (n={})", cfg.nodes), lookups, maint, &sim)
 }
 
 fn measure_onehop(cfg: &Config, seed: u64) -> ProtocolRow {
-    let mut sim = Simulation::new(seed, UniformLatency::from_millis(30.0, 120.0));
-    sim.set_shards(cfg.shards);
+    let mut sim = simulation(cfg, seed);
     let ids = onehop::build_network(&mut sim, cfg.nodes, OneHopConfig::default(), seed ^ 3);
     sim.run_until(SimTime::from_secs(1.0));
     // Membership events at the churn rate: 2 events per session cycle.
     let event_rate_per_min = 2.0 * cfg.nodes as f64 / (2.0 * cfg.session_mins); // joins + leaves
     let before = sim.stats().sent;
-    let mut ticker = 0u64;
     let window_mins = 2.0;
     let events = (event_rate_per_min * window_mins) as usize;
     for e in 0..events {
-        ticker += 1;
         let subject = ids[(e * 13) % ids.len()];
         let observer = ids[(e * 13 + 1) % ids.len()];
-        let contact = decent_overlay::kademlia::Contact {
+        let contact = Contact {
             node: subject,
             key: sim.node(subject).key(),
         };
-        let alive = ticker.is_multiple_of(2);
+        let alive = e % 2 == 1;
         sim.invoke(observer, |n, _ctx| n.observe(contact, alive));
         let next = sim.now() + SimDuration::from_secs(60.0 * window_mins / events as f64);
         sim.run_until(next);
     }
     let maint = (sim.stats().sent - before) as f64 / cfg.nodes as f64 / window_mins;
-    for i in 0..cfg.lookups as u64 {
-        let origin = ids[(i as usize * 37) % ids.len()];
+    paced_lookups(&mut sim, &ids, cfg.lookups, 37, |sim, origin, i| {
         let t = Key::from_u64(9000 + i);
-        sim.invoke(origin, |n, ctx| {
-            n.start_lookup(t, ctx);
-        });
-        let next = sim.now() + SimDuration::from_millis(150.0);
-        sim.run_until(next);
-    }
-    sim.run_until(sim.now() + SimDuration::from_secs(60.0));
-    let mut lat = Histogram::new();
-    for &id in &ids {
-        for r in &sim.node(id).results {
-            if r.success {
-                lat.record(r.latency.as_millis());
-            }
-        }
-    }
-    ProtocolRow {
-        name: format!("One-hop (n={})", cfg.nodes),
-        hops: 1.0,
-        p50_ms: lat.percentile(0.5),
-        maint_msgs_per_node_min: maint,
-        metrics: sim.metrics_snapshot(),
-    }
+        sim.invoke(origin, |n, ctx| n.start_lookup(t, ctx));
+    });
+    let lookups = harvest(ids.iter().flat_map(|&id| &sim.node(id).results));
+    ProtocolRow::new(format!("One-hop (n={})", cfg.nodes), lookups, maint, &sim)
 }
 
 fn measure_pastry(cfg: &Config, seed: u64) -> ProtocolRow {
-    let mut sim = Simulation::new(seed, UniformLatency::from_millis(30.0, 120.0));
-    sim.set_shards(cfg.shards);
+    let mut sim = simulation(cfg, seed);
     let ids = pastry::build_network(&mut sim, cfg.nodes, &PastryConfig::default(), seed ^ 4);
-    sim.run_until(SimTime::from_secs(1.0));
-    let before = sim.stats().sent;
-    sim.run_until(sim.now() + SimDuration::from_mins(2.0));
-    let maint = (sim.stats().sent - before) as f64 / cfg.nodes as f64 / 2.0;
-    for i in 0..cfg.lookups as u64 {
-        let origin = ids[(i as usize * 41) % ids.len()];
+    let maint = maintenance(&mut sim, cfg.nodes);
+    paced_lookups(&mut sim, &ids, cfg.lookups, 41, |sim, origin, i| {
         let t = Key::from_u64(11_000 + i);
-        sim.invoke(origin, |n, ctx| {
-            n.start_lookup(t, ctx);
-        });
-        let next = sim.now() + SimDuration::from_millis(150.0);
-        sim.run_until(next);
-    }
-    sim.run_until(sim.now() + SimDuration::from_secs(60.0));
-    let (mut hops, mut lat) = (Histogram::new(), Histogram::new());
-    for &id in &ids {
-        for r in &sim.node(id).results {
-            if r.success {
-                hops.record(r.hops as f64);
-                lat.record(r.latency.as_millis());
-            }
-        }
-    }
-    ProtocolRow {
-        name: format!("Pastry (n={})", cfg.nodes),
-        hops: hops.mean(),
-        p50_ms: lat.percentile(0.5),
-        maint_msgs_per_node_min: maint,
-        metrics: sim.metrics_snapshot(),
-    }
+        sim.invoke(origin, |n, ctx| n.start_lookup(t, ctx));
+    });
+    let lookups = harvest(ids.iter().flat_map(|&id| &sim.node(id).results));
+    ProtocolRow::new(format!("Pastry (n={})", cfg.nodes), lookups, maint, &sim)
 }
 
 fn measure_can(cfg: &Config, seed: u64) -> ProtocolRow {
     use rand::Rng;
-    let mut sim = Simulation::new(seed, UniformLatency::from_millis(30.0, 120.0));
-    sim.set_shards(cfg.shards);
+    let mut sim = simulation(cfg, seed);
     let ids = can::build_network(&mut sim, cfg.nodes, seed ^ 5);
     sim.run_until(SimTime::from_secs(0.1));
-    for i in 0..cfg.lookups {
-        let t = {
-            let rng = sim.rng();
-            [rng.gen::<f64>(), rng.gen::<f64>()]
-        };
-        let origin = ids[(i * 43) % ids.len()];
-        sim.invoke(origin, |n, ctx| {
-            n.start_lookup(t, ctx);
-        });
-        let next = sim.now() + SimDuration::from_millis(150.0);
-        sim.run_until(next);
-    }
-    sim.run_until(sim.now() + SimDuration::from_secs(60.0));
-    let (mut hops, mut lat) = (Histogram::new(), Histogram::new());
-    for &id in &ids {
-        for r in &sim.node(id).results {
-            hops.record(r.hops as f64);
-            lat.record(r.latency.as_millis());
-        }
-    }
-    ProtocolRow {
-        name: format!("CAN d=2 (n={})", cfg.nodes),
-        hops: hops.mean(),
-        p50_ms: lat.percentile(0.5),
-        maint_msgs_per_node_min: 0.0, // static zones; no repair modelled
-        metrics: sim.metrics_snapshot(),
-    }
+    paced_lookups(&mut sim, &ids, cfg.lookups, 43, |sim, origin, _| {
+        let t = [sim.rng().gen::<f64>(), sim.rng().gen::<f64>()];
+        sim.invoke(origin, |n, ctx| n.start_lookup(t, ctx));
+    });
+    let lookups = harvest(ids.iter().flat_map(|&id| &sim.node(id).results));
+    // Static zones: no repair traffic is modelled.
+    ProtocolRow::new(format!("CAN d=2 (n={})", cfg.nodes), lookups, 0.0, &sim)
 }
 
 /// Closed-form one-hop maintenance bandwidth (Gupta et al. style):

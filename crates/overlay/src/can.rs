@@ -12,11 +12,11 @@
 //! uses CAN for routing-geometry comparison); churn experiments use
 //! Kademlia/Chord, which implement their repair protocols in full.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 use decent_sim::prelude::*;
+
+use crate::lookup::{Hop, Lookups, Outcome, Route, Routed};
 
 /// A point in the unit torus.
 pub type Point = [f64; 2];
@@ -112,53 +112,17 @@ fn torus_1d(a: f64, b: f64) -> f64 {
     d.min(1.0 - d)
 }
 
-/// CAN wire messages.
-#[derive(Clone, Debug)]
-pub enum CanMsg {
-    /// Greedy routed lookup.
-    Route {
-        /// Correlation id at the origin.
-        rpc: u64,
-        /// Target point.
-        target: Point,
-        /// Origin node.
-        origin: NodeId,
-        /// Hops so far.
-        hops: u32,
-    },
-    /// Answer to the origin.
-    Delivered {
-        /// Correlation id.
-        rpc: u64,
-        /// Owner of the target point.
-        owner: NodeId,
-        /// Total hops.
-        hops: u32,
-    },
-}
-
-/// Outcome of a CAN lookup.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CanLookupResult {
-    /// Target point.
-    pub target: Point,
-    /// Lookup duration.
-    pub latency: SimDuration,
-    /// Routing hops.
-    pub hops: u32,
-    /// The owner found.
-    pub owner: NodeId,
-}
+/// CAN's messages: the lookup core's route/deliver pair, owner by node.
+pub type CanMsg = Routed<Point, NodeId>;
 
 /// A CAN node. Implements [`Node`] for the engine.
 #[derive(Debug)]
 pub struct CanNode {
     zone: Zone,
     neighbors: Vec<(NodeId, Zone)>,
-    pending: HashMap<u64, (Point, SimTime)>,
-    next_rpc: u64,
+    lookups: Lookups<Point>,
     /// Completed lookups, harvested by the experiment harness.
-    pub results: Vec<CanLookupResult>,
+    pub results: Vec<Outcome<Point, NodeId>>,
 }
 
 impl CanNode {
@@ -167,8 +131,7 @@ impl CanNode {
         CanNode {
             zone,
             neighbors: Vec::new(),
-            pending: HashMap::new(),
-            next_rpc: 1,
+            lookups: Lookups::default(),
             results: Vec::new(),
         }
     }
@@ -183,67 +146,29 @@ impl CanNode {
         self.neighbors.len()
     }
 
-    /// Issues a lookup for `target`.
+    /// Issues a lookup for `target`. CAN arms no deadline: zones tile
+    /// the torus and are never repaired, so every lookup resolves.
     pub fn start_lookup(&mut self, target: Point, ctx: &mut Context<'_, CanMsg>) -> u64 {
-        let rpc = self.next_rpc;
-        self.next_rpc += 1;
-        self.pending.insert(rpc, (target, ctx.now()));
-        self.route(rpc, target, ctx.id(), 0, ctx);
-        rpc
+        let first = self.lookups.start(target, (), None, ctx);
+        self.route(first, ctx);
+        first.rpc
     }
 
-    fn route(
-        &mut self,
-        rpc: u64,
-        target: Point,
-        origin: NodeId,
-        hops: u32,
-        ctx: &mut Context<'_, CanMsg>,
-    ) {
-        if self.zone.contains(&target) {
-            if origin == ctx.id() {
-                self.finish(rpc, ctx.id(), hops, ctx.now());
-            } else {
-                ctx.send(
-                    origin,
-                    CanMsg::Delivered {
-                        rpc,
-                        owner: ctx.id(),
-                        hops,
-                    },
-                );
-            }
-            return;
-        }
-        // Greedy: the neighbor zone closest to the target. Zones tile
-        // the torus, so some neighbor is strictly closer than we are.
-        let next = self
-            .neighbors
-            .iter()
-            .min_by(|(_, a), (_, b)| a.distance(&target).total_cmp(&b.distance(&target)))
-            .map(|&(id, _)| id);
-        if let Some(next) = next {
-            ctx.send(
-                next,
-                CanMsg::Route {
-                    rpc,
-                    target,
-                    origin,
-                    hops: hops + 1,
-                },
-            );
-        }
-    }
-
-    fn finish(&mut self, rpc: u64, owner: NodeId, hops: u32, now: SimTime) {
-        if let Some((target, started)) = self.pending.remove(&rpc) {
-            self.results.push(CanLookupResult {
-                target,
-                latency: now.saturating_since(started),
-                hops,
-                owner,
-            });
-        }
+    /// Deliver if our zone holds the target, else greedy: the neighbor
+    /// zone closest to it. Zones tile the torus, so some neighbor is
+    /// strictly closer than we are.
+    fn route(&mut self, route: Route<Point>, ctx: &mut Context<'_, CanMsg>) {
+        let target = route.target;
+        let hop = if self.zone.contains(&target) {
+            Hop::Deliver(ctx.id())
+        } else {
+            self.neighbors
+                .iter()
+                .min_by(|(_, a), (_, b)| a.distance(&target).total_cmp(&b.distance(&target)))
+                .map_or(Hop::Drop, |&(id, _)| Hop::Forward(id))
+        };
+        let done = self.lookups.step(hop, route, ctx);
+        self.results.extend(done.map(|(_, o)| o));
     }
 }
 
@@ -252,15 +177,10 @@ impl Node for CanNode {
 
     fn on_message(&mut self, _from: NodeId, msg: CanMsg, ctx: &mut Context<'_, CanMsg>) {
         match msg {
-            CanMsg::Route {
-                rpc,
-                target,
-                origin,
-                hops,
-            } => self.route(rpc, target, origin, hops, ctx),
-            CanMsg::Delivered { rpc, owner, hops } => {
-                let now = ctx.now();
-                self.finish(rpc, owner, hops, now);
+            Routed::Route(route) => self.route(route, ctx),
+            Routed::Delivered { rpc, owner, hops } => {
+                let done = self.lookups.complete(rpc, owner, hops, ctx.now());
+                self.results.extend(done.map(|(_, o)| o));
             }
         }
     }
@@ -352,7 +272,7 @@ mod tests {
         for &id in &ids {
             for r in &sim.node(id).results {
                 assert!(
-                    sim.node(r.owner).zone().contains(&r.target),
+                    sim.node(r.owner.unwrap()).zone().contains(&r.target),
                     "delivered to a non-owner"
                 );
                 checked += 1;

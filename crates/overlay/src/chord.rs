@@ -17,30 +17,13 @@ use decent_sim::prelude::*;
 
 use crate::id::{Key, KEY_BITS};
 use crate::kademlia::Contact;
+use crate::lookup::{Done, Hop, Lookups, Outcome, Route, Routed};
 
 /// Chord wire messages.
 #[derive(Clone, Debug)]
 pub enum ChordMsg {
-    /// Recursive lookup request, forwarded hop by hop.
-    FindSuccessor {
-        /// Correlation id at the origin.
-        rpc: u64,
-        /// Key being resolved.
-        target: Key,
-        /// Node that issued the lookup (gets the final answer).
-        origin: NodeId,
-        /// Hops taken so far.
-        hops: u32,
-    },
-    /// Final answer delivered to the lookup origin.
-    FoundSuccessor {
-        /// Correlation id at the origin.
-        rpc: u64,
-        /// The successor responsible for the target key.
-        successor: Contact,
-        /// Total routing hops.
-        hops: u32,
-    },
+    /// A recursive find-successor lookup and its answer.
+    Lookup(Routed<Key, Contact>),
     /// Stabilize: ask a successor for its predecessor and successor list.
     GetPredecessor {
         /// Correlation id.
@@ -88,32 +71,25 @@ impl Default for ChordConfig {
     }
 }
 
-/// Outcome of one Chord lookup, recorded at the origin.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChordLookupResult {
-    /// Target key.
-    pub target: Key,
-    /// Time from issue to answer (or to timeout).
-    pub latency: SimDuration,
-    /// Routing hops (0 if resolved locally).
-    pub hops: u32,
-    /// Whether an answer arrived before the deadline.
-    pub success: bool,
-    /// The responsible successor, when successful.
-    pub successor: Option<Contact>,
+impl From<Routed<Key, Contact>> for ChordMsg {
+    fn from(msg: Routed<Key, Contact>) -> Self {
+        ChordMsg::Lookup(msg)
+    }
 }
 
 const TIMER_STABILIZE: u64 = 1;
 const TIMER_FIX_FINGERS: u64 = 2;
-const RPC_BASE: u64 = 16;
 
-#[derive(Debug)]
-enum PendingRpc {
-    UserLookup { target: Key, started: SimTime },
-    FingerFix { index: usize },
+/// What a `GetPredecessor` probe checks.
+#[derive(Debug, PartialEq)]
+enum Probe {
     Stabilize,
     CheckPredecessor,
 }
+
+/// A lookup's purpose: `None` for a user lookup, `Some(i)` to refresh
+/// finger `i`.
+type FingerFix = Option<usize>;
 
 /// A Chord node. Implements [`Node`] for the simulation engine.
 #[derive(Debug)]
@@ -124,10 +100,12 @@ pub struct ChordNode {
     predecessor: Option<Contact>,
     fingers: Vec<Option<Contact>>,
     next_finger: usize,
-    rpcs: HashMap<u64, PendingRpc>,
-    next_rpc: u64,
+    lookups: Lookups<Key, FingerFix>,
+    /// The rpc of the finger fix in flight; the next fix supersedes it.
+    finger_rpc: u64,
+    probes: HashMap<u64, Probe>,
     /// Completed lookups, harvested by the experiment harness.
-    pub results: Vec<ChordLookupResult>,
+    pub results: Vec<Outcome<Key, Contact>>,
 }
 
 impl ChordNode {
@@ -140,8 +118,9 @@ impl ChordNode {
             predecessor: None,
             fingers: vec![None; KEY_BITS],
             next_finger: 0,
-            rpcs: HashMap::new(),
-            next_rpc: RPC_BASE,
+            lookups: Lookups::default(),
+            finger_rpc: 0,
+            probes: HashMap::new(),
             results: Vec::new(),
         }
     }
@@ -181,98 +160,35 @@ impl ChordNode {
     /// Issues a lookup for `target`; the outcome lands in
     /// [`ChordNode::results`].
     pub fn start_lookup(&mut self, target: Key, ctx: &mut Context<'_, ChordMsg>) -> u64 {
-        let rpc = self.next_rpc;
-        self.next_rpc += 1;
-        self.rpcs.insert(
-            rpc,
-            PendingRpc::UserLookup {
-                target,
-                started: ctx.now(),
+        let deadline = Some(self.cfg.lookup_timeout);
+        let first = self.lookups.start(target, None, deadline, ctx);
+        self.route(first, ctx);
+        first.rpc
+    }
+
+    /// One find-successor step: deliver if our successor owns the key,
+    /// else forward to the closest preceding finger, else (no routing
+    /// state) answer with ourselves as a last resort.
+    fn route(&mut self, route: Route<Key>, ctx: &mut Context<'_, ChordMsg>) {
+        let hop = match self.successor() {
+            Some(succ) if route.target.in_arc(&self.key, &succ.key) => Hop::Deliver(succ),
+            _ => match self.closest_preceding(&route.target, ctx.id()) {
+                Some(next) => Hop::Forward(next.node),
+                None => Hop::Deliver(Contact {
+                    node: ctx.id(),
+                    key: self.key,
+                }),
             },
-        );
-        ctx.set_timer(self.cfg.lookup_timeout, rpc);
-        self.route(rpc, target, ctx.id(), 0, ctx);
-        rpc
-    }
-
-    /// Routes a FindSuccessor one step: answer if our successor owns the
-    /// key, else forward to the closest preceding finger.
-    fn route(
-        &mut self,
-        rpc: u64,
-        target: Key,
-        origin: NodeId,
-        hops: u32,
-        ctx: &mut Context<'_, ChordMsg>,
-    ) {
-        let me = Contact {
-            node: ctx.id(),
-            key: self.key,
         };
-        if let Some(succ) = self.successor() {
-            if target.in_arc(&self.key, &succ.key) {
-                let msg = ChordMsg::FoundSuccessor {
-                    rpc,
-                    successor: succ,
-                    hops,
-                };
-                if origin == ctx.id() {
-                    self.deliver_answer(rpc, succ, hops, ctx);
-                } else {
-                    ctx.send(origin, msg);
-                }
-                return;
-            }
-        }
-        match self.closest_preceding(&target, ctx.id()) {
-            Some(next) => ctx.send(
-                next.node,
-                ChordMsg::FindSuccessor {
-                    rpc,
-                    target,
-                    origin,
-                    hops: hops + 1,
-                },
-            ),
-            None => {
-                // No routing state: answer with ourselves as a last resort.
-                if origin == ctx.id() {
-                    self.deliver_answer(rpc, me, hops, ctx);
-                } else {
-                    ctx.send(
-                        origin,
-                        ChordMsg::FoundSuccessor {
-                            rpc,
-                            successor: me,
-                            hops,
-                        },
-                    );
-                }
-            }
-        }
+        let done = self.lookups.step(hop, route, ctx);
+        self.finish(done);
     }
 
-    fn deliver_answer(
-        &mut self,
-        rpc: u64,
-        successor: Contact,
-        hops: u32,
-        ctx: &mut Context<'_, ChordMsg>,
-    ) {
-        match self.rpcs.remove(&rpc) {
-            Some(PendingRpc::UserLookup { target, started }) => {
-                self.results.push(ChordLookupResult {
-                    target,
-                    latency: ctx.now().saturating_since(started),
-                    hops,
-                    success: true,
-                    successor: Some(successor),
-                });
-            }
-            Some(PendingRpc::FingerFix { index }) => {
-                self.fingers[index] = Some(successor);
-            }
-            Some(PendingRpc::Stabilize) | Some(PendingRpc::CheckPredecessor) | None => {}
+    fn finish(&mut self, done: Done<Key, Contact, FingerFix>) {
+        match done {
+            Some((None, outcome)) => self.results.push(outcome),
+            Some((Some(index), outcome)) => self.fingers[index] = outcome.owner,
+            None => {}
         }
     }
 
@@ -307,9 +223,8 @@ impl ChordNode {
 
     fn stabilize(&mut self, ctx: &mut Context<'_, ChordMsg>) {
         if let Some(succ) = self.successor() {
-            let rpc = self.next_rpc;
-            self.next_rpc += 1;
-            self.rpcs.insert(rpc, PendingRpc::Stabilize);
+            let rpc = self.lookups.next_rpc();
+            self.probes.insert(rpc, Probe::Stabilize);
             ctx.send(succ.node, ChordMsg::GetPredecessor { rpc });
             // If the successor never answers, drop it next round.
             ctx.set_timer(self.cfg.stabilize_interval * 0.9, rpc);
@@ -317,9 +232,8 @@ impl ChordNode {
         // check_predecessor: probe it and clear the pointer on silence,
         // so stale pointers to departed nodes cannot be re-propagated.
         if let Some(pred) = self.predecessor {
-            let rpc = self.next_rpc;
-            self.next_rpc += 1;
-            self.rpcs.insert(rpc, PendingRpc::CheckPredecessor);
+            let rpc = self.lookups.next_rpc();
+            self.probes.insert(rpc, Probe::CheckPredecessor);
             ctx.send(pred.node, ChordMsg::GetPredecessor { rpc });
             ctx.set_timer(self.cfg.stabilize_interval * 0.9, rpc);
         }
@@ -332,10 +246,12 @@ impl ChordNode {
         self.next_finger = (self.next_finger + 7) % KEY_BITS;
         let index = self.next_finger;
         let start = self.key.add_pow2(index);
-        let rpc = self.next_rpc;
-        self.next_rpc += 1;
-        self.rpcs.insert(rpc, PendingRpc::FingerFix { index });
-        self.route(rpc, start, ctx.id(), 0, ctx);
+        // A fix arms no deadline, so one routed into a dead node would
+        // wait forever: the next fix supersedes it instead.
+        self.lookups.cancel(self.finger_rpc);
+        let first = self.lookups.start(start, Some(index), None, ctx);
+        self.finger_rpc = first.rpc;
+        self.route(first, ctx);
         ctx.set_timer(self.cfg.fix_finger_interval, TIMER_FIX_FINGERS);
     }
 }
@@ -353,17 +269,11 @@ impl Node for ChordNode {
 
     fn on_message(&mut self, from: NodeId, msg: ChordMsg, ctx: &mut Context<'_, ChordMsg>) {
         match msg {
-            ChordMsg::FindSuccessor {
-                rpc,
-                target,
-                origin,
-                hops,
-            } => self.route(rpc, target, origin, hops, ctx),
-            ChordMsg::FoundSuccessor {
-                rpc,
-                successor,
-                hops,
-            } => self.deliver_answer(rpc, successor, hops, ctx),
+            ChordMsg::Lookup(Routed::Route(route)) => self.route(route, ctx),
+            ChordMsg::Lookup(Routed::Delivered { rpc, owner, hops }) => {
+                let done = self.lookups.complete(rpc, owner, hops, ctx.now());
+                self.finish(done);
+            }
             ChordMsg::GetPredecessor { rpc } => {
                 let me = Contact {
                     node: ctx.id(),
@@ -385,13 +295,8 @@ impl Node for ChordNode {
                 successors,
                 from: succ_contact,
             } => {
-                match self.rpcs.remove(&rpc) {
-                    Some(PendingRpc::Stabilize) => {}
-                    Some(PendingRpc::CheckPredecessor) | None => return,
-                    Some(other) => {
-                        self.rpcs.insert(rpc, other);
-                        return;
-                    }
+                if self.probes.remove(&rpc) != Some(Probe::Stabilize) {
+                    return;
                 }
                 // Adopt the successor's predecessor if it sits between us.
                 if let Some(p) = predecessor {
@@ -441,34 +346,29 @@ impl Node for ChordNode {
         match tag {
             TIMER_STABILIZE => self.stabilize(ctx),
             TIMER_FIX_FINGERS => self.fix_one_finger(ctx),
-            rpc => match self.rpcs.remove(&rpc) {
-                Some(PendingRpc::UserLookup { target, started }) => {
-                    self.results.push(ChordLookupResult {
-                        target,
-                        latency: ctx.now().saturating_since(started),
-                        hops: 0,
-                        success: false,
-                        successor: None,
-                    });
-                }
-                Some(PendingRpc::Stabilize) => {
+            rpc => match self.probes.remove(&rpc) {
+                Some(Probe::Stabilize) => {
                     // Successor unresponsive: fail over to the next one.
                     if !self.successors.is_empty() {
                         self.successors.remove(0);
                     }
                 }
-                Some(PendingRpc::CheckPredecessor) => {
+                Some(Probe::CheckPredecessor) => {
                     // Predecessor unresponsive: forget it so Notify can
                     // install a live one.
                     self.predecessor = None;
                 }
-                Some(PendingRpc::FingerFix { .. }) | None => {}
+                None => {
+                    let done = self.lookups.expire(rpc, ctx.now());
+                    self.finish(done);
+                }
             },
         }
     }
 
     fn on_stop(&mut self, _ctx: &mut Context<'_, ChordMsg>) {
-        self.rpcs.clear();
+        self.lookups.clear();
+        self.probes.clear();
     }
 }
 
@@ -563,7 +463,7 @@ mod tests {
                 assert!(r.success, "lookup timed out: {r:?}");
                 let owner = true_owner(&sim, &ids, &r.target);
                 assert_eq!(
-                    r.successor.unwrap().node,
+                    r.owner.unwrap().node,
                     owner,
                     "wrong owner for {:?}",
                     r.target
@@ -641,5 +541,19 @@ mod tests {
         }
         assert_eq!(done, 10, "every lookup must terminate (success or timeout)");
         assert!(failed > 0, "mass failure should break some routes");
+    }
+
+    #[test]
+    fn finger_fixes_into_dead_nodes_do_not_accumulate() {
+        let (mut sim, ids) = ring(60, 6);
+        for &id in ids.iter().skip(18) {
+            sim.schedule_stop(id, SimTime::from_secs(1.0));
+        }
+        // 120 fix rounds per survivor, many routed into dead nodes.
+        sim.run_until(SimTime::from_mins(30.0));
+        for &id in ids.iter().take(18) {
+            let pending = sim.node(id).lookups.in_flight();
+            assert!(pending <= 1, "{pending} finger fixes pending");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! Membership dissemination is modelled as periodic delta gossip: each
 //! node pushes its recent membership events to a few random peers.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use rand::Rng;
 
@@ -18,6 +18,7 @@ use decent_sim::prelude::*;
 
 use crate::id::Key;
 use crate::kademlia::Contact;
+use crate::lookup::{Lookups, Outcome};
 
 /// A membership event (join or leave) with a per-subject version.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,19 +74,7 @@ impl Default for OneHopConfig {
     }
 }
 
-/// Outcome of a one-hop lookup, recorded at the origin.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OneHopLookupResult {
-    /// Target key.
-    pub target: Key,
-    /// Time to acknowledgement (or to deadline).
-    pub latency: SimDuration,
-    /// Whether the believed owner answered in time.
-    pub success: bool,
-}
-
 const TIMER_GOSSIP: u64 = 1;
-const RPC_BASE: u64 = 16;
 
 /// A one-hop overlay node. Implements [`Node`] for the engine.
 #[derive(Debug)]
@@ -98,11 +87,11 @@ pub struct OneHopNode {
     /// not the hasher's.
     table: BTreeMap<NodeId, MemberEvent>,
     fresh: Vec<MemberEvent>,
-    pending: HashMap<u64, (Key, SimTime)>,
-    next_rpc: u64,
+    lookups: Lookups<Key>,
     version: u64,
-    /// Completed lookups, harvested by the experiment harness.
-    pub results: Vec<OneHopLookupResult>,
+    /// Completed lookups, harvested by the experiment harness: one hop
+    /// to the believed owner when it answers in time.
+    pub results: Vec<Outcome<Key, NodeId>>,
 }
 
 impl OneHopNode {
@@ -113,8 +102,7 @@ impl OneHopNode {
             cfg,
             table: BTreeMap::new(),
             fresh: Vec::new(),
-            pending: HashMap::new(),
-            next_rpc: RPC_BASE,
+            lookups: Lookups::default(),
             version: 0,
             results: Vec::new(),
         }
@@ -165,10 +153,8 @@ impl OneHopNode {
 
     /// Issues a one-hop lookup; result lands in [`OneHopNode::results`].
     pub fn start_lookup(&mut self, target: Key, ctx: &mut Context<'_, OneHopMsg>) -> u64 {
-        let rpc = self.next_rpc;
-        self.next_rpc += 1;
-        self.pending.insert(rpc, (target, ctx.now()));
-        ctx.set_timer(self.cfg.lookup_timeout, rpc);
+        let deadline = Some(self.cfg.lookup_timeout);
+        let rpc = self.lookups.start(target, (), deadline, ctx).rpc;
         if let Some(owner) = self.owner_of(&target) {
             ctx.send(owner.node, OneHopMsg::Lookup { rpc, target });
         }
@@ -221,13 +207,8 @@ impl Node for OneHopNode {
                 ctx.send(from, OneHopMsg::LookupReply { rpc });
             }
             OneHopMsg::LookupReply { rpc } => {
-                if let Some((target, started)) = self.pending.remove(&rpc) {
-                    self.results.push(OneHopLookupResult {
-                        target,
-                        latency: ctx.now().saturating_since(started),
-                        success: true,
-                    });
-                }
+                let done = self.lookups.complete(rpc, from, 1, ctx.now());
+                self.results.extend(done.map(|(_, o)| o));
             }
         }
     }
@@ -254,13 +235,8 @@ impl Node for OneHopNode {
             ctx.set_timer(self.cfg.gossip_interval, TIMER_GOSSIP);
             return;
         }
-        if let Some((target, started)) = self.pending.remove(&tag) {
-            self.results.push(OneHopLookupResult {
-                target,
-                latency: ctx.now().saturating_since(started),
-                success: false,
-            });
-        }
+        let done = self.lookups.expire(tag, ctx.now());
+        self.results.extend(done.map(|(_, o)| o));
     }
 }
 

@@ -19,6 +19,7 @@ use decent_sim::prelude::*;
 
 use crate::id::{Key, KEY_BITS};
 use crate::kademlia::Contact;
+use crate::lookup::{Hop, Lookups, Outcome, Route, Routed};
 
 /// Hex digits in a 160-bit id.
 pub const DIGITS: usize = KEY_BITS / 4;
@@ -46,26 +47,8 @@ pub fn shared_prefix(a: &Key, b: &Key) -> usize {
 /// Pastry wire messages.
 #[derive(Clone, Debug)]
 pub enum PastryMsg {
-    /// A routed lookup.
-    Route {
-        /// Correlation id at the origin.
-        rpc: u64,
-        /// Key being resolved.
-        target: Key,
-        /// Origin node (receives the answer).
-        origin: NodeId,
-        /// Hops so far.
-        hops: u32,
-    },
-    /// Delivery notice back to the origin.
-    Delivered {
-        /// Correlation id.
-        rpc: u64,
-        /// The responsible node.
-        owner: Contact,
-        /// Total hops.
-        hops: u32,
-    },
+    /// A routed lookup and its delivery notice.
+    Lookup(Routed<Key, Contact>),
     /// Leaf-set heartbeat probe.
     LeafPing {
         /// Correlation id.
@@ -103,29 +86,13 @@ impl Default for PastryConfig {
     }
 }
 
-/// Outcome of a Pastry lookup, recorded at the origin.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PastryLookupResult {
-    /// Target key.
-    pub target: Key,
-    /// Lookup duration (or timeout).
-    pub latency: SimDuration,
-    /// Routing hops.
-    pub hops: u32,
-    /// Whether it completed before the deadline.
-    pub success: bool,
-    /// The responsible node, when successful.
-    pub owner: Option<Contact>,
+impl From<Routed<Key, Contact>> for PastryMsg {
+    fn from(msg: Routed<Key, Contact>) -> Self {
+        PastryMsg::Lookup(msg)
+    }
 }
 
 const TIMER_HEARTBEAT: u64 = 1;
-const RPC_BASE: u64 = 16;
-
-#[derive(Debug)]
-enum Pending {
-    Lookup { target: Key, started: SimTime },
-    LeafProbe { peer: NodeId },
-}
 
 /// A Pastry node. Implements [`Node`] for the engine.
 #[derive(Debug)]
@@ -137,11 +104,12 @@ pub struct PastryNode {
     /// `table[row][col]`: a contact sharing `row` digits with us whose
     /// next digit is `col`.
     table: Vec<Vec<Option<Contact>>>,
-    pending: HashMap<u64, Pending>,
-    next_rpc: u64,
+    lookups: Lookups<Key>,
+    /// Leaf probes in flight: rpc -> probed peer.
+    probes: HashMap<u64, NodeId>,
     next_leaf_probe: usize,
     /// Completed lookups, harvested by the experiment harness.
-    pub results: Vec<PastryLookupResult>,
+    pub results: Vec<Outcome<Key, Contact>>,
 }
 
 impl PastryNode {
@@ -152,8 +120,8 @@ impl PastryNode {
             cfg,
             leaves: Vec::new(),
             table: vec![vec![None; 16]; DIGITS],
-            pending: HashMap::new(),
-            next_rpc: RPC_BASE,
+            lookups: Lookups::default(),
+            probes: HashMap::new(),
             next_leaf_probe: 0,
             results: Vec::new(),
         }
@@ -223,63 +191,25 @@ impl PastryNode {
 
     /// Starts a lookup; the result lands in [`PastryNode::results`].
     pub fn start_lookup(&mut self, target: Key, ctx: &mut Context<'_, PastryMsg>) -> u64 {
-        let rpc = self.next_rpc;
-        self.next_rpc += 1;
-        self.pending.insert(
-            rpc,
-            Pending::Lookup {
-                target,
-                started: ctx.now(),
-            },
-        );
-        ctx.set_timer(self.cfg.lookup_timeout, rpc);
-        self.route(rpc, target, ctx.id(), 0, ctx);
-        rpc
+        let deadline = Some(self.cfg.lookup_timeout);
+        let first = self.lookups.start(target, (), deadline, ctx);
+        self.route(first, ctx);
+        first.rpc
     }
 
-    /// One routing step.
-    fn route(
-        &mut self,
-        rpc: u64,
-        target: Key,
-        origin: NodeId,
-        hops: u32,
-        ctx: &mut Context<'_, PastryMsg>,
-    ) {
+    /// One routing step: forward by [`PastryNode::next_hop`], or deliver
+    /// when we are the numerically closest node we know.
+    fn route(&mut self, route: Route<Key>, ctx: &mut Context<'_, PastryMsg>) {
         let me = Contact {
             node: ctx.id(),
             key: self.key,
         };
-        // Candidate set: leaves + routing entry + self.
-        let next = self.next_hop(&target, &me);
-        match next {
-            Some(c) if c.node != ctx.id() => {
-                ctx.send(
-                    c.node,
-                    PastryMsg::Route {
-                        rpc,
-                        target,
-                        origin,
-                        hops: hops + 1,
-                    },
-                );
-            }
-            _ => {
-                // We are the numerically closest node we know: deliver.
-                if origin == ctx.id() {
-                    self.complete(rpc, me, hops, ctx);
-                } else {
-                    ctx.send(
-                        origin,
-                        PastryMsg::Delivered {
-                            rpc,
-                            owner: me,
-                            hops,
-                        },
-                    );
-                }
-            }
-        }
+        let hop = match self.next_hop(&route.target, &me) {
+            Some(c) if c.node != me.node => Hop::Forward(c.node),
+            _ => Hop::Deliver(me),
+        };
+        let done = self.lookups.step(hop, route, ctx);
+        self.results.extend(done.map(|(_, o)| o));
     }
 
     /// Whether `target` falls inside the arc covered by this node's
@@ -354,18 +284,6 @@ impl PastryNode {
         }
         (best.node != me.node).then_some(best)
     }
-
-    fn complete(&mut self, rpc: u64, owner: Contact, hops: u32, ctx: &mut Context<'_, PastryMsg>) {
-        if let Some(Pending::Lookup { target, started }) = self.pending.remove(&rpc) {
-            self.results.push(PastryLookupResult {
-                target,
-                latency: ctx.now().saturating_since(started),
-                hops,
-                success: true,
-                owner: Some(owner),
-            });
-        }
-    }
 }
 
 /// Distance on the 2^160 ring (minimum of the two directions).
@@ -409,22 +327,10 @@ impl Node for PastryNode {
 
     fn on_message(&mut self, from: NodeId, msg: PastryMsg, ctx: &mut Context<'_, PastryMsg>) {
         match msg {
-            PastryMsg::Route {
-                rpc,
-                target,
-                origin,
-                hops,
-            } => self.route(rpc, target, origin, hops, ctx),
-            PastryMsg::Delivered { rpc, owner, hops } => {
-                if let Some(Pending::Lookup { target, started }) = self.pending.remove(&rpc) {
-                    self.results.push(PastryLookupResult {
-                        target,
-                        latency: ctx.now().saturating_since(started),
-                        hops,
-                        success: true,
-                        owner: Some(owner),
-                    });
-                }
+            PastryMsg::Lookup(Routed::Route(route)) => self.route(route, ctx),
+            PastryMsg::Lookup(Routed::Delivered { rpc, owner, hops }) => {
+                let done = self.lookups.complete(rpc, owner, hops, ctx.now());
+                self.results.extend(done.map(|(_, o)| o));
             }
             PastryMsg::LeafPing { rpc } => {
                 let me = Contact {
@@ -445,7 +351,7 @@ impl Node for PastryNode {
                 from: c,
                 leaves,
             } => {
-                self.pending.remove(&rpc);
+                self.probes.remove(&rpc);
                 self.learn(c);
                 for l in leaves {
                     self.learn(l);
@@ -461,34 +367,27 @@ impl Node for PastryNode {
                 let idx = self.next_leaf_probe % self.leaves.len();
                 self.next_leaf_probe += 1;
                 let peer = self.leaves[idx].node;
-                let rpc = self.next_rpc;
-                self.next_rpc += 1;
-                self.pending.insert(rpc, Pending::LeafProbe { peer });
+                let rpc = self.lookups.next_rpc();
+                self.probes.insert(rpc, peer);
                 ctx.send(peer, PastryMsg::LeafPing { rpc });
                 ctx.set_timer(self.cfg.heartbeat * 0.9, rpc);
             }
             ctx.set_timer(self.cfg.heartbeat, TIMER_HEARTBEAT);
             return;
         }
-        // RPC timeout.
-        match self.pending.remove(&tag) {
-            Some(Pending::Lookup { target, started }) => {
-                let now = ctx.now();
-                self.results.push(PastryLookupResult {
-                    target,
-                    latency: now.saturating_since(started),
-                    hops: 0,
-                    success: false,
-                    owner: None,
-                });
+        // RPC timeout: a silent leaf, or a lookup's deadline.
+        match self.probes.remove(&tag) {
+            Some(peer) => self.drop_peer(peer),
+            None => {
+                let done = self.lookups.expire(tag, ctx.now());
+                self.results.extend(done.map(|(_, o)| o));
             }
-            Some(Pending::LeafProbe { peer }) => self.drop_peer(peer),
-            None => {}
         }
     }
 
     fn on_stop(&mut self, _ctx: &mut Context<'_, PastryMsg>) {
-        self.pending.clear();
+        self.lookups.clear();
+        self.probes.clear();
     }
 }
 

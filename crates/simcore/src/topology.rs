@@ -1,27 +1,23 @@
-//! Undirected graph generators for overlay topologies.
+//! Undirected graphs for overlay topologies.
 //!
 //! Blockchains and unstructured overlays connect peers in (near-)random
-//! graphs; these generators cover the standard families used in the
-//! experiments: random regular (Bitcoin-like fixed peer count),
-//! Erdős–Rényi, Watts–Strogatz small worlds, and Barabási–Albert
-//! preferential attachment (superpeer-like skew).
-//!
-//! Generators draw only from a caller-supplied [`SimRng`], so a seed
-//! fully determines the graph:
+//! graphs. The experiments use one family, [`Graph::random_outbound`]:
+//! each node opens a fixed number of outbound connections, the
+//! Bitcoin-like peer-selection shape. It draws only from a
+//! caller-supplied [`SimRng`], so a seed fully determines the graph:
 //!
 //! ```
 //! use decent_sim::rng::rng_from_seed;
 //! use decent_sim::topology::Graph;
 //!
-//! let g = Graph::watts_strogatz(64, 6, 0.1, &mut rng_from_seed(7));
+//! let g = Graph::random_outbound(64, 4, &mut rng_from_seed(7));
 //! assert_eq!(g.len(), 64);
 //! assert!(g.is_connected());
-//! assert_eq!(g, Graph::watts_strogatz(64, 6, 0.1, &mut rng_from_seed(7)));
+//! assert_eq!(g, Graph::random_outbound(64, 4, &mut rng_from_seed(7)));
 //! ```
 
 use std::collections::VecDeque;
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::rng::SimRng;
@@ -95,71 +91,11 @@ impl Graph {
         count == self.adj.len()
     }
 
-    /// BFS distances from `src` (`usize::MAX` for unreachable nodes).
-    pub fn bfs_distances(&self, src: usize) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.adj.len()];
-        let mut q = VecDeque::from([src]);
-        dist[src] = 0;
-        while let Some(v) = q.pop_front() {
-            for &w in &self.adj[v] {
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[v] + 1;
-                    q.push_back(w);
-                }
-            }
-        }
-        dist
-    }
-
-    /// Average shortest-path length estimated from `samples` BFS sources.
-    pub fn mean_path_length(&self, samples: usize, rng: &mut SimRng) -> f64 {
-        let n = self.adj.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mut total = 0usize;
-        let mut pairs = 0usize;
-        for _ in 0..samples {
-            let src = rng.gen_range(0..n);
-            for (i, d) in self.bfs_distances(src).iter().enumerate() {
-                if i != src && *d != usize::MAX {
-                    total += d;
-                    pairs += 1;
-                }
-            }
-        }
-        if pairs == 0 {
-            0.0
-        } else {
-            total as f64 / pairs as f64
-        }
-    }
-
     /// A ring over `n` nodes (each node linked to its successor).
     pub fn ring(n: usize) -> Self {
         let mut g = Graph::empty(n);
         for i in 0..n {
             g.add_edge(i, (i + 1) % n);
-        }
-        g
-    }
-
-    /// The complete graph over `n` nodes.
-    pub fn complete(n: usize) -> Self {
-        let mut g = Graph::empty(n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                g.add_edge(i, j);
-            }
-        }
-        g
-    }
-
-    /// A star with node 0 at the center.
-    pub fn star(n: usize) -> Self {
-        let mut g = Graph::empty(n);
-        for i in 1..n {
-            g.add_edge(0, i);
         }
         g
     }
@@ -189,85 +125,6 @@ impl Graph {
         }
         g
     }
-
-    /// Erdős–Rényi G(n, p).
-    pub fn erdos_renyi(n: usize, p: f64, rng: &mut SimRng) -> Self {
-        assert!((0.0..=1.0).contains(&p));
-        let mut g = Graph::empty(n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if rng.gen::<f64>() < p {
-                    g.add_edge(i, j);
-                }
-            }
-        }
-        g
-    }
-
-    /// Watts–Strogatz small world: ring lattice with `k` nearest
-    /// neighbors per side, each edge rewired with probability `beta`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `2 * k >= n`.
-    pub fn watts_strogatz(n: usize, k: usize, beta: f64, rng: &mut SimRng) -> Self {
-        assert!(2 * k < n, "lattice degree too large");
-        let mut g = Graph::empty(n);
-        for i in 0..n {
-            for d in 1..=k {
-                let j = (i + d) % n;
-                if rng.gen::<f64>() < beta {
-                    // Rewire to a uniform random target.
-                    let mut t = rng.gen_range(0..n);
-                    let mut guard = 0;
-                    while (t == i || g.adj[i].contains(&t)) && guard < 50 {
-                        t = rng.gen_range(0..n);
-                        guard += 1;
-                    }
-                    g.add_edge(i, t);
-                } else {
-                    g.add_edge(i, j);
-                }
-            }
-        }
-        g
-    }
-
-    /// Barabási–Albert preferential attachment: each new node attaches to
-    /// `m` existing nodes with probability proportional to degree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m == 0` or `n <= m`.
-    pub fn barabasi_albert(n: usize, m: usize, rng: &mut SimRng) -> Self {
-        assert!(m > 0 && n > m, "need n > m > 0");
-        let mut g = Graph::empty(n);
-        for i in 0..=m {
-            for j in (i + 1)..=m {
-                g.add_edge(i, j);
-            }
-        }
-        // Endpoint multiset: sampling uniformly from it is sampling
-        // proportional to degree.
-        let mut endpoints: Vec<usize> = (0..=m).flat_map(|i| std::iter::repeat_n(i, m)).collect();
-        for v in (m + 1)..n {
-            let mut targets = Vec::with_capacity(m);
-            let mut guard = 0;
-            while targets.len() < m && guard < 100 * m {
-                let t = *endpoints.choose(rng).expect("non-empty");
-                guard += 1;
-                if !targets.contains(&t) {
-                    targets.push(t);
-                }
-            }
-            for &t in &targets {
-                g.add_edge(v, t);
-                endpoints.push(v);
-                endpoints.push(t);
-            }
-        }
-        g
-    }
 }
 
 #[cfg(test)]
@@ -281,20 +138,6 @@ mod tests {
         assert_eq!(g.edge_count(), 10);
         assert!(g.is_connected());
         assert!((0..10).all(|i| g.degree(i) == 2));
-    }
-
-    #[test]
-    fn complete_shape() {
-        let g = Graph::complete(6);
-        assert_eq!(g.edge_count(), 15);
-        assert!((0..6).all(|i| g.degree(i) == 5));
-    }
-
-    #[test]
-    fn star_shape() {
-        let g = Graph::star(5);
-        assert_eq!(g.degree(0), 4);
-        assert!((1..5).all(|i| g.degree(i) == 1));
     }
 
     #[test]
@@ -313,48 +156,5 @@ mod tests {
         assert!(g.is_connected());
         let mean_deg: f64 = (0..500).map(|i| g.degree(i) as f64).sum::<f64>() / 500.0;
         assert!(mean_deg >= 16.0, "mean degree {mean_deg}");
-    }
-
-    #[test]
-    fn erdos_renyi_edge_count_near_expectation() {
-        let mut rng = rng_from_seed(2);
-        let g = Graph::erdos_renyi(200, 0.1, &mut rng);
-        let expected = 0.1 * (200.0 * 199.0 / 2.0);
-        let got = g.edge_count() as f64;
-        assert!(
-            (got - expected).abs() < 0.15 * expected,
-            "{got} vs {expected}"
-        );
-    }
-
-    #[test]
-    fn watts_strogatz_small_world() {
-        let mut rng = rng_from_seed(3);
-        let lattice = Graph::watts_strogatz(400, 4, 0.0, &mut rng);
-        let rewired = Graph::watts_strogatz(400, 4, 0.2, &mut rng);
-        let l0 = lattice.mean_path_length(20, &mut rng);
-        let l1 = rewired.mean_path_length(20, &mut rng);
-        assert!(l1 < l0 * 0.6, "rewiring should shrink paths: {l0} -> {l1}");
-    }
-
-    #[test]
-    fn barabasi_albert_has_hubs() {
-        let mut rng = rng_from_seed(4);
-        let g = Graph::barabasi_albert(1000, 3, &mut rng);
-        assert!(g.is_connected());
-        let max_deg = (0..1000).map(|i| g.degree(i)).max().unwrap();
-        let mean_deg: f64 = (0..1000).map(|i| g.degree(i) as f64).sum::<f64>() / 1000.0;
-        assert!(
-            max_deg as f64 > 6.0 * mean_deg,
-            "expected hubs: max {max_deg}, mean {mean_deg}"
-        );
-    }
-
-    #[test]
-    fn bfs_distances_on_ring() {
-        let g = Graph::ring(8);
-        let d = g.bfs_distances(0);
-        assert_eq!(d[4], 4);
-        assert_eq!(d[7], 1);
     }
 }

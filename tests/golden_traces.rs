@@ -98,6 +98,31 @@ fn e1_quick_golden_sharded() {
     );
 }
 
+/// E6 runs CAN, Chord, Pastry, Kademlia and one-hop side by side, so
+/// these pins hold the lookup paths of all five overlays.
+#[test]
+fn e6_quick_golden() {
+    assert_findings(
+        "E6",
+        &[
+            (
+                "one-hop beats multi-hop on latency",
+                "p50 157.5 ms (one-hop) vs 335.0 ms (Chord, 3.800 hops avg)",
+            ),
+            (
+                "geometry sets the hop count",
+                "mean hops — CAN(d=2): 8.217, Chord: 3.800, Pastry: 2.228",
+            ),
+            (
+                "full membership is feasible at 10K-100K",
+                "4444 B/s per node at n=100K with 1-hour sessions",
+            ),
+        ],
+        0xf874_5afb_dd0b_5bf7,
+        1281,
+    );
+}
+
 #[test]
 fn e7_quick_golden() {
     assert_findings(
