@@ -132,12 +132,21 @@ impl Key {
     }
 
     /// The key as a big-endian number in two words: the first 16 bytes
-    /// and the last 4.
-    fn words(&self) -> (u128, u32) {
+    /// and the last 4. XOR commutes with the split, so the words of a
+    /// distance are the XOR of the two keys' words.
+    pub(crate) fn words(&self) -> (u128, u32) {
         let (mut hi, mut lo) = ([0u8; 16], [0u8; 4]);
         hi.copy_from_slice(&self.0[..16]);
         lo.copy_from_slice(&self.0[16..]);
         (u128::from_be_bytes(hi), u32::from_be_bytes(lo))
+    }
+
+    /// The key whose [`Key::words`] are `(hi, lo)`.
+    pub(crate) fn from_words(hi: u128, lo: u32) -> Key {
+        let mut bytes = [0u8; KEY_BYTES];
+        bytes[..16].copy_from_slice(&hi.to_be_bytes());
+        bytes[16..].copy_from_slice(&lo.to_be_bytes());
+        Key(bytes)
     }
 
     /// Number of leading zero bits.
@@ -359,6 +368,20 @@ mod tests {
             same(a, b);
             same(b, a);
             same(a, a);
+        }
+    }
+
+    #[test]
+    fn words_roundtrip_and_xor_is_the_distance() {
+        let mut rng = rng_from_seed(5);
+        for _ in 0..1_000 {
+            let (a, b) = (Key::random(&mut rng), Key::random(&mut rng));
+            let ((ahi, alo), (bhi, blo)) = (a.words(), b.words());
+            assert_eq!(Key::from_words(ahi, alo), a);
+            assert_eq!(
+                Key::from_words(ahi ^ bhi, alo ^ blo),
+                *a.xor_distance(&b).as_key()
+            );
         }
     }
 

@@ -788,24 +788,32 @@ impl Node for KadNode {
 }
 
 /// The `n` candidates closest to `target`, nearest first, ordered by
-/// `(xor_distance, node)`. Each candidate's rank is computed once and
-/// only the `n` winners are sorted. The distance determines the key, so
-/// two candidates of equal rank are the same contact: the whole-tuple
-/// order is total and the unstable selection and sort are deterministic.
+/// `(xor_distance, node)`. Each candidate's rank is computed once — the
+/// distance as the XOR of the two keys' [`Key::words`], then the node —
+/// and only the `n` winners are sorted. The distance determines the key,
+/// so two candidates of equal rank are the same contact: the rank order
+/// is total, the unstable selection and sort are deterministic, and each
+/// winner's key is rebuilt as `distance ^ target`, as [`key_at`] does.
 ///
 /// The ranks are staged in a local vector, not in the node: `malloc`
 /// hands every call the same hot chunk, where a per-node buffer is cold
 /// memory touched once per request (DESIGN.md §4g has the measurement).
 fn closest_k(candidates: impl Iterator<Item = Contact>, target: &Key, n: usize) -> Vec<Contact> {
-    let mut ranked: Vec<(Distance, NodeId, Key)> = candidates
-        .map(|c| (c.key.xor_distance(target), c.node, c.key))
-        .collect();
+    let (hi, lo) = target.words();
+    let ranks = candidates.map(|c| {
+        let (key_hi, key_lo) = c.key.words();
+        (key_hi ^ hi, key_lo ^ lo, c.node)
+    });
+    let mut ranked: Vec<(u128, u32, NodeId)> = ranks.collect();
     if n < ranked.len() {
         ranked.select_nth_unstable(n);
         ranked.truncate(n);
     }
     ranked.sort_unstable();
-    let contacts = ranked.iter().map(|&(_, node, key)| Contact { node, key });
+    let contacts = ranked.iter().map(|&(dist_hi, dist_lo, node)| Contact {
+        node,
+        key: Key::from_words(dist_hi ^ hi, dist_lo ^ lo),
+    });
     contacts.collect()
 }
 
@@ -864,26 +872,35 @@ pub fn build_network<S: SchedulerFor<KadNode>>(
         .zip(&keys)
         .map(|(&node, &key)| Contact { node, key })
         .collect();
-    // Seed each node with (approximately) its k XOR-closest peers. Keys
-    // sorted numerically place long-shared-prefix (and therefore
-    // XOR-close) keys next to each other, so an O(k)-wide window around
-    // the node's sorted position contains the true closest set; the
-    // window is then ranked exactly. O(n log n) overall.
-    let mut by_key: Vec<Contact> = contacts.clone();
-    by_key.sort_by_key(|a| a.key);
+    // Seed each node with its k XOR-closest peers. Keys sorted
+    // numerically place long-shared-prefix (and therefore XOR-close) keys
+    // next to each other, so `window` contacts on either side of the
+    // node's sorted position hold its closest set (the tests check every
+    // node of 1 000-node networks against a brute-force ranking), and
+    // `closest_k` ranks that window exactly. One sort of all n contacts,
+    // then O(window) work per node.
+    //
+    // The sort is stable: contacts of equal key stay in id order, so the
+    // windows depend only on the keys and ids.
+    let mut by_key: Vec<(Contact, usize)> = contacts.iter().copied().zip(0..).collect();
+    by_key.sort_by_key(|&(c, _)| c.key);
+    // `pos[i]` is the first position of `keys[i]` in key order, so nodes
+    // of equal key share one window.
+    let mut pos = vec![0; n];
+    let mut first = 0;
+    for (at, &(c, i)) in by_key.iter().enumerate() {
+        if c.key != by_key[first].0.key {
+            first = at;
+        }
+        pos[i] = first;
+    }
     let window = (4 * cfg.k).max(16);
     for (i, &id) in ids.iter().enumerate() {
-        let me = keys[i];
-        let pos = by_key.partition_point(|c| c.key < me);
-        let lo = pos.saturating_sub(window);
-        let hi = (pos + window).min(by_key.len());
-        let mut near: Vec<Contact> = by_key[lo..hi]
-            .iter()
-            .filter(|c| c.node != id)
-            .cloned()
-            .collect();
-        near.sort_by_cached_key(|a| a.key.xor_distance(&me));
-        let mut seeds: Vec<Contact> = near.into_iter().take(cfg.k).collect();
+        let lo = pos[i].saturating_sub(window);
+        let hi = (pos[i] + window).min(n);
+        let near = by_key[lo..hi].iter().map(|&(c, _)| c);
+        let near = near.filter(|c| c.node != id);
+        let mut seeds = closest_k(near, &keys[i], cfg.k);
         for _ in 0..extra_random {
             seeds.push(contacts[rng.gen_range(0..n)]);
         }
@@ -1277,17 +1294,28 @@ mod tests {
             let mut node = KadNode::new(me, KadConfig::default());
             let k = node.cfg.k;
             // An empty table first, then one of 1 to 300 entries over
-            // every bucket random keys reach; every eighth id shares
-            // one key, so distances tie.
+            // every bucket random keys reach. Every eighth id shares one
+            // key, so distances tie; another eighth shares that key but
+            // for a random low 4-byte word, so only the rank's second
+            // word orders them; another eighth holds the shared key with
+            // its top bit flipped, the first word's farthest difference.
             let shared = Key::random(&mut rng);
+            let mut flipped = *shared.as_bytes();
+            flipped[0] ^= 0x80;
+            let flipped = Key::from_bytes(flipped);
             for fill in [0, rng.gen_range(1..300)] {
                 let seeds: Vec<Contact> = (0..fill)
                     .map(|node| Contact {
                         node,
-                        key: if node % 8 == 0 {
-                            shared
-                        } else {
-                            Key::random(&mut rng)
+                        key: match node % 8 {
+                            0 => shared,
+                            1 => {
+                                let mut bytes = *shared.as_bytes();
+                                rng.fill(&mut bytes[16..]);
+                                Key::from_bytes(bytes)
+                            }
+                            2 => flipped,
+                            _ => Key::random(&mut rng),
                         },
                     })
                     .collect();
@@ -1309,6 +1337,71 @@ mod tests {
                     full_sort_closest(&seeds, &target, k),
                     "seed {seed} directory of {fill}"
                 );
+            }
+        }
+    }
+
+    /// FNV-1a over every node's routing table, entry by entry in table
+    /// order: one number that pins what `build_network` seeds.
+    fn table_fingerprint(sim: &Simulation<KadNode>, ids: &[NodeId]) -> u64 {
+        fn eat(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &id in ids {
+            let table = &sim.node(id).table;
+            eat(&mut h, &table.len().to_le_bytes());
+            for e in table {
+                eat(&mut h, &e.seen.to_le_bytes());
+                eat(&mut h, &e.node.to_le_bytes());
+                eat(&mut h, e.key.as_bytes());
+            }
+        }
+        h
+    }
+
+    /// However `build_network` finds each node's closest peers, it must
+    /// seed the same tables, in the same order, byte for byte.
+    #[test]
+    fn seeded_tables_are_pinned() {
+        let build = |n, unresponsive, extra_random| {
+            let mut sim = Simulation::new(9, UniformLatency::from_millis(20.0, 80.0));
+            let cfg = KadConfig::default();
+            let ids = build_network(&mut sim, n, &cfg, unresponsive, extra_random, 13);
+            table_fingerprint(&sim, &ids)
+        };
+        assert_eq!(build(5_000, 0.1, 8), 0x7696_3069_a834_98a3);
+        assert_eq!(build(100, 0.0, 0), 0xb755_451b_3340_f752);
+    }
+
+    /// Every node's seeded table holds its true k XOR-closest peers,
+    /// found by ranking all n - 1 others.
+    #[test]
+    fn build_network_seeds_the_true_k_closest() {
+        for seed in [1, 2, 3] {
+            let mut sim = Simulation::new(seed, UniformLatency::from_millis(20.0, 80.0));
+            let k = KadConfig::default().k;
+            let ids = build_network(&mut sim, 1_000, &KadConfig::default(), 0.0, 0, seed);
+            let keys: Vec<Key> = ids.iter().map(|&id| sim.node(id).key()).collect();
+            for (&id, me) in ids.iter().zip(&keys) {
+                let others = ids.iter().zip(&keys).filter(|&(&other, _)| other != id);
+                let mut ranked: Vec<(Distance, NodeId)> = others
+                    .map(|(&other, key)| (key.xor_distance(me), other))
+                    .collect();
+                ranked.select_nth_unstable(k);
+                ranked.truncate(k);
+                ranked.sort_unstable();
+                let want: Vec<NodeId> = ranked.iter().map(|&(_, other)| other).collect();
+                let got: Vec<NodeId> = sim
+                    .node(id)
+                    .closest_contacts(me, k)
+                    .iter()
+                    .map(|c| c.node)
+                    .collect();
+                assert_eq!(got, want, "seed {seed} node {id}");
             }
         }
     }
