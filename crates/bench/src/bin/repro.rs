@@ -63,9 +63,10 @@
 //! needed). This is the same protocol core the sim experiments run;
 //! only the backend differs.
 //!
-//! Exit codes: 0 success, 1 claim failures or baseline regressions,
-//! 2 bad arguments.
+//! Exit codes: 0 success, 1 claim failures, baseline regressions or an
+//! output that cannot be written (stdout included), 2 bad arguments.
 
+use std::io::{self, Write};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
@@ -397,14 +398,95 @@ fn run_probe(seed: u64, port_base: u16, n: usize, timeout: f64) -> Result<(), St
             r.rpcs, r.timeouts
         ));
     }
-    println!(
-        "probe ok: real-socket lookup found the true {}-closest set in {} \
-         ({} rpcs, {} timeouts)",
-        want.len(),
-        r.latency,
-        r.rpcs,
-        r.timeouts
-    );
+    to_stdout(|out| {
+        writeln!(
+            out,
+            "probe ok: real-socket lookup found the true {}-closest set in {} \
+             ({} rpcs, {} timeouts)",
+            want.len(),
+            r.latency,
+            r.rpcs,
+            r.timeouts
+        )
+    })
+}
+
+/// Writes to stdout through `write`. A full disk or a closed pipe is an
+/// error message, not a panic.
+fn to_stdout(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> Result<(), String> {
+    let mut out = io::stdout().lock();
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write stdout: {e}"))
+}
+
+/// Writes the run's report in `format`: markdown (a header, then each
+/// experiment with its wall-clock) or the canonical JSON.
+fn write_report(
+    out: &mut dyn Write,
+    run: &RunReport,
+    format: Format,
+    jobs: usize,
+) -> io::Result<()> {
+    match format {
+        Format::Markdown => {
+            writeln!(
+                out,
+                "# decent — reproduction of ICDCS'19 \"Please, do not decentralize \
+                 the Internet with (permissionless) blockchains!\"\n"
+            )?;
+            writeln!(
+                out,
+                "Mode: {} ({} experiments, {} jobs)\n",
+                run.mode,
+                run.runs.len(),
+                jobs
+            )?;
+            for r in &run.runs {
+                writeln!(out, "{}", r.report)?;
+                writeln!(
+                    out,
+                    "_{} completed in {:.1} s wall-clock._\n",
+                    r.report.id,
+                    r.wall_ms / 1e3
+                )?;
+            }
+            Ok(())
+        }
+        Format::Json => write!(out, "{}", run.to_json_text()),
+    }
+}
+
+/// `--claims`: the claim registry as a markdown table.
+fn write_claims(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "| id | section | claim | experiment |")?;
+    writeln!(out, "|---|---|---|---|")?;
+    for c in claims::CLAIMS {
+        writeln!(
+            out,
+            "| {} | {} | {} | {} |",
+            c.id, c.section, c.statement, c.experiment
+        )?;
+    }
+    Ok(())
+}
+
+/// `--list`: every scenario and its sweepable parameters. Everything
+/// here derives from the scenario registry: the ids, the titles (shared
+/// with the report headers), the parameter maps and which scenarios
+/// actually consume a seed.
+fn write_list(out: &mut dyn Write) -> io::Result<()> {
+    for s in scenario::all(true) {
+        let seed_note = if s.seed().is_none() {
+            "  (closed-form: no RNG, --seed is a no-op)"
+        } else {
+            ""
+        };
+        writeln!(out, "{:<4} {}{}", s.id(), s.description(), seed_note)?;
+        for p in s.params() {
+            writeln!(out, "       --sweep {}:{}=..  {}", s.id(), p.name, p.help)?;
+        }
+    }
     Ok(())
 }
 
@@ -461,33 +543,15 @@ fn main() -> ExitCode {
             }
         };
     }
-    if cli.claims {
-        println!("| id | section | claim | experiment |");
-        println!("|---|---|---|---|");
-        for c in claims::CLAIMS {
-            println!(
-                "| {} | {} | {} | {} |",
-                c.id, c.section, c.statement, c.experiment
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-    if cli.list {
-        // Everything here derives from the scenario registry: the ids,
-        // the titles (shared with the report headers), the sweepable
-        // parameter maps and which scenarios actually consume a seed.
-        for s in scenario::all(true) {
-            let seed_note = if s.seed().is_none() {
-                "  (closed-form: no RNG, --seed is a no-op)"
-            } else {
-                ""
-            };
-            println!("{:<4} {}{}", s.id(), s.description(), seed_note);
-            for p in s.params() {
-                println!("       --sweep {}:{}=..  {}", s.id(), p.name, p.help);
+    if cli.claims || cli.list {
+        let write = if cli.claims { write_claims } else { write_list };
+        return match to_stdout(write) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(msg) => {
+                eprintln!("repro: {msg}");
+                ExitCode::FAILURE
             }
-        }
-        return ExitCode::SUCCESS;
+        };
     }
     let jobs = cli.jobs.unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -503,9 +567,13 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        match cli.format {
-            Format::Markdown => print!("{}", sweep.to_markdown()),
-            Format::Json => print!("{}", sweep.to_json_text()),
+        let text = match cli.format {
+            Format::Markdown => sweep.to_markdown(),
+            Format::Json => sweep.to_json_text(),
+        };
+        if let Err(msg) = to_stdout(|out| out.write_all(text.as_bytes())) {
+            eprintln!("repro: {msg}");
+            return ExitCode::FAILURE;
         }
         if let Some(path) = &cli.json_path {
             if let Err(e) = std::fs::write(path, sweep.to_json_text()) {
@@ -529,28 +597,9 @@ fn main() -> ExitCode {
 
     let run = experiments::run_report_exec(&id_refs, cli.quick, cli.seed, jobs, exec);
 
-    match cli.format {
-        Format::Markdown => {
-            println!(
-                "# decent — reproduction of ICDCS'19 \"Please, do not decentralize \
-                 the Internet with (permissionless) blockchains!\"\n"
-            );
-            println!(
-                "Mode: {} ({} experiments, {} jobs)\n",
-                run.mode,
-                ids.len(),
-                jobs
-            );
-            for r in &run.runs {
-                println!("{}", r.report);
-                println!(
-                    "_{} completed in {:.1} s wall-clock._\n",
-                    r.report.id,
-                    r.wall_ms / 1e3
-                );
-            }
-        }
-        Format::Json => print!("{}", run.to_json_text()),
+    if let Err(msg) = to_stdout(|out| write_report(out, &run, cli.format, jobs)) {
+        eprintln!("repro: {msg}");
+        return ExitCode::FAILURE;
     }
 
     if let Some(dir) = &cli.csv_dir {
@@ -910,6 +959,36 @@ mod tests {
         assert!(parse(&["--probe-timeout", "0"])
             .unwrap_err()
             .contains("positive"));
+    }
+
+    /// A writer whose every write fails, as stdout on a full disk does.
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::new(io::ErrorKind::StorageFull, "no space left"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_writer_is_an_error_not_a_panic() {
+        let run = RunReport {
+            mode: "quick".to_string(),
+            runs: Vec::new(),
+        };
+        for format in [Format::Markdown, Format::Json] {
+            let err = write_report(&mut Full, &run, format, 1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::StorageFull, "{format:?}");
+            let mut text = Vec::new();
+            write_report(&mut text, &run, format, 1).unwrap();
+            assert!(!text.is_empty(), "{format:?}");
+        }
+        assert!(write_claims(&mut Full).is_err());
+        assert!(write_list(&mut Full).is_err());
     }
 
     #[test]

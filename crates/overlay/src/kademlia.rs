@@ -844,6 +844,9 @@ use rand::Rng;
 /// fraction `unresponsive` of nodes never answer inbound RPCs (the NAT
 /// pathology measured on Mainline by Jiménez et al.).
 ///
+/// Large networks are seeded on every core the host has; the tables
+/// are the same at any core count (DESIGN.md §4g).
+///
 /// Returns the node ids in insertion order.
 pub fn build_network<S: SchedulerFor<KadNode>>(
     sim: &mut Simulation<KadNode, S>,
@@ -855,10 +858,60 @@ pub fn build_network<S: SchedulerFor<KadNode>>(
 ) -> Vec<NodeId> {
     let mut rng = rng_from_seed(seed);
     let keys: Vec<Key> = (0..n).map(|_| Key::random(&mut rng)).collect();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let ranges = cores.min(n / MIN_RANGE).max(1);
+    build_from_keys(
+        sim,
+        &keys,
+        cfg,
+        unresponsive,
+        extra_random,
+        &mut rng,
+        ranges,
+    )
+}
+
+/// Fewest nodes `build_network` hands a range of its own: below
+/// `2 * MIN_RANGE` nodes it seeds on the calling thread alone, which
+/// every experiment-scale build does.
+const MIN_RANGE: usize = 4_096;
+
+/// [`build_network`] once the keys are drawn, seeding the tables in
+/// `ranges` contiguous node ranges, all but the first on a thread of
+/// their own. The tables do not depend on `ranges`.
+fn build_from_keys<S: SchedulerFor<KadNode>>(
+    sim: &mut Simulation<KadNode, S>,
+    keys: &[Key],
+    cfg: &KadConfig,
+    unresponsive: f64,
+    extra_random: usize,
+    rng: &mut SimRng,
+    ranges: usize,
+) -> Vec<NodeId> {
+    let n = keys.len();
+    let window = (4 * cfg.k).max(16);
+    // Each node is seeded with its k XOR-closest peers. Keys sorted
+    // numerically place long-shared-prefix (and therefore XOR-close) keys
+    // next to each other, so `window` contacts on either side of the
+    // node's sorted position hold its closest set (the tests check every
+    // node of 1 000-node networks against a brute-force ranking), and
+    // `closest_k` ranks that window exactly. One sort of all n contacts,
+    // then O(window) work per node.
+    //
+    // A window spans at least `min(n, window + 1)` positions and
+    // `window >= k`, so it holds at least `min(k, n - 1)` other nodes:
+    // every table is seeded with exactly `seeded` contacts. Each table
+    // is allocated at that size here, on the calling thread, so tables
+    // live in the main allocator arena, where lookups grow them later.
+    let seeded = cfg.k.min(n.saturating_sub(1)) + extra_random;
+    // The engine numbers nodes in the order they are added: the new
+    // nodes are `base..base + n`.
+    let base = sim.len();
     let ids: Vec<NodeId> = keys
         .iter()
         .map(|&key| {
-            let node = KadNode::new(key, cfg.clone());
+            let mut node = KadNode::new(key, cfg.clone());
+            node.table = Vec::with_capacity(seeded);
             let node = if rng.gen::<f64>() < unresponsive {
                 node.unresponsive()
             } else {
@@ -869,17 +922,9 @@ pub fn build_network<S: SchedulerFor<KadNode>>(
         .collect();
     let contacts: Vec<Contact> = ids
         .iter()
-        .zip(&keys)
+        .zip(keys)
         .map(|(&node, &key)| Contact { node, key })
         .collect();
-    // Seed each node with its k XOR-closest peers. Keys sorted
-    // numerically place long-shared-prefix (and therefore XOR-close) keys
-    // next to each other, so `window` contacts on either side of the
-    // node's sorted position hold its closest set (the tests check every
-    // node of 1 000-node networks against a brute-force ranking), and
-    // `closest_k` ranks that window exactly. One sort of all n contacts,
-    // then O(window) work per node.
-    //
     // The sort is stable: contacts of equal key stay in id order, so the
     // windows depend only on the keys and ids.
     let mut by_key: Vec<(Contact, usize)> = contacts.iter().copied().zip(0..).collect();
@@ -894,19 +939,41 @@ pub fn build_network<S: SchedulerFor<KadNode>>(
         }
         pos[i] = first;
     }
-    let window = (4 * cfg.k).max(16);
-    for (i, &id) in ids.iter().enumerate() {
-        let lo = pos[i].saturating_sub(window);
-        let hi = (pos[i] + window).min(n);
-        let near = by_key[lo..hi].iter().map(|&(c, _)| c);
-        let near = near.filter(|c| c.node != id);
-        let mut seeds = closest_k(near, &keys[i], cfg.k);
-        for _ in 0..extra_random {
-            seeds.push(contacts[rng.gen_range(0..n)]);
+    // The random peers, drawn in the order seeding one node after
+    // another draws them: the ranking draws nothing.
+    let span = u32::try_from(n).expect("node count fits a u32");
+    let picks: Vec<u32> = (0..n * extra_random)
+        .map(|_| rng.gen_range(0..span))
+        .collect();
+    let now = sim.now();
+    // Node `i` reads only shared inputs and writes only its own table,
+    // so any split into ranges seeds the same tables.
+    let seed_range = |start: usize, nodes: &mut [KadNode]| {
+        for (i, node) in (start..).zip(nodes) {
+            let lo = pos[i].saturating_sub(window);
+            let hi = (pos[i] + window).min(n);
+            let me = contacts[i].node;
+            let near = by_key[lo..hi].iter().map(|&(c, _)| c);
+            let near = near.filter(|c| c.node != me);
+            let mut seeds = closest_k(near, &keys[i], cfg.k);
+            let random = &picks[i * extra_random..][..extra_random];
+            seeds.extend(random.iter().map(|&p| contacts[p as usize]));
+            debug_assert_eq!(seeds.len(), seeded);
+            node.seed_routing_table(&seeds, now);
         }
-        let now = sim.now();
-        sim.node_mut(id).seed_routing_table(&seeds, now);
-    }
+    };
+    let size = n.div_ceil(ranges).max(1);
+    let nodes = &mut sim.nodes_mut()[base..];
+    std::thread::scope(|scope| {
+        let mut chunks = nodes.chunks_mut(size).zip((0..).step_by(size));
+        let first = chunks.next();
+        for (chunk, start) in chunks {
+            scope.spawn(move || seed_range(start, chunk));
+        }
+        if let Some((chunk, start)) = first {
+            seed_range(start, chunk);
+        }
+    });
     ids
 }
 
@@ -1375,6 +1442,39 @@ mod tests {
         };
         assert_eq!(build(5_000, 0.1, 8), 0x7696_3069_a834_98a3);
         assert_eq!(build(100, 0.0, 0), 0xb755_451b_3340_f752);
+        // Above `2 * MIN_RANGE`: seeded in two or more ranges on a host
+        // with two or more cores.
+        assert_eq!(build(10_000, 0.1, 8), 0xb79c_c89c_574e_fb5d);
+    }
+
+    /// Any number of seeding ranges seeds the same tables, also when a
+    /// run of nodes with one key straddles a range boundary.
+    #[test]
+    fn seeding_ranges_do_not_change_the_tables() {
+        let build = |runs: &[Range<usize>], ranges| {
+            let mut sim = Simulation::new(9, UniformLatency::from_millis(20.0, 80.0));
+            let mut rng = rng_from_seed(13);
+            let mut keys: Vec<Key> = (0..5_000).map(|_| Key::random(&mut rng)).collect();
+            for run in runs {
+                let key = keys[run.start];
+                keys[run.clone()].fill(key);
+            }
+            let cfg = KadConfig::default();
+            let ids = build_from_keys(&mut sim, &keys, &cfg, 0.1, 8, &mut rng, ranges);
+            table_fingerprint(&sim, &ids)
+        };
+        // Random keys: `build_network`'s pinned 5 000-node tables.
+        for ranges in [1, 2, 3, 7] {
+            assert_eq!(build(&[], ranges), 0x7696_3069_a834_98a3, "{ranges} ranges");
+        }
+        // Ids 700..2 600 cross every boundary of 2, 3 and 7 ranges, in a
+        // run longer than a window, so some of its nodes fall outside
+        // their own window; ids 4 280..4 300 cross 7 ranges' last one.
+        let runs = [700..2_600, 4_280..4_300];
+        let one = build(&runs, 1);
+        for ranges in [2, 3, 7] {
+            assert_eq!(build(&runs, ranges), one, "{ranges} ranges");
+        }
     }
 
     /// Every node's seeded table holds its true k XOR-closest peers,

@@ -898,6 +898,12 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         &mut self.store.nodes[id]
     }
 
+    /// Mutable access to every node's state, indexed by id (no context;
+    /// the slice form of [`Simulation::node_mut`]).
+    pub fn nodes_mut(&mut self) -> &mut [N] {
+        &mut self.store.nodes
+    }
+
     /// Number of nodes ever added.
     pub fn len(&self) -> usize {
         self.store.len()
