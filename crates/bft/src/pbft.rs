@@ -145,8 +145,9 @@ impl PbftConfig {
 struct Instance {
     batch: Option<Batch>,
     digest: u64,
-    prepares: HashSet<usize>,
-    commits: HashSet<usize>,
+    /// Replica indices that voted prepare / commit for `digest`.
+    prepares: IdSet,
+    commits: IdSet,
     prepared: bool,
     committed: bool,
 }
@@ -171,7 +172,7 @@ pub struct PbftReplica {
     log: HashMap<u64, Instance>,
     last_executed: u64,
     buffer: VecDeque<Request>,
-    executed_ids: HashSet<u64>,
+    executed_ids: IdSet,
     view_votes: HashMap<u64, HashSet<usize>>,
     /// Progress marker used by the view-change watchdog.
     progress: u64,
@@ -196,7 +197,7 @@ impl PbftReplica {
             log: HashMap::new(),
             last_executed: 0,
             buffer: VecDeque::new(),
-            executed_ids: HashSet::new(),
+            executed_ids: IdSet::new(),
             view_votes: HashMap::new(),
             progress: 0,
             executed: Vec::new(),
@@ -211,7 +212,17 @@ impl PbftReplica {
 
     /// Whether this replica is the current primary.
     pub fn is_primary(&self) -> bool {
-        (self.view % self.cfg.n as u64) as usize == self.index
+        self.primary_of(self.view) == self.index
+    }
+
+    /// Replica index of `view`'s primary.
+    fn primary_of(&self, view: u64) -> usize {
+        (view % self.cfg.n as u64) as usize
+    }
+
+    /// Whether `sender` is replica `index` (an index out of range is no one).
+    fn sent_by(&self, sender: NodeId, index: usize) -> bool {
+        self.peers.get(index) == Some(&sender)
     }
 
     /// Buffers a client request (driver entry point).
@@ -236,7 +247,7 @@ impl PbftReplica {
             let Some(req) = self.buffer.pop_front() else {
                 break;
             };
-            if !self.executed_ids.contains(&req.0) {
+            if !self.executed_ids.contains(req.0) {
                 batch.push(req);
             }
         }
@@ -247,7 +258,7 @@ impl PbftReplica {
     fn has_buffered_work(&self) -> bool {
         self.buffer
             .iter()
-            .any(|(id, _)| !self.executed_ids.contains(id))
+            .any(|&(id, _)| !self.executed_ids.contains(id))
     }
 
     fn digest_of(batch: &Batch) -> u64 {
@@ -314,7 +325,7 @@ impl PbftReplica {
         if inst.digest != 0 && digest != inst.digest {
             return; // conflicting digest: ignore (equivocation defense)
         }
-        inst.prepares.insert(from);
+        inst.prepares.insert(from as u64);
         if !inst.prepared && inst.batch.is_some() && inst.prepares.len() >= quorum {
             inst.prepared = true;
             let vote = PbftMsg::Commit {
@@ -345,7 +356,7 @@ impl PbftReplica {
         if inst.digest != 0 && digest != inst.digest {
             return;
         }
-        inst.commits.insert(from);
+        inst.commits.insert(from as u64);
         if !inst.committed && inst.batch.is_some() && inst.commits.len() >= quorum {
             inst.committed = true;
             self.progress += 1;
@@ -390,7 +401,7 @@ impl PbftReplica {
         let votes = self.view_votes.entry(new_view).or_default();
         votes.insert(from);
         let enough = votes.len() >= self.cfg.commit_quorum();
-        let i_am_new_primary = (new_view % self.cfg.n as u64) as usize == self.index;
+        let i_am_new_primary = self.primary_of(new_view) == self.index;
         if enough && i_am_new_primary {
             self.enter_view(new_view, ctx);
             // A replica that was never primary has proposed nothing:
@@ -455,15 +466,18 @@ impl Node for PbftReplica {
         self.arm_watchdog(ctx);
     }
 
-    fn on_message(&mut self, _from: NodeId, msg: PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
+    fn on_message(&mut self, sender: NodeId, msg: PbftMsg, ctx: &mut Context<'_, PbftMsg>) {
+        // A message speaks only for the node that sent it: a vote counts
+        // for the replica index it names only if that replica sent it,
+        // and a proposal or a new view only from that view's primary.
         match msg {
             PbftMsg::PrePrepare { view, seq, batch } => {
                 if view != self.view {
                     return;
                 }
-                let primary = (view % self.cfg.n as u64) as usize;
-                if primary == self.index {
-                    return; // we do not accept proposals from ourselves
+                let primary = self.primary_of(view);
+                if primary == self.index || !self.sent_by(sender, primary) {
+                    return; // only the primary proposes, and not to itself
                 }
                 let digest = Self::digest_of(&batch);
                 let inst = self.log.entry(seq).or_default();
@@ -487,20 +501,24 @@ impl Node for PbftReplica {
                 seq,
                 digest,
                 from,
-            } => self.on_prepare(view, seq, digest, from, ctx),
+            } if self.sent_by(sender, from) => self.on_prepare(view, seq, digest, from, ctx),
             PbftMsg::Commit {
                 view,
                 seq,
                 digest,
                 from,
-            } => self.on_commit(view, seq, digest, from, ctx),
-            PbftMsg::ViewChange { new_view, from } => self.on_view_change(new_view, from, ctx),
+            } if self.sent_by(sender, from) => self.on_commit(view, seq, digest, from, ctx),
+            PbftMsg::ViewChange { new_view, from } if self.sent_by(sender, from) => {
+                self.on_view_change(new_view, from, ctx)
+            }
             PbftMsg::NewView { view, next_seq } => {
-                if view > self.view {
+                if view > self.view && self.sent_by(sender, self.primary_of(view)) {
                     self.next_seq = next_seq;
                     self.enter_view(view, ctx);
                 }
             }
+            // A vote in another replica's name, or in no replica's.
+            PbftMsg::Prepare { .. } | PbftMsg::Commit { .. } | PbftMsg::ViewChange { .. } => {}
         }
     }
 
@@ -625,7 +643,7 @@ mod tests {
             sim.node_mut(id).submit_many(0..5000, SimTime::ZERO);
         }
         sim.run_until(SimTime::from_secs(10.0));
-        let reference: HashSet<u64> = sim.node(ids[0]).executed_ids.clone();
+        let reference: IdSet = sim.node(ids[0]).executed_ids.clone();
         assert_eq!(reference.len(), 5000);
         for &id in &ids {
             assert_eq!(sim.node(id).executed_ids, reference);
@@ -771,10 +789,10 @@ mod tests {
     /// whole backlog, then take `batch_max` off the front.
     fn retain_then_take(
         backlog: &mut Vec<Request>,
-        executed_ids: &HashSet<u64>,
+        executed_ids: &IdSet,
         batch_max: usize,
     ) -> Vec<Request> {
-        backlog.retain(|(id, _)| !executed_ids.contains(id));
+        backlog.retain(|&(id, _)| !executed_ids.contains(id));
         let take = backlog.len().min(batch_max);
         backlog.drain(..take).collect()
     }
@@ -810,7 +828,7 @@ mod tests {
                         assert_eq!(got, want, "seed {seed} step {step}");
                         let popped = before.len() - r.buffer.len();
                         let any_executed = |reqs: &[Request]| {
-                            reqs.iter().any(|(id, _)| r.executed_ids.contains(id))
+                            reqs.iter().any(|&(id, _)| r.executed_ids.contains(id))
                         };
                         head_skips += usize::from(any_executed(&before[..popped]));
                         deep_skips += usize::from(any_executed(&before[popped..]));
@@ -824,7 +842,7 @@ mod tests {
                     }
                     _ => {}
                 }
-                let model_has_work = model.iter().any(|(id, _)| !r.executed_ids.contains(id));
+                let model_has_work = model.iter().any(|&(id, _)| !r.executed_ids.contains(id));
                 assert_eq!(
                     r.has_buffered_work(),
                     model_has_work,
@@ -835,6 +853,107 @@ mod tests {
         assert!(
             head_skips > 0 && deep_skips > 0,
             "executed ids skipped at the head {head_skips} times, left deep {deep_skips} times"
+        );
+    }
+
+    /// Seven replicas (f = 2) of which only the primary, replica 1 and
+    /// replica 6 are up. The primary's first proposal reaches replica 1,
+    /// but three live replicas are one short of a prepare quorum, so
+    /// nothing commits honestly. Returns the cluster and that
+    /// proposal's digest.
+    fn three_of_seven_up() -> (Simulation<PbftReplica>, Vec<NodeId>, u64) {
+        let cfg = PbftConfig {
+            n: 7,
+            view_timeout: SimDuration::from_secs(60.0),
+            ..PbftConfig::default()
+        };
+        let mut sim = Simulation::new(68, LanNet::datacenter());
+        let ids = build_cluster(&mut sim, &cfg, &[]);
+        for &id in &ids[2..6] {
+            sim.schedule_stop(id, SimTime::from_secs(0.001));
+        }
+        sim.node_mut(ids[0]).submit_many(0..10, SimTime::ZERO);
+        sim.run_until(SimTime::from_secs(0.5));
+        let inst = &sim.node(ids[1]).log[&1];
+        assert!(inst.batch.is_some() && !inst.committed);
+        let digest = inst.digest;
+        (sim, ids, digest)
+    }
+
+    #[test]
+    fn one_replica_cannot_forge_a_commit_quorum() {
+        let (mut sim, ids, digest) = three_of_seven_up();
+        let (victim, forger) = (ids[1], ids[6]);
+        // Replica 6 votes commit in the name of every replica but 1.
+        sim.invoke(forger, |_, ctx| {
+            for from in [0, 2, 3, 4, 5, 6] {
+                let vote = PbftMsg::Commit {
+                    view: 0,
+                    seq: 1,
+                    digest,
+                    from,
+                };
+                ctx.send_sized(victim, vote, 128);
+            }
+        });
+        sim.run_until(SimTime::from_secs(1.0));
+        let r = sim.node(victim);
+        assert!(r.executed.is_empty(), "forged votes made a commit quorum");
+        assert!(!r.log[&1].committed);
+    }
+
+    #[test]
+    fn votes_proposals_and_new_views_count_only_from_their_sender() {
+        let (mut sim, ids, digest) = three_of_seven_up();
+        let (victim, forger) = (ids[1], ids[6]);
+        sim.invoke(forger, |_, ctx| {
+            // Indices past the cluster are no one's votes.
+            for from in 7..20 {
+                let vote = PbftMsg::Commit {
+                    view: 0,
+                    seq: 1,
+                    digest,
+                    from,
+                };
+                ctx.send_sized(victim, vote, 128);
+            }
+            // Five view-change votes that make replica 1 view 1's
+            // primary, a backup's proposal, and a new view announced for
+            // replica 5.
+            for from in [0, 2, 3, 4, 5] {
+                let vote = PbftMsg::ViewChange { new_view: 1, from };
+                ctx.send_sized(victim, vote, 128);
+            }
+            let batch = Interned::from_vec(vec![(99, SimTime::ZERO)]);
+            ctx.send_sized(
+                victim,
+                PbftMsg::PrePrepare {
+                    view: 0,
+                    seq: 2,
+                    batch,
+                },
+                128,
+            );
+            ctx.send_sized(
+                victim,
+                PbftMsg::NewView {
+                    view: 5,
+                    next_seq: 1,
+                },
+                128,
+            );
+        });
+        sim.run_until(SimTime::from_secs(1.0));
+        let r = sim.node(victim);
+        assert!(r.executed.is_empty(), "out-of-range indices made a quorum");
+        assert!(
+            r.log.get(&2).is_none_or(|inst| inst.batch.is_none()),
+            "a backup's proposal was accepted"
+        );
+        assert_eq!(
+            r.view(),
+            0,
+            "forged view-change votes or a non-primary's new view"
         );
     }
 

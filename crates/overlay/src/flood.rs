@@ -8,8 +8,6 @@
 //! Files have Zipf popularity; sharers hold Zipf-sampled file sets, free
 //! riders hold none. Queries flood the random overlay with a TTL.
 
-use std::collections::HashSet;
-
 use rand::Rng;
 
 use decent_sim::prelude::*;
@@ -44,8 +42,8 @@ pub enum FloodMsg {
 #[derive(Debug)]
 pub struct FloodNode {
     neighbors: Vec<NodeId>,
-    shared: HashSet<FileId>,
-    seen: HashSet<u64>,
+    shared: IdSet,
+    seen: IdSet,
     /// Queries this node answered (it held the file).
     pub hits_served: u64,
     /// Query messages this node processed (relay load).
@@ -55,12 +53,12 @@ pub struct FloodNode {
 }
 
 impl FloodNode {
-    /// Creates a node sharing the given file set.
-    pub fn new(neighbors: Vec<NodeId>, shared: HashSet<FileId>) -> Self {
+    /// Creates a node sharing the given files; repeats collapse.
+    pub fn new(neighbors: Vec<NodeId>, shared: impl IntoIterator<Item = FileId>) -> Self {
         FloodNode {
             neighbors,
-            shared,
-            seen: HashSet::new(),
+            shared: shared.into_iter().map(u64::from).collect(),
+            seen: IdSet::new(),
             hits_served: 0,
             queries_relayed: 0,
             hits_received: Vec::new(),
@@ -80,7 +78,7 @@ impl FloodNode {
     /// Issues a flooded query for `file` with the given TTL.
     pub fn query(&mut self, id: u64, file: FileId, ttl: u32, ctx: &mut Context<'_, FloodMsg>) {
         self.seen.insert(id);
-        for &n in &self.neighbors.clone() {
+        for &n in &self.neighbors {
             ctx.send(
                 n,
                 FloodMsg::Query {
@@ -109,12 +107,12 @@ impl Node for FloodNode {
                     return; // duplicate
                 }
                 self.queries_relayed += 1;
-                if self.shared.contains(&file) {
+                if self.shared.contains(u64::from(file)) {
                     self.hits_served += 1;
                     ctx.send(origin, FloodMsg::Hit { id, file });
                 }
                 if ttl > 1 {
-                    for &n in &self.neighbors.clone() {
+                    for &n in &self.neighbors {
                         if n != from {
                             ctx.send(
                                 n,
@@ -184,29 +182,31 @@ pub fn build_network<S: SchedulerFor<FloodNode>>(
     let zipf = Zipf::new(cfg.catalog_size, cfg.popularity_exponent);
     (0..n)
         .map(|i| {
-            let mut shared = HashSet::new();
-            if rng.gen::<f64>() >= cfg.free_rider_fraction {
+            let count = if rng.gen::<f64>() >= cfg.free_rider_fraction {
                 // Measured mixture: a few power sharers with huge
                 // libraries, everyone else with a handful of files.
-                let count = if rng.gen::<f64>() < cfg.power_sharer_fraction {
+                if rng.gen::<f64>() < cfg.power_sharer_fraction {
                     rng.gen_range(cfg.power_library.0..=cfg.power_library.1)
                 } else {
                     (Exp::with_mean(cfg.mean_files_per_sharer)
                         .sample(&mut rng)
                         .ceil() as usize)
                         .max(1)
-                };
-                for _ in 0..count.min(cfg.catalog_size) {
-                    shared.insert(zipf.sample_rank(&mut rng) as FileId);
                 }
-            }
-            sim.add_node(FloodNode::new(graph.neighbors(i).to_vec(), shared))
+            } else {
+                0
+            };
+            let files =
+                (0..count.min(cfg.catalog_size)).map(|_| zipf.sample_rank(&mut rng) as FileId);
+            sim.add_node(FloodNode::new(graph.neighbors(i).to_vec(), files))
         })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     fn population() -> (Simulation<FloodNode>, Vec<NodeId>) {

@@ -11,7 +11,8 @@
 //!   struct-of-arrays node storage and batched event delivery
 //!   ([`arena`]);
 //! - interned message payloads for fan-out-heavy protocols
-//!   ([`payload`]);
+//!   ([`payload`]) and a paged id bitmap for the dedupe and quorum sets
+//!   handlers probe on every delivery ([`idset`]);
 //! - composable network models ([`net`]) including a planet-scale
 //!   region latency/bandwidth matrix;
 //! - scripted fault injection ([`fault`]): partitions, crash bursts,
@@ -58,6 +59,7 @@ pub mod churn;
 pub mod dist;
 pub mod engine;
 pub mod fault;
+pub mod idset;
 pub mod json;
 pub mod metrics;
 pub mod net;
@@ -81,6 +83,7 @@ pub mod prelude {
         Context, EngineEvent, Node, NodeId, SchedulerFor, Simulation, EXTERNAL,
     };
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultStats, Faulty, LinkSet};
+    pub use crate::idset::IdSet;
     pub use crate::json::Json;
     pub use crate::metrics::{
         gini, top_k_share, Counter, Histogram, Metric, MetricsSnapshot, Summary,
