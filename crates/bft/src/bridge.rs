@@ -69,8 +69,8 @@ pub struct Bridge {
 
 /// Builds two islands inside one simulation. Island A uses `cfg_a`,
 /// island B `cfg_b`; each gets a single all-orgs channel with id 1.
-pub fn build_islands<S: SchedulerFor<FabricNode>>(
-    sim: &mut Simulation<FabricNode, S>,
+pub fn build_islands(
+    sim: &mut Simulation<FabricNode>,
     cfg_a: &FabricConfig,
     cfg_b: &FabricConfig,
 ) -> Bridge {
@@ -90,8 +90,8 @@ pub fn build_islands<S: SchedulerFor<FabricNode>>(
 
 /// Whether `island`'s ledger (as seen by its first channel peer) has a
 /// commit for `(transfer, phase)`; returns its validity when present.
-pub fn committed_phase<S: SchedulerFor<FabricNode>>(
-    sim: &Simulation<FabricNode, S>,
+pub fn committed_phase(
+    sim: &Simulation<FabricNode>,
     island: &FabricNetwork,
     channel: u32,
     transfer: u64,
@@ -121,8 +121,8 @@ pub fn committed_phase<S: SchedulerFor<FabricNode>>(
     clippy::too_many_arguments,
     reason = "one retry loop's independent inputs; a struct would only rename them"
 )]
-fn submit_with_retry<S: SchedulerFor<FabricNode>>(
-    sim: &mut Simulation<FabricNode, S>,
+fn submit_with_retry(
+    sim: &mut Simulation<FabricNode>,
     island: &FabricNetwork,
     gateway: NodeId,
     channel: u32,
@@ -163,8 +163,8 @@ fn submit_with_retry<S: SchedulerFor<FabricNode>>(
 ///
 /// Drives the simulation forward internally; returns the outcome and
 /// the end-to-end duration.
-pub fn atomic_transfer<S: SchedulerFor<FabricNode>>(
-    sim: &mut Simulation<FabricNode, S>,
+pub fn atomic_transfer(
+    sim: &mut Simulation<FabricNode>,
     bridge: &Bridge,
     transfer: u64,
     timeout: SimDuration,
@@ -275,8 +275,8 @@ pub fn atomic_transfer<S: SchedulerFor<FabricNode>>(
 /// The atomicity invariant over one island pair: for every transfer id,
 /// value was released on B only if it was locked and burned (not
 /// unlocked) on A.
-pub fn atomicity_holds<S: SchedulerFor<FabricNode>>(
-    sim: &Simulation<FabricNode, S>,
+pub fn atomicity_holds(
+    sim: &Simulation<FabricNode>,
     bridge: &Bridge,
     transfers: impl IntoIterator<Item = u64>,
 ) -> bool {

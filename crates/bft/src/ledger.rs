@@ -526,8 +526,8 @@ impl FabricNetwork {
 
 /// Builds a Fabric network with the given channels over a datacenter
 /// LAN topology.
-pub fn build_network<S: SchedulerFor<FabricNode>>(
-    sim: &mut Simulation<FabricNode, S>,
+pub fn build_network(
+    sim: &mut Simulation<FabricNode>,
     cfg: &FabricConfig,
     channels: &[Channel],
 ) -> FabricNetwork {

@@ -564,8 +564,8 @@ impl Node for PbftReplica {
 /// sim.run_until(SimTime::from_secs(2.0));
 /// assert_eq!(sim.node(ids[0]).executed.len(), 100);
 /// ```
-pub fn build_cluster<S: SchedulerFor<PbftReplica>>(
-    sim: &mut Simulation<PbftReplica, S>,
+pub fn build_cluster(
+    sim: &mut Simulation<PbftReplica>,
     cfg: &PbftConfig,
     behaviors: &[Behavior],
 ) -> Vec<NodeId> {
@@ -668,6 +668,26 @@ mod tests {
         assert!(t4 > t16 && t16 > t64, "t4 {t4} t16 {t16} t64 {t64}");
         assert!(t4 > 3.0 * t64, "expected a strong decline: {t4} vs {t64}");
         assert!(t4 > 10_000.0, "small clusters should do >10k ops/s: {t4}");
+    }
+
+    #[test]
+    fn batching_amortizes_vote_traffic() {
+        // Saturated tx/s of a 4-replica cluster at batch size `batch`:
+        // without batching the O(n²) vote traffic is paid per operation.
+        let tps = |batch: usize| {
+            let cfg = PbftConfig {
+                n: 4,
+                batch_max: batch,
+                ..PbftConfig::default()
+            };
+            let seed = 0xAB2 ^ batch as u64;
+            saturation_run(&cfg, 200_000 / 4, SimDuration::from_secs(2.0), seed).0
+        };
+        let (small, big) = (tps(16), tps(1024));
+        assert!(
+            big > 5.0 * small,
+            "batch 16 gives {small} tx/s, batch 1024 gives {big} tx/s"
+        );
     }
 
     #[test]

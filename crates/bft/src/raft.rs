@@ -496,10 +496,7 @@ impl Node for RaftNode {
 /// sim.run_until(SimTime::from_secs(2.0));
 /// assert!(current_leader(&sim, &ids).is_some());
 /// ```
-pub fn build_cluster<S: SchedulerFor<RaftNode>>(
-    sim: &mut Simulation<RaftNode, S>,
-    cfg: &RaftConfig,
-) -> Vec<NodeId> {
+pub fn build_cluster(sim: &mut Simulation<RaftNode>, cfg: &RaftConfig) -> Vec<NodeId> {
     let base = sim.len();
     let peers: Vec<NodeId> = (0..cfg.n).map(|i| base + i).collect();
     (0..cfg.n)
@@ -508,10 +505,7 @@ pub fn build_cluster<S: SchedulerFor<RaftNode>>(
 }
 
 /// Finds the current leader, if exactly one exists among online nodes.
-pub fn current_leader<S: SchedulerFor<RaftNode>>(
-    sim: &Simulation<RaftNode, S>,
-    ids: &[NodeId],
-) -> Option<NodeId> {
+pub fn current_leader(sim: &Simulation<RaftNode>, ids: &[NodeId]) -> Option<NodeId> {
     let leaders: Vec<NodeId> = ids
         .iter()
         .copied()

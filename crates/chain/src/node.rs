@@ -426,8 +426,8 @@ impl Default for NetworkConfig {
 /// Builds a blockchain network over a random overlay; the difficulty is
 /// initialized so the configured target interval holds at the configured
 /// total hashrate. Returns the node ids.
-pub fn build_network<S: SchedulerFor<ChainNode>>(
-    sim: &mut Simulation<ChainNode, S>,
+pub fn build_network(
+    sim: &mut Simulation<ChainNode>,
     cfg: &NetworkConfig,
     seed: u64,
 ) -> Vec<NodeId> {
@@ -478,10 +478,7 @@ pub struct ChainReport {
 }
 
 /// Summarizes the chain as seen by `observer` at the current time.
-pub fn report<S: SchedulerFor<ChainNode>>(
-    sim: &Simulation<ChainNode, S>,
-    observer: NodeId,
-) -> ChainReport {
+pub fn report(sim: &Simulation<ChainNode>, observer: NodeId) -> ChainReport {
     let view = &sim.node(observer).view;
     let chain = view.best_chain();
     let height = view.height();
@@ -635,6 +632,43 @@ mod tests {
         // count moves measured tps ~±17% around the ceiling (2 sigma).
         assert!(r.tps <= 4.0, "tps {}", r.tps);
         assert!(r.tps > 2.2, "tps {}", r.tps);
+    }
+
+    #[test]
+    fn bigger_blocks_trade_forks_for_throughput() {
+        // (tx/s, stale rate) at a capacity of `max_txs` per 600 s block
+        // over six hours of 40 nodes: bigger blocks buy throughput
+        // linearly but propagate slower, the trade-off behind the 1 MB
+        // limit wars.
+        let run = |max_txs: u32| {
+            let (nodes, seed) = (40, 0xAB4u64);
+            let mut rng = rng_from_seed(seed ^ max_txs as u64);
+            let net = RegionNet::sampled(nodes, &Region::BITCOIN_2019_DISTRIBUTION, &mut rng);
+            let mut sim = Simulation::new(seed ^ (max_txs as u64) << 8, net);
+            let cfg = NetworkConfig {
+                nodes,
+                miner_fraction: 0.3,
+                node: ChainNodeConfig {
+                    params: PowParams::bitcoin(),
+                    max_block_txs: max_txs,
+                    tx_rate: 1000.0,
+                    ..ChainNodeConfig::default()
+                },
+                ..NetworkConfig::default()
+            };
+            let ids = build_network(&mut sim, &cfg, seed ^ 11);
+            sim.run_until(SimTime::from_hours(6.0));
+            let r = report(&sim, ids[nodes - 1]);
+            (r.tps, r.stale_rate)
+        };
+        let (small, big) = (run(500), run(16_000));
+        assert!(big.0 > 5.0 * small.0, "throughput should scale with size");
+        assert!(
+            big.1 >= small.1,
+            "stale rate must not fall with size: {} vs {}",
+            big.1,
+            small.1
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use rand::Rng;
 
-use decent_sim::rng::{rng_from_seed, SimRng};
+use decent_sim::rng::rng_from_seed;
 
 /// Outcome of a selfish-mining simulation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -143,27 +143,6 @@ pub fn simulate(alpha: f64, gamma: f64, blocks: u64, seed: u64) -> SelfishOutcom
         }
     }
     out
-}
-
-/// Sweeps attacker sizes for a fixed `gamma`, returning
-/// `(alpha, simulated share, closed-form share)` rows.
-pub fn sweep_alpha(alphas: &[f64], gamma: f64, blocks: u64, seed: u64) -> Vec<(f64, f64, f64)> {
-    alphas
-        .iter()
-        .map(|&a| {
-            let sim = simulate(a, gamma, blocks, seed ^ (a * 1e6) as u64);
-            (a, sim.attacker_share(), closed_form(a, gamma))
-        })
-        .collect()
-}
-
-/// Samples gamma empirically: returns the probability that a fresh
-/// random honest miner extends the attacker branch, given the attacker
-/// reaches a fraction `reach` of honest nodes first.
-///
-/// A helper for relating the abstract `gamma` to network position.
-pub fn gamma_from_reach(reach: f64, rng: &mut SimRng) -> bool {
-    rng.gen::<f64>() < reach
 }
 
 #[cfg(test)]

@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablations;
 pub mod claims;
 pub mod experiments;
 pub mod report;

@@ -8,7 +8,7 @@
 //!
 //! | driver | where | time | delivery | determinism |
 //! |---|---|---|---|---|
-//! | `Simulation` | `decent-sim` | virtual (`SimTime`) | engine network model, fault plans | byte-identical across schedulers and `--shards` |
+//! | `Simulation` | `decent-sim` | virtual (`SimTime`) | engine network model, fault plans | byte-identical across `--shards` |
 //! | [`tcp::TcpRuntime`] | here | wall clock mapped to `SimTime` | real sockets, length-prefixed frames ([`wire`]) | best-effort (the real world is not deterministic) |
 //!
 //! All a protocol needs to cross from the simulator to the wire is a

@@ -188,11 +188,7 @@ impl Node for CanNode {
 
 /// Builds a CAN by `n - 1` random-point joins of the unit square and
 /// wires up zone neighbors. Returns the node ids.
-pub fn build_network<S: SchedulerFor<CanNode>>(
-    sim: &mut Simulation<CanNode, S>,
-    n: usize,
-    seed: u64,
-) -> Vec<NodeId> {
+pub fn build_network(sim: &mut Simulation<CanNode>, n: usize, seed: u64) -> Vec<NodeId> {
     assert!(n >= 1);
     let mut rng = rng_from_seed(seed);
     let mut zones: Vec<Zone> = vec![Zone::UNIT];

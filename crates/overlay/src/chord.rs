@@ -391,8 +391,8 @@ impl Node for ChordNode {
 /// let result = &sim.node(ids[0]).results[0];
 /// assert!(result.success);
 /// ```
-pub fn build_ring<S: SchedulerFor<ChordNode>>(
-    sim: &mut Simulation<ChordNode, S>,
+pub fn build_ring(
+    sim: &mut Simulation<ChordNode>,
     n: usize,
     cfg: &ChordConfig,
     seed: u64,

@@ -171,8 +171,8 @@ impl Default for FloodConfig {
 }
 
 /// Builds a Gnutella-like network; returns node ids.
-pub fn build_network<S: SchedulerFor<FloodNode>>(
-    sim: &mut Simulation<FloodNode, S>,
+pub fn build_network(
+    sim: &mut Simulation<FloodNode>,
     n: usize,
     cfg: &FloodConfig,
     seed: u64,

@@ -108,8 +108,8 @@ impl Node for GossipNode {
 }
 
 /// Builds a gossip network over `graph` and returns the node ids.
-pub fn build_network<S: SchedulerFor<GossipNode>>(
-    sim: &mut Simulation<GossipNode, S>,
+pub fn build_network(
+    sim: &mut Simulation<GossipNode>,
     graph: &Graph,
     cfg: GossipConfig,
 ) -> Vec<NodeId> {
@@ -119,11 +119,7 @@ pub fn build_network<S: SchedulerFor<GossipNode>>(
 }
 
 /// Fraction of online nodes that received rumor `id`.
-pub fn delivery_ratio<S: SchedulerFor<GossipNode>>(
-    sim: &Simulation<GossipNode, S>,
-    ids: &[NodeId],
-    rumor: u64,
-) -> f64 {
+pub fn delivery_ratio(sim: &Simulation<GossipNode>, ids: &[NodeId], rumor: u64) -> f64 {
     let total = ids.len().max(1);
     let got = ids
         .iter()
@@ -165,6 +161,34 @@ mod tests {
             ratio < 0.8,
             "fanout 1 should not blanket the network: {ratio}"
         );
+    }
+
+    #[test]
+    fn gossip_has_an_epidemic_threshold() {
+        // (delivery ratio, messages per node) at fanout f over 300
+        // nodes: the epidemic threshold in two rows.
+        let run = |fanout: usize| {
+            let seed = 0xAB3u64;
+            let mut sim = Simulation::new(
+                seed ^ fanout as u64,
+                UniformLatency::from_millis(20.0, 100.0),
+            );
+            let graph = Graph::random_outbound(300, 8, &mut rng_from_seed(seed ^ 7));
+            let cfg = GossipConfig {
+                fanout,
+                ..GossipConfig::default()
+            };
+            let ids = build_network(&mut sim, &graph, cfg);
+            sim.run_until(SimTime::from_secs(0.1));
+            sim.invoke(ids[0], |n, ctx| n.publish(1, ctx));
+            sim.run_until(SimTime::from_secs(30.0));
+            let ratio = delivery_ratio(&sim, &ids, 1);
+            (ratio, sim.stats().sent as f64 / 300.0)
+        };
+        let (f1, f4) = (run(1), run(4));
+        assert!(f1.0 < 0.9, "fanout 1 dies out: {}", f1.0);
+        assert!(f4.0 > 0.95, "fanout 4 blankets: {}", f4.0);
+        assert!(f4.1 > f1.1, "coverage costs messages");
     }
 
     #[test]

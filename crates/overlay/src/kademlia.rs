@@ -848,8 +848,8 @@ use rand::Rng;
 /// are the same at any core count (DESIGN.md §4g).
 ///
 /// Returns the node ids in insertion order.
-pub fn build_network<S: SchedulerFor<KadNode>>(
-    sim: &mut Simulation<KadNode, S>,
+pub fn build_network(
+    sim: &mut Simulation<KadNode>,
     n: usize,
     cfg: &KadConfig,
     unresponsive: f64,
@@ -879,8 +879,8 @@ const MIN_RANGE: usize = 4_096;
 /// [`build_network`] once the keys are drawn, seeding the tables in
 /// `ranges` contiguous node ranges, all but the first on a thread of
 /// their own. The tables do not depend on `ranges`.
-fn build_from_keys<S: SchedulerFor<KadNode>>(
-    sim: &mut Simulation<KadNode, S>,
+fn build_from_keys(
+    sim: &mut Simulation<KadNode>,
     keys: &[Key],
     cfg: &KadConfig,
     unresponsive: f64,
@@ -1126,6 +1126,64 @@ mod tests {
             with < without * 0.7,
             "caching should cut lookup traffic: {with} vs {without} RPCs"
         );
+    }
+
+    #[test]
+    fn parallelism_masks_timeouts() {
+        // (p50 latency s, mean RPCs per lookup) at lookup parallelism α
+        // over 250 nodes, 40 % of which never answer: more parallelism
+        // masks dead peers at the price of extra RPCs, the reason
+        // deployed clients picked α = 3.
+        let run = |alpha: usize| {
+            let seed = 0xAB1u64;
+            let mut sim = Simulation::new(
+                seed ^ alpha as u64,
+                UniformLatency::from_millis(30.0, 120.0),
+            );
+            let cfg = KadConfig {
+                k: 10,
+                alpha,
+                ..KadConfig::default()
+            };
+            let ids = build_network(&mut sim, 250, &cfg, 0.4, 8, seed ^ 99);
+            sim.run_until(SimTime::from_secs(1.0));
+            let mut issued = 0;
+            let mut i = 0;
+            while issued < 40 {
+                let origin = ids[i % ids.len()];
+                i += 1;
+                if !sim.node(origin).is_responsive() {
+                    continue;
+                }
+                let t = Key::from_u64(3000 + issued as u64);
+                sim.invoke(origin, |n, ctx| {
+                    n.start_lookup(t, false, ctx);
+                });
+                issued += 1;
+                let next = sim.now() + SimDuration::from_millis(200.0);
+                sim.run_until(next);
+            }
+            sim.run_until(sim.now() + SimDuration::from_secs(120.0));
+            let mut lat = Histogram::new();
+            let mut rpcs = Histogram::new();
+            for &id in &ids {
+                for r in &sim.node(id).results {
+                    lat.record(r.latency.as_secs());
+                    rpcs.record(r.rpcs as f64);
+                }
+            }
+            (lat.percentile(0.5), rpcs.mean())
+        };
+        let (alpha1, alpha3) = (run(1), run(3));
+        // α=3 is much faster than α=1 in a polluted network...
+        assert!(
+            alpha3.0 * 1.5 < alpha1.0,
+            "alpha3 p50 {} vs alpha1 p50 {}",
+            alpha3.0,
+            alpha1.0
+        );
+        // ...but costs more RPCs.
+        assert!(alpha3.1 > alpha1.1, "parallelism costs traffic");
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl OneHopNode {
         self.key
     }
 
-    /// Number of members believed alive.
-    pub fn live_members(&self) -> usize {
-        self.table.values().filter(|e| e.alive).count()
-    }
-
     /// Seeds the full membership table (bootstrap).
     pub fn seed_membership(&mut self, members: &[Contact]) {
         for &contact in members {
@@ -241,8 +236,8 @@ impl Node for OneHopNode {
 }
 
 /// Builds a one-hop overlay of `n` nodes with fully seeded membership.
-pub fn build_network<S: SchedulerFor<OneHopNode>>(
-    sim: &mut Simulation<OneHopNode, S>,
+pub fn build_network(
+    sim: &mut Simulation<OneHopNode>,
     n: usize,
     cfg: OneHopConfig,
     seed: u64,

@@ -392,8 +392,8 @@ impl Node for PastryNode {
 }
 
 /// Builds a pre-converged Pastry network; returns the node ids.
-pub fn build_network<S: SchedulerFor<PastryNode>>(
-    sim: &mut Simulation<PastryNode, S>,
+pub fn build_network(
+    sim: &mut Simulation<PastryNode>,
     n: usize,
     cfg: &PastryConfig,
     seed: u64,

@@ -211,8 +211,8 @@ impl Node for SpNode {
 
 /// Builds a two-tier overlay: `n_super` superpeers in a full mesh, each
 /// leaf attached to a random superpeer. Returns `(superpeers, leaves)`.
-pub fn build_network<S: SchedulerFor<SpNode>>(
-    sim: &mut Simulation<SpNode, S>,
+pub fn build_network(
+    sim: &mut Simulation<SpNode>,
     n_super: usize,
     n_leaves: usize,
     files_per_leaf: impl Fn(usize, &mut SimRng) -> Vec<FileId>,

@@ -142,8 +142,8 @@ pub fn build_attacked_network(
 }
 
 /// Runs `lookups` honest lookups for the victim key and measures capture.
-pub fn measure_capture<S: SchedulerFor<KadNode>>(
-    sim: &mut Simulation<KadNode, S>,
+pub fn measure_capture(
+    sim: &mut Simulation<KadNode>,
     honest: &[NodeId],
     sybils: &[NodeId],
     victim_key: Key,

@@ -67,7 +67,7 @@ use crate::arena::{NodeStore, SlotView};
 use crate::metrics::{LogHistogram, Metric, MetricsSnapshot};
 use crate::net::NetworkModel;
 use crate::rng::{derive_seed, rng_from_seed, SimRng};
-use crate::sched::{BinaryHeapScheduler, SchedStats, Scheduler, TimingWheel};
+use crate::sched::{SchedStats, Scheduler, TimingWheel};
 use crate::shard::Policy;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EventTag, Trace};
@@ -502,7 +502,7 @@ pub(crate) struct Core<S> {
     /// Moves between the serial and the windowed layout, either way.
     pub(crate) switches: u64,
     /// Events ever pushed, engine-tracked so the count is identical
-    /// across schedulers and shard counts.
+    /// across shard counts and layout switches.
     scheduled: u64,
     /// Events currently pending across all queues.
     pub(crate) pending: u64,
@@ -592,19 +592,14 @@ impl<M: Clone, S: Scheduler<EngineEvent<M>>> Sink<M> for Core<S> {
 
 /// Shorthand bound for "a scheduler usable by a simulation over `N`".
 ///
-/// Blanket-implemented for every `Scheduler<EngineEvent<N::Msg>>`, so
-/// generic helpers can write `S: SchedulerFor<N>` instead of spelling out
-/// the event payload type.
+/// Blanket-implemented for every `Scheduler<EngineEvent<N::Msg>>`.
+/// Every simulation is built on the [`TimingWheel`]; this bound and
+/// [`Simulation`]'s scheduler parameter remain only because the
+/// standalone benchmark package's workload helpers are written generic
+/// over them.
 pub trait SchedulerFor<N: Node>: Scheduler<EngineEvent<<N as Node>::Msg>> {}
 
 impl<N: Node, S: Scheduler<EngineEvent<<N as Node>::Msg>>> SchedulerFor<N> for S {}
-
-/// A [`Simulation`] backed by the reference [`BinaryHeapScheduler`].
-///
-/// Produces bit-for-bit the same traces as the default wheel-backed
-/// simulation; used by the equivalence tests and available for workloads
-/// whose scheduling pattern defeats the wheel.
-pub type HeapSim<N> = Simulation<N, BinaryHeapScheduler<EngineEvent<<N as Node>::Msg>>>;
 
 /// The monomorphized adaptive (serial or windowed) executor, installed
 /// by [`Simulation::set_shards`].
@@ -612,14 +607,11 @@ type AdaptiveFn<N, S> = fn(&mut Simulation<N, S>, SimTime, bool);
 
 /// A deterministic discrete-event simulation over nodes of type `N`.
 ///
-/// Generic over its event [`Scheduler`] `S`, defaulting to the
-/// hierarchical [`TimingWheel`]; `Simulation::new` always builds the
-/// default, [`Simulation::with_scheduler`] builds any `S`. All schedulers
-/// dequeue in identical `(time, seq)` order, so the choice affects
-/// performance only, never results. Likewise,
-/// [`set_shards`](Simulation::set_shards) changes only how events are
-/// executed (partitioned across worker threads under conservative time
-/// windows), never what they compute.
+/// Its event queue is the hierarchical [`TimingWheel`]; the wheel is
+/// differentially tested against the reference binary heap in
+/// [`crate::sched`]. [`set_shards`](Simulation::set_shards) changes only
+/// how events are executed (partitioned across worker threads under
+/// conservative time windows), never what they compute.
 pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
     /// Struct-of-arrays per-node storage: protocol state, hot engine
     /// metadata (online/epoch/seq counters), RNG streams and churn
@@ -637,35 +629,13 @@ pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
 }
 
 impl<N: Node> Simulation<N> {
-    /// Creates an empty simulation with the given seed and network model,
-    /// backed by the default scheduler.
+    /// Creates an empty simulation with the given seed and network model.
     pub fn new(seed: u64, net: impl NetworkModel + 'static) -> Self {
-        Self::with_scheduler(seed, net)
-    }
-}
-
-impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
-    /// Creates an empty simulation backed by scheduler `S`.
-    ///
-    /// ```
-    /// use decent_sim::engine::{HeapSim, Node, NodeId, Context};
-    /// use decent_sim::net::ConstantLatency;
-    ///
-    /// struct Quiet;
-    /// impl Node for Quiet {
-    ///     type Msg = ();
-    ///     fn on_message(&mut self, _: NodeId, _: (), _: &mut Context<'_, ()>) {}
-    /// }
-    ///
-    /// let sim: HeapSim<Quiet> = HeapSim::with_scheduler(42, ConstantLatency::from_millis(1.0));
-    /// assert!(sim.is_empty());
-    /// ```
-    pub fn with_scheduler(seed: u64, net: impl NetworkModel + 'static) -> Self {
         Simulation {
             store: NodeStore::new(),
             core: Core {
                 net_rngs: Vec::new(),
-                queue: S::new(),
+                queue: TimingWheel::new(),
                 shard_queues: Vec::new(),
                 shards: 1,
                 policy: Policy::new(false),
@@ -687,7 +657,9 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
             scratch: Vec::new(),
         }
     }
+}
 
+impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// Asks for execution on up to `shards` worker threads.
     ///
     /// This is a request, not a layout. The engine keeps every pending
@@ -831,29 +803,41 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     }
 
     /// Schedules the node to stop (go offline) at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a node of this simulation or `at` is in the
+    /// past.
     pub fn schedule_stop(&mut self, id: NodeId, at: SimTime) {
-        let seq = self.next_driver_seq();
-        self.core.push(
-            at,
-            seq,
-            EngineEvent {
-                node: id,
-                kind: EventKind::Stop,
-            },
-        );
+        self.schedule_lifecycle(id, at, EventKind::Stop);
     }
 
     /// Schedules the node to start (come online) at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a node of this simulation or `at` is in the
+    /// past.
     pub fn schedule_start(&mut self, id: NodeId, at: SimTime) {
-        let seq = self.next_driver_seq();
-        self.core.push(
-            at,
-            seq,
-            EngineEvent {
-                node: id,
-                kind: EventKind::Start,
-            },
+        self.schedule_lifecycle(id, at, EventKind::Start);
+    }
+
+    /// Checks and queues a driver-scheduled start or stop. Checked here,
+    /// at the call: past the queue, an event behind the clock would run
+    /// the clock backwards, and an unknown id would fail only when the
+    /// event is dispatched.
+    fn schedule_lifecycle(&mut self, id: NodeId, at: SimTime, kind: EventKind<N::Msg>) {
+        let (nodes, now) = (self.len(), self.core.now);
+        assert!(
+            id < nodes,
+            "cannot schedule node {id}: the simulation has {nodes} nodes"
         );
+        assert!(
+            at >= now,
+            "cannot schedule node {id} at {at}, before the clock at {now}"
+        );
+        let seq = self.next_driver_seq();
+        self.core.push(at, seq, EngineEvent { node: id, kind });
     }
 
     /// Injects a message from [`EXTERNAL`] to `dst`, delivered after `delay`.
@@ -989,9 +973,9 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// experiments report one combined engine section.
     ///
     /// Everything in the snapshot is a deterministic function of the
-    /// simulation (no wall-clock, no scheduler- or shard-dependent
+    /// simulation (no wall-clock, no queue- or shard-dependent
     /// implementation detail), so serialized snapshots are byte-stable
-    /// across runs, machines, schedulers, and shard counts.
+    /// across runs, machines, and shard counts.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let core = &self.core;
         let stats = &core.counters.stats;
@@ -1307,40 +1291,26 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_wheel_schedulers_replay_identically() {
-        fn run<S: SchedulerFor<Peer>>() -> (u64, NetStats, Vec<u32>, Vec<u64>) {
-            let mut sim: Simulation<Peer, S> =
-                Simulation::with_scheduler(9, ConstantLatency::from_millis(3.0));
-            let ids: Vec<_> = (0..8).map(|_| sim.add_node(Peer::default())).collect();
-            for (i, &id) in ids.iter().enumerate() {
-                sim.set_churn(
-                    id,
-                    ChurnModel::exponential(
-                        SimDuration::from_secs(4.0 + i as f64),
-                        SimDuration::from_secs(2.0),
-                    ),
-                );
-            }
-            for w in 0..300u32 {
-                let dst = ids[(w as usize * 5) % ids.len()];
-                sim.inject(dst, Msg::Ping(w), SimDuration::from_millis(w as f64 * 7.0));
-            }
-            sim.invoke(ids[0], |_n, ctx| {
-                ctx.set_timer(SimDuration::from_secs(1.0), 11);
-                ctx.set_timer(SimDuration::from_secs(1.0), 12);
-            });
-            sim.run_until(SimTime::from_secs(60.0));
-            (
-                sim.events_processed(),
-                sim.stats().clone(),
-                sim.node(ids[1]).pings.clone(),
-                sim.node(ids[0]).timers.clone(),
-            )
-        }
-        assert_eq!(
-            run::<TimingWheel<EngineEvent<Msg>>>(),
-            run::<BinaryHeapScheduler<EngineEvent<Msg>>>()
-        );
+    #[should_panic(expected = "cannot schedule node 1 at 0.001s, before the clock at 0.002s")]
+    fn a_stop_in_the_past_is_rejected_at_the_call() {
+        let (mut sim, _a, b) = two_peers();
+        sim.run_until(SimTime::from_secs(0.002));
+        sim.schedule_stop(b, SimTime::from_secs(0.001));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule node 0 at 0.001s, before the clock at 0.002s")]
+    fn a_start_in_the_past_is_rejected_at_the_call() {
+        let (mut sim, a, _b) = two_peers();
+        sim.run_until(SimTime::from_secs(0.002));
+        sim.schedule_start(a, SimTime::from_secs(0.001));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule node 2: the simulation has 2 nodes")]
+    fn an_unknown_node_is_rejected_at_the_call() {
+        let (mut sim, _a, _b) = two_peers();
+        sim.schedule_stop(2, SimTime::from_secs(1.0));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! Fault state is a pure function of the virtual clock: [`Faulty`] activates
 //! and deactivates windows from the `now` passed to every
 //! [`NetworkModel::delay`] call, never from wall-clock time, so replays are
-//! bit-for-bit reproducible under both schedulers. Probabilistic faults
-//! (degradation loss, duplication, reordering jitter) draw from the engine's
-//! single RNG stream in a fixed order, and a [`Faulty`] with **no active
+//! bit-for-bit reproducible. Probabilistic faults (degradation loss,
+//! duplication, reordering jitter) draw from the engine's single RNG
+//! stream in a fixed order, and a [`Faulty`] with **no active
 //! fault consumes zero RNG draws** — wrapping a model in an empty plan is
 //! observationally identical to the bare model (pinned by the
 //! `fault_equivalence` proptests).
@@ -58,7 +58,7 @@
 //! assert_eq!(sim.metrics_snapshot().counter("msgs_dropped_partition"), 1);
 //! ```
 
-use crate::engine::{Node, NodeId, SchedulerFor, Simulation, EXTERNAL};
+use crate::engine::{Node, NodeId, Simulation, EXTERNAL};
 use crate::metrics::LogHistogram;
 use crate::net::NetworkModel;
 use crate::rng::SimRng;
@@ -343,16 +343,17 @@ impl FaultPlan {
     /// engine as first-class events so node handlers observe `on_stop` /
     /// `on_start` exactly as they do under churn.
     ///
-    /// Call after the node set is built; windows must lie in the future.
+    /// Call after the node set is built.
     ///
     /// # Panics
     ///
-    /// Panics if a burst names a node id that does not exist in `sim`.
-    pub fn schedule_crashes<N: Node, S: SchedulerFor<N>>(&self, sim: &mut Simulation<N, S>) {
+    /// Panics if a burst names a node id that does not exist in `sim` or
+    /// starts before `sim`'s clock, as
+    /// [`Simulation::schedule_stop`] does.
+    pub fn schedule_crashes<N: Node>(&self, sim: &mut Simulation<N>) {
         for ev in &self.events {
             if let FaultKind::CrashBurst { nodes } = &ev.kind {
                 for &id in nodes {
-                    assert!(id < sim.len(), "crash burst names unknown node {id}");
                     sim.schedule_stop(id, ev.at);
                     sim.schedule_start(id, ev.until);
                 }

@@ -415,7 +415,6 @@ const REGION_UPLOAD_MBPS: [f64; 6] = [19.0, 15.0, 5.0, 7.0, 9.0, 6.0];
 pub struct RegionNet {
     regions: Vec<Region>,
     jitter: f64,
-    bandwidth_enabled: bool,
 }
 
 impl RegionNet {
@@ -424,7 +423,6 @@ impl RegionNet {
         RegionNet {
             regions,
             jitter: 0.1,
-            bandwidth_enabled: true,
         }
     }
 
@@ -437,12 +435,6 @@ impl RegionNet {
     pub fn jitter(mut self, jitter: f64) -> Self {
         assert!((0.0..1.0).contains(&jitter));
         self.jitter = jitter;
-        self
-    }
-
-    /// Disables the bandwidth term (latency only).
-    pub fn without_bandwidth(mut self) -> Self {
-        self.bandwidth_enabled = false;
         self
     }
 
@@ -472,11 +464,8 @@ impl NetworkModel for RegionNet {
         let (ra, rb) = (self.region_of(src), self.region_of(dst));
         let base = REGION_LATENCY_MS[ra.index()][rb.index()];
         let jitter = 1.0 + self.jitter * (2.0 * rng.gen::<f64>() - 1.0);
-        let mut total_ms = base * jitter;
-        if self.bandwidth_enabled {
-            let mbps = REGION_UPLOAD_MBPS[ra.index()].min(REGION_DOWNLOAD_MBPS[rb.index()]);
-            total_ms += (bytes as f64 * 8.0) / (mbps * 1e6) * 1e3;
-        }
+        let mbps = REGION_UPLOAD_MBPS[ra.index()].min(REGION_DOWNLOAD_MBPS[rb.index()]);
+        let total_ms = base * jitter + (bytes as f64 * 8.0) / (mbps * 1e6) * 1e3;
         Some(SimDuration::from_millis(total_ms))
     }
 

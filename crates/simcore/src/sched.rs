@@ -10,17 +10,20 @@
 //!
 //! Two implementations are provided:
 //!
-//! - [`BinaryHeapScheduler`] — the classic `O(log n)` binary heap. Simple,
-//!   allocation-light, and the reference implementation for correctness.
-//! - [`TimingWheel`] — a hierarchical timing wheel (the default): `O(1)`
-//!   amortized insert/pop for the near-future events that dominate
-//!   simulation workloads, with an internal freelist so steady-state
-//!   operation performs no per-event allocation. Far-future events overflow
-//!   into a small binary heap and are cascaded back in as time advances.
+//! - [`TimingWheel`] — a hierarchical timing wheel, the queue every
+//!   [`Simulation`](crate::engine::Simulation) runs on: `O(1)` amortized
+//!   insert/pop for the near-future events that dominate simulation
+//!   workloads, with an internal freelist so steady-state operation
+//!   performs no per-event allocation. Far-future events overflow into a
+//!   small binary heap and are cascaded back in as time advances.
+//! - [`BinaryHeapScheduler`] — the classic `O(log n)` binary heap. Simple
+//!   enough to be obviously right, it is the model the wheel is tested
+//!   against, and the standalone benchmark package times it beside the
+//!   wheel.
 //!
-//! Both dequeue identical sequences for identical inputs (property-tested
-//! in this module's tests and in the workspace-level proptests), so
-//! swapping one for the other never changes a simulation result.
+//! Both dequeue identical sequences for identical inputs: this module's
+//! tests drive the two side by side through every queue operation the
+//! engine makes, and compare every result.
 //!
 //! # Examples
 //!
@@ -112,15 +115,11 @@ pub trait Scheduler<T> {
     fn pop(&mut self) -> Option<(SimTime, u64, T)>;
 
     /// Borrows the earliest event without removing it, or `None` if
-    /// empty (or if the implementation cannot peek — the default).
+    /// empty.
     ///
     /// The engine's batched delivery path uses this to decide whether
-    /// the next event targets the same node as the one just dispatched;
-    /// an implementation returning `None` merely disables batching,
-    /// never changes results.
-    fn peek(&mut self) -> Option<(SimTime, u64, &T)> {
-        None
-    }
+    /// the next event targets the same node as the one just dispatched.
+    fn peek(&mut self) -> Option<(SimTime, u64, &T)>;
 
     /// The timestamp of the earliest pending event, or `None` if empty.
     fn next_time(&mut self) -> Option<SimTime>;
@@ -133,11 +132,8 @@ pub trait Scheduler<T> {
         self.len() == 0
     }
 
-    /// Lifetime operation counters (zeroes for implementations that do
-    /// not track them).
-    fn op_stats(&self) -> SchedStats {
-        SchedStats::default()
-    }
+    /// Lifetime operation counters.
+    fn op_stats(&self) -> SchedStats;
 }
 
 // ---------------------------------------------------------------------------
@@ -169,9 +165,8 @@ impl<T> Ord for HeapEntry<T> {
 
 /// The classic binary-heap scheduler: `O(log n)` push and pop.
 ///
-/// This is the reference implementation; [`TimingWheel`] is checked against
-/// it. Kept selectable because its worst case is robust to pathological
-/// far-future/past scheduling patterns.
+/// The reference model [`TimingWheel`] is tested against, operation by
+/// operation.
 pub struct BinaryHeapScheduler<T> {
     heap: BinaryHeap<Reverse<HeapEntry<T>>>,
     stats: SchedStats,
@@ -970,39 +965,79 @@ mod tests {
         }
     }
 
+    /// An empty wheel of `2^shift`-ns ticks that takes over a run at
+    /// `now`, as a layout switch builds one: `new_at` at the engine's
+    /// tick, the same clock set by hand at any other.
+    fn wheel_taking_over(shift: u32, now: u64) -> TimingWheel<u64> {
+        if shift == TimingWheel::<u64>::DEFAULT_TICK_SHIFT {
+            return TimingWheel::new_at(SimTime::from_nanos(now));
+        }
+        let mut w = TimingWheel::with_tick_shift(shift);
+        w.current = w.tick_of(now);
+        w
+    }
+
     #[test]
     fn randomized_interleavings_match_heap() {
-        // The module-level equivalence check; the workspace proptests run
-        // a broader version against the engine itself.
-        for seed in 0..20u64 {
-            let mut rng = rng_from_seed(seed);
-            let mut w: TimingWheel<u64> = TimingWheel::with_tick_shift(8);
-            let mut h: BinaryHeapScheduler<u64> = BinaryHeapScheduler::new();
-            let mut seq = 0u64;
-            let mut frontier = 0u64; // last popped time, engine-style
-            for _ in 0..2000 {
-                if rng.gen::<f64>() < 0.6 || w.is_empty() {
-                    // Schedule relative to the dequeue frontier, with
-                    // heavy duplicate-timestamp pressure.
-                    let delta = match rng.gen_range(0u32..4) {
-                        0 => 0,
-                        1 => rng.gen_range(0u64..1 << 10),
-                        2 => rng.gen_range(0u64..1 << 22),
-                        _ => rng.gen_range(0u64..1 << 36),
-                    };
-                    let t = SimTime::from_nanos(frontier + delta);
-                    w.schedule(t, seq, seq);
-                    h.schedule(t, seq, seq);
-                    seq += 1;
-                } else {
-                    assert_eq!(w.next_time(), h.next_time(), "seed {seed}");
-                    let a = w.pop();
-                    let b = h.pop();
-                    assert_eq!(a, b, "seed {seed}");
-                    frontier = a.expect("non-empty").0.as_nanos();
+        // The wheel against the heap under every queue call the engine
+        // makes: schedules at or after the clock with heavy
+        // duplicate-timestamp pressure, `peek`, `next_time` and `len`
+        // before every pop (the batched delivery path), advances that
+        // stop at a bound short of the head (later schedules then land
+        // behind the wheel's clock), and layout switches that drain both
+        // queues into fresh ones taking over at the clock. Delays run
+        // from a tie at the clock to 39 h, past the horizon at the
+        // engine's tick (18 min) and at a fine one (4.3 s).
+        const SCALES: [u32; 8] = [0, 2, 10, 22, 26, 33, 40, 47];
+        for shift in [TimingWheel::<u64>::DEFAULT_TICK_SHIFT, 8] {
+            for seed in 0..20u64 {
+                let case = format!("shift {shift}, seed {seed}");
+                let mut rng = rng_from_seed(seed);
+                let mut w: TimingWheel<u64> = TimingWheel::with_tick_shift(shift);
+                let mut h: BinaryHeapScheduler<u64> = BinaryHeapScheduler::new();
+                let mut seq = 0u64;
+                let mut now = 0u64;
+                for _ in 0..2000 {
+                    let op = rng.gen::<f64>();
+                    if op < 0.55 || w.is_empty() {
+                        let bits = SCALES[rng.gen_range(0..SCALES.len())];
+                        let delta = if bits == 0 {
+                            0
+                        } else {
+                            rng.gen_range(0u64..1 << bits)
+                        };
+                        let t = SimTime::from_nanos(now + delta);
+                        w.schedule(t, seq, seq);
+                        h.schedule(t, seq, seq);
+                        seq += 1;
+                    } else if op < 0.9 {
+                        assert_eq!(w.len(), h.len(), "{case}");
+                        assert_eq!(w.next_time(), h.next_time(), "{case}");
+                        assert_eq!(w.peek(), h.peek(), "{case}");
+                        let popped = w.pop();
+                        assert_eq!(popped, h.pop(), "{case}");
+                        now = popped.expect("non-empty").0.as_nanos();
+                    } else if op < 0.99 {
+                        let head = w.next_time().expect("non-empty");
+                        assert_eq!(Some(head), h.next_time(), "{case}");
+                        let gap = head.as_nanos() - now;
+                        if gap > 0 {
+                            now += rng.gen_range(0..gap);
+                        }
+                    } else {
+                        let mut w2 = wheel_taking_over(shift, now);
+                        let mut h2 = BinaryHeapScheduler::new_at(SimTime::from_nanos(now));
+                        while let Some((t, q, x)) = w.pop() {
+                            w2.schedule(t, q, x);
+                        }
+                        while let Some((t, q, x)) = h.pop() {
+                            h2.schedule(t, q, x);
+                        }
+                        (w, h) = (w2, h2);
+                    }
                 }
+                assert_eq!(drain(&mut w), drain(&mut h), "{case}");
             }
-            assert_eq!(drain(&mut w), drain(&mut h), "seed {seed}");
         }
     }
 }

@@ -593,7 +593,6 @@ mod tests {
     use crate::churn::ChurnModel;
     use crate::engine::{Context, NetStats, EXTERNAL};
     use crate::net::{ConstantLatency, UniformLatency};
-    use crate::sched::{BinaryHeapScheduler, TimingWheel};
     use crate::trace::EventRecord;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -673,12 +672,12 @@ mod tests {
         crate::metrics::MetricsSnapshot,
     );
 
-    fn run<S: SchedulerFor<Peer> + Send>(
+    fn run(
         nodes: usize,
         shards: usize,
         net: impl crate::net::NetworkModel + 'static,
     ) -> Fingerprint {
-        let mut sim: Simulation<Peer, S> = Simulation::with_scheduler(0xD5, net);
+        let mut sim = Simulation::new(0xD5, net);
         sim.enable_trace(4096);
         // Every third node churns, and also quits once on its own, so
         // the churn restart after a `go_offline` is part of the input.
@@ -741,54 +740,41 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_serial_on_both_schedulers() {
-        type Wheel = TimingWheel<EngineEvent<Msg>>;
-        type Heap = BinaryHeapScheduler<EngineEvent<Msg>>;
+    fn sharded_matches_serial() {
         let net = || UniformLatency::from_millis(20.0, 80.0);
-        let serial = run::<Wheel>(10, 1, net());
+        let serial = run(10, 1, net());
         assert!(
             serial.4.iter().step_by(3).any(|n| n.2.len() >= 5),
             "no node lived long enough to go_offline on its own"
         );
         for shards in [2, 3, 4, 8] {
             assert_eq!(
-                run::<Wheel>(10, shards, net()),
+                run(10, shards, net()),
                 serial,
-                "wheel diverged at {shards} shards"
-            );
-            assert_eq!(
-                run::<Heap>(10, shards, net()),
-                serial,
-                "heap diverged at {shards} shards"
+                "diverged at {shards} shards"
             );
         }
-        assert_eq!(run::<Heap>(10, 1, net()), serial, "serial heap diverged");
     }
 
     #[test]
     fn empty_and_single_node_shards() {
-        type Wheel = TimingWheel<EngineEvent<Msg>>;
         let net = || UniformLatency::from_millis(20.0, 80.0);
         // 2 nodes over 2 shards: every shard holds exactly one node.
-        let serial2 = run::<Wheel>(2, 1, net());
-        assert_eq!(run::<Wheel>(2, 2, net()), serial2, "single-node shards");
+        let serial2 = run(2, 1, net());
+        assert_eq!(run(2, 2, net()), serial2, "single-node shards");
         // 3 nodes over 8 shards: shards 3..8 are empty and must neither
         // stall the window protocol nor contribute events.
-        let serial3 = run::<Wheel>(3, 1, net());
-        assert_eq!(run::<Wheel>(3, 8, net()), serial3, "empty shards");
+        let serial3 = run(3, 1, net());
+        assert_eq!(run(3, 8, net()), serial3, "empty shards");
     }
 
     #[test]
     fn zero_lookahead_stays_serial() {
-        type Wheel = TimingWheel<EngineEvent<Msg>>;
         // A zero-latency link means no conservative window exists; the
         // sharded sim must quietly run the serial loop (and in
         // particular must not deadlock), even with windows forced.
-        let serial = run::<Wheel>(6, 1, ConstantLatency::from_millis(0.0));
-        assert_eq!(
-            run::<Wheel>(6, 4, ConstantLatency::from_millis(0.0)),
-            serial
-        );
+        let serial = run(6, 1, ConstantLatency::from_millis(0.0));
+        assert_eq!(run(6, 4, ConstantLatency::from_millis(0.0)), serial);
     }
 
     /// Six gossiping peers with twelve pings injected over the first

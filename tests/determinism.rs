@@ -1,7 +1,5 @@
 //! Every simulator in the workspace must be bit-for-bit reproducible:
 //! the same seed yields the same trace, and different seeds diverge.
-//! Reproducibility also spans schedulers — a heap-backed and a
-//! wheel-backed run of the same seed must produce identical traces.
 
 use decent::bft::pbft::{saturation_run, PbftConfig};
 use decent::chain::economics::{Market, MarketConfig};
@@ -13,11 +11,8 @@ use decent::overlay::kademlia::{build_network as build_kad, KadConfig};
 use decent::overlay::swarm::{SwarmConfig, SwarmSim};
 use decent::sim::prelude::*;
 
-fn kad_trace_on<S: SchedulerFor<decent::overlay::kademlia::KadNode>>(
-    seed: u64,
-) -> (u64, Vec<usize>) {
-    let mut sim: Simulation<decent::overlay::kademlia::KadNode, S> =
-        Simulation::with_scheduler(seed, UniformLatency::from_millis(20.0, 80.0));
+fn kad_trace(seed: u64) -> (u64, Vec<usize>) {
+    let mut sim = Simulation::new(seed, UniformLatency::from_millis(20.0, 80.0));
     let ids = build_kad(&mut sim, 200, &KadConfig::default(), 0.3, 8, seed ^ 1);
     sim.run_until(SimTime::from_secs(1.0));
     for i in 0..20u64 {
@@ -34,49 +29,24 @@ fn kad_trace_on<S: SchedulerFor<decent::overlay::kademlia::KadNode>>(
     (sim.events_processed(), rpcs)
 }
 
-fn kad_trace(seed: u64) -> (u64, Vec<usize>) {
-    kad_trace_on::<TimingWheel<EngineEvent<decent::overlay::kademlia::KadMsg>>>(seed)
-}
-
 #[test]
 fn kademlia_is_deterministic() {
     assert_eq!(kad_trace(11), kad_trace(11));
     assert_ne!(kad_trace(11), kad_trace(12));
 }
 
-#[test]
-fn kademlia_trace_is_scheduler_independent() {
-    assert_eq!(
-        kad_trace_on::<TimingWheel<EngineEvent<decent::overlay::kademlia::KadMsg>>>(11),
-        kad_trace_on::<BinaryHeapScheduler<EngineEvent<decent::overlay::kademlia::KadMsg>>>(11),
-    );
-}
-
-fn chain_trace_on<S: SchedulerFor<decent::chain::node::ChainNode>>(seed: u64) -> (u64, u64, f64) {
-    let mut sim: Simulation<decent::chain::node::ChainNode, S> =
-        Simulation::with_scheduler(seed, ConstantLatency::from_millis(80.0));
+fn chain_trace(seed: u64) -> (u64, u64, f64) {
+    let mut sim = Simulation::new(seed, ConstantLatency::from_millis(80.0));
     let ids = build_chain(&mut sim, &NetworkConfig::default(), seed ^ 1);
     sim.run_until(SimTime::from_hours(4.0));
     let r = report(&sim, ids[0]);
     (sim.events_processed(), r.height, r.tps)
 }
 
-fn chain_trace(seed: u64) -> (u64, u64, f64) {
-    chain_trace_on::<TimingWheel<EngineEvent<decent::chain::node::ChainMsg>>>(seed)
-}
-
 #[test]
 fn blockchain_is_deterministic() {
     assert_eq!(chain_trace(21), chain_trace(21));
     assert_ne!(chain_trace(21).0, chain_trace(22).0);
-}
-
-#[test]
-fn blockchain_trace_is_scheduler_independent() {
-    assert_eq!(
-        chain_trace_on::<TimingWheel<EngineEvent<decent::chain::node::ChainMsg>>>(21),
-        chain_trace_on::<BinaryHeapScheduler<EngineEvent<decent::chain::node::ChainMsg>>>(21),
-    );
 }
 
 #[test]

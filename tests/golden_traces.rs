@@ -3,9 +3,7 @@
 //! Every value pinned here was captured from a quick-scale run and must
 //! never drift: the engine is deterministic by contract, so any change in
 //! these numbers means the event ordering, the RNG streams, or a model
-//! changed — all of which invalidate recorded experiment results. The
-//! engine-level traces run on both schedulers to pin the cross-scheduler
-//! equivalence guarantee, not just internal consistency.
+//! changed — all of which invalidate recorded experiment results.
 
 use decent_chain::node::{build_network as chain_build, report as chain_report, NetworkConfig};
 use decent_core::scenario::{self, ExecPolicy};
@@ -164,83 +162,61 @@ fn e12_quick_golden() {
 }
 
 /// Kademlia network build + 50 lookups: event count and network counters
-/// pinned, identical on both schedulers.
+/// pinned.
 #[test]
-fn kad_engine_golden_on_both_schedulers() {
-    fn run<S: SchedulerFor<decent_overlay::kademlia::KadNode>>() -> (u64, u64, u64) {
-        let mut sim: Simulation<decent_overlay::kademlia::KadNode, S> =
-            Simulation::with_scheduler(42, UniformLatency::from_millis(20.0, 80.0));
-        let ids = kad_build(&mut sim, 200, &KadConfig::default(), 0.1, 8, 7);
-        sim.run_until(SimTime::from_secs(1.0));
-        for i in 0..50u64 {
-            let origin = ids[(i as usize * 13) % ids.len()];
-            sim.invoke(origin, |n, ctx| {
-                n.start_lookup(Key::from_u64(i), false, ctx)
-            });
-        }
-        sim.run_until(SimTime::from_secs(120.0));
+fn kad_engine_golden() {
+    let mut sim = Simulation::new(42, UniformLatency::from_millis(20.0, 80.0));
+    let ids = kad_build(&mut sim, 200, &KadConfig::default(), 0.1, 8, 7);
+    sim.run_until(SimTime::from_secs(1.0));
+    for i in 0..50u64 {
+        let origin = ids[(i as usize * 13) % ids.len()];
+        sim.invoke(origin, |n, ctx| {
+            n.start_lookup(Key::from_u64(i), false, ctx)
+        });
+    }
+    sim.run_until(SimTime::from_secs(120.0));
+    assert_eq!(
         (
             sim.events_processed(),
             sim.stats().sent,
             sim.stats().delivered,
-        )
-    }
-    let golden = (3784, 2347, 2347);
-    assert_eq!(
-        run::<TimingWheel<EngineEvent<decent_overlay::kademlia::KadMsg>>>(),
-        golden,
-        "wheel-backed kad trace drifted"
-    );
-    assert_eq!(
-        run::<BinaryHeapScheduler<EngineEvent<decent_overlay::kademlia::KadMsg>>>(),
-        golden,
-        "heap-backed kad trace drifted"
+        ),
+        (3784, 2347, 2347),
+        "kad trace drifted"
     );
 }
 
 /// A scripted partition-heal cycle over the Kademlia workload: the
 /// `Faulty` wrapper's drop/degrade accounting and the engine trace are
-/// pinned, identical on both schedulers. Any drift in these numbers
-/// means fault activation ordering, the partition drop rule, or the
-/// degradation RNG discipline changed.
+/// pinned. Any drift in these numbers means fault activation ordering,
+/// the partition drop rule, or the degradation RNG discipline changed.
 #[test]
-fn faulty_partition_heal_golden_on_both_schedulers() {
-    let wheel =
-        faulty_partition_heal::<TimingWheel<EngineEvent<decent_overlay::kademlia::KadMsg>>>(1);
-    let heap = faulty_partition_heal::<
-        BinaryHeapScheduler<EngineEvent<decent_overlay::kademlia::KadMsg>>,
-    >(1);
-    assert_eq!(wheel, heap, "schedulers diverged under fault injection");
-    assert_eq!(wheel, FAULTY_GOLDEN, "faulty partition-heal trace drifted");
+fn faulty_partition_heal_golden() {
+    assert_eq!(
+        faulty_partition_heal(1),
+        FAULTY_GOLDEN,
+        "faulty partition-heal trace drifted"
+    );
 }
 
 /// The same partition-heal cycle replayed on the sharded executor
-/// (4 shards, both schedulers) must land on the identical pinned
-/// tuple: same event count, same drop/degrade accounting. This is the
-/// engine-level golden for the windowed parallel path under faults —
-/// the `Faulty` wrapper's lookahead shrinks the window during the
-/// degrade phase, so this exercises dynamic window-width changes too.
+/// (4 shards) must land on the identical pinned tuple: same event
+/// count, same drop/degrade accounting. This is the engine-level golden
+/// for the windowed parallel path under faults — the `Faulty` wrapper's
+/// lookahead shrinks the window during the degrade phase, so this
+/// exercises dynamic window-width changes too.
 #[test]
 fn faulty_partition_heal_golden_sharded() {
     assert_eq!(
-        faulty_partition_heal::<TimingWheel<EngineEvent<decent_overlay::kademlia::KadMsg>>>(4),
+        faulty_partition_heal(4),
         FAULTY_GOLDEN,
-        "wheel-backed sharded faulty trace drifted from the serial pin"
-    );
-    assert_eq!(
-        faulty_partition_heal::<BinaryHeapScheduler<EngineEvent<decent_overlay::kademlia::KadMsg>>>(
-            4
-        ),
-        FAULTY_GOLDEN,
-        "heap-backed sharded faulty trace drifted from the serial pin"
+        "sharded faulty trace drifted from the serial pin"
     );
 }
 
 const FAULTY_GOLDEN: (u64, u64, u64, u64, u64, u64) = (7040, 4750, 4005, 651, 94, 1354);
 
-fn faulty_partition_heal<S: SchedulerFor<decent_overlay::kademlia::KadNode> + Send>(
-    shards: usize,
-) -> (u64, u64, u64, u64, u64, u64) {
+fn faulty_partition_heal(shards: usize) -> (u64, u64, u64, u64, u64, u64) {
     {
         let plan = FaultPlan::new()
             .partition(
@@ -255,7 +231,7 @@ fn faulty_partition_heal<S: SchedulerFor<decent_overlay::kademlia::KadNode> + Se
                 3.0,
                 0.05,
             );
-        let mut sim: Simulation<decent_overlay::kademlia::KadNode, S> = Simulation::with_scheduler(
+        let mut sim = Simulation::new(
             42,
             Faulty::new(UniformLatency::from_millis(20.0, 80.0), plan),
         );
@@ -288,28 +264,25 @@ fn faulty_partition_heal<S: SchedulerFor<decent_overlay::kademlia::KadNode> + Se
 }
 
 /// Two simulated hours of a 40-node PoW chain: event count, height, and
-/// throughput pinned, identical on both schedulers.
+/// throughput pinned.
 #[test]
-fn chain_engine_golden_on_both_schedulers() {
-    fn run<S: SchedulerFor<decent_chain::node::ChainNode>>() -> (u64, u64, f64) {
-        let cfg = NetworkConfig {
-            nodes: 40,
-            ..NetworkConfig::default()
-        };
-        let mut sim: Simulation<decent_chain::node::ChainNode, S> =
-            Simulation::with_scheduler(11, UniformLatency::from_millis(30.0, 120.0));
-        let ids = chain_build(&mut sim, &cfg, 23);
-        sim.run_until(SimTime::from_secs(2.0 * 3600.0));
-        let rep = chain_report(&sim, ids[0]);
-        (sim.events_processed(), rep.height, rep.tps)
-    }
-    let wheel = run::<TimingWheel<EngineEvent<decent_chain::node::ChainMsg>>>();
-    let heap = run::<BinaryHeapScheduler<EngineEvent<decent_chain::node::ChainMsg>>>();
-    assert_eq!(wheel, heap, "schedulers diverged on the chain workload");
-    assert_eq!((wheel.0, wheel.1), (10980, 13), "chain trace drifted");
+fn chain_engine_golden() {
+    let cfg = NetworkConfig {
+        nodes: 40,
+        ..NetworkConfig::default()
+    };
+    let mut sim = Simulation::new(11, UniformLatency::from_millis(30.0, 120.0));
+    let ids = chain_build(&mut sim, &cfg, 23);
+    sim.run_until(SimTime::from_secs(2.0 * 3600.0));
+    let rep = chain_report(&sim, ids[0]);
+    assert_eq!(
+        (sim.events_processed(), rep.height),
+        (10980, 13),
+        "chain trace drifted"
+    );
     assert!(
-        (wheel.2 - 3.6111).abs() < 1e-3,
+        (rep.tps - 3.6111).abs() < 1e-3,
         "chain tps drifted: {}",
-        wheel.2
+        rep.tps
     );
 }

@@ -10,10 +10,10 @@
 //!
 //! The properties here drive one blob-gossip workload through both
 //! payload representations under randomized duplication-heavy fault
-//! plans, on both schedulers, serial and sharded, and require the full
-//! fingerprints to match. A second set pins the arena-backed lookup
-//! state in [`decent::overlay::kademlia`] across crash/restart churn:
-//! slot reuse must never resurrect or alias an abandoned lookup.
+//! plans, serial and sharded, and require the full fingerprints to
+//! match. A second set pins the arena-backed lookup state in
+//! [`decent::overlay::kademlia`] across crash/restart churn: slot reuse
+//! must never resurrect or alias an abandoned lookup.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -124,7 +124,7 @@ struct Fingerprint {
     state: Vec<(Vec<u64>, u64)>,
 }
 
-fn run_blob<P: Payload, S: SchedulerFor<Blob<P>> + Send>(
+fn run_blob<P: Payload>(
     seed: u64,
     n: usize,
     fanout: usize,
@@ -135,7 +135,7 @@ fn run_blob<P: Payload, S: SchedulerFor<Blob<P>> + Send>(
     if let Some((at, until, p)) = dup_window {
         plan = plan.duplicate(SimTime::from_secs(at), SimTime::from_secs(until), p);
     }
-    let mut sim: Simulation<Blob<P>, S> = Simulation::with_scheduler(
+    let mut sim = Simulation::new(
         seed,
         Faulty::new(UniformLatency::from_millis(10.0, 60.0), plan),
     );
@@ -190,15 +190,15 @@ fn run_blob<P: Payload, S: SchedulerFor<Blob<P>> + Send>(
 }
 
 proptest! {
-    // Each case runs the workload 2 (payloads) x 2 (schedulers) x 2
-    // (shard counts) times; keep the case count modest.
+    // Each case runs the workload 2 (payloads) x 2 (shard counts)
+    // times; keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     // The headline property: interned payload delivery is
     // observationally identical to deep-clone delivery — same trace
     // records, metrics, counters, and node state — under randomized
-    // duplication windows (the engine's clone-heavy path), on both
-    // schedulers, serial and sharded.
+    // duplication windows (the engine's clone-heavy path), serial and
+    // sharded.
     #[test]
     fn interned_payloads_are_observationally_identical_to_clones(
         seed in any::<u64>(),
@@ -208,18 +208,11 @@ proptest! {
     ) {
         let dup = dup.map(|(at, d, p)| (at, at + d, p));
         for shards in [1usize, 4] {
-            let cloned = run_blob::<Vec<u32>, TimingWheel<_>>(seed, n, fanout, dup, shards);
-            let interned =
-                run_blob::<Interned<[u32]>, TimingWheel<_>>(seed, n, fanout, dup, shards);
+            let cloned = run_blob::<Vec<u32>>(seed, n, fanout, dup, shards);
+            let interned = run_blob::<Interned<[u32]>>(seed, n, fanout, dup, shards);
             prop_assert_eq!(
                 &cloned, &interned,
-                "interned run diverged from clone run (wheel, shards={})", shards
-            );
-            let interned_heap =
-                run_blob::<Interned<[u32]>, BinaryHeapScheduler<_>>(seed, n, fanout, dup, shards);
-            prop_assert_eq!(
-                &cloned, &interned_heap,
-                "interned run diverged from clone run (heap, shards={})", shards
+                "interned run diverged from clone run (shards={})", shards
             );
         }
     }

@@ -294,17 +294,17 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler equivalence: the timing wheel must dequeue exactly the heap's
-// sequence under arbitrary interleavings of schedule / cancel / advance.
+// Engine replay and scheduler equivalence: arbitrary interleavings of
+// schedule / cancel / advance, through a whole simulation and at queue level.
 // ---------------------------------------------------------------------------
 
-mod sched_equivalence {
+mod engine_replay {
     use decent::sim::engine::NetStats;
     use decent::sim::prelude::*;
 
-    /// Interpreter shared by both property tests: each `u64` word encodes
-    /// one operation, so plain `vec(any::<u64>())` drives rich op
-    /// sequences with heavy duplicate-timestamp pressure.
+    /// Each `u64` word encodes one operation, so plain
+    /// `vec(any::<u64>())` drives rich op sequences with heavy
+    /// duplicate-timestamp pressure.
     pub fn word_to_delay(word: u64) -> SimDuration {
         // Low byte selects the scale; the rest selects the offset. Small
         // moduli make exact collisions (same nanosecond) common.
@@ -322,8 +322,8 @@ mod sched_equivalence {
     }
 
     /// A node whose behavior depends on exact delivery order: it chains
-    /// the history of everything it saw, so any reordering between
-    /// schedulers changes the digest.
+    /// the history of everything it saw, so any reordering changes the
+    /// digest.
     #[derive(Default)]
     pub struct Probe {
         pub digest: u64,
@@ -340,7 +340,7 @@ mod sched_equivalence {
                 .wrapping_add(msg ^ from as u64 ^ ctx.now().as_nanos());
             // Re-arm a timer keyed off the message to deepen the trace.
             if msg & 0x3 == 0 {
-                ctx.set_timer(super::sched_equivalence::word_to_delay(msg), msg);
+                ctx.set_timer(word_to_delay(msg), msg);
             }
         }
 
@@ -353,22 +353,17 @@ mod sched_equivalence {
         }
     }
 
-    /// Replays `words` as engine operations against scheduler `S` and
-    /// returns the full observable outcome.
-    pub fn replay<S: SchedulerFor<Probe>>(seed: u64, words: &[u64]) -> (u64, Vec<u64>, NetStats) {
-        replay_net::<S>(seed, words, UniformLatency::from_millis(5.0, 50.0))
-    }
-
-    /// [`replay`] against an explicit network model — the lever for
-    /// proving two models observationally identical (delivery times,
-    /// drop accounting, *and* RNG stream, since any extra draw shifts
-    /// every later delay and therefore the digests).
-    pub fn replay_net<S: SchedulerFor<Probe>>(
+    /// Replays `words` as engine operations over network model `net` and
+    /// returns the full observable outcome — the lever for proving two
+    /// models observationally identical (delivery times, drop
+    /// accounting, *and* RNG stream, since any extra draw shifts every
+    /// later delay and therefore the digests).
+    pub fn replay(
         seed: u64,
         words: &[u64],
         net: impl NetworkModel + 'static,
     ) -> (u64, Vec<u64>, NetStats) {
-        let mut sim: Simulation<Probe, S> = Simulation::with_scheduler(seed, net);
+        let mut sim = Simulation::new(seed, net);
         let ids: Vec<NodeId> = (0..8).map(|_| sim.add_node(Probe::default())).collect();
         for &word in words {
             let node = ids[(word >> 3) as usize % ids.len()];
@@ -402,11 +397,12 @@ mod sched_equivalence {
 }
 
 proptest! {
+    // The timing wheel must dequeue exactly the heap's sequence under
+    // arbitrary schedule / pop interleavings, then on a full drain.
     #[test]
     fn wheel_and_heap_dequeue_identical_sequences(
         times in proptest::collection::vec(any::<u64>(), 0..200),
     ) {
-        // Pure scheduler level: schedule/pop interleavings, then drain.
         use decent::sim::prelude::*;
         let mut wheel: TimingWheel<u64> = TimingWheel::new();
         let mut heap: BinaryHeapScheduler<u64> = BinaryHeapScheduler::new();
@@ -420,9 +416,7 @@ proptest! {
                 prop_assert_eq!(&a, &b);
                 now = a.expect("non-empty").0.as_nanos();
             } else {
-                let t = SimTime::from_nanos(
-                    now + sched_equivalence::word_to_delay(word).as_nanos(),
-                );
+                let t = SimTime::from_nanos(now + engine_replay::word_to_delay(word).as_nanos());
                 wheel.schedule(t, seq, seq);
                 heap.schedule(t, seq, seq);
             }
@@ -438,42 +432,25 @@ proptest! {
         }
         prop_assert!(wheel.is_empty() && heap.is_empty());
     }
+}
 
-    #[test]
-    fn engine_traces_are_scheduler_independent(
-        seed in any::<u64>(),
-        words in proptest::collection::vec(any::<u64>(), 0..120),
-    ) {
-        use decent::sim::prelude::*;
-        use sched_equivalence::replay;
-        let wheel = replay::<TimingWheel<EngineEvent<u64>>>(seed, &words);
-        let heap = replay::<BinaryHeapScheduler<EngineEvent<u64>>>(seed, &words);
-        prop_assert_eq!(wheel, heap);
-    }
-
+proptest! {
     // `Faulty<M>` with an empty `FaultPlan` must be observationally
     // identical to bare `M`: same delivery times, same drop accounting,
     // and — critically — the same RNG stream. A single stray draw in
     // the no-fault fast path would shift every subsequent uniform
     // delay and change the digests, so equality here pins the
-    // "zero-overhead when inactive" contract under both schedulers.
+    // "zero-overhead when inactive" contract.
     #[test]
     fn empty_fault_plan_is_observationally_inert(
         seed in any::<u64>(),
         words in proptest::collection::vec(any::<u64>(), 0..120),
     ) {
         use decent::sim::prelude::*;
-        use sched_equivalence::replay_net;
+        use engine_replay::replay;
         let bare = || UniformLatency::from_millis(5.0, 50.0);
         let faulty = || Faulty::new(bare(), FaultPlan::new());
-        let w_bare = replay_net::<TimingWheel<EngineEvent<u64>>>(seed, &words, bare());
-        let w_faulty = replay_net::<TimingWheel<EngineEvent<u64>>>(seed, &words, faulty());
-        prop_assert_eq!(&w_bare, &w_faulty);
-        let h_bare = replay_net::<BinaryHeapScheduler<EngineEvent<u64>>>(seed, &words, bare());
-        let h_faulty =
-            replay_net::<BinaryHeapScheduler<EngineEvent<u64>>>(seed, &words, faulty());
-        prop_assert_eq!(&h_bare, &h_faulty);
-        prop_assert_eq!(&w_bare, &h_bare);
+        prop_assert_eq!(replay(seed, &words, bare()), replay(seed, &words, faulty()));
     }
 }
 

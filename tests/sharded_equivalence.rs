@@ -1,8 +1,8 @@
 //! Property-based equivalence suite for the sharded executor.
 //!
 //! The engine's headline guarantee after the sharding work: for any
-//! workload, any fault plan, any seed, any scheduler, and any shard
-//! count, the sharded run is *indistinguishable* from the serial run —
+//! workload, any fault plan, any seed, and any shard count, the
+//! sharded run is *indistinguishable* from the serial run —
 //! same events in the same order, same traces, same counters, same
 //! report bytes. These properties drive randomized topologies and
 //! fault plans through serial and sharded executions and require the
@@ -19,8 +19,9 @@
 //!
 //! - engine-level: a gossip workload under randomized partitions,
 //!   degradation, duplication, and crash bursts, fingerprinted by
-//!   (events, net stats, trace records, metrics, node state) on both
-//!   schedulers at shards ∈ {1, 2, 4, 8};
+//!   (events, net stats, trace records, metrics, node state) at
+//!   shards ∈ {1, 2, 4, 8}, and chain and PBFT clusters at shards
+//!   ∈ {1, 2, 4};
 //! - report-level: full experiment scenarios (`Scenario::run`) where
 //!   the canonical RunReport JSON must be byte-identical between
 //!   serial and sharded runs;
@@ -32,7 +33,7 @@
 use proptest::prelude::*;
 use rand::Rng;
 
-use decent::bft::pbft::{build_cluster, PbftConfig, PbftReplica};
+use decent::bft::pbft::{build_cluster, PbftConfig};
 use decent::chain::node::{build_network, ChainNode, ChainNodeConfig, NetworkConfig};
 use decent::chain::pow::PowParams;
 use decent::core::experiments::{e01, e05, e12, e14, e19};
@@ -155,15 +156,9 @@ impl PlanSpec {
 
 /// Runs the gossip workload under the given plan and returns the full
 /// fingerprint.
-fn run_gossip<S: SchedulerFor<Gossip> + Send>(
-    seed: u64,
-    n: usize,
-    fanout: usize,
-    spec: &PlanSpec,
-    shards: usize,
-) -> Fingerprint {
+fn run_gossip(seed: u64, n: usize, fanout: usize, spec: &PlanSpec, shards: usize) -> Fingerprint {
     let plan = spec.build(n);
-    let mut sim: Simulation<Gossip, S> = Simulation::with_scheduler(
+    let mut sim = Simulation::new(
         seed,
         Faulty::new(UniformLatency::from_millis(10.0, 60.0), plan.clone()),
     );
@@ -217,14 +212,13 @@ fn run_gossip<S: SchedulerFor<Gossip> + Send>(
 }
 
 proptest! {
-    // Each case runs the workload 2 (schedulers) x 4 (shard counts)
-    // times, so keep the case count well below the default 256.
+    // Each case runs the workload at 4 shard counts, so keep the case
+    // count well below the default 256.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // The core equivalence property: for random topologies, fault
     // plans, and seeds, every shard count reproduces the serial
-    // fingerprint exactly, on both schedulers — and both schedulers
-    // agree with each other.
+    // fingerprint exactly.
     #[test]
     fn sharded_runs_are_event_for_event_identical_to_serial(
         seed in any::<u64>(),
@@ -232,21 +226,12 @@ proptest! {
         fanout in 1usize..4,
         spec in plan_spec(),
     ) {
-        let serial = run_gossip::<TimingWheel<EngineEvent<u64>>>(seed, n, fanout, &spec, 1);
-        let serial_heap =
-            run_gossip::<BinaryHeapScheduler<EngineEvent<u64>>>(seed, n, fanout, &spec, 1);
-        prop_assert_eq!(&serial, &serial_heap, "schedulers diverged on the serial path");
+        let serial = run_gossip(seed, n, fanout, &spec, 1);
         for shards in [2usize, 4, 8] {
-            let wheel = run_gossip::<TimingWheel<EngineEvent<u64>>>(seed, n, fanout, &spec, shards);
+            let sharded = run_gossip(seed, n, fanout, &spec, shards);
             prop_assert_eq!(
-                &serial, &wheel,
-                "wheel run diverged from serial at shards={}", shards
-            );
-            let heap =
-                run_gossip::<BinaryHeapScheduler<EngineEvent<u64>>>(seed, n, fanout, &spec, shards);
-            prop_assert_eq!(
-                &serial, &heap,
-                "heap run diverged from serial at shards={}", shards
+                &serial, &sharded,
+                "sharded run diverged from serial at shards={}", shards
             );
         }
     }
@@ -264,9 +249,8 @@ struct ChainFingerprint {
     state: Vec<(u64, usize, u64, u64, u64)>,
 }
 
-fn run_chain<S: SchedulerFor<ChainNode> + Send>(seed: u64, shards: usize) -> ChainFingerprint {
-    let mut sim: Simulation<ChainNode, S> =
-        Simulation::with_scheduler(seed, UniformLatency::from_millis(40.0, 120.0));
+fn run_chain(seed: u64, shards: usize) -> ChainFingerprint {
+    let mut sim = Simulation::new(seed, UniformLatency::from_millis(40.0, 120.0));
     let _windows = force_windows();
     sim.set_shards(shards);
     sim.enable_trace(1 << 16);
@@ -322,9 +306,8 @@ struct PbftFingerprint {
     state: Vec<(Vec<(SimTime, SimTime)>, u64)>,
 }
 
-fn run_pbft<S: SchedulerFor<PbftReplica> + Send>(seed: u64, shards: usize) -> PbftFingerprint {
-    let mut sim: Simulation<PbftReplica, S> =
-        Simulation::with_scheduler(seed, LanNet::datacenter());
+fn run_pbft(seed: u64, shards: usize) -> PbftFingerprint {
+    let mut sim = Simulation::new(seed, LanNet::datacenter());
     let _windows = force_windows();
     sim.set_shards(shards);
     sim.enable_trace(1 << 16);
@@ -369,22 +352,19 @@ fn run_pbft<S: SchedulerFor<PbftReplica> + Send>(seed: u64, shards: usize) -> Pb
 proptest! {
     // Chain and PBFT runs are heavier than the gossip workload (block
     // validation timers, batch pipelines), so fewer cases — each still
-    // runs 2 serial + 2x2 sharded executions and compares full traces.
+    // runs one serial and two sharded executions and compares full
+    // traces.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     // The chain family under sharding: PoW mining races, inv/getblock
     // relay, and reorgs reproduce the serial fingerprint exactly at
-    // every shard count, on both schedulers.
+    // every shard count.
     #[test]
     fn chain_runs_are_event_for_event_identical_to_serial(seed in any::<u64>()) {
-        let serial = run_chain::<TimingWheel<EngineEvent<_>>>(seed, 1);
-        let serial_heap = run_chain::<BinaryHeapScheduler<EngineEvent<_>>>(seed, 1);
-        prop_assert_eq!(&serial, &serial_heap, "schedulers diverged on the serial chain path");
+        let serial = run_chain(seed, 1);
         for shards in [2usize, 4] {
-            let wheel = run_chain::<TimingWheel<EngineEvent<_>>>(seed, shards);
-            prop_assert_eq!(&serial, &wheel, "chain wheel diverged at shards={}", shards);
-            let heap = run_chain::<BinaryHeapScheduler<EngineEvent<_>>>(seed, shards);
-            prop_assert_eq!(&serial, &heap, "chain heap diverged at shards={}", shards);
+            let sharded = run_chain(seed, shards);
+            prop_assert_eq!(&serial, &sharded, "chain diverged at shards={}", shards);
         }
     }
 
@@ -392,14 +372,10 @@ proptest! {
     // batches reproduces the serial fingerprint exactly.
     #[test]
     fn pbft_runs_are_event_for_event_identical_to_serial(seed in any::<u64>()) {
-        let serial = run_pbft::<TimingWheel<EngineEvent<_>>>(seed, 1);
-        let serial_heap = run_pbft::<BinaryHeapScheduler<EngineEvent<_>>>(seed, 1);
-        prop_assert_eq!(&serial, &serial_heap, "schedulers diverged on the serial PBFT path");
+        let serial = run_pbft(seed, 1);
         for shards in [2usize, 4] {
-            let wheel = run_pbft::<TimingWheel<EngineEvent<_>>>(seed, shards);
-            prop_assert_eq!(&serial, &wheel, "PBFT wheel diverged at shards={}", shards);
-            let heap = run_pbft::<BinaryHeapScheduler<EngineEvent<_>>>(seed, shards);
-            prop_assert_eq!(&serial, &heap, "PBFT heap diverged at shards={}", shards);
+            let sharded = run_pbft(seed, shards);
+            prop_assert_eq!(&serial, &sharded, "PBFT diverged at shards={}", shards);
         }
     }
 }
