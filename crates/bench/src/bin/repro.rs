@@ -262,18 +262,20 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                     return Err("--exp requires at least one experiment id".into());
                 }
                 let known = scenario::ids();
-                for (i, id) in ids.iter().enumerate() {
+                // A second `--exp` adds to the first.
+                let selected = cli.selected.get_or_insert_with(Vec::new);
+                for id in ids {
                     if !known.contains(&id.as_str()) {
                         return Err(format!(
                             "unknown experiment id: {id} (known: {})",
                             known.join(", ")
                         ));
                     }
-                    if ids[..i].contains(id) {
+                    if selected.contains(&id) {
                         return Err(format!("--exp names {id} more than once"));
                     }
+                    selected.push(id);
                 }
-                cli.selected = Some(ids);
             }
             other => return Err(format!("unrecognized argument: {other}")),
         }
@@ -816,6 +818,21 @@ mod tests {
         // A repeated id (in any case) would run and report it twice.
         let err = parse(&["--exp", "E10,E7,e10"]).unwrap_err();
         assert!(err.contains("E10 more than once"), "{err}");
+    }
+
+    #[test]
+    fn a_second_exp_adds_to_the_first() {
+        let cli = parse(&["--quick", "--exp", "E1", "--exp", "E3,E7"]).unwrap();
+        assert_eq!(
+            cli.selected,
+            Some(vec!["E1".to_string(), "E3".to_string(), "E7".to_string()])
+        );
+    }
+
+    #[test]
+    fn an_id_repeated_across_exp_flags_is_an_error() {
+        let err = parse(&["--exp", "E1", "--exp", "e1"]).unwrap_err();
+        assert!(err.contains("--exp names E1 more than once"), "{err}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! most-work rule (ties broken by first arrival, as in Bitcoin).
 
 use decent_sim::payload::Interned;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{hash_map, HashMap};
 
 use decent_sim::engine::NodeId;
 use decent_sim::time::SimTime;
@@ -64,48 +64,55 @@ impl Block {
 /// work rule is what prevents low-difficulty fork spam.
 #[derive(Clone, Debug, Default)]
 pub struct ChainView {
-    /// Accepted blocks by id. A `BTreeMap` so that id-keyed walks
-    /// (e.g. [`ChainView::stale_blocks`]) observe a deterministic order
-    /// — hasher state must never leak into anything a caller iterates.
-    blocks: BTreeMap<BlockId, Interned<Block>>,
-    /// Arrival time of each block at this node.
-    arrivals: HashMap<BlockId, SimTime>,
-    /// Cumulative work (sum of difficulties) from genesis to each block.
-    work: HashMap<BlockId, f64>,
-    tip: Option<BlockId>,
+    /// Accepted blocks in acceptance order, genesis first.
+    entries: Vec<Entry>,
+    /// Position in `entries` of each accepted id. Only ever probed by
+    /// key, never iterated, so hasher state reaches no caller.
+    index: HashMap<BlockId, u32>,
+    /// Position in `entries` of the best tip.
+    tip: u32,
+}
+
+/// An accepted block and the cumulative work (sum of difficulties) from
+/// genesis to it.
+#[derive(Clone, Debug)]
+struct Entry {
+    block: Interned<Block>,
+    work: f64,
 }
 
 impl ChainView {
     /// Creates a view containing only `genesis`.
     pub fn new(genesis: Interned<Block>) -> Self {
-        let id = genesis.id;
-        let mut blocks = BTreeMap::new();
-        let mut work = HashMap::new();
-        work.insert(id, genesis.difficulty.max(0.0));
-        blocks.insert(id, genesis);
-        let mut arrivals = HashMap::new();
-        arrivals.insert(id, SimTime::ZERO);
+        let work = genesis.difficulty.max(0.0);
         ChainView {
-            blocks,
-            arrivals,
-            work,
-            tip: Some(id),
+            index: HashMap::from([(genesis.id, 0)]),
+            entries: vec![Entry {
+                block: genesis,
+                work,
+            }],
+            tip: 0,
         }
+    }
+
+    fn entry(&self, id: BlockId) -> Option<&Entry> {
+        self.index.get(&id).map(|&at| &self.entries[at as usize])
+    }
+
+    fn tip_entry(&self) -> &Entry {
+        self.entries
+            .get(self.tip as usize)
+            .expect("view always holds genesis")
     }
 
     /// Whether `id` has been accepted.
     pub fn contains(&self, id: BlockId) -> bool {
-        self.blocks.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
     /// The block with the given id, if accepted.
     pub fn get(&self, id: BlockId) -> Option<&Interned<Block>> {
-        self.blocks.get(&id)
-    }
-
-    /// When `id` arrived at this node, if accepted.
-    pub fn arrival(&self, id: BlockId) -> Option<SimTime> {
-        self.arrivals.get(&id).copied()
+        self.entry(id).map(|e| &e.block)
     }
 
     /// The current best tip (most cumulative work, first-seen tie-break).
@@ -114,8 +121,7 @@ impl ChainView {
     ///
     /// Panics on an empty view (construct with [`ChainView::new`]).
     pub fn tip(&self) -> &Interned<Block> {
-        let id = self.tip.expect("view always holds genesis");
-        &self.blocks[&id]
+        &self.tip_entry().block
     }
 
     /// Height of the best tip.
@@ -125,12 +131,12 @@ impl ChainView {
 
     /// Total number of accepted blocks (including stale forks).
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.entries.len()
     }
 
     /// Returns true if the view holds no blocks.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.entries.is_empty()
     }
 
     /// Accepts a block whose parent is already known. Returns `true` if
@@ -140,27 +146,21 @@ impl ChainView {
     ///
     /// Panics if the parent is unknown (buffer orphans at the caller) or
     /// the block is a duplicate.
-    pub fn accept(&mut self, block: Interned<Block>, now: SimTime) -> bool {
+    pub fn accept(&mut self, block: Interned<Block>) -> bool {
         let parent = block
             .parent
             .expect("only genesis lacks a parent; accept() is for mined blocks");
-        assert!(
-            self.blocks.contains_key(&parent),
-            "parent must be accepted first"
-        );
-        assert!(
-            !self.blocks.contains_key(&block.id),
-            "duplicate block {:?}",
-            block.id
-        );
-        let id = block.id;
-        let cumulative = self.work[&parent] + block.difficulty.max(0.0);
-        self.blocks.insert(id, block);
-        self.arrivals.insert(id, now);
-        self.work.insert(id, cumulative);
+        let parent_work = self.work_of(parent).expect("parent must be accepted first");
+        let at = u32::try_from(self.entries.len()).expect("a view holds fewer than 2^32 blocks");
+        let hash_map::Entry::Vacant(slot) = self.index.entry(block.id) else {
+            panic!("duplicate block {:?}", block.id);
+        };
+        slot.insert(at);
+        let work = parent_work + block.difficulty.max(0.0);
+        self.entries.push(Entry { block, work });
         // Most cumulative work, first-seen wins ties (strictly greater).
-        if cumulative > self.tip_work() {
-            self.tip = Some(id);
+        if work > self.tip_work() {
+            self.tip = at;
             true
         } else {
             false
@@ -169,57 +169,63 @@ impl ChainView {
 
     /// Cumulative work of the current best tip.
     pub fn tip_work(&self) -> f64 {
-        self.work[&self.tip.expect("view always holds genesis")]
+        self.tip_entry().work
     }
 
     /// Cumulative work from genesis to `id`, if accepted.
     pub fn work_of(&self, id: BlockId) -> Option<f64> {
-        self.work.get(&id).copied()
+        self.entry(id).map(|e| e.work)
+    }
+
+    /// Positions in `entries` of the best chain, tip first.
+    fn best_positions(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(self.tip as usize), |&at| {
+            self.entries[at]
+                .block
+                .parent
+                .map(|p| self.index[&p] as usize)
+        })
     }
 
     /// Iterates the best chain from the tip back to genesis.
     pub fn best_chain(&self) -> Vec<&Interned<Block>> {
-        let mut out = Vec::new();
-        let mut cur = Some(self.tip().id);
-        while let Some(id) = cur {
-            let b = &self.blocks[&id];
-            out.push(b);
-            cur = b.parent;
-        }
-        out
+        self.best_positions()
+            .map(|at| &self.entries[at].block)
+            .collect()
     }
 
-    /// Ids of blocks not on the best chain (stale/orphaned forks).
+    /// Ids of blocks not on the best chain (stale/orphaned forks), in
+    /// ascending id order.
     pub fn stale_blocks(&self) -> Vec<BlockId> {
-        let main: std::collections::HashSet<BlockId> =
-            self.best_chain().iter().map(|b| b.id).collect();
-        self.blocks
-            .keys()
-            .filter(|id| !main.contains(id))
-            .copied()
-            .collect()
+        let mut on_chain = vec![false; self.entries.len()];
+        for at in self.best_positions() {
+            on_chain[at] = true;
+        }
+        let mut stale: Vec<BlockId> = self
+            .entries
+            .iter()
+            .zip(on_chain)
+            .filter(|(_, on)| !on)
+            .map(|(e, _)| e.block.id)
+            .collect();
+        stale.sort_unstable();
+        stale
     }
 
     /// Fraction of accepted blocks that are stale (excluding genesis).
     pub fn stale_rate(&self) -> f64 {
-        let total = self.blocks.len().saturating_sub(1);
+        let total = self.entries.len().saturating_sub(1);
         if total == 0 {
             return 0.0;
         }
         self.stale_blocks().len() as f64 / total as f64
-    }
-
-    /// The block `depth` levels below the tip on the best chain, if the
-    /// chain is that long.
-    pub fn confirmed(&self, depth: u64) -> Option<&Interned<Block>> {
-        let chain = self.best_chain();
-        chain.get(depth as usize).copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn mk(id: u64, parent: BlockId, height: u64) -> Interned<Block> {
         mk_d(id, parent, height, 1.0)
@@ -242,8 +248,8 @@ mod tests {
     fn accepts_linear_chain() {
         let g = Block::genesis(1.0);
         let mut v = ChainView::new(g.clone());
-        assert!(v.accept(mk(1, g.id, 1), SimTime::from_secs(1.0)));
-        assert!(v.accept(mk(2, BlockId(1), 2), SimTime::from_secs(2.0)));
+        assert!(v.accept(mk(1, g.id, 1)));
+        assert!(v.accept(mk(2, BlockId(1), 2)));
         assert_eq!(v.height(), 2);
         assert_eq!(v.best_chain().len(), 3);
         assert_eq!(v.stale_rate(), 0.0);
@@ -253,29 +259,31 @@ mod tests {
     fn fork_resolution_prefers_first_seen_then_longer() {
         let g = Block::genesis(1.0);
         let mut v = ChainView::new(g.clone());
-        v.accept(mk(1, g.id, 1), SimTime::from_secs(1.0));
+        v.accept(mk(1, g.id, 1));
         // Competing block at the same height does not displace the tip.
-        assert!(!v.accept(mk(2, g.id, 1), SimTime::from_secs(1.1)));
+        assert!(!v.accept(mk(2, g.id, 1)));
         assert_eq!(v.tip().id, BlockId(1));
         // Extending the competitor triggers a reorg.
-        assert!(v.accept(mk(3, BlockId(2), 2), SimTime::from_secs(2.0)));
+        assert!(v.accept(mk(3, BlockId(2), 2)));
         assert_eq!(v.tip().id, BlockId(3));
         assert_eq!(v.stale_blocks(), vec![BlockId(1)]);
         assert!((v.stale_rate() - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
-    fn confirmed_depth() {
+    fn best_chain_runs_from_tip_to_genesis() {
         let g = Block::genesis(1.0);
         let mut v = ChainView::new(g.clone());
         let mut parent = g.id;
         for h in 1..=10 {
-            v.accept(mk(h, parent, h), SimTime::from_secs(h as f64));
+            v.accept(mk(h, parent, h));
             parent = BlockId(h);
         }
-        assert_eq!(v.confirmed(0).unwrap().id, BlockId(10));
-        assert_eq!(v.confirmed(6).unwrap().id, BlockId(4));
-        assert!(v.confirmed(11).is_none());
+        let chain = v.best_chain();
+        assert_eq!(chain.len(), 11);
+        assert_eq!(chain[0].id, BlockId(10));
+        assert_eq!(chain[6].id, BlockId(4));
+        assert_eq!(chain[10].id, g.id);
     }
 
     #[test]
@@ -283,11 +291,11 @@ mod tests {
         let g = Block::genesis(1.0);
         let mut v = ChainView::new(g.clone());
         // A two-block low-difficulty branch...
-        v.accept(mk_d(1, g.id, 1, 1.0), SimTime::from_secs(1.0));
-        v.accept(mk_d(2, BlockId(1), 2, 1.0), SimTime::from_secs(2.0));
+        v.accept(mk_d(1, g.id, 1, 1.0));
+        v.accept(mk_d(2, BlockId(1), 2, 1.0));
         assert_eq!(v.tip().id, BlockId(2));
         // ...loses to a single block carrying more total work.
-        assert!(v.accept(mk_d(3, g.id, 1, 5.0), SimTime::from_secs(3.0)));
+        assert!(v.accept(mk_d(3, g.id, 1, 5.0)));
         assert_eq!(v.tip().id, BlockId(3));
         assert_eq!(v.height(), 1, "the work winner is shorter");
         assert!(v.work_of(BlockId(3)).unwrap() > v.work_of(BlockId(2)).unwrap());
@@ -298,7 +306,7 @@ mod tests {
     fn orphan_rejected() {
         let g = Block::genesis(1.0);
         let mut v = ChainView::new(g);
-        v.accept(mk(5, BlockId(99), 1), SimTime::ZERO);
+        v.accept(mk(5, BlockId(99), 1));
     }
 
     #[test]
@@ -306,7 +314,119 @@ mod tests {
     fn duplicate_rejected() {
         let g = Block::genesis(1.0);
         let mut v = ChainView::new(g.clone());
-        v.accept(mk(1, g.id, 1), SimTime::ZERO);
-        v.accept(mk(1, g.id, 1), SimTime::ZERO);
+        v.accept(mk(1, g.id, 1));
+        v.accept(mk(1, g.id, 1));
+    }
+
+    /// The view as it was kept before its single index: blocks in a
+    /// `BTreeMap` by id, cumulative work in a `HashMap`, the tip as an id.
+    /// (It also kept an arrival-time map, which nothing read.)
+    struct MapView {
+        blocks: BTreeMap<BlockId, Interned<Block>>,
+        work: HashMap<BlockId, f64>,
+        tip: BlockId,
+    }
+
+    impl MapView {
+        fn new(genesis: Interned<Block>) -> Self {
+            let tip = genesis.id;
+            MapView {
+                work: HashMap::from([(tip, genesis.difficulty.max(0.0))]),
+                blocks: BTreeMap::from([(tip, genesis)]),
+                tip,
+            }
+        }
+
+        fn accept(&mut self, block: Interned<Block>) -> bool {
+            let id = block.id;
+            let cumulative = self.work[&block.parent.unwrap()] + block.difficulty.max(0.0);
+            self.blocks.insert(id, block);
+            self.work.insert(id, cumulative);
+            let moved = cumulative > self.work[&self.tip];
+            if moved {
+                self.tip = id;
+            }
+            moved
+        }
+
+        fn best_chain(&self) -> Vec<BlockId> {
+            let mut out = Vec::new();
+            let mut cur = Some(self.tip);
+            while let Some(id) = cur {
+                out.push(id);
+                cur = self.blocks[&id].parent;
+            }
+            out
+        }
+
+        fn stale_blocks(&self) -> Vec<BlockId> {
+            let main = self.best_chain();
+            self.blocks
+                .keys()
+                .filter(|id| !main.contains(id))
+                .copied()
+                .collect()
+        }
+    }
+
+    #[test]
+    fn index_view_matches_the_map_view() {
+        use decent_sim::rng::rng_from_seed;
+        use rand::Rng as _;
+        // Zero and negative difficulties count as no work, so equal-work
+        // forks (first seen keeps the tip) are common.
+        const DIFFICULTIES: [f64; 6] = [1.0, 1.0, 0.5, 2.0, 0.0, -1.0];
+        for seed in 0..60 {
+            let mut rng = rng_from_seed(seed);
+            let g = Block::genesis(DIFFICULTIES[seed as usize % 4]);
+            let mut view = ChainView::new(g.clone());
+            let mut model = MapView::new(g.clone());
+            let mut accepted = vec![g];
+            for step in 0..300 {
+                // Mostly extend the tip or a recent block (long forks and
+                // reorgs), sometimes any block (short forks deep down).
+                let parent = match rng.gen_range(0..4) {
+                    0 => view.tip().clone(),
+                    1 | 2 => {
+                        let recent = accepted.len().saturating_sub(8);
+                        accepted[rng.gen_range(recent..accepted.len())].clone()
+                    }
+                    _ => accepted[rng.gen_range(0..accepted.len())].clone(),
+                };
+                // Random ids, so acceptance order is not id order.
+                let id = loop {
+                    let id = BlockId(rng.gen_range(1..1u64 << 20));
+                    if !model.blocks.contains_key(&id) {
+                        break id;
+                    }
+                };
+                let block = mk_d(
+                    id.0,
+                    parent.id,
+                    parent.height + 1,
+                    DIFFICULTIES[rng.gen_range(0..DIFFICULTIES.len())],
+                );
+                accepted.push(block.clone());
+                let ctx = format!("seed {seed} step {step}");
+                assert_eq!(view.accept(block.clone()), model.accept(block), "{ctx}");
+                assert_eq!(view.tip().id, model.tip, "{ctx}");
+                assert_eq!(view.height(), model.blocks[&model.tip].height, "{ctx}");
+                assert_eq!(view.tip_work(), model.work[&model.tip], "{ctx}");
+                let chain: Vec<BlockId> = view.best_chain().iter().map(|b| b.id).collect();
+                assert_eq!(chain, model.best_chain(), "{ctx}");
+                assert_eq!(view.stale_blocks(), model.stale_blocks(), "{ctx}");
+                assert_eq!(view.len(), model.blocks.len(), "{ctx}");
+                let probe = accepted[rng.gen_range(0..accepted.len())].id;
+                assert_eq!(
+                    view.work_of(probe),
+                    model.work.get(&probe).copied(),
+                    "{ctx}"
+                );
+                assert_eq!(view.work_of(id), model.work.get(&id).copied(), "{ctx}");
+                let absent = BlockId(1 << 21 | step as u64);
+                assert!(!view.contains(absent) && view.work_of(absent).is_none());
+                assert_eq!(view.get(probe), model.blocks.get(&probe), "{ctx}");
+            }
+        }
     }
 }

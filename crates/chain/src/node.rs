@@ -221,7 +221,7 @@ impl ChainNode {
     /// Accepts an own block into the local view without announcing it
     /// (the selfish miner's private chain), then keeps mining on it.
     fn accept_withheld(&mut self, block: Interned<Block>, ctx: &mut Context<'_, ChainMsg>) {
-        let tip_moved = self.view.accept(block.clone(), ctx.now());
+        let tip_moved = self.view.accept(block.clone());
         self.unpublished.push(block);
         if tip_moved {
             self.schedule_mining(ctx);
@@ -279,7 +279,7 @@ impl ChainNode {
         let id = block.id;
         let height = block.height;
         self.public_height = self.public_height.max(height);
-        let tip_moved = self.view.accept(block.clone(), ctx.now());
+        let tip_moved = self.view.accept(block.clone());
         // Both lookups in `requested` first check `view`, so an accepted
         // id is never looked up again.
         self.requested.remove(&id);
@@ -722,12 +722,8 @@ mod tests {
             difficulty: 1.0,
         });
         // Give node A both blocks so it can serve GetBlock requests.
-        sim.node_mut(a)
-            .view
-            .accept(parent.clone(), SimTime::from_secs(0.1));
-        sim.node_mut(a)
-            .view
-            .accept(child.clone(), SimTime::from_secs(0.2));
+        sim.node_mut(a).view.accept(parent.clone());
+        sim.node_mut(a).view.accept(child.clone());
         // Node B hears about the CHILD only.
         sim.inject(
             b,

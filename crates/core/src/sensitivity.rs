@@ -28,6 +28,13 @@ use crate::scenario;
 /// Version tag of the sweep-report JSON schema.
 pub const SWEEP_REPORT_SCHEMA: &str = "decent.sweep-report/1";
 
+/// The largest grid edge magnitude [`SweepSpec::parse`] accepts: 2^53,
+/// the last point up to which an `f64` holds every integer.
+const MAX_GRID_EDGE: f64 = 9_007_199_254_740_992.0;
+
+/// The most grid points [`SweepSpec::parse`] accepts.
+const MAX_SWEEP_STEPS: usize = 10_000;
+
 /// A parsed sweep request: which experiment, which knob, what grid.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepSpec {
@@ -64,6 +71,16 @@ impl SweepSpec {
         if !lo.is_finite() || !hi.is_finite() {
             return Err("grid edges must be finite".to_string());
         }
+        // Past 2^53 an f64 skips integers, and a setter that saturates a
+        // count to `usize::MAX` crashes the run instead of rejecting it.
+        for edge in [lo, hi] {
+            if edge.abs() > MAX_GRID_EDGE {
+                return Err(format!(
+                    "grid edge {edge} is beyond ±2^53 ({MAX_GRID_EDGE}), \
+                     where an f64 no longer holds every integer: {usage}"
+                ));
+            }
+        }
         if hi < lo {
             return Err(format!("grid upper edge {hi} is below lower edge {lo}"));
         }
@@ -72,6 +89,11 @@ impl SweepSpec {
             .map_err(|_| format!("bad step count {steps:?}: {usage}"))?;
         if steps == 0 {
             return Err("a sweep needs at least one grid point".to_string());
+        }
+        if steps > MAX_SWEEP_STEPS {
+            return Err(format!(
+                "{steps} grid points is above the limit of {MAX_SWEEP_STEPS}: {usage}"
+            ));
         }
         Ok(SweepSpec {
             exp: exp.to_string(),
@@ -523,6 +545,40 @@ mod tests {
         ] {
             assert!(SweepSpec::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn spec_rejects_edges_beyond_2_pow_53() {
+        for bad in [
+            "E2:nodes=1e30..1e31:2",
+            "E2:nodes=1..1e16:2",
+            "E2:nodes=-1e16..1:2",
+            "E2:nodes=9007199254740994..9007199254740994:1",
+        ] {
+            let err = SweepSpec::parse(bad).unwrap_err();
+            assert!(
+                err.contains("2^53") && err.contains("expected EXP:"),
+                "{bad:?}: {err}"
+            );
+        }
+        // 2^53 itself, and its negation, are still exact.
+        let s = SweepSpec::parse("E2:nodes=-9007199254740992..9007199254740992:2").unwrap();
+        assert_eq!((s.lo, s.hi), (-MAX_GRID_EDGE, MAX_GRID_EDGE));
+    }
+
+    #[test]
+    fn spec_rejects_more_than_ten_thousand_points() {
+        for bad in ["E2:nodes=1..1:100000000000", "E2:nodes=1..2:10001"] {
+            let err = SweepSpec::parse(bad).unwrap_err();
+            assert!(
+                err.contains("above the limit of 10000") && err.contains("expected EXP:"),
+                "{bad:?}: {err}"
+            );
+        }
+        assert_eq!(
+            SweepSpec::parse("E2:nodes=1..2:10000").unwrap().steps,
+            MAX_SWEEP_STEPS
+        );
     }
 
     #[test]

@@ -196,10 +196,10 @@ struct RpcEntry {
 struct BucketEntry {
     /// `bucket << 56 | last_seen_ns`. The bucket tag — the length of the
     /// key prefix this entry shares with the table's owner — is stored,
-    /// not recomputed from the keys: `bucket_of`'s `partition_point`
-    /// reads it from every entry it probes. Entries of one bucket share
-    /// the top byte, so they order by this word as they do by
-    /// `last_seen`.
+    /// not recomputed from the keys: `bucket_of` scans the table forward
+    /// to the first entry whose tag reaches the contact's and reads the
+    /// tag from every entry it passes. Entries of one bucket share the
+    /// top byte, so they order by this word as they do by `last_seen`.
     seen: u64,
     node: u32,
     key: Key,
@@ -447,8 +447,18 @@ impl KadNode {
         // Bucket index counts from the most significant differing bit;
         // the tag is the shared-prefix length.
         let bucket = (KEY_BITS - 1 - self.key.xor_distance(&c.key).bucket()?) as u8;
-        let start = self.table.partition_point(|e| e.bucket() < bucket);
-        let len = self.table[start..].partition_point(|e| e.bucket() == bucket);
+        // One forward scan, not a binary search: a table is cold when a
+        // message reaches its node, and the prefetcher streams a scan
+        // where each probe of a search waits on the one before it.
+        let start = self
+            .table
+            .iter()
+            .position(|e| e.bucket() >= bucket)
+            .unwrap_or(self.table.len());
+        let len = self.table[start..]
+            .iter()
+            .take_while(|e| e.bucket() == bucket)
+            .count();
         let entry = BucketEntry {
             seen: pack_seen(bucket, now),
             node,
@@ -1400,6 +1410,51 @@ mod tests {
                 assert_eq!(nested(&node), model.buckets, "seed {seed} step {step}");
                 assert_eq!(node.table_size(), model.buckets.iter().map(Vec::len).sum());
             }
+        }
+    }
+
+    #[test]
+    fn bucket_of_finds_each_tags_run() {
+        // Tables by the tags they hold, each with one to three entries:
+        // lowest tag empty, highest tag empty, a gap between two present
+        // tags, the last tag as the table's last run, and the empty table.
+        let tables: [&[usize]; 6] = [
+            &[1, 5, 9],
+            &[0, 3],
+            &[2, 6],
+            &[0, 4, KEY_BITS - 1],
+            &[0, 1, 2, 3],
+            &[],
+        ];
+        for (seed, tags) in tables.iter().enumerate() {
+            let mut rng = rng_from_seed(seed as u64);
+            let me = Key::random(&mut rng);
+            let mut node = KadNode::new(me, KadConfig::default());
+            let mut next: NodeId = 0;
+            for &tag in *tags {
+                for _ in 0..rng.gen_range(1..4) {
+                    let key = me.random_in_bucket(tag, &mut rng);
+                    node.touch(Contact { node: next, key }, SimTime::ZERO);
+                    next += 1;
+                }
+            }
+            let held: Vec<usize> = node.table.iter().map(|e| e.bucket() as usize).collect();
+            assert!(held.is_sorted() && held.len() == next);
+            // Every tag a key can have, the present and the absent ones:
+            // the run of entries with that tag, or the empty range where
+            // one would be inserted.
+            for tag in 0..KEY_BITS {
+                let key = me.random_in_bucket(tag, &mut rng);
+                let (entry, range) = node
+                    .bucket_of(Contact { node: 7, key }, SimTime::ZERO)
+                    .expect("a key other than the owner's has a bucket");
+                let start = held.iter().filter(|&&t| t < tag).count();
+                let end = held.iter().filter(|&&t| t <= tag).count();
+                assert_eq!(range, start..end, "tags {tags:?}, probe {tag}");
+                assert_eq!(entry.bucket() as usize, tag);
+            }
+            let own = Contact { node: 7, key: me };
+            assert!(node.bucket_of(own, SimTime::ZERO).is_none());
         }
     }
 

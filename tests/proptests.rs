@@ -127,7 +127,7 @@ proptest! {
                 size_bytes: 100,
                 difficulty: 1.0,
             });
-            let moved = view.accept(block.clone(), decent::sim::time::SimTime::from_secs(step as f64));
+            let moved = view.accept(block.clone());
             heads[c] = block.clone();
             // The tip moves exactly when the new block is strictly higher.
             prop_assert_eq!(moved, block.height > max_height);
