@@ -29,13 +29,14 @@
 //! experiment, `--shards N` lets each simulation use the engine's
 //! windowed sharded executor (up to N worker threads, wherever its
 //! conservative windows are full enough to repay their barrier; default
-//! 1 = serial). Parallelism never changes results on either axis: each
-//! experiment seeds its own RNG streams, the sharded executor commits
-//! events in the exact serial `(time, seq)` order, and the canonical
-//! JSON excludes wall-clock, so serial, `--jobs N`, and `--shards N`
-//! runs are byte-identical. Every experiment that runs simulations
-//! honours `--shards`; the ones with no discrete-event loop
-//! (closed-form or Monte Carlo) have nothing to shard.
+//! 1 = serial). Both flags take at most 256. Parallelism never changes
+//! results on either axis: each experiment seeds its own RNG streams,
+//! the sharded executor commits events in the exact serial
+//! `(time, seq)` order, and the canonical JSON excludes wall-clock, so
+//! serial, `--jobs N`, and `--shards N` runs are byte-identical. Every
+//! experiment that runs simulations honours `--shards`; the ones with
+//! no discrete-event loop (closed-form or Monte Carlo) have nothing to
+//! shard.
 //!
 //! The claim-regression gate: `--baseline PATH` diffs this run's claim
 //! verdicts against a committed claims file and exits 1 on any verdict
@@ -84,6 +85,12 @@ const USAGE: &str = "usage: repro [--quick] [--exp E1,E2,...] [--csv DIR] [--cla
 [--json PATH] [--format md|json] [--summary PATH] [--jobs N] [--shards N] [--seed N] \
 [--baseline PATH] [--write-baseline PATH] [--sweep EXP:param=lo..hi:steps] \
 [--serve kad | --probe] [--port-base N] [--mesh-size N] [--serve-for SECS] [--probe-timeout SECS]";
+
+/// The largest `--jobs` and `--shards`. Each is a count of operating
+/// system threads started at once (a windowed advance spawns one per
+/// shard, empty shards included), so a typo like `--shards 100000`
+/// would ask the host for a hundred thousand threads.
+const MAX_THREADS: usize = 256;
 
 /// Output format for stdout.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -176,6 +183,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 if n == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
+                if n > MAX_THREADS {
+                    return Err(format!("--jobs must be at most {MAX_THREADS}, got {n}"));
+                }
                 cli.jobs = Some(n);
             }
             "--shards" => {
@@ -185,6 +195,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                     .map_err(|_| format!("--shards expects a positive integer, got {n}"))?;
                 if n == 0 {
                     return Err("--shards must be at least 1".into());
+                }
+                if n > MAX_THREADS {
+                    return Err(format!("--shards must be at most {MAX_THREADS}, got {n}"));
                 }
                 cli.shards = Some(n);
             }
@@ -783,6 +796,14 @@ mod tests {
             .unwrap_err()
             .contains("positive integer"));
         assert!(parse(&["--shards"]).unwrap_err().contains("requires"));
+        // Both count threads started at once: capped, and the cap itself
+        // is accepted.
+        for flag in ["--jobs", "--shards"] {
+            assert!(parse(&[flag, "256"]).is_ok());
+            for n in ["257", "100000"] {
+                assert!(parse(&[flag, n]).unwrap_err().contains("at most 256"));
+            }
+        }
         assert!(parse(&["--seed", "-3"])
             .unwrap_err()
             .contains("unsigned integer"));

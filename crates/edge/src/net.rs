@@ -136,35 +136,6 @@ impl NetworkModel for EdgeNet {
         }
         min.map(|d| d * 0.9)
     }
-
-    fn shard_lookahead(&self, nodes: usize, shards: usize) -> Option<Vec<SimDuration>> {
-        // Cheapest link between the placements actually present in each
-        // shard pair: two shards without a shared region pay at least a
-        // WAN hop, far above the same-region edge floor.
-        let mut present: Vec<Vec<Placement>> = vec![Vec::new(); shards];
-        for id in 0..nodes.min(self.placements.len()) {
-            let p = self.placements[id];
-            if !present[id % shards].contains(&p) {
-                present[id % shards].push(p);
-            }
-        }
-        let mut mat = Vec::with_capacity(shards * shards);
-        for pj in &present {
-            for pk in &present {
-                let mut min: Option<SimDuration> = None;
-                for &a in pj {
-                    for &b in pk {
-                        let (d, _) = self.base_delay(a, b);
-                        min = Some(min.map_or(d, |m: SimDuration| m.min(d)));
-                    }
-                }
-                // Empty shards: zero = "unknown", the executor falls
-                // back to the global bound (and they never send anyway).
-                mat.push(min.map_or(SimDuration::ZERO, |d| d * 0.9));
-            }
-        }
-        Some(mat)
-    }
 }
 
 #[cfg(test)]
@@ -222,22 +193,5 @@ mod tests {
         // Device↔edge in Europe is the cheapest link: 5 ms × 0.9.
         let la = net.lookahead().unwrap();
         assert_eq!(la, SimDuration::from_millis(5.0) * 0.9);
-    }
-
-    #[test]
-    fn shard_lookahead_widens_wan_only_pairs() {
-        let net = world();
-        // One node per shard. Shard 0 → shard 1 (EU device → EU edge)
-        // sits on the global edge floor; shard 0 → shard 2 (EU device →
-        // NA cloud) can only be a WAN hop, so its bound is far wider.
-        let mat = net.shard_lookahead(4, 4).unwrap();
-        assert_eq!(mat.len(), 16);
-        let global = net.lookahead().unwrap();
-        assert_eq!(mat[4], global, "EU edge → EU device");
-        assert!(
-            mat[2] > global * 10.0,
-            "EU device → NA cloud is a WAN link: {:?}",
-            mat[2]
-        );
     }
 }

@@ -494,8 +494,7 @@ pub(crate) struct Core<S> {
     pub(crate) events_processed: u64,
     /// Conservative windows executed on worker threads (zero while the
     /// policy keeps a run serial). Like `activations`, a deterministic
-    /// cost counter for the bench harness — the per-link lookahead's
-    /// whole point is fewer, wider windows — and deliberately *not*
+    /// cost counter for the bench harness, and deliberately *not*
     /// part of [`Simulation::metrics_snapshot`], so window policy can
     /// change without touching observable output.
     pub(crate) windows: u64,

@@ -7,8 +7,8 @@
 //!
 //! - **Network faults** (partitions, link degradation, duplication,
 //!   reordering) are enforced by the [`Faulty`] combinator, which wraps any
-//!   [`NetworkModel`] the same way [`Lossy`](crate::net::Lossy) does and is
-//!   passed to [`Simulation::new`](crate::engine::Simulation::new).
+//!   [`NetworkModel`] and is passed to
+//!   [`Simulation::new`](crate::engine::Simulation::new).
 //! - **Crash bursts** are node-level faults: [`FaultPlan::schedule_crashes`]
 //!   converts them into first-class engine stop/start events, so a burst
 //!   takes a whole node set offline at `at` and brings it back at `until`.
@@ -385,8 +385,10 @@ pub struct FaultStats {
 }
 
 /// Wraps a [`NetworkModel`], enforcing the network-level faults of a
-/// [`FaultPlan`]. Composes like [`Lossy`](crate::net::Lossy):
-/// `Faulty::new(RegionNet::new(..), plan)` is a network model.
+/// [`FaultPlan`]. A wrapped model is itself a network model:
+/// `Faulty::new(RegionNet::new(..), plan)`. Plain random loss is a
+/// degradation over the whole run:
+/// `FaultPlan::new().degrade(SimTime::ZERO, end, LinkSet::All, 1.0, p)`.
 ///
 /// Per message, the active windows apply in a fixed order: partitions
 /// (drop), degradation loss (drop), the inner model's delay, degradation
@@ -479,7 +481,7 @@ impl<M: NetworkModel> Faulty<M> {
                 }
             }
         }
-        // 2. Degradation loss, drawn before the inner model (Lossy idiom).
+        // 2. Degradation loss, drawn before the inner model.
         for k in 0..self.active.len() {
             if let FaultKind::Degrade { links, loss, .. } = &self.events[self.active[k]].kind {
                 if *loss > 0.0 && links.matches(src, dst) && rng.gen::<f64>() < *loss {
@@ -585,21 +587,6 @@ impl<M: NetworkModel> NetworkModel for Faulty<M> {
             .product::<f64>();
         Some(inner * scale)
     }
-
-    fn shard_lookahead(&self, nodes: usize, shards: usize) -> Option<Vec<SimDuration>> {
-        // Same conservative Degrade scaling as `lookahead`, applied to
-        // every shard-pair entry of the inner model's matrix.
-        let mat = self.inner.shard_lookahead(nodes, shards)?;
-        let scale = self
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::Degrade { latency_mult, .. } if latency_mult < 1.0 => Some(latency_mult),
-                _ => None,
-            })
-            .product::<f64>();
-        Some(mat.into_iter().map(|d| d * scale).collect())
-    }
 }
 
 #[cfg(test)]
@@ -671,6 +658,16 @@ mod tests {
         let mut lossy = Faulty::new(ConstantLatency::from_millis(10.0), lossy_plan);
         assert_eq!(lossy.delay(0, 1, 0, at(1.0), &mut rng), None);
         assert_eq!(lossy.stats().dropped_degraded, 1);
+
+        // Partial loss over the whole run: the plain random-drop model.
+        let plan = FaultPlan::new().degrade(SimTime::ZERO, at(10.0), LinkSet::All, 1.0, 0.3);
+        let mut lossy = Faulty::new(ConstantLatency::from_millis(1.0), plan);
+        let drops = (0..10_000)
+            .filter(|_| lossy.delay(0, 1, 0, at(1.0), &mut rng).is_none())
+            .count();
+        let rate = drops as f64 / 10_000.0;
+        assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
+        assert_eq!(lossy.stats().dropped_degraded, drops as u64);
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub mod prelude {
         gini, top_k_share, Counter, Histogram, Metric, MetricsSnapshot, Summary,
     };
     pub use crate::net::{
-        ConstantLatency, LanNet, Lossy, NetworkModel, Region, RegionNet, UniformLatency,
+        ConstantLatency, LanNet, NetworkModel, Region, RegionNet, UniformLatency,
     };
     pub use crate::payload::Interned;
     pub use crate::report::{fmt_f, fmt_pct, fmt_si, Table};

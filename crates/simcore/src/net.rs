@@ -1,9 +1,11 @@
 //! Network models: how long a message takes from `src` to `dst`.
 //!
-//! Models are composable — wrap an inner model in [`Lossy`] to add random
-//! drops. The workhorse for planet-scale experiments is [`RegionNet`],
-//! which combines a measured inter-continental RTT matrix with per-region
-//! bandwidth (the same approach as the SimBlock blockchain simulator).
+//! Models are composable — wrap an inner model in
+//! [`Faulty`](crate::fault::Faulty) to add scripted loss, delay,
+//! partitions and duplication. The workhorse for planet-scale
+//! experiments is [`RegionNet`], which combines a measured
+//! inter-continental RTT matrix with per-region bandwidth (the same
+//! approach as the SimBlock blockchain simulator).
 
 use rand::Rng;
 
@@ -56,8 +58,7 @@ pub trait NetworkModel {
     /// returns its counters here, which is how
     /// [`Simulation::metrics_snapshot`](crate::engine::Simulation::metrics_snapshot)
     /// surfaces `faults_active`, `msgs_dropped_partition`, and friends
-    /// without downcasting the boxed model. Wrappers ([`Lossy`]) forward to
-    /// their inner model.
+    /// without downcasting the boxed model.
     fn fault_stats(&self) -> Option<FaultStats> {
         None
     }
@@ -65,10 +66,11 @@ pub trait NetworkModel {
     /// A lower bound on every delay [`delay`](NetworkModel::delay) can
     /// ever return (its *lookahead*), or `None` when no bound is known.
     ///
-    /// Sharded execution ([`Simulation::set_shards`]) uses this as the
-    /// conservative window width: within one lookahead of virtual time,
-    /// no message sent by one node can reach another, so shards may
-    /// advance that far without synchronizing. The bound must hold for
+    /// Sharded execution ([`Simulation::set_shards`]) uses this as its
+    /// only window bound: a window opens at the earliest pending event
+    /// `t0` and ends at `t0 + lookahead`, since no message sent inside it
+    /// can reach another node before it closes, so shards may advance
+    /// that far without synchronizing. The bound must hold for
     /// *all* argument combinations and internal states; when in doubt,
     /// return something smaller (it costs parallelism, never
     /// correctness). Models returning `None` — or a zero bound — make
@@ -76,27 +78,6 @@ pub trait NetworkModel {
     ///
     /// [`Simulation::set_shards`]: crate::engine::Simulation::set_shards
     fn lookahead(&self) -> Option<SimDuration> {
-        None
-    }
-
-    /// Per-link lookahead: a flattened `shards × shards` matrix whose
-    /// entry `[j * shards + k]` is a lower bound on the delay of any
-    /// message from a node of shard `j` (node ids `≡ j mod shards`,
-    /// the dealing used by [`Simulation::set_shards`]) to a node of
-    /// shard `k`, or `None` to use the single global
-    /// [`lookahead`](NetworkModel::lookahead) for every pair.
-    ///
-    /// Heterogeneous topologies should override this: with the global
-    /// bound, one short link anywhere in the matrix collapses *every*
-    /// window to that minimum, even between shards whose nodes only
-    /// talk over long-haul links. Entries must hold for all argument
-    /// combinations and internal states, like the global bound; a zero
-    /// entry is treated as "unknown" and replaced by the global bound,
-    /// never as license for a zero-width window.
-    ///
-    /// [`Simulation::set_shards`]: crate::engine::Simulation::set_shards
-    fn shard_lookahead(&self, nodes: usize, shards: usize) -> Option<Vec<SimDuration>> {
-        let _ = (nodes, shards);
         None
     }
 }
@@ -183,69 +164,6 @@ impl NetworkModel for UniformLatency {
 
     fn lookahead(&self) -> Option<SimDuration> {
         Some(self.min)
-    }
-}
-
-/// Wraps another model, dropping each message with probability `p`.
-#[derive(Debug)]
-pub struct Lossy<M> {
-    inner: M,
-    p: f64,
-}
-
-impl<M: NetworkModel> Lossy<M> {
-    /// Creates a lossy wrapper with drop probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn new(inner: M, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability must be in [0,1]"
-        );
-        Lossy { inner, p }
-    }
-}
-
-impl<M: NetworkModel> NetworkModel for Lossy<M> {
-    fn delay(
-        &mut self,
-        s: NodeId,
-        d: NodeId,
-        b: u64,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Option<SimDuration> {
-        if rng.gen::<f64>() < self.p {
-            None
-        } else {
-            self.inner.delay(s, d, b, now, rng)
-        }
-    }
-
-    fn duplicate(
-        &mut self,
-        s: NodeId,
-        d: NodeId,
-        b: u64,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Option<SimDuration> {
-        self.inner.duplicate(s, d, b, now, rng)
-    }
-
-    fn fault_stats(&self) -> Option<FaultStats> {
-        self.inner.fault_stats()
-    }
-
-    fn lookahead(&self) -> Option<SimDuration> {
-        // Dropping messages never shortens a delivered one.
-        self.inner.lookahead()
-    }
-
-    fn shard_lookahead(&self, nodes: usize, shards: usize) -> Option<Vec<SimDuration>> {
-        self.inner.shard_lookahead(nodes, shards)
     }
 }
 
@@ -478,42 +396,6 @@ impl NetworkModel for RegionNet {
             .fold(f64::INFINITY, |a, &b| a.min(b));
         Some(SimDuration::from_millis(min_ms * (1.0 - self.jitter)))
     }
-
-    fn shard_lookahead(&self, nodes: usize, shards: usize) -> Option<Vec<SimDuration>> {
-        // Restrict the matrix minimum to the regions actually present
-        // in each shard pair: two shards whose nodes sit only in, say,
-        // North and South America get the NA↔SA floor (≥ 184 ms), not
-        // the whole-matrix floor (11 ms intra-Europe). Nodes beyond the
-        // assignment list default to Europe, exactly as `region_of`.
-        let mut present = vec![[false; 6]; shards];
-        for id in 0..nodes {
-            present[id % shards][self.region_of(id).index()] = true;
-        }
-        let mut mat = Vec::with_capacity(shards * shards);
-        for pj in &present {
-            for pk in &present {
-                let mut min_ms = f64::INFINITY;
-                for (a, &ja) in pj.iter().enumerate() {
-                    if !ja {
-                        continue;
-                    }
-                    for (b, &kb) in pk.iter().enumerate() {
-                        if kb {
-                            min_ms = min_ms.min(REGION_LATENCY_MS[a][b]);
-                        }
-                    }
-                }
-                // Empty shards never originate messages; a zero entry
-                // defers to the global bound (the executor's "unknown").
-                mat.push(if min_ms.is_finite() {
-                    SimDuration::from_millis(min_ms * (1.0 - self.jitter))
-                } else {
-                    SimDuration::ZERO
-                });
-            }
-        }
-        Some(mat)
-    }
 }
 
 #[cfg(test)]
@@ -542,17 +424,6 @@ mod tests {
                 .as_millis();
             assert!((10.0..=20.0).contains(&d), "{d}");
         }
-    }
-
-    #[test]
-    fn lossy_drops_expected_fraction() {
-        let mut m = Lossy::new(ConstantLatency::from_millis(1.0), 0.3);
-        let mut rng = rng_from_seed(3);
-        let drops = (0..10_000)
-            .filter(|_| m.delay(0, 1, 0, SimTime::ZERO, &mut rng).is_none())
-            .count();
-        let rate = drops as f64 / 10_000.0;
-        assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
     }
 
     #[test]

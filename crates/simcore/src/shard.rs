@@ -15,26 +15,21 @@
 //! [`windowed_advance`] partitions nodes across worker threads by
 //! `id % shards` and advances the shards in lockstep over *conservative
 //! time windows*. The window end is the earliest instant any cross-node
-//! delivery could land: with per-shard queue heads `h_j` and a
-//! per-shard-pair lookahead matrix `LA[j][k]` (the minimum latency from
-//! any node of shard `j` to any node of shard `k`, from
-//! [`shard_lookahead`](crate::net::NetworkModel::shard_lookahead), or
-//! the single global
-//! [`lookahead`](crate::net::NetworkModel::lookahead) for every pair
-//! when no matrix is offered),
+//! delivery could land: with per-shard pending heads `h_j` (queue head
+//! or earliest undelivered feed) and the model's global
+//! [`lookahead`](crate::net::NetworkModel::lookahead) `la`,
 //!
 //! ```text
-//! end = min over shards j with pending work of (h_j + min_k LA[j][k])
+//! end = min_j h_j + la
 //! ```
 //!
-//! — no send can originate before its shard's head, and none can be
-//! delivered sooner than its origin's cheapest outgoing link, so within
+//! — no send can originate before the earliest pending event, and none
+//! can be delivered sooner than `la` after it is sent, so within
 //! `[t0, end)` a node can only be affected by events that already
 //! existed when the window opened or that it creates itself, and each
-//! shard can drain its own queue independently. All shards share one
-//! common `end` per window (lockstep): heterogeneous per-shard ends
-//! would commit events out of global `(time, seq)` order and break
-//! byte-identity with the serial engine.
+//! shard can drain its own queue independently. All shards share the
+//! one `end` per window (lockstep), so events commit in global
+//! `(time, seq)` order, byte-identical to the serial engine.
 //!
 //! Workers run the engine's own dispatch kernel
 //! ([`dispatch`](crate::engine::dispatch)) against a window sink: events
@@ -136,38 +131,6 @@ fn clamp_end(raw: SimTime, limit: SimTime, inclusive: bool) -> SimTime {
         limit
     };
     raw.min(cap)
-}
-
-/// Per-source-shard window allowance: the cheapest outgoing link of
-/// each shard, reduced from the model's shard-pair matrix (or the
-/// global bound for every shard when no matrix is offered). Zero matrix
-/// entries mean "unknown" and defer to the global bound; destination
-/// shards beyond the node count hold no nodes and cannot receive, so
-/// their columns are skipped.
-fn row_lookaheads(
-    mat: Option<Vec<SimDuration>>,
-    la: SimDuration,
-    nodes: usize,
-    shards: usize,
-) -> Vec<SimDuration> {
-    let Some(mat) = mat else {
-        return vec![la; shards];
-    };
-    assert_eq!(
-        mat.len(),
-        shards * shards,
-        "shard_lookahead must return a shards*shards matrix"
-    );
-    let occupied = shards.min(nodes.max(1));
-    (0..shards)
-        .map(|j| {
-            mat[j * shards..j * shards + occupied]
-                .iter()
-                .map(|&d| if d.is_zero() { la } else { d })
-                .min()
-                .unwrap_or(la)
-        })
-        .collect()
 }
 
 /// Windows in the policy's trailing mean.
@@ -324,12 +287,6 @@ where
     if core.policy.leave() {
         return true;
     }
-    let row_la = row_lookaheads(
-        core.net.shard_lookahead(store.len(), shards),
-        la,
-        store.len(),
-        shards,
-    );
     let queues: Vec<S> = std::mem::take(&mut core.shard_queues);
     let parts = store.partition(shards);
 
@@ -368,27 +325,16 @@ where
 
         let mut feeds: Vec<Feed<N::Msg>> = (0..shards).map(|_| Vec::new()).collect();
         loop {
-            // Earliest pending work per shard (worker queue head plus
-            // not-yet-fed cross-shard deliveries), and the earliest
-            // instant any shard's pending work could affect another:
-            // each shard with work extends the window to its head plus
-            // its cheapest outgoing link.
-            let mut tmin: Option<SimTime> = None;
-            let mut end_raw: Option<SimTime> = None;
-            for j in 0..shards {
-                let mut hj: Option<SimTime> = heads[j];
-                for (t, _, _) in &feeds[j] {
-                    hj = Some(hj.map_or(*t, |m: SimTime| m.min(*t)));
-                }
-                let Some(h) = hj else { continue };
-                tmin = Some(tmin.map_or(h, |m: SimTime| m.min(h)));
-                let e = h + row_la[j];
-                end_raw = Some(end_raw.map_or(e, |m: SimTime| m.min(e)));
-            }
-            let Some(t0) = tmin.filter(|&t| due(t)) else {
+            // Earliest pending work over all shards: worker queue heads
+            // plus not-yet-fed cross-shard deliveries.
+            let pending = heads
+                .iter()
+                .flatten()
+                .chain(feeds.iter().flatten().map(|(t, _, _)| t));
+            let Some(t0) = pending.min().copied().filter(|&t| due(t)) else {
                 break;
             };
-            let end = clamp_end(end_raw.expect("some shard has work"), limit, inclusive);
+            let end = clamp_end(t0 + la, limit, inclusive);
             if end <= t0 {
                 // Only reachable with windows saturated at the end of
                 // time; stop rather than spin (the events stay queued).

@@ -51,7 +51,9 @@ fn dht_survives_a_churn_storm() {
 #[test]
 fn dht_tolerates_message_loss() {
     let run = |loss: f64| {
-        let net = Lossy::new(UniformLatency::from_millis(20.0, 80.0), loss);
+        let end = SimTime::from_mins(5.0);
+        let plan = FaultPlan::new().degrade(SimTime::ZERO, end, LinkSet::All, 1.0, loss);
+        let net = Faulty::new(UniformLatency::from_millis(20.0, 80.0), plan);
         let mut sim = Simulation::new(63, net);
         let ids = build_kad(&mut sim, 250, &KadConfig::default(), 0.0, 8, 64);
         sim.run_until(SimTime::from_secs(1.0));
@@ -61,7 +63,7 @@ fn dht_tolerates_message_loss() {
                 n.start_lookup(Key::from_u64(i), false, ctx);
             });
         }
-        sim.run_until(SimTime::from_mins(5.0));
+        sim.run_until(end);
         let mut lat = Histogram::new();
         let mut timeouts = 0usize;
         for &id in &ids {

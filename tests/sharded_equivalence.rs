@@ -26,9 +26,9 @@
 //!   the canonical RunReport JSON must be byte-identical between
 //!   serial and sharded runs;
 //! - window-level: one region-aligned chain configuration whose event
-//!   and window counts are pinned with the per-link lookahead matrix
-//!   active and hidden, and the `chain_dense` network of `benchmark/`,
-//!   which the policy keeps serial at every shard count.
+//!   and window counts are pinned with windows forced, and the
+//!   `chain_dense` network of `benchmark/`, which the policy keeps
+//!   serial at every shard count.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -380,54 +380,14 @@ proptest! {
     }
 }
 
-/// Hides the inner model's per-link `shard_lookahead` matrix, forcing
-/// the windowed executor back onto the single global bound. Everything
-/// else forwards verbatim, so a run behind it replays the same events
-/// and differs only in where the windows fall.
-struct GlobalBoundOnly<M>(M);
-
-impl<M: NetworkModel> NetworkModel for GlobalBoundOnly<M> {
-    fn delay(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Option<SimDuration> {
-        self.0.delay(src, dst, bytes, now, rng)
-    }
-
-    fn duplicate(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Option<SimDuration> {
-        self.0.duplicate(src, dst, bytes, now, rng)
-    }
-
-    fn fault_stats(&self) -> Option<FaultStats> {
-        self.0.fault_stats()
-    }
-
-    fn lookahead(&self) -> Option<SimDuration> {
-        self.0.lookahead()
-    }
-}
-
 /// A PoW relay (`benchmark/`'s `chain_dense` configuration) on a
 /// `RegionNet` whose regions line up with `id % 4` sharding, run to
-/// `horizon_s`. `per_link` false hides the model's `shard_lookahead`
-/// matrix; `forced` true runs every event in a conservative window.
+/// `horizon_s`. `forced` true runs every event in a conservative window.
 fn region_aligned_chain(
     seed: u64,
     nodes: usize,
     horizon_s: f64,
     shards: usize,
-    per_link: bool,
     forced: bool,
 ) -> Simulation<ChainNode> {
     const REGIONS: [Region; 4] = [
@@ -450,11 +410,7 @@ fn region_aligned_chain(
         },
         ..NetworkConfig::default()
     };
-    let mut sim: Simulation<ChainNode> = if per_link {
-        Simulation::new(seed, net)
-    } else {
-        Simulation::new(seed, GlobalBoundOnly(net))
-    };
+    let mut sim: Simulation<ChainNode> = Simulation::new(seed, net);
     let _windows = forced.then(force_windows);
     sim.set_shards(shards);
     build_network(&mut sim, &ncfg, seed ^ 2);
@@ -462,21 +418,20 @@ fn region_aligned_chain(
     sim
 }
 
-/// The one deterministic finding behind `NetworkModel::shard_lookahead`
-/// (DESIGN.md §4i): with 150 nodes on region-aligned shards every
-/// cross-shard link has an inter-region floor (58 ms or more) where the
-/// global bound is the matrix's intra-Europe 11 ms. `(events, windows)`
-/// after an hour, with windows forced: at 4.6 events a window the
-/// policy would open none.
+/// Window placement on a heterogeneous network, pinned: 150 nodes on
+/// region-aligned shards, where every cross-shard link is inter-region
+/// (58 ms or more) but the window is one global lookahead wide (the
+/// intra-Europe 11 ms, less jitter). `(events, windows)` after
+/// an hour, with windows forced: at no more than 13 events a window
+/// the policy would open none.
 #[test]
-fn per_link_lookahead_needs_fewer_windows_for_the_same_events() {
-    let run = |shards, per_link| {
-        let sim = region_aligned_chain(0xB9, 150, 3_600.0, shards, per_link, true);
+fn forced_windows_on_a_region_aligned_run_keep_the_global_bound() {
+    let run = |shards| {
+        let sim = region_aligned_chain(0xB9, 150, 3_600.0, shards, true);
         (sim.events_processed(), sim.windows())
     };
-    assert_eq!(run(1, true), (72_826, 0));
-    assert_eq!(run(4, true), (72_826, 4_428));
-    assert_eq!(run(4, false), (72_826, 5_612));
+    assert_eq!(run(1), (72_826, 0));
+    assert_eq!(run(4), (72_826, 5_612));
 }
 
 /// `benchmark/`'s `chain_dense` network (1 000 nodes, seed 185) cut to
@@ -487,7 +442,7 @@ fn per_link_lookahead_needs_fewer_windows_for_the_same_events() {
 #[test]
 fn the_policy_keeps_a_chain_dense_shaped_run_serial() {
     for shards in [1, 2, 4] {
-        let sim = region_aligned_chain(185, 1_000, 2_000.0, shards, true, false);
+        let sim = region_aligned_chain(185, 1_000, 2_000.0, shards, false);
         assert_eq!(
             (sim.events_processed(), sim.windows(), sim.layout_switches()),
             (169_048, 0, 0),
