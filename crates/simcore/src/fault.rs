@@ -658,16 +658,6 @@ mod tests {
         let mut lossy = Faulty::new(ConstantLatency::from_millis(10.0), lossy_plan);
         assert_eq!(lossy.delay(0, 1, 0, at(1.0), &mut rng), None);
         assert_eq!(lossy.stats().dropped_degraded, 1);
-
-        // Partial loss over the whole run: the plain random-drop model.
-        let plan = FaultPlan::new().degrade(SimTime::ZERO, at(10.0), LinkSet::All, 1.0, 0.3);
-        let mut lossy = Faulty::new(ConstantLatency::from_millis(1.0), plan);
-        let drops = (0..10_000)
-            .filter(|_| lossy.delay(0, 1, 0, at(1.0), &mut rng).is_none())
-            .count();
-        let rate = drops as f64 / 10_000.0;
-        assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
-        assert_eq!(lossy.stats().dropped_degraded, drops as u64);
     }
 
     #[test]

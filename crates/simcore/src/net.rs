@@ -427,6 +427,22 @@ mod tests {
     }
 
     #[test]
+    fn lossy_drops_expected_fraction() {
+        // Plain random loss is a whole-run Degrade in a fault plan.
+        use crate::fault::{FaultPlan, Faulty, LinkSet};
+        let end = SimTime::from_secs(10.0);
+        let plan = FaultPlan::new().degrade(SimTime::ZERO, end, LinkSet::All, 1.0, 0.3);
+        let mut m = Faulty::new(ConstantLatency::from_millis(1.0), plan);
+        let mut rng = rng_from_seed(3);
+        let drops = (0..10_000)
+            .filter(|_| m.delay(0, 1, 0, SimTime::ZERO, &mut rng).is_none())
+            .count();
+        let rate = drops as f64 / 10_000.0;
+        assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
+        assert_eq!(m.fault_stats().unwrap().dropped_degraded, drops as u64);
+    }
+
+    #[test]
     fn region_matrix_diagonal_is_cheap() {
         // Intra-region latency is well below the row average everywhere
         // (Asia-Pacific spans a wide area, so its diagonal is not the row
