@@ -29,6 +29,13 @@
 //!   contact after the build shows here and nowhere above;
 //! - `wall_s` / `events_per_sec` are printed and never gated.
 //!
+//! Then a 200-node proof-of-work relay (`chain_dense`'s configuration on
+//! its region-aligned `RegionNet`, at its seed `0xB9`) runs from genesis
+//! to 10 000 s: the inv → getblock → block path, the busiest event path
+//! in the repository. `chain_events`, `chain_activations`,
+//! `chain_peak_queue_depth` and `chain_cascades` are gated exactly,
+//! `chain_alloc_bytes` and `chain_alloc_calls` within ±10 %.
+//!
 //! A baseline that lacks a gated counter fails the gate. Timing
 //! questions belong to `benchmark/`, not here.
 //!
@@ -42,6 +49,8 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use decent_chain::node::{self as chain, ChainNode, ChainNodeConfig, NetworkConfig};
+use decent_chain::pow::PowParams;
 use decent_overlay::id::Key;
 use decent_overlay::kademlia::{build_network, KadConfig, KadNode};
 use decent_sim::json::Json;
@@ -54,6 +63,10 @@ const NODES: usize = 3_000;
 const LOOKUPS: usize = 300;
 const SEED: u64 = 0xB6; // kad100k's seed in benchmark/: comparable by construction
 const HORIZON_S: u64 = 600;
+
+const CHAIN_NODES: usize = 200;
+const CHAIN_SEED: u64 = 0xB9; // chain_dense's seed in benchmark/
+const CHAIN_HORIZON_S: u64 = 10_000;
 
 /// Allowed relative drift for the allocator counters, which absorb
 /// allocator-library churn.
@@ -77,7 +90,7 @@ fn report_only(_baseline: f64, _current: f64) -> bool {
 
 /// Every counter `measure` reports: its key, and its policy as the
 /// table prints it and as a test.
-const GATE: [(&str, &str, Policy); 10] = [
+const GATE: [(&str, &str, Policy); 16] = [
     ("events", "exact", exact),
     ("activations", "exact", exact),
     ("peak_queue_depth", "exact", exact),
@@ -88,6 +101,12 @@ const GATE: [(&str, &str, Policy); 10] = [
     ("drained_live_bytes_per_node", "±10%", within_band),
     ("wall_s", "report only", report_only),
     ("events_per_sec", "report only", report_only),
+    ("chain_events", "exact", exact),
+    ("chain_activations", "exact", exact),
+    ("chain_peak_queue_depth", "exact", exact),
+    ("chain_cascades", "exact", exact),
+    ("chain_alloc_bytes", "±10%", within_band),
+    ("chain_alloc_calls", "±10%", within_band),
 ];
 
 thread_local! {
@@ -157,10 +176,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Builds the overlay, issues every lookup up front, snapshots the
-/// counters, then runs one long drain. Returns the document
+/// Measures the Kademlia drain, then the chain relay, into the document
 /// `--write-baseline` commits and the gate compares.
-fn measure(nodes: usize, lookups: usize) -> Json {
+fn measure(kad_nodes: usize, lookups: usize, chain_nodes: usize, chain_horizon_s: u64) -> Json {
+    let mut pairs = measure_kad(kad_nodes, lookups);
+    pairs.extend(measure_chain(chain_nodes, chain_horizon_s));
+    Json::obj(pairs)
+}
+
+/// Builds the overlay, issues every lookup up front, snapshots the
+/// counters, then runs one long drain.
+fn measure_kad(nodes: usize, lookups: usize) -> Vec<(&'static str, Json)> {
     let mut sim: Simulation<KadNode> =
         Simulation::new(SEED, UniformLatency::from_millis(30.0, 120.0));
     let live_before = live_bytes();
@@ -193,7 +219,7 @@ fn measure(nodes: usize, lookups: usize) -> Json {
         sim.node_mut(id).results.clear();
     }
     let drained_live_bytes = live_bytes() - live_before;
-    Json::obj([
+    vec![
         (
             "benchmark",
             Json::str("perf-gate quick config: serial Kademlia overlay, deterministic counters"),
@@ -238,7 +264,68 @@ fn measure(nodes: usize, lookups: usize) -> Json {
         ),
         ("wall_s", Json::num(wall)),
         ("events_per_sec", Json::num(events as f64 / wall.max(1e-9))),
-    ])
+    ]
+}
+
+/// Builds the relay network (not counted), then runs it from genesis to
+/// `horizon_s`, counting the whole run.
+fn measure_chain(nodes: usize, horizon_s: u64) -> Vec<(&'static str, Json)> {
+    const REGIONS: [Region; 4] = [
+        Region::NorthAmerica,
+        Region::Europe,
+        Region::AsiaPacific,
+        Region::Japan,
+    ];
+    let net = RegionNet::new((0..nodes).map(|id| REGIONS[id % 4]).collect());
+    let mut sim: Simulation<ChainNode> = Simulation::new(CHAIN_SEED, net);
+    let cfg = NetworkConfig {
+        nodes,
+        miner_fraction: 0.3,
+        node: ChainNodeConfig {
+            params: PowParams {
+                target_interval: SimDuration::from_secs(120.0),
+                ..PowParams::bitcoin()
+            },
+            tx_rate: 20.0,
+            ..ChainNodeConfig::default()
+        },
+        ..NetworkConfig::default()
+    };
+    chain::build_network(&mut sim, &cfg, CHAIN_SEED ^ 2);
+    let (bytes_before, calls_before) = alloc_snapshot();
+    sim.run_until(SimTime::from_secs(horizon_s as f64));
+    let (bytes_after, calls_after) = alloc_snapshot();
+    vec![
+        (
+            "chain_workload",
+            Json::obj([
+                (
+                    "network",
+                    Json::str("proof-of-work relay, chain_dense's configuration, region-aligned RegionNet"),
+                ),
+                ("nodes", Json::int(nodes as u64)),
+                ("seed", Json::int(CHAIN_SEED)),
+                ("sim_horizon_s", Json::int(horizon_s)),
+                (
+                    "note",
+                    Json::str(
+                        "chain_events, chain_activations, chain_peak_queue_depth and chain_cascades \
+                         are gated exactly, chain_alloc_bytes and chain_alloc_calls within ±10%. \
+                         All six count the run from genesis, build excluded.",
+                    ),
+                ),
+            ]),
+        ),
+        ("chain_events", Json::int(sim.events_processed())),
+        ("chain_activations", Json::int(sim.activations())),
+        (
+            "chain_peak_queue_depth",
+            Json::int(sim.metrics_snapshot().counter("peak_queue_depth")),
+        ),
+        ("chain_cascades", Json::int(sim.sched_stats().cascades)),
+        ("chain_alloc_bytes", Json::int(bytes_after - bytes_before)),
+        ("chain_alloc_calls", Json::int(calls_after - calls_before)),
+    ]
 }
 
 /// The counter under `key`, NaN when absent — and NaN fails every gate.
@@ -313,7 +400,7 @@ fn run(
             Json::parse(&text).map_err(|e| format!("{path}: {e}"))
         })
         .transpose()?;
-    let current = measure(NODES, LOOKUPS);
+    let current = measure(NODES, LOOKUPS, CHAIN_NODES, CHAIN_HORIZON_S);
     if let Some(path) = write_baseline {
         std::fs::write(path, format!("{}\n", current.to_string_pretty()))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -390,7 +477,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// The eight counters a drift in which fails the gate.
+    /// The fourteen counters a drift in which fails the gate.
     fn gated_keys() -> impl Iterator<Item = &'static str> {
         let gated = GATE.iter().filter(|g| g.1 != "report only");
         gated.map(|g| g.0)
@@ -413,7 +500,7 @@ mod tests {
         assert_eq!(grown, 4096, "realloc must free the old block");
         assert_eq!(live_bytes(), live0, "freed bytes uncounted");
 
-        let j = measure(50, 5);
+        let j = measure(50, 5, 20, 600);
         for (key, ..) in GATE {
             assert!(j.get(key).is_some(), "missing {key}");
         }
@@ -426,10 +513,18 @@ mod tests {
             "activations cannot exceed events"
         );
         assert!(num_field(&j, "alloc_bytes") > 0.0, "no allocation counted");
+        assert!(
+            num_field(&j, "chain_events") > 0.0,
+            "relay processed no events"
+        );
+        assert!(
+            num_field(&j, "chain_alloc_bytes") > 0.0,
+            "no relay allocation counted"
+        );
 
-        let a = measure(60, 6);
-        let b = measure(60, 6);
-        assert_eq!(gated_keys().count(), 8);
+        let a = measure(60, 6, 24, 900);
+        let b = measure(60, 6, 24, 900);
+        assert_eq!(gated_keys().count(), 14);
         for key in gated_keys() {
             assert_eq!(
                 num_field(&a, key),
@@ -452,6 +547,12 @@ mod tests {
             ("drained_live_bytes_per_node", Json::num(2500.5)),
             ("wall_s", Json::num(0.5)),
             ("events_per_sec", Json::num(events as f64 / 0.5)),
+            ("chain_events", Json::int(events)),
+            ("chain_activations", Json::int(events)),
+            ("chain_peak_queue_depth", Json::int(5)),
+            ("chain_cascades", Json::int(7)),
+            ("chain_alloc_bytes", Json::int(alloc_bytes)),
+            ("chain_alloc_calls", Json::int(10)),
         ])
     }
 

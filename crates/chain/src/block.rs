@@ -6,6 +6,7 @@
 
 use decent_sim::payload::Interned;
 use std::collections::{hash_map, HashMap};
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 use decent_sim::engine::NodeId;
 use decent_sim::time::SimTime;
@@ -55,6 +56,72 @@ impl Block {
     }
 }
 
+/// Hashes a [`BlockId`] with one multiply, for the maps a node probes on
+/// every relay message.
+///
+/// Block ids are minted inside the simulation, never read from outside
+/// it, so SipHash's resistance to crafted collisions buys nothing here.
+/// Each map draws its own key from std's [`RandomState`], so two maps,
+/// or two runs, still order their buckets differently and the dynamic
+/// D001 check (`tests/hasher_independence.rs`, DESIGN §4e) keeps its
+/// power.
+#[derive(Clone, Debug)]
+pub(crate) struct IdHasher {
+    key: u64,
+}
+
+impl Default for IdHasher {
+    fn default() -> Self {
+        IdHasher {
+            key: RandomState::new().hash_one(0_u64),
+        }
+    }
+}
+
+impl BuildHasher for IdHasher {
+    type Hasher = IdHash;
+
+    fn build_hasher(&self) -> IdHash {
+        IdHash {
+            key: self.key,
+            hash: 0,
+        }
+    }
+}
+
+/// The state of one [`IdHasher`] hash.
+#[derive(Clone, Debug)]
+pub(crate) struct IdHash {
+    key: u64,
+    hash: u64,
+}
+
+impl Hasher for IdHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    /// The whole hash of a `BlockId`: the 128-bit product of the keyed
+    /// word and an odd constant, its two halves folded together, so every
+    /// input bit reaches the low bits (bucket) and the high bits (tag).
+    fn write_u64(&mut self, word: u64) {
+        const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+        let product = u128::from(self.hash ^ word ^ self.key) * u128::from(MUL);
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A map keyed by block id on an [`IdHasher`].
+pub(crate) type IdMap<V> = HashMap<BlockId, V, IdHasher>;
+
 /// A node's local view of the block tree and its best chain.
 ///
 /// Fork choice follows Bitcoin's actual rule: the chain with the most
@@ -62,15 +129,22 @@ impl Block {
 /// broken by first arrival. At constant difficulty this coincides with
 /// the longest chain; across retarget boundaries it does not, and the
 /// work rule is what prevents low-difficulty fork spam.
-#[derive(Clone, Debug, Default)]
+///
+/// The tip's id and work are kept beside the index, so a query about
+/// the tip (most relay messages name it) and an accept onto the tip
+/// never probe the index.
+#[derive(Clone, Debug)]
 pub struct ChainView {
     /// Accepted blocks in acceptance order, genesis first.
     entries: Vec<Entry>,
     /// Position in `entries` of each accepted id. Only ever probed by
     /// key, never iterated, so hasher state reaches no caller.
-    index: HashMap<BlockId, u32>,
+    index: IdMap<u32>,
     /// Position in `entries` of the best tip.
     tip: u32,
+    /// `entries[tip]`'s block id and cumulative work.
+    tip_id: BlockId,
+    tip_work: f64,
 }
 
 /// An accepted block and the cumulative work (sum of difficulties) from
@@ -84,30 +158,38 @@ struct Entry {
 impl ChainView {
     /// Creates a view containing only `genesis`.
     pub fn new(genesis: Interned<Block>) -> Self {
-        let work = genesis.difficulty.max(0.0);
+        let (tip_id, tip_work) = (genesis.id, genesis.difficulty.max(0.0));
+        let mut index = IdMap::default();
+        index.insert(tip_id, 0);
         ChainView {
-            index: HashMap::from([(genesis.id, 0)]),
+            index,
             entries: vec![Entry {
                 block: genesis,
-                work,
+                work: tip_work,
             }],
             tip: 0,
+            tip_id,
+            tip_work,
         }
     }
 
     fn entry(&self, id: BlockId) -> Option<&Entry> {
-        self.index.get(&id).map(|&at| &self.entries[at as usize])
+        let at = if id == self.tip_id {
+            self.tip
+        } else {
+            *self.index.get(&id)?
+        };
+        Some(&self.entries[at as usize])
     }
 
-    fn tip_entry(&self) -> &Entry {
-        self.entries
-            .get(self.tip as usize)
-            .expect("view always holds genesis")
+    /// Whether `id` is the best tip's id.
+    pub(crate) fn is_tip(&self, id: BlockId) -> bool {
+        id == self.tip_id
     }
 
     /// Whether `id` has been accepted.
     pub fn contains(&self, id: BlockId) -> bool {
-        self.index.contains_key(&id)
+        id == self.tip_id || self.index.contains_key(&id)
     }
 
     /// The block with the given id, if accepted.
@@ -116,12 +198,8 @@ impl ChainView {
     }
 
     /// The current best tip (most cumulative work, first-seen tie-break).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty view (construct with [`ChainView::new`]).
     pub fn tip(&self) -> &Interned<Block> {
-        &self.tip_entry().block
+        &self.entries[self.tip as usize].block
     }
 
     /// Height of the best tip.
@@ -152,15 +230,16 @@ impl ChainView {
             .expect("only genesis lacks a parent; accept() is for mined blocks");
         let parent_work = self.work_of(parent).expect("parent must be accepted first");
         let at = u32::try_from(self.entries.len()).expect("a view holds fewer than 2^32 blocks");
-        let hash_map::Entry::Vacant(slot) = self.index.entry(block.id) else {
-            panic!("duplicate block {:?}", block.id);
+        let id = block.id;
+        let hash_map::Entry::Vacant(slot) = self.index.entry(id) else {
+            panic!("duplicate block {id:?}");
         };
         slot.insert(at);
         let work = parent_work + block.difficulty.max(0.0);
         self.entries.push(Entry { block, work });
         // Most cumulative work, first-seen wins ties (strictly greater).
-        if work > self.tip_work() {
-            self.tip = at;
+        if work > self.tip_work {
+            (self.tip, self.tip_id, self.tip_work) = (at, id, work);
             true
         } else {
             false
@@ -169,7 +248,7 @@ impl ChainView {
 
     /// Cumulative work of the current best tip.
     pub fn tip_work(&self) -> f64 {
-        self.tip_entry().work
+        self.tip_work
     }
 
     /// Cumulative work from genesis to `id`, if accepted.
@@ -426,7 +505,26 @@ mod tests {
                 let absent = BlockId(1 << 21 | step as u64);
                 assert!(!view.contains(absent) && view.work_of(absent).is_none());
                 assert_eq!(view.get(probe), model.blocks.get(&probe), "{ctx}");
+                // The cached tip is what a reorg can leave stale: ask
+                // about the tip and its parent, which both sides of the
+                // tip check answer.
+                let tip_parent = model.blocks[&model.tip].parent;
+                assert!(view.is_tip(model.tip), "{ctx}");
+                assert!(tip_parent.is_none_or(|p| !view.is_tip(p)), "{ctx}");
+                for id in [Some(model.tip), tip_parent].into_iter().flatten() {
+                    assert_eq!(view.get(id), model.blocks.get(&id), "{ctx}");
+                    assert!(view.contains(id), "{ctx}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn two_maps_hash_one_id_differently() {
+        let (a, b) = (IdHasher::default(), IdHasher::default());
+        for id in [BlockId(0), BlockId(1), BlockId(7 << 40 | 3)] {
+            assert_ne!(a.hash_one(id), b.hash_one(id), "{id:?}");
+            assert_eq!(a.hash_one(id), a.clone().hash_one(id), "{id:?}");
         }
     }
 }

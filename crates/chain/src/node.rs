@@ -12,11 +12,11 @@
 //! behaviour without simulating per-transaction gossip.
 
 use decent_sim::payload::Interned;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use decent_sim::prelude::*;
 
-use crate::block::{Block, BlockId, ChainView, TxId};
+use crate::block::{Block, BlockId, ChainView, IdMap, TxId};
 use crate::pow::{PowParams, RetargetClock};
 
 /// Block-relay messages.
@@ -95,9 +95,11 @@ pub struct ChainNode {
     neighbors: Vec<NodeId>,
     /// The node's view of the block tree.
     pub view: ChainView,
-    orphans: HashMap<BlockId, Vec<Interned<Block>>>,
-    /// Block ids asked for and not yet accepted.
-    requested: HashSet<BlockId>,
+    orphans: IdMap<Vec<Interned<Block>>>,
+    /// Block ids asked for and not yet accepted (0–2 at a time in
+    /// practice). No id is both here and in `view`, so a miss here is
+    /// decided without the view's index.
+    requested: Vec<BlockId>,
     validating: VecDeque<Interned<Block>>,
     mining_epoch: u64,
     difficulty: f64,
@@ -125,8 +127,8 @@ impl ChainNode {
             cfg,
             neighbors,
             view: ChainView::new(genesis),
-            orphans: HashMap::new(),
-            requested: HashSet::new(),
+            orphans: IdMap::default(),
+            requested: Vec::new(),
             validating: VecDeque::new(),
             mining_epoch: 0,
             difficulty,
@@ -221,6 +223,7 @@ impl ChainNode {
     /// Accepts an own block into the local view without announcing it
     /// (the selfish miner's private chain), then keeps mining on it.
     fn accept_withheld(&mut self, block: Interned<Block>, ctx: &mut Context<'_, ChainMsg>) {
+        debug_assert!(!self.requested.contains(&block.id), "own block in flight");
         let tip_moved = self.view.accept(block.clone());
         self.unpublished.push(block);
         if tip_moved {
@@ -270,19 +273,32 @@ impl ChainNode {
         }
     }
 
+    /// Whether `id` is accepted. Asks the tip, then the ids in flight
+    /// (never accepted), and only then the view's index.
+    fn has_accepted(&self, id: BlockId) -> bool {
+        self.view.is_tip(id) || (!self.requested.contains(&id) && self.view.contains(id))
+    }
+
+    /// Records `id` as in flight.
+    fn request(&mut self, id: BlockId) {
+        debug_assert!(!self.view.contains(id), "{id:?} requested once accepted");
+        self.requested.push(id);
+    }
+
     /// Accepts a validated block whose parent is known, relays it, and
     /// restarts mining if the tip moved.
     fn accept_block(&mut self, block: Interned<Block>, ctx: &mut Context<'_, ChainMsg>) {
-        if self.view.contains(block.id) {
+        if self.has_accepted(block.id) {
             return;
         }
         let id = block.id;
         let height = block.height;
         self.public_height = self.public_height.max(height);
+        if let Some(at) = self.requested.iter().position(|&r| r == id) {
+            self.requested.swap_remove(at);
+        }
+        debug_assert!(!self.requested.contains(&id), "{id:?} in flight twice");
         let tip_moved = self.view.accept(block.clone());
-        // Both lookups in `requested` first check `view`, so an accepted
-        // id is never looked up again.
-        self.requested.remove(&id);
         if tip_moved {
             self.refresh_backlog(ctx.now());
             self.backlog = (self.backlog - block.txs.len() as f64).max(0.0);
@@ -323,7 +339,9 @@ impl Node for ChainNode {
     fn on_message(&mut self, from: NodeId, msg: ChainMsg, ctx: &mut Context<'_, ChainMsg>) {
         match msg {
             ChainMsg::InvBlock(id) => {
-                if !self.view.contains(id) && self.requested.insert(id) {
+                if !self.view.is_tip(id) && !self.requested.contains(&id) && !self.view.contains(id)
+                {
+                    self.request(id);
                     ctx.send_sized(from, ChainMsg::GetBlock(id), 36);
                 }
             }
@@ -340,7 +358,7 @@ impl Node for ChainNode {
                 }
             }
             ChainMsg::BlockData(block) => {
-                if self.view.contains(block.id) {
+                if self.has_accepted(block.id) {
                     return;
                 }
                 self.bytes_received += if self.cfg.light {
@@ -365,16 +383,17 @@ impl Node for ChainNode {
             let Some(block) = self.validating.pop_front() else {
                 return;
             };
-            if self.view.contains(block.id) {
+            if self.has_accepted(block.id) {
                 return;
             }
             let parent = block.parent.expect("mined blocks have parents");
-            if self.view.contains(parent) {
+            if self.has_accepted(parent) {
                 self.accept_block(block, ctx);
             } else {
                 // Orphan: hold it and fetch the parent from anyone who
                 // announces it (we re-request opportunistically).
-                if self.requested.insert(parent) {
+                if !self.requested.contains(&parent) {
+                    self.request(parent);
                     for &n in &self.neighbors {
                         ctx.send_sized(n, ChainMsg::GetBlock(parent), 36);
                     }
@@ -735,6 +754,54 @@ mod tests {
         assert!(sim.node(b).view.contains(parent.id), "parent fetched");
         assert!(sim.node(b).view.contains(child.id), "orphan resolved");
         assert_eq!(sim.node(b).view.height(), 2);
+    }
+
+    #[test]
+    fn a_block_delivered_twice_after_its_child_is_accepted_once() {
+        // B gets the child twice, then the parent from A (B asks for it)
+        // and once more by hand while the first copy is still validating
+        // (1 000 txs: 50 ms). Each block enters B's view once: a second
+        // accept would panic, and in debug builds the in-flight list is
+        // checked against the view at every step.
+        let genesis = Block::genesis(1.0);
+        let mut sim: Simulation<ChainNode> =
+            Simulation::new(99, ConstantLatency::from_millis(10.0));
+        let cfg = ChainNodeConfig {
+            initial_difficulty: 1.0,
+            ..ChainNodeConfig::default()
+        };
+        let a = sim.add_node(ChainNode::new(cfg.clone(), vec![1], genesis.clone()));
+        let b = sim.add_node(ChainNode::new(cfg, vec![0], genesis.clone()));
+        let mined = |id: u64, parent: BlockId, height: u64| {
+            Interned::new(Block {
+                id: BlockId(id),
+                parent: Some(parent),
+                height,
+                miner: a,
+                mined_at: SimTime::ZERO,
+                txs: (0..1_000).map(TxId).collect(),
+                size_bytes: 100,
+                difficulty: 1.0,
+            })
+        };
+        let parent = mined(201, genesis.id, 1);
+        let child = mined(202, parent.id, 2);
+        sim.node_mut(a).view.accept(parent.clone());
+        sim.node_mut(a).view.accept(child.clone());
+        for at_ms in [1.0, 2.0] {
+            let data = ChainMsg::BlockData(child.clone());
+            sim.inject(b, data, SimDuration::from_millis(at_ms));
+        }
+        let data = ChainMsg::BlockData(parent.clone());
+        sim.inject(b, data, SimDuration::from_millis(75.0));
+        sim.run_until(SimTime::from_secs(5.0));
+        let node = sim.node(b);
+        assert_eq!(node.view.len(), 3, "genesis, parent and child, once each");
+        assert_eq!(node.view.tip().id, child.id);
+        assert!(node.view.contains(parent.id));
+        assert_eq!(node.bytes_received, 4 * 100, "two copies of each block");
+        assert!(node.requested.is_empty() && node.orphans.is_empty());
+        assert!(node.validating.is_empty());
     }
 
     #[test]

@@ -312,6 +312,23 @@ const REGION_DOWNLOAD_MBPS: [f64; 6] = [52.0, 40.0, 18.0, 22.0, 23.0, 16.0];
 /// Per-region upload bandwidth in Mbit/s (SimBlock 2019 values).
 const REGION_UPLOAD_MBPS: [f64; 6] = [19.0, 15.0, 5.0, 7.0, 9.0, 6.0];
 
+/// Per `[src][dst]` region pair: one-way latency in ms, and the link's
+/// bits/s (the sender's upload capped by the receiver's download).
+const REGION_LINKS: [[(f64, f64); 6]; 6] = {
+    let mut links = [[(0.0, 0.0); 6]; 6];
+    let mut a = 0;
+    while a < 6 {
+        let mut b = 0;
+        while b < 6 {
+            let mbps = REGION_UPLOAD_MBPS[a].min(REGION_DOWNLOAD_MBPS[b]);
+            links[a][b] = (REGION_LATENCY_MS[a][b], mbps * 1e6);
+            b += 1;
+        }
+        a += 1;
+    }
+    links
+};
+
 /// Planet-scale model: region latency matrix + per-region bandwidth +
 /// multiplicative jitter.
 ///
@@ -380,10 +397,9 @@ impl NetworkModel for RegionNet {
         rng: &mut SimRng,
     ) -> Option<SimDuration> {
         let (ra, rb) = (self.region_of(src), self.region_of(dst));
-        let base = REGION_LATENCY_MS[ra.index()][rb.index()];
+        let (base, bps) = REGION_LINKS[ra.index()][rb.index()];
         let jitter = 1.0 + self.jitter * (2.0 * rng.gen::<f64>() - 1.0);
-        let mbps = REGION_UPLOAD_MBPS[ra.index()].min(REGION_DOWNLOAD_MBPS[rb.index()]);
-        let total_ms = base * jitter + (bytes as f64 * 8.0) / (mbps * 1e6) * 1e3;
+        let total_ms = base * jitter + (bytes as f64 * 8.0) / bps * 1e3;
         Some(SimDuration::from_millis(total_ms))
     }
 
@@ -476,6 +492,31 @@ mod tests {
             / 200.0;
         // 1 MB over 15 Mbps upload is roughly 530 ms of serialization.
         assert!(big - small > 400.0, "big {big} small {small}");
+    }
+
+    #[test]
+    fn region_links_table_is_bit_identical_to_the_formula() {
+        // The expression `delay` evaluated before the table.
+        let formula = |ra: Region, rb: Region, bytes: u64, rng: &mut SimRng| {
+            let base = REGION_LATENCY_MS[ra.index()][rb.index()];
+            let jitter = 1.0 + 0.1 * (2.0 * rng.gen::<f64>() - 1.0);
+            let mbps = REGION_UPLOAD_MBPS[ra.index()].min(REGION_DOWNLOAD_MBPS[rb.index()]);
+            SimDuration::from_millis(base * jitter + (bytes as f64 * 8.0) / (mbps * 1e6) * 1e3)
+        };
+        for (i, ra) in Region::ALL.into_iter().enumerate() {
+            for (j, rb) in Region::ALL.into_iter().enumerate() {
+                let mut net = RegionNet::new(vec![ra, rb]);
+                for bytes in [0, 36, 285, 1_000_080] {
+                    let mut rng = rng_from_seed((i * 6 + j) as u64 ^ bytes);
+                    let mut same = rng.clone();
+                    for _ in 0..1_000 {
+                        let table = net.delay(0, 1, bytes, SimTime::ZERO, &mut rng).unwrap();
+                        let old = formula(ra, rb, bytes, &mut same);
+                        assert_eq!(table.as_nanos(), old.as_nanos(), "{ra:?}->{rb:?} {bytes} B");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,15 +10,17 @@ use decent::core::experiments::run_report;
 use decent::sim::json::Json;
 
 /// One Kademlia-backed experiment (E1 exercises `decent-overlay`'s
-/// routing tables and lookup maps) and one edge-backed experiment (E13
-/// exercises `decent-edge`'s pending-reply and cursor maps), each run
-/// twice in-process with identical seeds. Every HashMap instance built
-/// during the second run carries a different hasher state than its
-/// first-run counterpart, so any order-sensitive iteration would show
-/// up as a byte diff in the canonical JSON.
+/// routing tables and lookup maps), one edge-backed experiment (E13
+/// exercises `decent-edge`'s pending-reply and cursor maps) and one
+/// chain-relay experiment (E7 exercises `decent-chain`'s view index and
+/// orphan map, keyed by a per-map `IdHasher`), each run twice in-process
+/// with identical seeds. Every HashMap instance built during the second
+/// run carries a different hasher state than its first-run counterpart,
+/// so any order-sensitive iteration would show up as a byte diff in the
+/// canonical JSON.
 #[test]
 fn repeated_runs_are_hasher_independent() {
-    for id in ["E1", "E13"] {
+    for id in ["E1", "E13", "E7"] {
         let first = run_report(&[id], true, None, 1).to_json_text();
         let second = run_report(&[id], true, None, 1).to_json_text();
         assert_eq!(
