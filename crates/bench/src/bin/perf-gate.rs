@@ -36,6 +36,16 @@
 //! `chain_peak_queue_depth` and `chain_cascades` are gated exactly,
 //! `chain_alloc_bytes` and `chain_alloc_calls` within ±10 %.
 //!
+//! Last, two saturated permissioned clusters on `LanNet::datacenter()`
+//! at seed `0xBF`, each with 20 000 requests preloaded on every replica:
+//! PBFT with `n = 4` for 2 s, and Raft with `n = 5`, which elects a
+//! leader in its first second and is then loaded for 2 s more.
+//! `bft_events`, both runs' events, is gated exactly;
+//! `bft_pbft_live_bytes` and `bft_raft_live_bytes`, the bytes each run
+//! holds live at its end with the cluster still built, within ±10 %. A
+//! replica that keeps one record per request instead of one per run of
+//! requests fails there.
+//!
 //! A baseline that lacks a gated counter fails the gate. Timing
 //! questions belong to `benchmark/`, not here.
 //!
@@ -49,6 +59,8 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use decent_bft::pbft::{self, PbftConfig, PbftReplica};
+use decent_bft::raft::{self, RaftConfig, RaftNode};
 use decent_chain::node::{self as chain, ChainNode, ChainNodeConfig, NetworkConfig};
 use decent_chain::pow::PowParams;
 use decent_overlay::id::Key;
@@ -67,6 +79,9 @@ const HORIZON_S: u64 = 600;
 const CHAIN_NODES: usize = 200;
 const CHAIN_SEED: u64 = 0xB9; // chain_dense's seed in benchmark/
 const CHAIN_HORIZON_S: u64 = 10_000;
+
+const BFT_OPS: u64 = 20_000;
+const BFT_SEED: u64 = 0xBF;
 
 /// Allowed relative drift for the allocator counters, which absorb
 /// allocator-library churn.
@@ -90,7 +105,7 @@ fn report_only(_baseline: f64, _current: f64) -> bool {
 
 /// Every counter `measure` reports: its key, and its policy as the
 /// table prints it and as a test.
-const GATE: [(&str, &str, Policy); 16] = [
+const GATE: [(&str, &str, Policy); 19] = [
     ("events", "exact", exact),
     ("activations", "exact", exact),
     ("peak_queue_depth", "exact", exact),
@@ -107,6 +122,9 @@ const GATE: [(&str, &str, Policy); 16] = [
     ("chain_cascades", "exact", exact),
     ("chain_alloc_bytes", "±10%", within_band),
     ("chain_alloc_calls", "±10%", within_band),
+    ("bft_events", "exact", exact),
+    ("bft_pbft_live_bytes", "±10%", within_band),
+    ("bft_raft_live_bytes", "±10%", within_band),
 ];
 
 thread_local! {
@@ -176,11 +194,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Measures the Kademlia drain, then the chain relay, into the document
-/// `--write-baseline` commits and the gate compares.
-fn measure(kad_nodes: usize, lookups: usize, chain_nodes: usize, chain_horizon_s: u64) -> Json {
+/// Measures the Kademlia drain, the chain relay, then the two
+/// permissioned clusters, into the document `--write-baseline` commits
+/// and the gate compares.
+fn measure(
+    kad_nodes: usize,
+    lookups: usize,
+    chain_nodes: usize,
+    chain_horizon_s: u64,
+    bft_ops: u64,
+) -> Json {
     let mut pairs = measure_kad(kad_nodes, lookups);
     pairs.extend(measure_chain(chain_nodes, chain_horizon_s));
+    pairs.extend(measure_bft(bft_ops));
     Json::obj(pairs)
 }
 
@@ -328,6 +354,59 @@ fn measure_chain(nodes: usize, horizon_s: u64) -> Vec<(&'static str, Json)> {
     ]
 }
 
+/// Runs each permissioned cluster saturated with `ops` requests on every
+/// replica and counts its events and the bytes it holds live at the end.
+fn measure_bft(ops: u64) -> Vec<(&'static str, Json)> {
+    let live_before = live_bytes();
+    let mut sim: Simulation<PbftReplica> = Simulation::new(BFT_SEED, LanNet::datacenter());
+    let ids = pbft::build_cluster(&mut sim, &PbftConfig::default(), &[]);
+    for &id in &ids {
+        sim.node_mut(id).submit_many(0..ops, SimTime::ZERO);
+    }
+    sim.run_until(SimTime::from_secs(2.0));
+    let pbft_live_bytes = live_bytes() - live_before;
+    let pbft_events = sim.events_processed();
+    drop(sim);
+
+    let live_before = live_bytes();
+    let mut sim: Simulation<RaftNode> = Simulation::new(BFT_SEED, LanNet::datacenter());
+    let ids = raft::build_cluster(&mut sim, &RaftConfig::default());
+    sim.run_until(SimTime::from_secs(1.0));
+    for &id in &ids {
+        sim.node_mut(id)
+            .submit_many(0..ops, SimTime::from_secs(1.0));
+    }
+    sim.run_until(SimTime::from_secs(3.0));
+    let raft_live_bytes = live_bytes() - live_before;
+    vec![
+        (
+            "bft_workload",
+            Json::obj([
+                (
+                    "network",
+                    Json::str("saturated PBFT n=4 (2 s) and Raft n=5 (1 s election, 2 s load) on LanNet::datacenter()"),
+                ),
+                ("ops_per_replica", Json::int(ops)),
+                ("seed", Json::int(BFT_SEED)),
+                (
+                    "note",
+                    Json::str(
+                        "bft_events (both runs) is gated exactly, bft_pbft_live_bytes and \
+                         bft_raft_live_bytes within ±10%: the bytes each run holds live at its \
+                         end, cluster still built.",
+                    ),
+                ),
+            ]),
+        ),
+        (
+            "bft_events",
+            Json::int(pbft_events + sim.events_processed()),
+        ),
+        ("bft_pbft_live_bytes", Json::int(pbft_live_bytes as u64)),
+        ("bft_raft_live_bytes", Json::int(raft_live_bytes as u64)),
+    ]
+}
+
 /// The counter under `key`, NaN when absent — and NaN fails every gate.
 fn num_field(j: &Json, key: &str) -> f64 {
     j.get(key).and_then(Json::as_num).unwrap_or(f64::NAN)
@@ -400,7 +479,7 @@ fn run(
             Json::parse(&text).map_err(|e| format!("{path}: {e}"))
         })
         .transpose()?;
-    let current = measure(NODES, LOOKUPS, CHAIN_NODES, CHAIN_HORIZON_S);
+    let current = measure(NODES, LOOKUPS, CHAIN_NODES, CHAIN_HORIZON_S, BFT_OPS);
     if let Some(path) = write_baseline {
         std::fs::write(path, format!("{}\n", current.to_string_pretty()))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -477,7 +556,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// The fourteen counters a drift in which fails the gate.
+    /// The seventeen counters a drift in which fails the gate.
     fn gated_keys() -> impl Iterator<Item = &'static str> {
         let gated = GATE.iter().filter(|g| g.1 != "report only");
         gated.map(|g| g.0)
@@ -500,7 +579,7 @@ mod tests {
         assert_eq!(grown, 4096, "realloc must free the old block");
         assert_eq!(live_bytes(), live0, "freed bytes uncounted");
 
-        let j = measure(50, 5, 20, 600);
+        let j = measure(50, 5, 20, 600, 500);
         for (key, ..) in GATE {
             assert!(j.get(key).is_some(), "missing {key}");
         }
@@ -521,10 +600,17 @@ mod tests {
             num_field(&j, "chain_alloc_bytes") > 0.0,
             "no relay allocation counted"
         );
+        assert!(
+            num_field(&j, "bft_events") > 0.0,
+            "clusters processed no events"
+        );
+        for key in ["bft_pbft_live_bytes", "bft_raft_live_bytes"] {
+            assert!(num_field(&j, key) > 0.0, "{key}: no live bytes counted");
+        }
 
-        let a = measure(60, 6, 24, 900);
-        let b = measure(60, 6, 24, 900);
-        assert_eq!(gated_keys().count(), 14);
+        let a = measure(60, 6, 24, 900, 600);
+        let b = measure(60, 6, 24, 900, 600);
+        assert_eq!(gated_keys().count(), 17);
         for key in gated_keys() {
             assert_eq!(
                 num_field(&a, key),
@@ -553,6 +639,9 @@ mod tests {
             ("chain_cascades", Json::int(7)),
             ("chain_alloc_bytes", Json::int(alloc_bytes)),
             ("chain_alloc_calls", Json::int(10)),
+            ("bft_events", Json::int(events)),
+            ("bft_pbft_live_bytes", Json::int(alloc_bytes)),
+            ("bft_raft_live_bytes", Json::int(alloc_bytes)),
         ])
     }
 

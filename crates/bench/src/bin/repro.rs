@@ -15,6 +15,7 @@
 //!       [--sweep EXP:param=lo..hi:steps]
 //!       [--serve kad | --probe] [--port-base N] [--mesh-size N]
 //!       [--serve-for SECS] [--probe-timeout SECS]
+//! repro --help | -h
 //! ```
 //!
 //! `--quick` runs CI-sized configurations (seconds); the default runs
@@ -84,7 +85,8 @@ use decent_sim::json::Json;
 const USAGE: &str = "usage: repro [--quick] [--exp E1,E2,...] [--csv DIR] [--claims] [--list] \
 [--json PATH] [--format md|json] [--summary PATH] [--jobs N] [--shards N] [--seed N] \
 [--baseline PATH] [--write-baseline PATH] [--sweep EXP:param=lo..hi:steps] \
-[--serve kad | --probe] [--port-base N] [--mesh-size N] [--serve-for SECS] [--probe-timeout SECS]";
+[--serve kad | --probe] [--port-base N] [--mesh-size N] [--serve-for SECS] [--probe-timeout SECS] \
+[--help]";
 
 /// The largest `--jobs` and `--shards`. Each is a count of operating
 /// system threads started at once (a windowed advance spawns one per
@@ -132,6 +134,8 @@ struct Cli {
     serve_for: Option<f64>,
     /// Probe lookup deadline in wall-clock seconds.
     probe_timeout: Option<f64>,
+    /// `--help` / `-h`: print the usage to stdout and exit 0.
+    help: bool,
 }
 
 /// Parses and validates arguments. Experiment ids are checked against the
@@ -142,6 +146,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            "--help" | "-h" => {
+                return Ok(Cli {
+                    help: true,
+                    ..Cli::default()
+                })
+            }
             "--quick" => cli.quick = true,
             "--claims" => cli.claims = true,
             "--list" => cli.list = true,
@@ -541,6 +551,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if cli.help {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     if cli.serve.is_some() || cli.probe {
         let seed = cli.seed.unwrap_or(42);
         let port_base = cli.port_base.unwrap_or(42810);
@@ -922,6 +936,22 @@ mod tests {
     #[test]
     fn missing_csv_dir_is_rejected() {
         assert!(parse(&["--csv"]).unwrap_err().contains("requires"));
+    }
+
+    #[test]
+    fn help_asks_for_the_usage_and_nothing_else() {
+        for flag in ["--help", "-h"] {
+            let help = Cli {
+                help: true,
+                ..Cli::default()
+            };
+            assert_eq!(parse(&[flag]).unwrap(), help);
+            assert_eq!(parse(&["--quick", flag, "--exp", "E99"]).unwrap(), help);
+        }
+        // A flag's value is never read as a flag.
+        let cli = parse(&["--json", "-h"]).unwrap();
+        assert!(!cli.help);
+        assert_eq!(cli.json_path.as_deref(), Some(std::path::Path::new("-h")));
     }
 
     #[test]

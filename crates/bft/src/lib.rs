@@ -11,3 +11,4 @@ pub mod bridge;
 pub mod ledger;
 pub mod pbft;
 pub mod raft;
+pub mod runs;

@@ -15,14 +15,24 @@
 //! Duplicate suppression happens at execution by request id (a standard
 //! modelling simplification; checkpoints/GC are out of scope).
 //!
+//! A replica's request bookkeeping grows with runs, not requests. The
+//! queue is a [`RequestRuns`] (a preloaded range is one run) and the
+//! execution record an [`ExecRuns`] (one batch executes at one time, so
+//! it is one run); executed ids live in an [`IdSet`]. The view-change
+//! watchdog asks whether any queued request is unexecuted by dropping
+//! executed ids off the front of the queue, as the proposer does, so a
+//! tick costs the ids it drops, never a scan of the backlog.
+//!
 //! The scaling shape the paper relies on — throughput falling as the
 //! replica count grows — emerges from the primary's O(n) outbound
 //! batches on a bandwidth-limited network ([`LanNet`]) plus the O(n²)
 //! vote traffic.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use decent_sim::prelude::*;
+
+use crate::runs::{ExecRuns, RequestRuns};
 
 /// One client operation: `(request id, submit time)`.
 pub type Request = (u64, SimTime);
@@ -152,9 +162,6 @@ struct Instance {
     committed: bool,
 }
 
-/// An executed request record: `(submitted, executed)`.
-pub type ExecRecord = (SimTime, SimTime);
-
 const TIMER_BATCH: u64 = 1;
 const TIMER_VIEWCHANGE_BASE: u64 = 1 << 32;
 
@@ -171,13 +178,14 @@ pub struct PbftReplica {
     next_seq: u64,
     log: HashMap<u64, Instance>,
     last_executed: u64,
-    buffer: VecDeque<Request>,
+    buffer: RequestRuns,
     executed_ids: IdSet,
     view_votes: HashMap<u64, HashSet<usize>>,
     /// Progress marker used by the view-change watchdog.
     progress: u64,
-    /// Executed requests with submit/exec times (measurement output).
-    pub executed: Vec<ExecRecord>,
+    /// Executed requests with submit/exec times (measurement output),
+    /// each id's first execution only.
+    pub executed: ExecRuns,
     /// View changes this replica has participated in.
     pub view_changes: u64,
 }
@@ -196,11 +204,11 @@ impl PbftReplica {
             next_seq: 1,
             log: HashMap::new(),
             last_executed: 0,
-            buffer: VecDeque::new(),
+            buffer: RequestRuns::new(),
             executed_ids: IdSet::new(),
             view_votes: HashMap::new(),
             progress: 0,
-            executed: Vec::new(),
+            executed: ExecRuns::new(),
             view_changes: 0,
         }
     }
@@ -227,10 +235,11 @@ impl PbftReplica {
 
     /// Buffers a client request (driver entry point).
     pub fn submit(&mut self, id: u64, ctx: &mut Context<'_, PbftMsg>) {
-        self.buffer.push_back((id, ctx.now()));
+        self.buffer.push_back(id, ctx.now());
     }
 
-    /// Buffers many requests at once (saturation workloads).
+    /// Buffers many requests at once (saturation workloads); a range
+    /// is one run of the queue.
     pub fn submit_many(&mut self, ids: impl IntoIterator<Item = u64>, now: SimTime) {
         self.buffer.extend(ids.into_iter().map(|id| (id, now)));
     }
@@ -254,11 +263,17 @@ impl PbftReplica {
         batch
     }
 
-    /// Whether any buffered request is still unexecuted.
-    fn has_buffered_work(&self) -> bool {
-        self.buffer
-            .iter()
-            .any(|&(id, _)| !self.executed_ids.contains(id))
+    /// Whether any buffered request is still unexecuted. Drops executed
+    /// ids off the front of the queue, as `take_batch` would on reaching
+    /// them, so the answer costs the ids dropped, not the backlog.
+    fn has_buffered_work(&mut self) -> bool {
+        while let Some((id, _)) = self.buffer.front() {
+            if !self.executed_ids.contains(id) {
+                return true;
+            }
+            self.buffer.pop_front();
+        }
+        false
     }
 
     fn digest_of(batch: &Batch) -> u64 {
@@ -374,7 +389,7 @@ impl PbftReplica {
             let exec_done = ctx.now() + self.cfg.exec_per_op * batch.len() as f64;
             for &(id, submitted) in batch.iter() {
                 if self.executed_ids.insert(id) {
-                    self.executed.push((submitted, exec_done));
+                    self.executed.push(submitted, exec_done);
                 }
             }
             // Free the instance memory (stand-in for checkpoint GC).
@@ -597,7 +612,7 @@ pub fn saturation_run(
     sim.run_until(SimTime::ZERO + horizon);
     let replica = sim.node(ids[1]);
     let mut lat = Histogram::new();
-    for &(sub, exec) in &replica.executed {
+    for (sub, exec) in replica.executed.iter() {
         lat.record(exec.saturating_since(sub).as_secs());
     }
     let tput = replica.executed.len() as f64 / horizon.as_secs();
@@ -624,10 +639,16 @@ mod tests {
             assert_eq!(r.executed.len(), 1000, "replica missing executions");
             assert_eq!(r.view_changes, 0);
             // Execution times are monotone (ordered execution).
-            let times: Vec<_> = r.executed.iter().map(|&(_, e)| e).collect();
+            let times: Vec<_> = r.executed.iter().map(|(_, e)| e).collect();
             let mut sorted = times.clone();
             sorted.sort();
             assert_eq!(times, sorted);
+            // The watchdog dropped the executed requests off the queue.
+            assert!(
+                r.buffer.is_empty(),
+                "{} requests left queued",
+                r.buffer.len()
+            );
         }
     }
 
@@ -716,7 +737,7 @@ mod tests {
     /// replicas 1 and 2 only, one commit vote short of a quorum. Returns
     /// the new primary's buffer as it takes over and its execution
     /// record at the end.
-    fn primary_dies_with_instances_in_flight() -> (Vec<Request>, Vec<ExecRecord>) {
+    fn primary_dies_with_instances_in_flight() -> (Vec<Request>, ExecRuns) {
         const OPS: u64 = 20_000;
         let cfg = PbftConfig {
             view_timeout: SimDuration::from_millis(500.0),
@@ -754,7 +775,7 @@ mod tests {
         while sim.node(ids[1]).view() == 0 {
             sim.run_until(sim.now() + SimDuration::from_millis(1.0));
         }
-        let buffer: Vec<Request> = sim.node(ids[1]).buffer.iter().copied().collect();
+        let buffer: Vec<Request> = sim.node(ids[1]).buffer.iter().collect();
         assert!(
             buffer.ends_with(&ascending),
             "stranded batches must be re-buffered in ascending sequence order"
@@ -842,7 +863,7 @@ mod tests {
                     }
                     5..=8 => {
                         r.cfg.batch_max = rng.gen_range(1..=8);
-                        let before: Vec<Request> = r.buffer.iter().copied().collect();
+                        let before: Vec<Request> = r.buffer.iter().collect();
                         let got = r.take_batch();
                         let want = retain_then_take(&mut model, &r.executed_ids, r.cfg.batch_max);
                         assert_eq!(got, want, "seed {seed} step {step}");

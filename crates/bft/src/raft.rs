@@ -9,12 +9,20 @@
 //!
 //! As in the PBFT module, clients broadcast requests to every node and
 //! duplicates are suppressed at apply time by request id.
+//!
+//! Request bookkeeping grows with runs, not requests: the client queue
+//! is a [`RequestRuns`] and the apply record an [`ExecRuns`] (one commit
+//! applies its entries at one time), and the applied ids, like the
+//! logged ids the leader collects for each client burst, are an
+//! [`IdSet`]. The log itself stays one entry per index.
 
 use std::collections::HashSet;
 
 use rand::Rng;
 
 use decent_sim::prelude::*;
+
+use crate::runs::{ExecRuns, RequestRuns};
 
 /// A log entry: `(term, request id, submit time)`.
 pub type Entry = (u64, u64, SimTime);
@@ -136,11 +144,12 @@ pub struct RaftNode {
     last_applied: u64,
     next_index: Vec<u64>,
     match_index: Vec<u64>,
-    buffer: Vec<(u64, SimTime)>,
-    applied_ids: HashSet<u64>,
+    buffer: RequestRuns,
+    applied_ids: IdSet,
     election_epoch: u64,
-    /// Applied requests with submit/apply times (measurement output).
-    pub applied: Vec<(SimTime, SimTime)>,
+    /// Applied requests with submit/apply times (measurement output),
+    /// each id's first application only.
+    pub applied: ExecRuns,
     /// Elections this node has started.
     pub elections_started: u64,
 }
@@ -164,10 +173,10 @@ impl RaftNode {
             last_applied: 0,
             next_index: vec![1; n],
             match_index: vec![0; n],
-            buffer: Vec::new(),
-            applied_ids: HashSet::new(),
+            buffer: RequestRuns::new(),
+            applied_ids: IdSet::new(),
             election_epoch: 0,
-            applied: Vec::new(),
+            applied: ExecRuns::new(),
             elections_started: 0,
         }
     }
@@ -197,14 +206,12 @@ impl RaftNode {
 
     /// Buffers a client request.
     pub fn submit(&mut self, id: u64, now: SimTime) {
-        self.buffer.push((id, now));
+        self.buffer.push_back(id, now);
     }
 
-    /// Buffers many requests at once.
+    /// Buffers many requests at once; a range is one run of the queue.
     pub fn submit_many(&mut self, ids: impl IntoIterator<Item = u64>, now: SimTime) {
-        for id in ids {
-            self.buffer.push((id, now));
-        }
+        self.buffer.extend(ids.into_iter().map(|id| (id, now)));
     }
 
     fn last_log_index(&self) -> u64 {
@@ -272,9 +279,9 @@ impl RaftNode {
         // ids costs the whole log, so it is built once per client burst,
         // not at every heartbeat.
         if !self.buffer.is_empty() {
-            let in_log: HashSet<u64> = self.log[1..].iter().map(|&(_, id, _)| id).collect();
-            for (id, t) in self.buffer.drain(..) {
-                if !in_log.contains(&id) && !self.applied_ids.contains(&id) {
+            let in_log: IdSet = self.log[1..].iter().map(|&(_, id, _)| id).collect();
+            for (id, t) in std::mem::take(&mut self.buffer).iter() {
+                if !in_log.contains(id) && !self.applied_ids.contains(id) {
                     self.log.push((self.term, id, t));
                 }
             }
@@ -322,7 +329,7 @@ impl RaftNode {
             self.last_applied += 1;
             let (_, id, submitted) = self.log[self.last_applied as usize];
             if self.applied_ids.insert(id) {
-                self.applied.push((submitted, ctx.now()));
+                self.applied.push(submitted, ctx.now());
             }
         }
     }
@@ -659,8 +666,8 @@ mod tests {
         sim.run_until(SimTime::from_secs(1.12));
         let leader = sim.node(current_leader(&sim, &ids).expect("leader"));
         assert!(
-            (50..100).any(|id| leader.log.iter().any(|e| e.1 == id)
-                && !leader.applied_ids.contains(&id)),
+            (50..100)
+                .any(|id| leader.log.iter().any(|e| e.1 == id) && !leader.applied_ids.contains(id)),
             "the overlap must be logged and not yet applied"
         );
         for &id in &ids {
@@ -687,7 +694,7 @@ mod tests {
         sim.node_mut(leader)
             .submit_many([42], SimTime::from_secs(1.0));
         sim.run_until(SimTime::from_secs(2.0));
-        let &(sub, applied) = sim
+        let (sub, applied) = sim
             .node(leader)
             .applied
             .iter()

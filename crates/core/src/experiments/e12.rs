@@ -63,7 +63,7 @@ fn measure_raft(seed: u64, shards: usize) -> (f64, f64, MetricsSnapshot) {
         .map(|&i| sim.node(i))
         .max_by_key(|n| n.applied.len())
         .expect("nodes");
-    for &(sub, app) in &node.applied {
+    for (sub, app) in node.applied.iter() {
         lat.record(app.saturating_since(sub).as_secs());
     }
     let tps = node.applied.len() as f64 / horizon;

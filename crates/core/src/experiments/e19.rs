@@ -233,7 +233,7 @@ fn run_dht(cfg: &Config) -> (Vec<DhtPhase>, MetricsSnapshot) {
 fn pbft_phase(replica: &PbftReplica, submitted_at: SimTime) -> (u64, Histogram) {
     let mut lat = Histogram::new();
     let mut n = 0;
-    for &(sub, done) in &replica.executed {
+    for (sub, done) in replica.executed.iter() {
         if sub == submitted_at {
             n += 1;
             lat.record(done.saturating_since(sub).as_secs());

@@ -303,7 +303,7 @@ struct PbftFingerprint {
     events: u64,
     trace: Vec<EventRecord>,
     metrics: MetricsSnapshot,
-    state: Vec<(Vec<(SimTime, SimTime)>, u64)>,
+    state: Vec<(decent::bft::runs::ExecRuns, u64)>,
 }
 
 fn run_pbft(seed: u64, shards: usize) -> PbftFingerprint {
