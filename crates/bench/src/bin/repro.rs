@@ -30,14 +30,16 @@
 //! experiment, `--shards N` lets each simulation use the engine's
 //! windowed sharded executor (up to N worker threads, wherever its
 //! conservative windows are full enough to repay their barrier; default
-//! 1 = serial). Both flags take at most 256. Parallelism never changes
+//! 1 = serial). Each experiment runs inside one execution policy
+//! carrying that count, and every simulation it builds asks for it; the
+//! experiments with no discrete-event loop (closed-form or Monte Carlo)
+//! have nothing to shard. `--jobs × --shards` threads can run at once,
+//! so each flag and their product take at most 256, and the default
+//! `--jobs` is capped at `256 / --shards`. Parallelism never changes
 //! results on either axis: each experiment seeds its own RNG streams,
 //! the sharded executor commits events in the exact serial
 //! `(time, seq)` order, and the canonical JSON excludes wall-clock, so
-//! serial, `--jobs N`, and `--shards N` runs are byte-identical. Every
-//! experiment that runs simulations honours `--shards`; the ones with
-//! no discrete-event loop (closed-form or Monte Carlo) have nothing to
-//! shard.
+//! serial, `--jobs N`, and `--shards N` runs are byte-identical.
 //!
 //! The claim-regression gate: `--baseline PATH` diffs this run's claim
 //! verdicts against a committed claims file and exits 1 on any verdict
@@ -88,10 +90,12 @@ const USAGE: &str = "usage: repro [--quick] [--exp E1,E2,...] [--csv DIR] [--cla
 [--serve kad | --probe] [--port-base N] [--mesh-size N] [--serve-for SECS] [--probe-timeout SECS] \
 [--help]";
 
-/// The largest `--jobs` and `--shards`. Each is a count of operating
-/// system threads started at once (a windowed advance spawns one per
-/// shard, empty shards included), so a typo like `--shards 100000`
-/// would ask the host for a hundred thousand threads.
+/// The most operating-system threads a run starts at once: `--jobs`
+/// experiments, each of which can be in a windowed advance that spawns
+/// one thread per shard (empty shards included). It caps `--jobs`,
+/// `--shards` and their product, so neither a typo like
+/// `--shards 100000` nor `--jobs 256 --shards 256` asks the host for
+/// tens of thousands of threads.
 const MAX_THREADS: usize = 256;
 
 /// Output format for stdout.
@@ -315,6 +319,14 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             }
         }
     }
+    if let (Some(jobs), Some(shards)) = (cli.jobs, cli.shards) {
+        if jobs * shards > MAX_THREADS {
+            return Err(format!(
+                "--jobs {jobs} x --shards {shards} is {} threads at once, more than {MAX_THREADS}",
+                jobs * shards
+            ));
+        }
+    }
     if cli.selected.is_some() && cli.write_baseline.is_some() {
         return Err(
             "--exp cannot be combined with --write-baseline: a baseline covers every experiment"
@@ -341,6 +353,11 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             (cli.selected.is_some(), "--exp"),
             (cli.baseline.is_some(), "--baseline"),
             (cli.write_baseline.is_some(), "--write-baseline"),
+            (cli.shards.is_some(), "--shards"),
+            (cli.jobs.is_some(), "--jobs"),
+            (cli.json_path.is_some(), "--json"),
+            (cli.csv_dir.is_some(), "--csv"),
+            (cli.summary_path.is_some(), "--summary"),
         ] {
             if set {
                 return Err(format!("--serve/--probe cannot be combined with {flag}"));
@@ -582,12 +599,14 @@ fn main() -> ExitCode {
             }
         };
     }
+    let shards = cli.shards.unwrap_or(1);
     let jobs = cli.jobs.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
+            .min(MAX_THREADS / shards)
     });
-    let exec = ExecPolicy::sharded(cli.shards.unwrap_or(1));
+    let exec = ExecPolicy::sharded(shards);
     if let Some(spec) = &cli.sweep {
         let sweep = match run_sweep(spec, cli.quick, cli.seed, jobs, exec) {
             Ok(s) => s,
@@ -818,6 +837,15 @@ mod tests {
                 assert!(parse(&[flag, n]).unwrap_err().contains("at most 256"));
             }
         }
+        // Every job can be in a windowed advance on every shard at once,
+        // so the product is capped too, and the cap itself is accepted.
+        for (jobs, shards) in [("256", "256"), ("2", "129"), ("129", "2")] {
+            let err = parse(&["--jobs", jobs, "--shards", shards]).unwrap_err();
+            assert!(err.contains("more than 256"), "{jobs} x {shards}: {err}");
+        }
+        for (jobs, shards) in [("1", "256"), ("256", "1"), ("16", "16"), ("2", "128")] {
+            assert!(parse(&["--jobs", jobs, "--shards", shards]).is_ok());
+        }
         assert!(parse(&["--seed", "-3"])
             .unwrap_err()
             .contains("unsigned integer"));
@@ -1012,9 +1040,22 @@ mod tests {
         assert!(parse(&["--serve", "kad", "--probe"])
             .unwrap_err()
             .contains("pick one"));
-        assert!(parse(&["--probe", "--exp", "E7"])
-            .unwrap_err()
-            .contains("cannot be combined"));
+        // `main` returns before it reads any run or report flag, so each
+        // one is refused rather than silently ignored.
+        for flags in [
+            ["--exp", "E7"],
+            ["--shards", "2"],
+            ["--jobs", "2"],
+            ["--json", "r.json"],
+            ["--csv", "out"],
+            ["--summary", "s.md"],
+        ] {
+            for mode in [&["--serve", "kad"][..], &["--probe"]] {
+                let args: Vec<&str> = mode.iter().chain(&flags).copied().collect();
+                let err = parse(&args).unwrap_err();
+                assert!(err.contains("cannot be combined"), "{args:?}: {err}");
+            }
+        }
         assert!(parse(&["--port-base", "0"])
             .unwrap_err()
             .contains("nonzero"));

@@ -535,13 +535,11 @@ pub fn run_selfish_attack(
     interval: SimDuration,
     horizon: SimDuration,
     seed: u64,
-    shards: usize,
 ) -> (f64, f64) {
     assert!((0.0..0.5).contains(&alpha));
     let n = honest_miners + 1 + 10; // + relays/observers
     let total_hashrate = 1e6;
     let mut sim: Simulation<ChainNode> = Simulation::new(seed, ConstantLatency::from_millis(80.0));
-    sim.set_shards(shards);
     let graph = Graph::random_outbound(n, 8, &mut rng_from_seed(seed ^ 1));
     let params = PowParams {
         target_interval: interval,
@@ -832,14 +830,15 @@ mod tests {
     #[test]
     fn network_selfish_miner_beats_fair_share() {
         // A 42% selfish pool on a real relay network: gamma emerges from
-        // propagation rather than being assumed.
+        // propagation rather than being assumed. On two shards, as
+        // `repro --shards 2` runs it.
+        let _scope = decent_sim::engine::ExecPolicy::sharded(2).enter();
         let (share, stale) = run_selfish_attack(
             0.42,
             14,
             SimDuration::from_secs(60.0),
             SimDuration::from_days(3.0),
             0x5EF,
-            2,
         );
         assert!(
             share > 0.45,

@@ -26,10 +26,6 @@ pub struct Config {
     pub lookups: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -38,7 +34,6 @@ impl Default for Config {
             nodes: 1500,
             lookups: 400,
             seed: 0xE1,
-            shards: 1,
         }
     }
 }
@@ -85,7 +80,6 @@ fn deployments() -> Vec<Deployment> {
 /// the engine's metrics snapshot.
 fn run_deployment(cfg: &Config, dep: &Deployment, seed: u64) -> (Histogram, MetricsSnapshot) {
     let mut sim = Simulation::new(seed, UniformLatency::from_millis(30.0, 120.0));
-    sim.set_shards(cfg.shards);
     let ids = build_network(&mut sim, cfg.nodes, &dep.kad, dep.unresponsive, 8, seed ^ 1);
     sim.run_until(SimTime::from_secs(1.0));
     let mut issued = 0usize;
@@ -145,10 +139,6 @@ impl Experiment for Config {
 
     fn seed_mut(&mut self) -> Option<&mut u64> {
         Some(&mut self.seed)
-    }
-
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
     }
 
     fn run(&self) -> ExperimentReport {

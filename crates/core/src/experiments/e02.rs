@@ -24,10 +24,6 @@ pub struct Config {
     pub ttl: u32,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -37,7 +33,6 @@ impl Default for Config {
             queries: 3000,
             ttl: 5,
             seed: 0xE2,
-            shards: 1,
         }
     }
 }
@@ -79,14 +74,9 @@ impl Experiment for Config {
         Some(&mut self.seed)
     }
 
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
-    }
-
     fn run(&self) -> ExperimentReport {
         let flood_cfg = FloodConfig::default();
         let mut sim = Simulation::new(self.seed, UniformLatency::from_millis(30.0, 120.0));
-        sim.set_shards(self.shards);
         let ids = build_network(&mut sim, self.nodes, &flood_cfg, self.seed ^ 2);
         sim.run_until(SimTime::from_secs(0.1));
         let zipf = Zipf::new(flood_cfg.catalog_size, flood_cfg.popularity_exponent);

@@ -24,10 +24,6 @@ pub struct Config {
     pub sessions_mins: Vec<Option<f64>>,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -37,7 +33,6 @@ impl Default for Config {
             lookups: 250,
             sessions_mins: vec![Some(10.0), Some(30.0), Some(120.0), None],
             seed: 0xE4,
-            shards: 1,
         }
     }
 }
@@ -56,7 +51,6 @@ fn run_level(cfg: &Config, session: Option<f64>, lan: bool, seed: u64) -> Row {
     } else {
         Simulation::new(seed, UniformLatency::from_millis(30.0, 120.0))
     };
-    sim.set_shards(cfg.shards);
     let kad = KadConfig {
         k: 10,
         alpha: 3,
@@ -155,10 +149,6 @@ impl Experiment for Config {
 
     fn seed_mut(&mut self) -> Option<&mut u64> {
         Some(&mut self.seed)
-    }
-
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
     }
 
     fn run(&self) -> ExperimentReport {

@@ -25,10 +25,6 @@ pub struct Config {
     pub lookups: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -38,7 +34,6 @@ impl Default for Config {
             ratios: vec![0.0, 0.25, 0.5, 1.0],
             lookups: 120,
             seed: 0xE5,
-            shards: 1,
         }
     }
 }
@@ -85,10 +80,6 @@ impl Experiment for Config {
         Some(&mut self.seed)
     }
 
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
-    }
-
     fn run(&self) -> ExperimentReport {
         let mut report = Self::report();
         let victim_key = Key::from_u64(0xBEEF);
@@ -118,7 +109,6 @@ impl Experiment for Config {
             };
             let (mut sim, honest, sybil_ids) =
                 build_attacked_network(&scfg, self.seed ^ ((i as u64 + 1) << 6));
-            sim.set_shards(self.shards);
             // A zero-ratio level keeps one inert sybil for plumbing; ignore it.
             let out = measure_capture(&mut sim, &honest, &sybil_ids, victim_key, self.lookups);
             report.absorb_metrics(sim.metrics_snapshot());
@@ -145,7 +135,6 @@ impl Experiment for Config {
             },
         };
         let (mut sim, honest, sybil_ids) = build_attacked_network(&eclipse_cfg, self.seed ^ 0xEC);
-        sim.set_shards(self.shards);
         let eclipse = measure_capture(&mut sim, &honest, &sybil_ids, victim_key, self.lookups);
         report.absorb_metrics(sim.metrics_snapshot());
         let eclipse_top = eclipse.top_captured as f64 / eclipse.lookups.max(1) as f64;

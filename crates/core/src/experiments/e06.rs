@@ -35,10 +35,6 @@ pub struct Config {
     pub session_mins: f64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -48,7 +44,6 @@ impl Default for Config {
             lookups: 200,
             session_mins: 60.0,
             seed: 0xE6,
-            shards: 1,
         }
     }
 }
@@ -74,11 +69,9 @@ impl ProtocolRow {
     }
 }
 
-/// An empty simulation on E6's latency model and the run's shards.
-fn simulation<N: Node<Msg: Send> + Send>(cfg: &Config, seed: u64) -> Simulation<N> {
-    let mut sim = Simulation::new(seed, UniformLatency::from_millis(30.0, 120.0));
-    sim.set_shards(cfg.shards);
-    sim
+/// An empty simulation on E6's latency model.
+fn simulation<N: Node>(seed: u64) -> Simulation<N> {
+    Simulation::new(seed, UniformLatency::from_millis(30.0, 120.0))
 }
 
 /// Runs to t = 1 s, then a lookup-free two-minute window; returns its
@@ -118,7 +111,7 @@ fn harvest<'a, T: 'a, O: 'a>(outcomes: impl Iterator<Item = &'a Outcome<T, O>>) 
 }
 
 fn measure_chord(cfg: &Config, seed: u64) -> ProtocolRow {
-    let mut sim = simulation(cfg, seed);
+    let mut sim = simulation(seed);
     let ids = build_ring(&mut sim, cfg.nodes, &ChordConfig::default(), seed ^ 1);
     let maint = maintenance(&mut sim, cfg.nodes);
     paced_lookups(&mut sim, &ids, cfg.lookups, 31, |sim, origin, i| {
@@ -130,7 +123,7 @@ fn measure_chord(cfg: &Config, seed: u64) -> ProtocolRow {
 }
 
 fn measure_kademlia(cfg: &Config, seed: u64) -> ProtocolRow {
-    let mut sim = simulation(cfg, seed);
+    let mut sim = simulation(seed);
     let kad = KadConfig {
         k: 10,
         alpha: 3,
@@ -154,7 +147,7 @@ fn measure_kademlia(cfg: &Config, seed: u64) -> ProtocolRow {
 }
 
 fn measure_onehop(cfg: &Config, seed: u64) -> ProtocolRow {
-    let mut sim = simulation(cfg, seed);
+    let mut sim = simulation(seed);
     let ids = onehop::build_network(&mut sim, cfg.nodes, OneHopConfig::default(), seed ^ 3);
     sim.run_until(SimTime::from_secs(1.0));
     // Membership events at the churn rate: 2 events per session cycle.
@@ -184,7 +177,7 @@ fn measure_onehop(cfg: &Config, seed: u64) -> ProtocolRow {
 }
 
 fn measure_pastry(cfg: &Config, seed: u64) -> ProtocolRow {
-    let mut sim = simulation(cfg, seed);
+    let mut sim = simulation(seed);
     let ids = pastry::build_network(&mut sim, cfg.nodes, &PastryConfig::default(), seed ^ 4);
     let maint = maintenance(&mut sim, cfg.nodes);
     paced_lookups(&mut sim, &ids, cfg.lookups, 41, |sim, origin, i| {
@@ -197,7 +190,7 @@ fn measure_pastry(cfg: &Config, seed: u64) -> ProtocolRow {
 
 fn measure_can(cfg: &Config, seed: u64) -> ProtocolRow {
     use rand::Rng;
-    let mut sim = simulation(cfg, seed);
+    let mut sim = simulation(seed);
     let ids = can::build_network(&mut sim, cfg.nodes, seed ^ 5);
     sim.run_until(SimTime::from_secs(0.1));
     paced_lookups(&mut sim, &ids, cfg.lookups, 43, |sim, origin, _| {
@@ -253,10 +246,6 @@ impl Experiment for Config {
 
     fn seed_mut(&mut self) -> Option<&mut u64> {
         Some(&mut self.seed)
-    }
-
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
     }
 
     fn run(&self) -> ExperimentReport {

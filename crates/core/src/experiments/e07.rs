@@ -30,10 +30,6 @@ pub struct Config {
     pub oltp_shards: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -44,7 +40,6 @@ impl Default for Config {
             ethereum_mins: 90.0,
             oltp_shards: 64,
             seed: 0xE7,
-            shards: 1,
         }
     }
 }
@@ -63,7 +58,6 @@ fn run_chain(
         &mut rng,
     );
     let mut sim = Simulation::new(seed ^ 7, net);
-    sim.set_shards(cfg.shards);
     let ncfg = NetworkConfig {
         nodes: cfg.chain_nodes,
         miner_fraction: 0.25,
@@ -103,7 +97,6 @@ impl Node for OltpShard {
 /// Simulates the partitioned cluster at saturation and returns TPS.
 fn run_oltp(cfg: &Config, horizon: SimDuration, seed: u64) -> (f64, MetricsSnapshot) {
     let mut sim: Simulation<OltpShard> = Simulation::new(seed, ConstantLatency::from_millis(0.5));
-    sim.set_shards(cfg.shards);
     let shards: Vec<NodeId> = (0..cfg.oltp_shards)
         .map(|_| sim.add_node(OltpShard::default()))
         .collect();
@@ -164,10 +157,6 @@ impl Experiment for Config {
 
     fn seed_mut(&mut self) -> Option<&mut u64> {
         Some(&mut self.seed)
-    }
-
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
     }
 
     fn run(&self) -> ExperimentReport {

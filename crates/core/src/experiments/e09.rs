@@ -30,10 +30,6 @@ pub struct Config {
     pub pool_share: f64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -44,7 +40,6 @@ impl Default for Config {
             blocks: 2_000_000,
             pool_share: 0.42,
             seed: 0xE9,
-            shards: 1,
         }
     }
 }
@@ -82,10 +77,6 @@ impl Experiment for Config {
 
     fn seed_mut(&mut self) -> Option<&mut u64> {
         Some(&mut self.seed)
-    }
-
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
     }
 
     fn run(&self) -> ExperimentReport {
@@ -129,7 +120,6 @@ impl Experiment for Config {
             SimDuration::from_secs(60.0),
             SimDuration::from_days(if self.blocks > 1_000_000 { 6.0 } else { 2.0 }),
             self.seed ^ 0xE77,
-            self.shards,
         );
         let mut t_net = Table::new(
             format!(

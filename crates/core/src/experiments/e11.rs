@@ -31,11 +31,6 @@ pub struct Config {
     pub committee: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial; distinct from the
-    /// protocol-level `shards` knob above). Not a sweepable parameter
-    /// and absent from reports: execution sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub exec_shards: usize,
 }
 
 impl Default for Config {
@@ -46,7 +41,6 @@ impl Default for Config {
             shards: 16,
             committee: 16,
             seed: 0xE11,
-            exec_shards: 1,
         }
     }
 }
@@ -103,10 +97,6 @@ impl Experiment for Config {
         Some(&mut self.seed)
     }
 
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.exec_shards)
-    }
-
     fn run(&self) -> ExperimentReport {
         let mut report = Self::report();
 
@@ -118,7 +108,6 @@ impl Experiment for Config {
             &mut rng,
         );
         let mut sim = Simulation::new(self.seed ^ 1, net);
-        sim.set_shards(self.exec_shards);
         let ncfg = NetworkConfig {
             nodes: self.chain_nodes,
             miner_fraction: 0.25,

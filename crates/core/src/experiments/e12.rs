@@ -26,10 +26,6 @@ pub struct Config {
     pub chain_hours: f64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -39,14 +35,12 @@ impl Default for Config {
             chain_nodes: 80,
             chain_hours: 12.0,
             seed: 0xE12,
-            shards: 1,
         }
     }
 }
 
-fn measure_raft(seed: u64, shards: usize) -> (f64, f64, MetricsSnapshot) {
+fn measure_raft(seed: u64) -> (f64, f64, MetricsSnapshot) {
     let mut sim = Simulation::new(seed, LanNet::datacenter());
-    sim.set_shards(shards);
     let ids = build_cluster(&mut sim, &RaftConfig::default());
     sim.run_until(SimTime::from_secs(1.0));
     let _ = current_leader(&sim, &ids);
@@ -114,10 +108,6 @@ impl Experiment for Config {
         Some(&mut self.seed)
     }
 
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
-    }
-
     fn run(&self) -> ExperimentReport {
         let mut report = Self::report();
         let mut t = Table::new(
@@ -143,7 +133,7 @@ impl Experiment for Config {
             ]);
             pbft_tps.push(tps);
         }
-        let (raft_tps, raft_p50, raft_metrics) = measure_raft(self.seed ^ 0x4A, self.shards);
+        let (raft_tps, raft_p50, raft_metrics) = measure_raft(self.seed ^ 0x4A);
         report.absorb_metrics(raft_metrics);
         t.row([
             "Raft (CFT)".to_string(),
@@ -160,7 +150,6 @@ impl Experiment for Config {
             &mut rng,
         );
         let mut sim = Simulation::new(self.seed ^ 0x51, net);
-        sim.set_shards(self.shards);
         let ncfg = NetworkConfig {
             nodes: self.chain_nodes,
             miner_fraction: 0.25,

@@ -23,10 +23,6 @@ pub struct Config {
     pub requests_per_device: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -35,16 +31,14 @@ impl Default for Config {
             devices_per_region: 120,
             requests_per_device: 5,
             seed: 0xE13,
-            shards: 1,
         }
     }
 }
 
 /// Measures the one-time federation-join cost on the permissioned
 /// ledger (a channel transaction committing on all peers).
-fn federation_join_ms(seed: u64, shards: usize) -> (f64, MetricsSnapshot) {
+fn federation_join_ms(seed: u64) -> (f64, MetricsSnapshot) {
     let mut sim = Simulation::new(seed, LanNet::datacenter());
-    sim.set_shards(shards);
     let cfg = FabricConfig::default();
     let channels = vec![Channel {
         id: 1,
@@ -93,10 +87,6 @@ impl Experiment for Config {
         Some(&mut self.seed)
     }
 
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
-    }
-
     fn run(&self) -> ExperimentReport {
         let mut report = Self::report();
         let mut rows = Vec::new();
@@ -114,7 +104,6 @@ impl Experiment for Config {
             let ecfg = EdgeConfig {
                 strategy,
                 devices_per_region: self.devices_per_region,
-                shards: self.shards,
                 ..EdgeConfig::default()
             };
             let (mut lat, wan, locality) = run_workload(&ecfg, self.requests_per_device, self.seed);
@@ -133,7 +122,7 @@ impl Experiment for Config {
         }
         report.table(t);
 
-        let (join_ms, join_metrics) = federation_join_ms(self.seed ^ 0xFED, self.shards);
+        let (join_ms, join_metrics) = federation_join_ms(self.seed ^ 0xFED);
         report.absorb_metrics(join_metrics);
         let mut t2 = Table::new("Trust establishment cost", &["mechanism", "cost", "paid"]);
         t2.row([

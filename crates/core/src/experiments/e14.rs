@@ -25,10 +25,6 @@ pub struct Config {
     pub blocks_per_level: u64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -38,7 +34,6 @@ impl Default for Config {
             intervals_secs: vec![5.0, 30.0, 120.0, 600.0],
             blocks_per_level: 250,
             seed: 0xE14,
-            shards: 1,
         }
     }
 }
@@ -47,7 +42,6 @@ fn run_level(cfg: &Config, interval: f64, seed: u64) -> (f64, f64, MetricsSnapsh
     let mut rng = rng_from_seed(seed);
     let net = RegionNet::sampled(cfg.nodes, &Region::BITCOIN_2019_DISTRIBUTION, &mut rng);
     let mut sim = Simulation::new(seed ^ 1, net);
-    sim.set_shards(cfg.shards);
     let ncfg = NetworkConfig {
         nodes: cfg.nodes,
         miner_fraction: 0.3,
@@ -70,14 +64,13 @@ fn run_level(cfg: &Config, interval: f64, seed: u64) -> (f64, f64, MetricsSnapsh
 /// Measures retarget convergence: the network starts with a difficulty
 /// set for half its actual hashrate; returns mean block interval in the
 /// first and in the last retarget window.
-fn run_retarget(cfg: &Config, seed: u64) -> (f64, f64, f64, MetricsSnapshot) {
+fn run_retarget(seed: u64) -> (f64, f64, f64, MetricsSnapshot) {
     let window = 72u64;
     let target = 120.0;
     // Build the network by hand so the genesis difficulty can be set
     // for *half* the real hashrate (the 2x surprise).
     let mut sim: Simulation<ChainNode> =
         Simulation::new(seed ^ 9, ConstantLatency::from_millis(100.0));
-    sim.set_shards(cfg.shards);
     let genesis = decent_chain::block::Block::genesis(0.0);
     let graph = Graph::random_outbound(30, 6, &mut rng_from_seed(seed ^ 4));
     let params = PowParams {
@@ -162,10 +155,6 @@ impl Experiment for Config {
         Some(&mut self.seed)
     }
 
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
-    }
-
     fn run(&self) -> ExperimentReport {
         let mut report = Self::report();
         let mut t = Table::new(
@@ -182,7 +171,7 @@ impl Experiment for Config {
         }
         report.table(t);
 
-        let (first, last, target, retarget_metrics) = run_retarget(self, self.seed ^ 0xADA);
+        let (first, last, target, retarget_metrics) = run_retarget(self.seed ^ 0xADA);
         report.absorb_metrics(retarget_metrics);
         let mut t2 = Table::new(
             "Retarget convergence after a 2x hashrate surprise",

@@ -25,10 +25,6 @@ pub struct Config {
     pub years: Vec<f64>,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -38,7 +34,6 @@ impl Default for Config {
             days: 3.0,
             years: vec![1.0, 5.0, 10.0],
             seed: 0xE15,
-            shards: 1,
         }
     }
 }
@@ -74,14 +69,9 @@ impl Experiment for Config {
         Some(&mut self.seed)
     }
 
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
-    }
-
     fn run(&self) -> ExperimentReport {
         let mut report = Self::report();
         let mut sim = Simulation::new(self.seed, ConstantLatency::from_millis(80.0));
-        sim.set_shards(self.shards);
         let ncfg = NetworkConfig {
             nodes: self.nodes,
             miner_fraction: 0.2,

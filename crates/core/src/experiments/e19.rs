@@ -44,10 +44,6 @@ pub struct Config {
     pub burst_secs: f64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution shards per simulation (1 = serial). Not a sweepable
-    /// parameter and absent from reports: sharding never changes
-    /// results, so it must never appear in canonical output.
-    pub shards: usize,
 }
 
 impl Default for Config {
@@ -61,7 +57,6 @@ impl Default for Config {
             partition_secs: 60.0,
             burst_secs: 30.0,
             seed: 0xE19,
-            shards: 1,
         }
     }
 }
@@ -142,7 +137,6 @@ fn run_dht(cfg: &Config) -> (Vec<DhtPhase>, MetricsSnapshot) {
         cfg.seed,
         Faulty::new(UniformLatency::from_millis(20.0, 80.0), plan.clone()),
     );
-    sim.set_shards(cfg.shards);
     let kcfg = KadConfig::default();
     let ids = build_network(&mut sim, n, &kcfg, 0.0, 4, cfg.seed ^ 0x19);
     plan.schedule_crashes(&mut sim);
@@ -268,7 +262,6 @@ fn run_pbft(cfg: &Config) -> (PbftOutcome, MetricsSnapshot) {
     );
     let mut sim: Simulation<PbftReplica> =
         Simulation::new(cfg.seed ^ 0xBF7, Faulty::new(LanNet::datacenter(), plan));
-    sim.set_shards(cfg.shards);
     let ids = build_cluster(&mut sim, &pcfg, &[]);
     sim.run_until(SimTime::from_secs(0.5));
 
@@ -348,10 +341,6 @@ impl Experiment for Config {
 
     fn seed_mut(&mut self) -> Option<&mut u64> {
         Some(&mut self.seed)
-    }
-
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        Some(&mut self.shards)
     }
 
     fn run(&self) -> ExperimentReport {

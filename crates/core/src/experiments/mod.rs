@@ -60,10 +60,11 @@ pub fn run_report(ids: &[&str], quick: bool, seed: Option<u64>, jobs: usize) -> 
 }
 
 /// [`run_report`] with an execution policy for each experiment's inner
-/// simulations. Sharding composes with the experiment-level fan-out:
-/// `jobs` picks how many experiments run at once, `exec` picks how many
-/// worker threads each simulation uses, and neither knob changes a byte
-/// of the report.
+/// simulations: each experiment runs inside `exec`, entered on the
+/// thread that runs it. Sharding composes with the experiment-level
+/// fan-out: `jobs` picks how many experiments run at once, `exec` picks
+/// how many worker threads each simulation uses, and neither knob
+/// changes a byte of the report.
 ///
 /// # Panics
 ///
@@ -78,11 +79,12 @@ pub fn run_report_exec(
     let scenarios: Vec<Box<dyn Scenario>> = ids
         .iter()
         .map(|id| {
-            scenario::configure(id, quick, seed, exec)
+            scenario::configure(id, quick, seed)
                 .unwrap_or_else(|| panic!("unknown experiment id {id}"))
         })
         .collect();
     let runs = sweep_with(&scenarios, jobs, |s| {
+        let _scope = exec.enter();
         #[expect(
             clippy::disallowed_methods,
             reason = "harness-only wall_ms measurement; excluded from the canonical report JSON (tests/run_report.rs pins this)"

@@ -3,12 +3,12 @@
 //! An experiment is a **declaration**: its `Config` type implements
 //! [`Experiment`], stating once what only that experiment knows — id,
 //! title, the table of sweepable knobs, the two scales, where its seed
-//! lives, where a shard count goes, and how to run. Everything else is
-//! derived from the declaration here:
+//! lives, and how to run. Everything else is derived from the
+//! declaration here:
 //!
 //! - the object-safe [`Scenario`] surface (identity, seeding, the
-//!   name → `f64` parameter map, execution policy, `run`) is
-//!   implemented once, for every [`Experiment`];
+//!   name → `f64` parameter map, `run`) is implemented once, for every
+//!   [`Experiment`];
 //! - the registry is one line per experiment; [`ids`], [`all`] and
 //!   [`build`] read it, and `repro --list`, the runners
 //!   ([`crate::experiments`]) and the sweeps ([`crate::sensitivity`])
@@ -21,6 +21,10 @@
 //! (`get` widens, `set` rounds), so setting a parameter to its current
 //! value is a strict no-op and a one-point sweep reproduces a plain run
 //! byte-for-byte.
+//!
+//! How a run executes is not declared anywhere: the runners enter an
+//! [`ExecPolicy`] around each `run`, and every simulation built inside
+//! asks for its shards.
 
 use crate::experiments::{
     e01, e02, e03, e04, e05, e06, e07, e08, e09, e10, e11, e12, e13, e14, e15, e16, e17, e18, e19,
@@ -53,36 +57,7 @@ pub struct ParamSpec {
     pub help: &'static str,
 }
 
-/// How a scenario should *execute* — knobs that change wall-clock
-/// behaviour but, by the engine's determinism contract, never results.
-///
-/// Kept strictly out of [`Scenario::params`] and out of every report:
-/// a sharded run must serialize byte-identically to a serial one, so
-/// nothing here may leak into canonical output.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecPolicy {
-    /// Worker shards per simulation (`0` or `1` = serial). Applied via
-    /// [`Simulation::set_shards`](decent_sim::engine::Simulation::set_shards)
-    /// by every scenario that runs simulations.
-    pub shards: usize,
-}
-
-impl ExecPolicy {
-    /// Serial execution (the default).
-    pub fn serial() -> Self {
-        ExecPolicy::default()
-    }
-
-    /// Sharded execution across `shards` workers.
-    pub fn sharded(shards: usize) -> Self {
-        ExecPolicy { shards }
-    }
-
-    /// The shard count to pass to `Simulation::set_shards` (never 0).
-    pub fn shard_count(&self) -> usize {
-        self.shards.max(1)
-    }
-}
+pub use decent_sim::engine::ExecPolicy;
 
 /// What an experiment declares about itself, on its `Config` type
 /// (`Default` = paper scale). [`Scenario`] is derived from this.
@@ -101,13 +76,6 @@ pub trait Experiment: Clone + Default + Send + Sync + 'static {
     /// for a closed-form experiment with no RNG (E10).
     fn seed_mut(&mut self) -> Option<&mut u64>;
 
-    /// Where the shard count of the experiment's simulations goes.
-    /// `None` (the default) is for experiments with no discrete-event
-    /// loop: closed-form or Monte Carlo, nothing to shard.
-    fn shards_mut(&mut self) -> Option<&mut usize> {
-        None
-    }
-
     /// Runs the experiment on this config.
     fn run(&self) -> ExperimentReport;
 
@@ -118,7 +86,7 @@ pub trait Experiment: Clone + Default + Send + Sync + 'static {
 }
 
 /// One experiment behind a uniform, object-safe surface: identity,
-/// seeding, a typed parameter map, execution policy and `run`.
+/// seeding, a typed parameter map and `run`.
 ///
 /// Implemented once, below, for every [`Experiment`]; constructed
 /// through the registry ([`build`] / [`all`]) at either scale
@@ -150,12 +118,6 @@ pub trait Scenario: Send + Sync {
     /// Writes a knob by name. Rejects unknown names (the error lists
     /// what *is* sweepable) and non-finite values.
     fn set_param(&mut self, name: &str, value: f64) -> Result<(), String>;
-
-    /// Applies an execution policy (`repro --shards N`) to the
-    /// scenario's simulations; a scenario without an event loop has
-    /// nothing to apply it to. Either way the results are
-    /// byte-identical; only wall-clock changes.
-    fn set_exec(&mut self, exec: ExecPolicy);
 
     /// Runs the experiment on the current config.
     fn run(&self) -> ExperimentReport;
@@ -208,11 +170,6 @@ impl<E: Experiment> Scenario for E {
                     format!("unknown parameter {name} (sweepable: {})", known.join(", "))
                 })
             }
-        }
-    }
-    fn set_exec(&mut self, exec: ExecPolicy) {
-        if let Some(shards) = self.shards_mut() {
-            *shards = exec.shard_count();
         }
     }
     fn run(&self) -> ExperimentReport {
@@ -279,20 +236,13 @@ pub fn build(id: &str, quick: bool) -> Option<Box<dyn Scenario>> {
     Some((entry.build)(quick))
 }
 
-/// [`build`], then the seed override (if any) and the execution
-/// policy: the one way a point run and a sweep point get a scenario
-/// ready to run.
-pub(crate) fn configure(
-    id: &str,
-    quick: bool,
-    seed: Option<u64>,
-    exec: ExecPolicy,
-) -> Option<Box<dyn Scenario>> {
+/// [`build`], then the seed override (if any): the one way a point run
+/// and a sweep point get a scenario ready to run.
+pub(crate) fn configure(id: &str, quick: bool, seed: Option<u64>) -> Option<Box<dyn Scenario>> {
     let mut s = build(id, quick)?;
     if let Some(seed) = seed {
         s.set_seed(seed);
     }
-    s.set_exec(exec);
     Some(s)
 }
 

@@ -425,8 +425,8 @@ impl SweepReport {
 /// built-in seed as the base. Either way point `i` runs at
 /// [`point_seed`]`(base, i)`. Seedless scenarios (E10) run every point
 /// unseeded — their curve still varies through the parameter itself.
-/// `exec` is applied to every grid point; shards compose with `jobs`
-/// and change nothing in the sweep output.
+/// Every grid point runs inside `exec`; shards compose with `jobs` and
+/// change nothing in the sweep output.
 pub fn run_sweep(
     spec: &SweepSpec,
     quick: bool,
@@ -471,8 +471,9 @@ pub fn run_sweep(
     let values = grid(spec.lo, spec.hi, spec.steps);
     let indexed: Vec<(usize, f64)> = values.into_iter().enumerate().collect();
     let points = sweep_with(&indexed, jobs, |&(i, requested)| {
+        let _scope = exec.enter();
         let seed = base_seed.map(|base| point_seed(base, i));
-        let mut s = scenario::configure(&spec.exp, quick, seed, exec).expect("id validated above");
+        let mut s = scenario::configure(&spec.exp, quick, seed).expect("id validated above");
         s.set_param(&spec.param, requested)
             .expect("param validated above");
         let applied = s.get_param(&spec.param).expect("param validated above");

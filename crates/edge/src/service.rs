@@ -98,9 +98,6 @@ pub struct EdgeConfig {
     /// nano-DC (the cloud scales out; the comparison is about distance,
     /// not provisioning).
     pub cloud_parallelism: f64,
-    /// Execution shards for the simulation (1 = serial). Never changes
-    /// results, only wall-clock.
-    pub shards: usize,
 }
 
 impl Default for EdgeConfig {
@@ -115,7 +112,6 @@ impl Default for EdgeConfig {
             anchor_interval: SimDuration::from_secs(10.0),
             warm_session_fraction: 0.5,
             cloud_parallelism: 32.0,
-            shards: 1,
         }
     }
 }
@@ -393,7 +389,6 @@ pub fn build_world(cfg: &EdgeConfig, seed: u64) -> (Simulation<EdgeNode>, EdgeWo
     let net = EdgeNet::new(placements.clone());
     let wan = net.wan_counter();
     let mut sim = Simulation::new(seed, net);
-    sim.set_shards(cfg.shards);
     // Devices point at their server per strategy.
     let mut devices = Vec::new();
     let mut region_edge_cursor: BTreeMap<Region, usize> = BTreeMap::new();

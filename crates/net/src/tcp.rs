@@ -114,7 +114,7 @@ impl<N: Node> fmt::Debug for TcpNetBuilder<N> {
 impl<N> TcpNetBuilder<N>
 where
     N: Node,
-    N::Msg: Wire + Send + 'static,
+    N::Msg: Wire + 'static,
 {
     /// Starts a builder; `seed` roots the per-node RNG stream
     /// derivation (`derive_seed(seed, 2 * id)`, matching the engine).
@@ -288,7 +288,7 @@ impl<N: Node> TcpRuntime<N> {
 impl<N> TcpRuntime<N>
 where
     N: Node,
-    N::Msg: Wire + Send + 'static,
+    N::Msg: Wire + 'static,
 {
     /// The actual bound address of a hosted node's listener.
     pub fn local_addr(&self, id: NodeId) -> Option<SocketAddr> {

@@ -63,6 +63,8 @@
 //! assert_eq!(sim.node(a).heard, 1); // got the pong back
 //! ```
 
+use std::cell::Cell;
+
 use crate::arena::{NodeStore, SlotView};
 use crate::metrics::{LogHistogram, Metric, MetricsSnapshot};
 use crate::net::NetworkModel;
@@ -102,9 +104,12 @@ pub(crate) fn due(t: SimTime, limit: SimTime, inclusive: bool) -> bool {
 /// Handlers receive a [`Context`] for scheduling sends and timers; all
 /// effects are deferred and applied by the engine after the handler
 /// returns, so handlers never re-enter each other.
-pub trait Node: Sized {
+///
+/// Nodes and their messages are `Send`, so any simulation can hand its
+/// node rows to the sharded executor's worker threads.
+pub trait Node: Sized + Send {
     /// The message type exchanged by this protocol.
-    type Msg: Clone;
+    type Msg: Clone + Send;
 
     /// Called when the node comes online (initially and after churn).
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
@@ -483,7 +488,8 @@ pub(crate) struct Core<S> {
     /// The windowed layout: one queue per shard, events for node `n` in
     /// queue `n % shards`. Empty in the serial layout.
     pub(crate) shard_queues: Vec<S>,
-    /// The shard count asked for with [`Simulation::set_shards`]; which
+    /// The shard count asked for, by the [`ExecPolicy`] scope the
+    /// simulation was built in or by [`Simulation::set_shards`]; which
     /// layout the events are in is the policy's decision, not this.
     pub(crate) shards: usize,
     /// When a conservative window repays its barrier (see `shard.rs`).
@@ -596,13 +602,63 @@ impl<M: Clone, S: Scheduler<EngineEvent<M>>> Sink<M> for Core<S> {
 /// [`Simulation`]'s scheduler parameter remain only because the
 /// standalone benchmark package's workload helpers are written generic
 /// over them.
-pub trait SchedulerFor<N: Node>: Scheduler<EngineEvent<<N as Node>::Msg>> {}
+pub trait SchedulerFor<N: Node>: Scheduler<EngineEvent<<N as Node>::Msg>> + Send {}
 
-impl<N: Node, S: Scheduler<EngineEvent<<N as Node>::Msg>>> SchedulerFor<N> for S {}
+impl<N: Node, S: Scheduler<EngineEvent<<N as Node>::Msg>> + Send> SchedulerFor<N> for S {}
 
-/// The monomorphized adaptive (serial or windowed) executor, installed
-/// by [`Simulation::set_shards`].
-type AdaptiveFn<N, S> = fn(&mut Simulation<N, S>, SimTime, bool);
+/// How the simulations of a run execute: a knob that changes wall-clock
+/// behaviour but, by the engine's determinism contract, never results.
+///
+/// A run enters it once ([`enter`](ExecPolicy::enter)) instead of
+/// carrying a shard count in its configs, so nothing here can leak
+/// into a config, a parameter map or a report.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecPolicy {
+    /// Worker shards per simulation (`0` or `1` = serial).
+    pub shards: usize,
+}
+
+impl ExecPolicy {
+    /// Serial execution (the default).
+    pub fn serial() -> Self {
+        ExecPolicy::default()
+    }
+
+    /// Sharded execution across `shards` workers.
+    pub fn sharded(shards: usize) -> Self {
+        ExecPolicy { shards }
+    }
+
+    /// Until the returned guard drops, every [`Simulation::new`] on this
+    /// thread asks for this policy's shards, as if
+    /// [`set_shards`](Simulation::set_shards) were its first call. The
+    /// guard restores the thread's previous scope, on unwind too.
+    pub fn enter(self) -> ExecScope {
+        ExecScope {
+            was: SCOPED_SHARDS.replace(self.shards.max(1)),
+        }
+    }
+}
+
+thread_local! {
+    /// Per thread, like `stress::force_windows`: each experiment of a
+    /// parallel run enters the scope on the thread that builds its
+    /// simulations.
+    static SCOPED_SHARDS: Cell<usize> = const { Cell::new(1) };
+}
+
+/// An entered [`ExecPolicy`]; restores the previous one when dropped.
+#[derive(Debug)]
+#[must_use = "the policy applies only while the guard lives"]
+pub struct ExecScope {
+    was: usize,
+}
+
+impl Drop for ExecScope {
+    fn drop(&mut self) {
+        SCOPED_SHARDS.set(self.was);
+    }
+}
 
 /// A deterministic discrete-event simulation over nodes of type `N`.
 ///
@@ -617,10 +673,6 @@ pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
     /// models each in their own dense array (see [`crate::arena`]).
     pub(crate) store: NodeStore<N>,
     pub(crate) core: Core<S>,
-    /// Monomorphized adaptive executor, set by [`Simulation::set_shards`]
-    /// (where the `Send` bounds it needs are available) while more than
-    /// one shard is asked for.
-    adaptive: Option<AdaptiveFn<N, S>>,
     seed: u64,
     driver_ctr: u32,
     rng: SimRng,
@@ -628,7 +680,9 @@ pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
 }
 
 impl<N: Node> Simulation<N> {
-    /// Creates an empty simulation with the given seed and network model.
+    /// Creates an empty simulation with the given seed and network
+    /// model, asking for the shards of the thread's [`ExecPolicy`]
+    /// scope (serial outside one).
     pub fn new(seed: u64, net: impl NetworkModel + 'static) -> Self {
         Simulation {
             store: NodeStore::new(),
@@ -636,8 +690,8 @@ impl<N: Node> Simulation<N> {
                 net_rngs: Vec::new(),
                 queue: TimingWheel::new(),
                 shard_queues: Vec::new(),
-                shards: 1,
-                policy: Policy::new(false),
+                shards: SCOPED_SHARDS.get(),
+                policy: Policy::new(crate::stress::windows_forced()),
                 now: SimTime::ZERO,
                 net: Box::new(net),
                 counters: Counters::default(),
@@ -649,7 +703,6 @@ impl<N: Node> Simulation<N> {
                 peak_pending: 0,
                 trace: None,
             },
-            adaptive: None,
             seed,
             driver_ctr: 0,
             rng: rng_from_seed(seed),
@@ -676,14 +729,10 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// of the partitioning by construction. Models without a positive
     /// lookahead always run serially.
     ///
-    /// May be called at any point. Passing `0` or `1` withdraws the
-    /// request.
-    pub fn set_shards(&mut self, shards: usize)
-    where
-        N: Send,
-        N::Msg: Send,
-        S: Send,
-    {
+    /// May be called at any point; a run asks for shards for all of its
+    /// simulations at once by entering an [`ExecPolicy`]. Passing `0`
+    /// or `1` withdraws the request.
+    pub fn set_shards(&mut self, shards: usize) {
         let shards = shards.max(1);
         if shards == self.core.shards {
             return;
@@ -692,8 +741,6 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         self.merge_queues();
         self.core.shards = shards;
         self.core.policy = Policy::new(crate::stress::windows_forced());
-        self.adaptive =
-            (shards > 1).then_some(crate::shard::adaptive_advance::<N, S> as AdaptiveFn<N, S>);
     }
 
     /// Serial to windowed layout: deals every pending event to the queue
@@ -1026,9 +1073,10 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// asked for, in which case the policy in `shard.rs` picks between
     /// that loop and conservative windows as it goes.
     fn advance_events(&mut self, limit: SimTime, inclusive: bool) {
-        match self.adaptive {
-            Some(f) => f(self, limit, inclusive),
-            None => self.advance_serial(limit, inclusive),
+        if self.core.shards > 1 {
+            crate::shard::adaptive_advance(self, limit, inclusive);
+        } else {
+            self.advance_serial(limit, inclusive);
         }
     }
 
@@ -1354,5 +1402,34 @@ mod tests {
         assert!(pack_seq(0, 1) < pack_seq(0, 2));
         assert!(pack_seq(0, u32::MAX) < pack_seq(1, 0));
         assert!(pack_seq(5, 0) < pack_seq(DRIVER_ORIGIN, 0));
+    }
+
+    /// The shard count a simulation built on this thread asks for.
+    fn built_shards() -> usize {
+        Simulation::<Peer>::new(1, ConstantLatency::from_millis(1.0)).shards()
+    }
+
+    // Without this, every sharded == serial equivalence test that runs
+    // an experiment would pass on two serial runs.
+    #[test]
+    fn new_asks_for_the_entered_policy_and_only_inside_it() {
+        assert_eq!(built_shards(), 1);
+        {
+            let _scope = ExecPolicy::sharded(3).enter();
+            assert_eq!(built_shards(), 3);
+            {
+                let _inner = ExecPolicy::serial().enter();
+                assert_eq!(built_shards(), 1);
+            }
+            assert_eq!(built_shards(), 3);
+        }
+        assert_eq!(built_shards(), 1);
+        let unwound = std::panic::catch_unwind(|| {
+            let _scope = ExecPolicy::sharded(4).enter();
+            assert_eq!(built_shards(), 4);
+            std::panic::resume_unwind(Box::new("unwinding through the scope"));
+        });
+        assert!(unwound.is_err());
+        assert_eq!(built_shards(), 1);
     }
 }

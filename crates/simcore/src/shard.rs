@@ -1,10 +1,12 @@
 //! Sharded (conservatively parallel) execution of a simulation, and
 //! the policy that decides when to use it.
 //!
-//! [`Simulation::set_shards`] is a request. [`adaptive_advance`], which
-//! it installs, keeps the serial layout — one queue, the serial loop —
-//! and cuts its advance into *virtual* windows one global lookahead
-//! wide, counting the events of each. When the [`Policy`] finds windows
+//! A shard count ([`ExecPolicy`](crate::engine::ExecPolicy) or
+//! [`Simulation::set_shards`]) is a request. [`adaptive_advance`], which
+//! runs every advance of a simulation that asked for shards, keeps the
+//! serial layout — one queue, the serial loop — and cuts its advance
+//! into *virtual* windows one global lookahead wide, counting the
+//! events of each. When the [`Policy`] finds windows
 //! dense enough to repay a barrier it deals the pending events to one
 //! queue per shard and hands over to [`windowed_advance`]; when they
 //! thin out again it merges the queues back. Every input of the policy
@@ -196,13 +198,11 @@ impl Policy {
 
 /// [`advance_serial`](Simulation::advance_serial) for a simulation that
 /// asked for shards: the same events in the same order, in whichever
-/// layout the [`Policy`] currently finds cheaper. Installed by
-/// [`Simulation::set_shards`].
+/// layout the [`Policy`] currently finds cheaper.
 pub(crate) fn adaptive_advance<N, S>(sim: &mut Simulation<N, S>, limit: SimTime, inclusive: bool)
 where
-    N: Node + Send,
-    N::Msg: Send,
-    S: SchedulerFor<N> + Send,
+    N: Node,
+    S: SchedulerFor<N>,
 {
     let la = match sim.core.net.lookahead() {
         Some(la) if !la.is_zero() => la,
@@ -265,9 +265,8 @@ fn windowed_advance<N, S>(
     inclusive: bool,
 ) -> bool
 where
-    N: Node + Send,
-    N::Msg: Send,
-    S: SchedulerFor<N> + Send,
+    N: Node,
+    S: SchedulerFor<N>,
 {
     // Disjoint halves: workers take the node rows, the commit phase
     // owns everything else (network model, RNG streams, counters).

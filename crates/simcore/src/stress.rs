@@ -48,12 +48,14 @@ thread_local! {
     static FORCE_WINDOWS: Cell<bool> = const { Cell::new(false) };
 }
 
-/// While the returned guard lives, every [`set_shards`] call made on
-/// this thread builds a simulation that runs all of its events in
-/// conservative windows, however few each window holds. Test-only by
-/// convention, like the interleave seed: it changes how events are
-/// executed, never what they compute.
+/// While the returned guard lives, every simulation this thread asks
+/// shards for — built in an [`ExecPolicy`] scope or given them by
+/// [`set_shards`] — runs all of its events in conservative windows,
+/// however few each window holds. Test-only by convention, like the
+/// interleave seed: it changes how events are executed, never what they
+/// compute.
 ///
+/// [`ExecPolicy`]: crate::engine::ExecPolicy
 /// [`set_shards`]: crate::engine::Simulation::set_shards
 pub fn force_windows() -> ForceWindows {
     ForceWindows {
@@ -74,7 +76,7 @@ impl Drop for ForceWindows {
     }
 }
 
-/// Read once per simulation, by `set_shards`.
+/// Read by `Simulation::new` and `set_shards`.
 pub(crate) fn windows_forced() -> bool {
     FORCE_WINDOWS.get()
 }

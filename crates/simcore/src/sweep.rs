@@ -176,4 +176,26 @@ mod tests {
         let serial: Vec<u64> = seeds.iter().map(run).collect();
         assert_eq!(parallel, serial);
     }
+
+    #[test]
+    fn a_policy_entered_in_the_closure_reaches_its_simulations() {
+        use crate::prelude::*;
+
+        struct Quiet;
+        impl Node for Quiet {
+            type Msg = ();
+            fn on_message(&mut self, _f: NodeId, _m: (), _c: &mut Context<'_, ()>) {}
+        }
+        let built = || Simulation::<Quiet>::new(1, ConstantLatency::from_millis(1.0)).shards();
+        let shards = [2usize, 3, 4, 5];
+        // Worker threads (jobs = 2) and the calling thread (jobs = 1).
+        for jobs in [2, 1] {
+            let seen = sweep_with(&shards, jobs, |&n| {
+                let _scope = crate::engine::ExecPolicy::sharded(n).enter();
+                built()
+            });
+            assert_eq!(seen, shards, "jobs={jobs}");
+            assert_eq!(built(), 1, "a scope outlived its closure at jobs={jobs}");
+        }
+    }
 }

@@ -33,9 +33,10 @@ fn assert_findings_exec(
     md_fnv: u64,
     md_len: usize,
 ) {
-    let mut scenario = scenario::build(id, true).expect("known experiment id");
-    scenario.set_exec(exec);
-    let rep = scenario.run();
+    let _scope = exec.enter();
+    let rep = scenario::build(id, true)
+        .expect("known experiment id")
+        .run();
     let got: Vec<(String, String)> = rep
         .findings
         .iter()

@@ -22,9 +22,9 @@
 //!   (events, net stats, trace records, metrics, node state) at
 //!   shards ∈ {1, 2, 4, 8}, and chain and PBFT clusters at shards
 //!   ∈ {1, 2, 4};
-//! - report-level: full experiment scenarios (`Scenario::run`) where
-//!   the canonical RunReport JSON must be byte-identical between
-//!   serial and sharded runs;
+//! - report-level: full experiment scenarios (`Scenario::run` inside an
+//!   entered `ExecPolicy`) where the canonical RunReport JSON must be
+//!   byte-identical between serial and sharded runs;
 //! - window-level: one region-aligned chain configuration whose event
 //!   and window counts are pinned with windows forced, and the
 //!   `chain_dense` network of `benchmark/`, which the policy keeps
@@ -460,7 +460,7 @@ fn assert_report_bytes_hold(which: usize, shards: usize, seed: Option<u64>, forc
         if let Some(seed) = seed {
             s.set_seed(seed);
         }
-        s.set_exec(exec);
+        let _scope = exec.enter();
         RunReport {
             mode: "quick".to_string(),
             runs: vec![ExperimentRun {
@@ -522,9 +522,8 @@ proptest! {
 /// own size fields: the properties above are about the executor, not the
 /// workload, and every case runs its scenario twice. (E12's committee
 /// list is built directly because `set_param` reaches only its largest
-/// committee; the PBFT saturation runs it drives never run sharded —
-/// `saturation_run` builds its own serial simulation — so each one
-/// dropped is time saved, not coverage lost.)
+/// committee; its two PBFT saturation runs ask for shards like every
+/// simulation in the scope, so windows are forced on them too.)
 fn shrunk_scenario(which: usize) -> Box<dyn Scenario> {
     match which {
         0 => Box::new(e01::Config {
