@@ -46,6 +46,13 @@
 //! replica that keeps one record per request instead of one per run of
 //! requests fails there.
 //!
+//! Then E7's arrival stream: 100 000 OLTP arrivals dealt round robin to
+//! 32 nodes on a constant 0.5 ms link, 52 µs apart, injected as one
+//! `Simulation::inject_stream` and run to the end. `stream_events` is
+//! gated exactly, `stream_live_bytes`, the bytes the simulation holds
+//! right after the inject, within ±10 %: a stream that goes back to one
+//! queue entry per arrival holds some 5 MB more there.
+//!
 //! A baseline that lacks a gated counter fails the gate. Timing
 //! questions belong to `benchmark/`, not here.
 //!
@@ -83,6 +90,10 @@ const CHAIN_HORIZON_S: u64 = 10_000;
 const BFT_OPS: u64 = 20_000;
 const BFT_SEED: u64 = 0xBF;
 
+const STREAM_ARRIVALS: u64 = 100_000;
+const STREAM_NODES: usize = 32;
+const STREAM_SEED: u64 = 0xE7;
+
 /// Allowed relative drift for the allocator counters, which absorb
 /// allocator-library churn.
 const BAND: f64 = 0.10;
@@ -105,7 +116,7 @@ fn report_only(_baseline: f64, _current: f64) -> bool {
 
 /// Every counter `measure` reports: its key, and its policy as the
 /// table prints it and as a test.
-const GATE: [(&str, &str, Policy); 19] = [
+const GATE: [(&str, &str, Policy); 21] = [
     ("events", "exact", exact),
     ("activations", "exact", exact),
     ("peak_queue_depth", "exact", exact),
@@ -125,6 +136,8 @@ const GATE: [(&str, &str, Policy); 19] = [
     ("bft_events", "exact", exact),
     ("bft_pbft_live_bytes", "±10%", within_band),
     ("bft_raft_live_bytes", "±10%", within_band),
+    ("stream_events", "exact", exact),
+    ("stream_live_bytes", "±10%", within_band),
 ];
 
 thread_local! {
@@ -194,19 +207,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Measures the Kademlia drain, the chain relay, then the two
-/// permissioned clusters, into the document `--write-baseline` commits
-/// and the gate compares.
+/// Measures the Kademlia drain, the chain relay, the two permissioned
+/// clusters, then the arrival stream, into the document
+/// `--write-baseline` commits and the gate compares.
 fn measure(
     kad_nodes: usize,
     lookups: usize,
     chain_nodes: usize,
     chain_horizon_s: u64,
     bft_ops: u64,
+    arrivals: u64,
 ) -> Json {
     let mut pairs = measure_kad(kad_nodes, lookups);
     pairs.extend(measure_chain(chain_nodes, chain_horizon_s));
     pairs.extend(measure_bft(bft_ops));
+    pairs.extend(measure_stream(arrivals));
     Json::obj(pairs)
 }
 
@@ -407,6 +422,61 @@ fn measure_bft(ops: u64) -> Vec<(&'static str, Json)> {
     ]
 }
 
+/// A node that counts what it is sent: all E7's OLTP shard does with an
+/// arrival that the engine can see.
+struct Served(u64);
+
+impl Node for Served {
+    type Msg = u32;
+
+    fn on_message(&mut self, _from: NodeId, _msg: u32, _ctx: &mut Context<'_, u32>) {
+        self.0 += 1;
+    }
+}
+
+/// Injects `arrivals` as E7 does, at E7's quick offered load, counting
+/// the bytes live right after the inject, then runs them all.
+fn measure_stream(arrivals: u64) -> Vec<(&'static str, Json)> {
+    let live_before = live_bytes();
+    let mut sim: Simulation<Served> =
+        Simulation::new(STREAM_SEED, ConstantLatency::from_millis(0.5));
+    for _ in 0..STREAM_NODES {
+        sim.add_node(Served(0));
+    }
+    let offered = 400.0 * STREAM_NODES as f64 * 1.5;
+    sim.inject_stream(arrivals, move |i| {
+        let at = SimDuration::from_secs(i as f64 / offered);
+        ((i % STREAM_NODES as u64) as NodeId, 1, at)
+    });
+    let stream_live_bytes = live_bytes() - live_before;
+    sim.run_until(SimTime::MAX);
+    let served: u64 = (0..STREAM_NODES).map(|id| sim.node(id).0).sum();
+    assert_eq!(served, arrivals, "every arrival reaches its node");
+    vec![
+        (
+            "stream_workload",
+            Json::obj([
+                (
+                    "network",
+                    Json::str("E7's OLTP arrivals: one inject_stream round robin over ConstantLatency(0.5 ms)"),
+                ),
+                ("arrivals", Json::int(arrivals)),
+                ("nodes", Json::int(STREAM_NODES as u64)),
+                ("seed", Json::int(STREAM_SEED)),
+                (
+                    "note",
+                    Json::str(
+                        "stream_events is gated exactly, stream_live_bytes within ±10%: the bytes \
+                         the simulation holds right after the inject, before any arrival fires.",
+                    ),
+                ),
+            ]),
+        ),
+        ("stream_events", Json::int(sim.events_processed())),
+        ("stream_live_bytes", Json::int(stream_live_bytes as u64)),
+    ]
+}
+
 /// The counter under `key`, NaN when absent — and NaN fails every gate.
 fn num_field(j: &Json, key: &str) -> f64 {
     j.get(key).and_then(Json::as_num).unwrap_or(f64::NAN)
@@ -479,7 +549,14 @@ fn run(
             Json::parse(&text).map_err(|e| format!("{path}: {e}"))
         })
         .transpose()?;
-    let current = measure(NODES, LOOKUPS, CHAIN_NODES, CHAIN_HORIZON_S, BFT_OPS);
+    let current = measure(
+        NODES,
+        LOOKUPS,
+        CHAIN_NODES,
+        CHAIN_HORIZON_S,
+        BFT_OPS,
+        STREAM_ARRIVALS,
+    );
     if let Some(path) = write_baseline {
         std::fs::write(path, format!("{}\n", current.to_string_pretty()))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -556,7 +633,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// The seventeen counters a drift in which fails the gate.
+    /// The nineteen counters a drift in which fails the gate.
     fn gated_keys() -> impl Iterator<Item = &'static str> {
         let gated = GATE.iter().filter(|g| g.1 != "report only");
         gated.map(|g| g.0)
@@ -579,7 +656,7 @@ mod tests {
         assert_eq!(grown, 4096, "realloc must free the old block");
         assert_eq!(live_bytes(), live0, "freed bytes uncounted");
 
-        let j = measure(50, 5, 20, 600, 500);
+        let j = measure(50, 5, 20, 600, 500, 1_000);
         for (key, ..) in GATE {
             assert!(j.get(key).is_some(), "missing {key}");
         }
@@ -604,13 +681,22 @@ mod tests {
             num_field(&j, "bft_events") > 0.0,
             "clusters processed no events"
         );
-        for key in ["bft_pbft_live_bytes", "bft_raft_live_bytes"] {
+        for key in [
+            "bft_pbft_live_bytes",
+            "bft_raft_live_bytes",
+            "stream_live_bytes",
+        ] {
             assert!(num_field(&j, key) > 0.0, "{key}: no live bytes counted");
         }
+        assert_eq!(
+            num_field(&j, "stream_events"),
+            1_000.0 + STREAM_NODES as f64,
+            "one event per arrival and per node start"
+        );
 
-        let a = measure(60, 6, 24, 900, 600);
-        let b = measure(60, 6, 24, 900, 600);
-        assert_eq!(gated_keys().count(), 17);
+        let a = measure(60, 6, 24, 900, 600, 1_200);
+        let b = measure(60, 6, 24, 900, 600, 1_200);
+        assert_eq!(gated_keys().count(), 19);
         for key in gated_keys() {
             assert_eq!(
                 num_field(&a, key),
@@ -642,6 +728,8 @@ mod tests {
             ("bft_events", Json::int(events)),
             ("bft_pbft_live_bytes", Json::int(alloc_bytes)),
             ("bft_raft_live_bytes", Json::int(alloc_bytes)),
+            ("stream_events", Json::int(events)),
+            ("stream_live_bytes", Json::int(alloc_bytes)),
         ])
     }
 

@@ -23,7 +23,7 @@
 //! writes every result table as `DIR/<exp>_<n>.csv`. `--claims` prints
 //! the claim catalog and exits; `--list` prints the scenario registry —
 //! one line per experiment plus its sweepable parameters and seed
-//! behaviour — and exits.
+//! behaviour — and exits. Each takes no other flag.
 //!
 //! Experiments are independent simulations, so they fan out across a
 //! thread pool (`--jobs`, default = available cores). Within one
@@ -140,6 +140,9 @@ struct Cli {
     probe_timeout: Option<f64>,
     /// `--help` / `-h`: print the usage to stdout and exit 0.
     help: bool,
+    /// Every flag given, in order: what the commands that read only a
+    /// few flags check the rest against.
+    given: Vec<String>,
 }
 
 /// Parses and validates arguments. Experiment ids are checked against the
@@ -306,6 +309,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             }
             other => return Err(format!("unrecognized argument: {other}")),
         }
+        cli.given.push(arg);
     }
     if cli.sweep.is_some() {
         for (set, flag) in [
@@ -347,21 +351,35 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     if cli.serve.is_some() && cli.probe {
         return Err("--serve and --probe are different processes; pick one".into());
     }
-    if cli.serve.is_some() || cli.probe {
-        for (set, flag) in [
-            (cli.sweep.is_some(), "--sweep"),
-            (cli.selected.is_some(), "--exp"),
-            (cli.baseline.is_some(), "--baseline"),
-            (cli.write_baseline.is_some(), "--write-baseline"),
-            (cli.shards.is_some(), "--shards"),
-            (cli.jobs.is_some(), "--jobs"),
-            (cli.json_path.is_some(), "--json"),
-            (cli.csv_dir.is_some(), "--csv"),
-            (cli.summary_path.is_some(), "--summary"),
-        ] {
-            if set {
-                return Err(format!("--serve/--probe cannot be combined with {flag}"));
-            }
+    if cli.list && cli.claims {
+        return Err("--list and --claims print different catalogs; pick one".into());
+    }
+    // `main` returns from these commands before it reads any flag but
+    // the ones listed, so any other is refused rather than ignored.
+    let command: Option<(&str, &[&str])> = if cli.serve.is_some() {
+        Some((
+            "--serve",
+            &["--seed", "--port-base", "--mesh-size", "--serve-for"],
+        ))
+    } else if cli.probe {
+        Some((
+            "--probe",
+            &["--seed", "--port-base", "--mesh-size", "--probe-timeout"],
+        ))
+    } else if cli.list {
+        Some(("--list", &[]))
+    } else if cli.claims {
+        Some(("--claims", &[]))
+    } else {
+        None
+    };
+    if let Some((command, reads)) = command {
+        let ignored = cli.given.iter().find(|flag| {
+            let flag = flag.as_str();
+            flag != command && !reads.contains(&flag)
+        });
+        if let Some(flag) = ignored {
+            return Err(format!("{command} cannot be combined with {flag}"));
         }
     }
     Ok(cli)
@@ -755,9 +773,31 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let cli = parse(&["--quick", "--csv", "out", "--claims", "--list"]).unwrap();
-        assert!(cli.quick && cli.claims && cli.list);
+        let cli = parse(&["--quick", "--csv", "out"]).unwrap();
+        assert!(cli.quick);
         assert_eq!(cli.csv_dir.as_deref(), Some(std::path::Path::new("out")));
+        assert!(parse(&["--claims"]).unwrap().claims);
+        assert!(parse(&["--list"]).unwrap().list);
+    }
+
+    #[test]
+    fn list_and_claims_take_no_other_flag() {
+        let err = parse(&["--list", "--claims"]).unwrap_err();
+        assert!(err.contains("pick one"), "{err}");
+        // `main` prints the catalog and returns before it reads any of
+        // these, so each is refused rather than silently ignored.
+        for args in [
+            &["--list", "--json", "l.json", "--shards", "2"][..],
+            &["--claims", "--csv", "out", "--summary", "s.md"],
+            &["--quick", "--list"],
+            &["--claims", "--exp", "E7"],
+            &["--list", "--format", "json"],
+            &["--claims", "--seed", "3"],
+            &["--list", "--port-base", "43000"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("cannot be combined"), "{args:?}: {err}");
+        }
     }
 
     #[test]
@@ -1043,19 +1083,25 @@ mod tests {
         // `main` returns before it reads any run or report flag, so each
         // one is refused rather than silently ignored.
         for flags in [
-            ["--exp", "E7"],
-            ["--shards", "2"],
-            ["--jobs", "2"],
-            ["--json", "r.json"],
-            ["--csv", "out"],
-            ["--summary", "s.md"],
+            &["--exp", "E7"][..],
+            &["--shards", "2"],
+            &["--jobs", "2"],
+            &["--json", "r.json"],
+            &["--csv", "out"],
+            &["--summary", "s.md"],
+            &["--quick"],
+            &["--format", "json"],
+            &["--format", "md"],
         ] {
             for mode in [&["--serve", "kad"][..], &["--probe"]] {
-                let args: Vec<&str> = mode.iter().chain(&flags).copied().collect();
+                let args: Vec<&str> = mode.iter().chain(flags).copied().collect();
                 let err = parse(&args).unwrap_err();
                 assert!(err.contains("cannot be combined"), "{args:?}: {err}");
             }
         }
+        // Each reads its own timeout flag, not the other's.
+        assert!(parse(&["--serve", "kad", "--probe-timeout", "5"]).is_err());
+        assert!(parse(&["--probe", "--serve-for", "5"]).is_err());
         assert!(parse(&["--port-base", "0"])
             .unwrap_err()
             .contains("nonzero"));

@@ -611,12 +611,8 @@ pub fn saturation_run(
     }
     sim.run_until(SimTime::ZERO + horizon);
     let replica = sim.node(ids[1]);
-    let mut lat = Histogram::new();
-    for (sub, exec) in replica.executed.iter() {
-        lat.record(exec.saturating_since(sub).as_secs());
-    }
     let tput = replica.executed.len() as f64 / horizon.as_secs();
-    (tput, lat.summary())
+    (tput, replica.executed.latencies().summary())
 }
 
 #[cfg(test)]

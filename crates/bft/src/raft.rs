@@ -11,10 +11,13 @@
 //! duplicates are suppressed at apply time by request id.
 //!
 //! Request bookkeeping grows with runs, not requests: the client queue
-//! is a [`RequestRuns`] and the apply record an [`ExecRuns`] (one commit
-//! applies its entries at one time), and the applied ids, like the
-//! logged ids the leader collects for each client burst, are an
-//! [`IdSet`]. The log itself stays one entry per index.
+//! is a [`RequestRuns`], the log a [`LogRuns`] (a burst is logged in one
+//! term, so it is one run on the leader and on every follower that
+//! appends it), and the apply record an [`ExecRuns`] (one commit applies
+//! its entries at one time). The applied ids, like the logged ids the
+//! leader collects for each client burst, are an [`IdSet`].
+//! AppendEntries still carries the entries themselves, at most
+//! `batch_max` of them.
 
 use std::collections::HashSet;
 
@@ -22,7 +25,7 @@ use rand::Rng;
 
 use decent_sim::prelude::*;
 
-use crate::runs::{ExecRuns, RequestRuns};
+use crate::runs::{ExecRuns, LogRuns, RequestRuns};
 
 /// A log entry: `(term, request id, submit time)`.
 pub type Entry = (u64, u64, SimTime);
@@ -139,7 +142,7 @@ pub struct RaftNode {
     voted_for: Option<usize>,
     votes: HashSet<usize>,
     /// 1-based log (index 0 is a sentinel).
-    log: Vec<Entry>,
+    log: LogRuns,
     commit_index: u64,
     last_applied: u64,
     next_index: Vec<u64>,
@@ -168,7 +171,7 @@ impl RaftNode {
             term: 0,
             voted_for: None,
             votes: HashSet::new(),
-            log: vec![(0, 0, SimTime::ZERO)],
+            log: LogRuns::new(),
             commit_index: 0,
             last_applied: 0,
             next_index: vec![1; n],
@@ -198,10 +201,8 @@ impl RaftNode {
 
     /// The committed request ids in log order (for consistency checks).
     pub fn committed_ids(&self) -> Vec<u64> {
-        self.log[1..=(self.commit_index as usize)]
-            .iter()
-            .map(|&(_, id, _)| id)
-            .collect()
+        let committed = self.log.iter().take(self.commit_index as usize);
+        committed.map(|(_, id, _)| id).collect()
     }
 
     /// Buffers a client request.
@@ -215,11 +216,11 @@ impl RaftNode {
     }
 
     fn last_log_index(&self) -> u64 {
-        (self.log.len() - 1) as u64
+        self.log.len()
     }
 
     fn last_log_term(&self) -> u64 {
-        self.log.last().expect("sentinel").0
+        self.log.term(self.log.len())
     }
 
     fn reset_election_timer(&mut self, ctx: &mut Context<'_, RaftMsg>) {
@@ -279,7 +280,7 @@ impl RaftNode {
         // ids costs the whole log, so it is built once per client burst,
         // not at every heartbeat.
         if !self.buffer.is_empty() {
-            let in_log: IdSet = self.log[1..].iter().map(|&(_, id, _)| id).collect();
+            let in_log: IdSet = self.log.iter().map(|(_, id, _)| id).collect();
             for (id, t) in std::mem::take(&mut self.buffer).iter() {
                 if !in_log.contains(id) && !self.applied_ids.contains(id) {
                     self.log.push((self.term, id, t));
@@ -293,9 +294,8 @@ impl RaftNode {
             }
             let from = self.next_index[i];
             let prev_index = from - 1;
-            let prev_term = self.log[prev_index as usize].0;
-            let upper = self.log.len().min(from as usize + self.cfg.batch_max);
-            let entries: Vec<Entry> = self.log[from as usize..upper].to_vec();
+            let prev_term = self.log.term(prev_index);
+            let entries = self.log.slice(from, self.cfg.batch_max);
             let bytes = 64 + entries.len() as u64 * self.cfg.op_bytes;
             ctx.send_sized(
                 p,
@@ -318,7 +318,7 @@ impl RaftNode {
         let mut sorted = self.match_index.clone();
         sorted.sort_unstable();
         let majority_idx = sorted[self.cfg.n - self.cfg.majority()];
-        if majority_idx > self.commit_index && self.log[majority_idx as usize].0 == self.term {
+        if majority_idx > self.commit_index && self.log.term(majority_idx) == self.term {
             self.commit_index = majority_idx;
             self.apply_ready(ctx);
         }
@@ -327,7 +327,7 @@ impl RaftNode {
     fn apply_ready(&mut self, ctx: &mut Context<'_, RaftMsg>) {
         while self.last_applied < self.commit_index {
             self.last_applied += 1;
-            let (_, id, submitted) = self.log[self.last_applied as usize];
+            let (_, id, submitted) = self.log.entry(self.last_applied);
             if self.applied_ids.insert(id) {
                 self.applied.push(submitted, ctx.now());
             }
@@ -414,16 +414,15 @@ impl Node for RaftNode {
                 }
                 self.become_follower(term, ctx);
                 // Consistency check.
-                let ok = (prev_index as usize) < self.log.len()
-                    && self.log[prev_index as usize].0 == prev_term;
+                let ok = prev_index <= self.log.len() && self.log.term(prev_index) == prev_term;
                 let mut match_index = 0;
                 if ok {
                     // Truncate conflicts and append.
-                    let mut insert_at = prev_index as usize + 1;
+                    let mut insert_at = prev_index + 1;
                     for &e in entries.iter() {
-                        if insert_at < self.log.len() {
-                            if self.log[insert_at].0 != e.0 {
-                                self.log.truncate(insert_at);
+                        if insert_at <= self.log.len() {
+                            if self.log.term(insert_at) != e.0 {
+                                self.log.truncate(insert_at - 1);
                                 self.log.push(e);
                             }
                         } else {
@@ -431,7 +430,7 @@ impl Node for RaftNode {
                         }
                         insert_at += 1;
                     }
-                    match_index = (insert_at - 1) as u64;
+                    match_index = insert_at - 1;
                     if leader_commit > self.commit_index {
                         self.commit_index = leader_commit.min(self.last_log_index());
                         self.apply_ready(ctx);
@@ -676,7 +675,7 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(5.0));
         let leader = sim.node(current_leader(&sim, &ids).expect("leader"));
-        let mut logged: Vec<u64> = leader.log[1..].iter().map(|e| e.1).collect();
+        let mut logged: Vec<u64> = leader.log.iter().map(|e| e.1).collect();
         logged.sort_unstable();
         assert_eq!(logged, (0..150).collect::<Vec<u64>>());
         let reference = leader.committed_ids();

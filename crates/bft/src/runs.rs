@@ -14,13 +14,21 @@
 //!   and it was submitted at the same time.
 //! - [`ExecRuns`] is a run-length record of `(submitted, done, count)`:
 //!   an execution extends the last run when both its times match it.
+//!   Its [`latencies`](ExecRuns::latencies) are runs too, and summarise
+//!   to the bits a `Histogram` of one sample per execution would.
+//! - [`LogRuns`] is Raft's log as runs of `(term, first id, count,
+//!   submitted)`: the leader logs a client burst in one term, so its log
+//!   and every follower's is a few runs however many requests it holds.
 //!
 //! Equality compares the sequences, not how they happen to be split into
 //! runs.
 
 use std::collections::VecDeque;
 
+use decent_sim::metrics::{nearest_rank, Summary};
 use decent_sim::prelude::SimTime;
+
+use crate::raft::Entry;
 
 /// `count` consecutive request ids from `first`, all submitted at
 /// `submitted`.
@@ -217,11 +225,239 @@ impl ExecRuns {
             .iter()
             .flat_map(|r| (0..r.count).map(move |_| (r.submitted, r.done)))
     }
+
+    /// The executions of requests submitted at `submitted`, in recorded
+    /// order.
+    pub fn submitted_at(&self, submitted: SimTime) -> ExecRuns {
+        let runs: Vec<ExecRun> = self
+            .runs
+            .iter()
+            .filter(|r| r.submitted == submitted)
+            .copied()
+            .collect();
+        let len = runs.iter().map(|r| r.count as usize).sum();
+        ExecRuns { runs, len }
+    }
+
+    /// Each execution's latency `done - submitted` in seconds, as runs.
+    pub fn latencies(&self) -> Latencies {
+        let secs = |r: &ExecRun| r.done.saturating_since(r.submitted).as_secs();
+        Latencies {
+            runs: self.runs.iter().map(|r| (secs(r), r.count)).collect(),
+            len: self.len,
+        }
+    }
 }
 
 impl PartialEq for ExecRuns {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+/// Samples in seconds kept as runs `(value, count)` in recorded order:
+/// the statistics of a `decent_sim::metrics::Histogram` holding each
+/// value `count` times, to the bit, from memory that grows with the
+/// runs.
+#[derive(Clone, Debug, Default)]
+pub struct Latencies {
+    runs: Vec<(f64, u64)>,
+    len: usize,
+}
+
+impl Latencies {
+    /// `Histogram::percentile`: nearest rank over the sorted samples.
+    pub fn percentile(&self, q: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
+        Self::ranked(&self.sorted(), self.len, q)
+    }
+
+    /// `Histogram::summary`. The mean adds the samples one by one in
+    /// recorded order, as the histogram does, so it rounds the same.
+    pub fn summary(&self) -> Summary {
+        let sorted = self.sorted();
+        let at = |q| Self::ranked(&sorted, self.len, q);
+        let samples = self
+            .runs
+            .iter()
+            .flat_map(|&(x, count)| std::iter::repeat_n(x, count as usize));
+        Summary {
+            count: self.len,
+            mean: if self.len == 0 {
+                0.0
+            } else {
+                samples.sum::<f64>() / self.len as f64
+            },
+            min: sorted.first().map_or(0.0, |r| r.0),
+            p50: at(0.50),
+            p90: at(0.90),
+            p99: at(0.99),
+            max: sorted.last().map_or(0.0, |r| r.0),
+        }
+    }
+
+    /// The runs in ascending order of their value.
+    fn sorted(&self) -> Vec<(f64, u64)> {
+        let mut sorted = self.runs.clone();
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+        sorted
+    }
+
+    /// The sample at `q`'s nearest rank among `len` samples held as
+    /// `sorted` runs (0 when empty).
+    fn ranked(sorted: &[(f64, u64)], len: usize, q: f64) -> f64 {
+        if len == 0 {
+            return 0.0;
+        }
+        let mut rank = nearest_rank(q, len) as u64;
+        for &(x, count) in sorted {
+            if rank < count {
+                return x;
+            }
+            rank -= count;
+        }
+        unreachable!("the runs hold {len} samples")
+    }
+}
+
+/// `count` consecutive entries of one term, logged from index `start`:
+/// request ids `first..first + count`, all submitted at `submitted`.
+#[derive(Copy, Clone, Debug)]
+struct LogRun {
+    start: u64,
+    term: u64,
+    first: u64,
+    count: u64,
+    submitted: SimTime,
+}
+
+impl LogRun {
+    fn entry(&self, index: u64) -> Entry {
+        (self.term, self.first + (index - self.start), self.submitted)
+    }
+}
+
+/// A Raft log of [`Entry`] `(term, request id, submitted)` at indices
+/// `1..=len`, stored as runs: an entry extends the last run when it has
+/// that run's term and submit time and the id after its last one. Index
+/// 0 is the sentinel every log starts from, of term 0.
+///
+/// # Examples
+///
+/// ```
+/// use decent_bft::runs::LogRuns;
+/// use decent_sim::prelude::SimTime;
+///
+/// let t = SimTime::from_secs(1.0);
+/// let mut log = LogRuns::new();
+/// for id in 0..200_000 {
+///     log.push((1, id, t));
+/// }
+/// assert_eq!((log.len(), log.runs()), (200_000, 1));
+/// assert_eq!((log.term(0), log.entry(7)), (0, (1, 6, t)));
+/// log.truncate(10);
+/// log.push((2, 0, t));
+/// assert_eq!((log.len(), log.runs(), log.term(11)), (11, 2, 2));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct LogRuns {
+    runs: Vec<LogRun>,
+}
+
+impl LogRuns {
+    /// An empty log: the sentinel alone.
+    pub fn new() -> Self {
+        LogRuns::default()
+    }
+
+    /// Entries after the sentinel: the index of the last one.
+    pub fn len(&self) -> u64 {
+        self.runs.last().map_or(0, |r| r.start + r.count - 1)
+    }
+
+    /// Whether the log holds nothing but the sentinel.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// Number of runs the entries are stored as.
+    pub fn runs(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// The run holding `index`, which must be in `1..=len`.
+    fn run_of(&self, index: u64) -> &LogRun {
+        assert!(
+            (1..=self.len()).contains(&index),
+            "log index {index} outside 1..={}",
+            self.len()
+        );
+        &self.runs[self.runs.partition_point(|r| r.start <= index) - 1]
+    }
+
+    /// The entry at `index` in `1..=len`.
+    pub fn entry(&self, index: u64) -> Entry {
+        self.run_of(index).entry(index)
+    }
+
+    /// The term at `index` in `0..=len`: 0 at the sentinel.
+    pub fn term(&self, index: u64) -> u64 {
+        if index == 0 {
+            0
+        } else {
+            self.run_of(index).term
+        }
+    }
+
+    /// Appends `entry` at index `len + 1`.
+    pub fn push(&mut self, (term, id, submitted): Entry) {
+        let start = self.len() + 1;
+        if let Some(last) = self.runs.last_mut() {
+            if last.term == term
+                && last.submitted == submitted
+                && last.first.checked_add(last.count) == Some(id)
+            {
+                last.count += 1;
+                return;
+            }
+        }
+        self.runs.push(LogRun {
+            start,
+            term,
+            first: id,
+            count: 1,
+            submitted,
+        });
+    }
+
+    /// Keeps the entries at `1..=len` and drops the rest (none if the
+    /// log is no longer).
+    pub fn truncate(&mut self, len: u64) {
+        let keep = self.runs.partition_point(|r| r.start <= len);
+        self.runs.truncate(keep);
+        if let Some(last) = self.runs.last_mut() {
+            last.count = last.count.min(len + 1 - last.start);
+        }
+    }
+
+    /// Up to `max` entries from index `from` (at least 1) on.
+    pub fn slice(&self, from: u64, max: usize) -> Vec<Entry> {
+        if from > self.len() {
+            return Vec::new();
+        }
+        let first = self.runs.partition_point(|r| r.start <= from) - 1;
+        self.runs[first..]
+            .iter()
+            .flat_map(|r| (r.start.max(from)..r.start + r.count).map(move |i| r.entry(i)))
+            .take(max)
+            .collect()
+    }
+
+    /// The entries at `1..=len`, in order.
+    pub fn iter(&self) -> impl Iterator<Item = Entry> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|r| (r.start..r.start + r.count).map(move |i| r.entry(i)))
     }
 }
 
@@ -360,5 +596,104 @@ mod tests {
         }
         assert!(coalesced > 0);
         assert!(ExecRuns::new().is_empty() && ExecRuns::new().iter().next().is_none());
+    }
+
+    #[test]
+    fn latencies_summarise_to_the_histograms_bits() {
+        use decent_sim::metrics::Histogram;
+
+        // Bit equality, so a sum rounded in another order fails too.
+        let bits = |s: Summary| [s.mean, s.min, s.p50, s.p90, s.p99, s.max].map(f64::to_bits);
+        for seed in 0..64 {
+            let mut rng = rng_from_seed(seed);
+            let mut record = ExecRuns::new();
+            // Sub-millisecond times whose latencies do not add exactly.
+            let ns = |rng: &mut decent_sim::prelude::SimRng| {
+                SimTime::from_nanos(rng.gen_range(0..1_000_000u64) * 7 + 3)
+            };
+            let runs = rng.gen_range(0..40);
+            for _ in 0..runs {
+                let (submitted, done) = (ns(&mut rng), ns(&mut rng));
+                for _ in 0..rng.gen_range(1..300) {
+                    record.push(submitted, done);
+                }
+            }
+            let mut hist: Histogram = record
+                .iter()
+                .map(|(s, d)| d.saturating_since(s).as_secs())
+                .collect();
+            let latencies = record.latencies();
+            let (want, got) = (hist.summary(), latencies.summary());
+            assert_eq!(got.count, want.count, "seed {seed}");
+            assert_eq!(bits(got), bits(want), "seed {seed}: {got:?} vs {want:?}");
+            for q in [0.0, 0.001, 0.25, 0.5, 0.9, 0.999, 1.0] {
+                let (want, got) = (hist.percentile(q), latencies.percentile(q));
+                assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} q {q}");
+            }
+            // One submit time's share, as E19 measures a phase.
+            let middle = record.iter().nth(record.len() / 2);
+            if let Some((t, _)) = middle {
+                let phase = record.submitted_at(t);
+                let model: Vec<_> = record.iter().filter(|&(s, _)| s == t).collect();
+                assert!(phase.iter().eq(model.iter().copied()), "seed {seed}");
+                assert_eq!(phase.len(), model.len());
+            }
+        }
+        assert_eq!(ExecRuns::new().latencies().summary(), Summary::default());
+    }
+
+    #[test]
+    fn log_runs_match_a_vec() {
+        let (mut split, mut truncated) = (0, 0);
+        for seed in 0..64 {
+            let mut rng = rng_from_seed(seed);
+            let mut log = LogRuns::new();
+            // Index 0 is the sentinel, as in the log this replaces.
+            let mut model: Vec<Entry> = vec![(0, 0, SimTime::ZERO)];
+            let (mut term, mut submitted, mut last) = (1, SimTime::ZERO, None);
+            for step in 0..300 {
+                match rng.gen_range(0..10) {
+                    0 => term += 1,
+                    1 => submitted = SimTime::from_secs(rng.gen_range(0..3u32).into()),
+                    2 => {
+                        let len = rng.gen_range(0..model.len() as u64 + 2);
+                        log.truncate(len);
+                        model.truncate(model.len().min(len as usize + 1));
+                        truncated += 1;
+                    }
+                    _ => {
+                        let id = next_id(&mut rng, last);
+                        let before = log.runs();
+                        log.push((term, id, submitted));
+                        model.push((term, id, submitted));
+                        last = Some(id);
+                        split += usize::from(log.runs() > before && before > 0);
+                    }
+                }
+                let len = model.len() as u64 - 1;
+                assert_eq!(log.len(), len, "seed {seed} step {step}");
+                assert_eq!(log.is_empty(), len == 0);
+                assert!(
+                    log.iter().eq(model[1..].iter().copied()),
+                    "seed {seed} step {step}"
+                );
+                for i in 0..=len {
+                    assert_eq!(log.term(i), model[i as usize].0);
+                }
+                for i in 1..=len {
+                    assert_eq!(log.entry(i), model[i as usize]);
+                }
+                let from = rng.gen_range(1..len + 2);
+                let max = rng.gen_range(0..8);
+                let upper = model.len().min(from as usize + max);
+                assert_eq!(
+                    log.slice(from, max),
+                    model[from as usize..upper],
+                    "seed {seed}"
+                );
+                assert!(log.runs() as u64 <= len);
+            }
+        }
+        assert!(split > 0 && truncated > 0);
     }
 }

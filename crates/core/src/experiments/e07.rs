@@ -104,11 +104,13 @@ fn run_oltp(cfg: &Config, horizon: SimDuration, seed: u64) -> (f64, MetricsSnaps
     let per_shard_capacity = 400.0; // 1 / 2.5ms
     let offered = per_shard_capacity * cfg.oltp_shards as f64 * 1.5;
     let total = (offered * horizon.as_secs()) as u64;
-    for i in 0..total {
-        let shard = shards[(i % cfg.oltp_shards as u64) as usize];
-        let when = SimDuration::from_secs(i as f64 / offered);
-        sim.inject(shard, 1, when);
-    }
+    // One queue entry for every arrival, evenly spaced and dealt round
+    // robin.
+    let targets = shards.clone();
+    sim.inject_stream(total, move |i| {
+        let shard = targets[(i % targets.len() as u64) as usize];
+        (shard, 1, SimDuration::from_secs(i as f64 / offered))
+    });
     sim.run_until(SimTime::ZERO + horizon);
     let served: u64 = shards.iter().map(|&s| sim.node(s).served).sum();
     (served as f64 / horizon.as_secs(), sim.metrics_snapshot())

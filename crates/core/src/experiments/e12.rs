@@ -51,17 +51,13 @@ fn measure_raft(seed: u64) -> (f64, f64, MetricsSnapshot) {
     }
     let horizon = 4.0;
     sim.run_until(SimTime::from_secs(1.0 + horizon));
-    let mut lat = Histogram::new();
     let node = ids
         .iter()
         .map(|&i| sim.node(i))
         .max_by_key(|n| n.applied.len())
         .expect("nodes");
-    for (sub, app) in node.applied.iter() {
-        lat.record(app.saturating_since(sub).as_secs());
-    }
     let tps = node.applied.len() as f64 / horizon;
-    let p50 = lat.percentile(0.5);
+    let p50 = node.applied.latencies().percentile(0.5);
     (tps, p50, sim.metrics_snapshot())
 }
 

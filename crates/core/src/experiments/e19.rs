@@ -18,6 +18,7 @@
 //!   state transfer, cannot close its execution gap even afterwards.
 
 use decent_bft::pbft::{build_cluster, PbftConfig, PbftReplica};
+use decent_bft::runs::Latencies;
 use decent_overlay::id::Key;
 use decent_overlay::kademlia::{build_network, KadConfig, KadNode};
 use decent_sim::prelude::*;
@@ -224,22 +225,15 @@ fn run_dht(cfg: &Config) -> (Vec<DhtPhase>, MetricsSnapshot) {
 
 /// Per-phase PBFT measurements on one replica: `(executed, commit
 /// latencies)` for the batch submitted at `submitted_at`.
-fn pbft_phase(replica: &PbftReplica, submitted_at: SimTime) -> (u64, Histogram) {
-    let mut lat = Histogram::new();
-    let mut n = 0;
-    for (sub, done) in replica.executed.iter() {
-        if sub == submitted_at {
-            n += 1;
-            lat.record(done.saturating_since(sub).as_secs());
-        }
-    }
-    (n, lat)
+fn pbft_phase(replica: &PbftReplica, submitted_at: SimTime) -> (u64, Latencies) {
+    let phase = replica.executed.submitted_at(submitted_at);
+    (phase.len() as u64, phase.latencies())
 }
 
 struct PbftOutcome {
-    maj_pre: (u64, Histogram),
-    maj_during: (u64, Histogram),
-    maj_post: (u64, Histogram),
+    maj_pre: (u64, Latencies),
+    maj_during: (u64, Latencies),
+    maj_post: (u64, Latencies),
     min_pre: u64,
     min_during: u64,
     min_post: u64,
@@ -379,11 +373,10 @@ impl Experiment for Config {
             ("healed", &pbft.maj_post, pbft.min_post),
         ];
         for (name, maj, min_execd) in pbft_rows {
-            let mut lat = maj.1.clone();
             t.row([
                 name.to_string(),
                 maj.0.to_string(),
-                format!("{:.1} ms", lat.percentile(0.5) * 1e3),
+                format!("{:.1} ms", maj.1.percentile(0.5) * 1e3),
                 min_execd.to_string(),
             ]);
         }
@@ -454,11 +447,11 @@ impl Experiment for Config {
                 "majority executed {} of {} during the cut, commit p50 {:.1} ms",
                 pbft.maj_during.0,
                 self.ops_per_phase,
-                pbft.maj_during.1.clone().percentile(0.5) * 1e3
+                pbft.maj_during.1.percentile(0.5) * 1e3
             ),
             pbft.maj_during.0 as f64 / ops,
             Expect::AtLeast(0.999),
-            pbft.maj_during.1.clone().percentile(0.5) < 1.0,
+            pbft.maj_during.1.percentile(0.5) < 1.0,
         );
         report.check(
             "E19.pbft-heals",

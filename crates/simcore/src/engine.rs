@@ -243,10 +243,94 @@ impl<'a, M> Context<'a, M> {
 }
 
 pub(crate) enum EventKind<M> {
-    Deliver { src: NodeId, msg: M },
-    Timer { tag: u64, epoch: u32 },
+    Deliver {
+        src: NodeId,
+        msg: M,
+    },
+    Timer {
+        tag: u64,
+        epoch: u32,
+    },
     Start,
     Stop,
+    /// An [`inject_stream`](Simulation::inject_stream)'s next arrival,
+    /// standing in the queue for it and every later one. `dispatch`
+    /// never sees it: the serial loop turns it into that arrival's
+    /// `Deliver` and re-files the rest, and the windowed layout holds
+    /// the arrivals unrolled.
+    Stream(Box<Stream<M>>),
+}
+
+/// The closure behind a stream: arrival `i`'s `(dst, msg, delay)`.
+type NextArrival<M> = Box<dyn FnMut(u64) -> (NodeId, M, SimDuration) + Send>;
+
+/// A run of driver injections held as one queue entry: arrival `i` is
+/// due at `origin + delay_i` under seq `seq0 + i`, which are the time
+/// and seq `inject` would have given it, so the entry for the head
+/// arrival sorts exactly where that arrival's own event would.
+pub(crate) struct Stream<M> {
+    next: NextArrival<M>,
+    /// The clock when the stream was injected.
+    origin: SimTime,
+    /// Arrival 0's seq; the stream holds `count` consecutive ones.
+    seq0: u64,
+    count: u64,
+    /// The head arrival: its index, delay and message.
+    i: u64,
+    delay: SimDuration,
+    msg: M,
+}
+
+impl<M> Stream<M> {
+    /// The queue entry for the head arrival, bound for `dst`.
+    fn entry(self: Box<Self>, dst: NodeId) -> (SimTime, u64, EngineEvent<M>) {
+        let (time, seq) = (self.origin + self.delay, self.seq0 + self.i);
+        let kind = EventKind::Stream(self);
+        (time, seq, EngineEvent { node: dst, kind })
+    }
+
+    /// Takes the head arrival's message and moves on to the next
+    /// arrival, whose queue entry it returns unless the head was the
+    /// last.
+    fn pop(mut self: Box<Self>) -> (M, Option<(SimTime, u64, EngineEvent<M>)>) {
+        self.i += 1;
+        if self.i == self.count {
+            return (self.msg, None);
+        }
+        let (dst, msg, delay) = (self.next)(self.i);
+        assert!(
+            delay >= self.delay,
+            "inject_stream: arrival {} has delay {delay}, below arrival {}'s {}",
+            self.i,
+            self.i - 1,
+            self.delay
+        );
+        self.delay = delay;
+        let msg = std::mem::replace(&mut self.msg, msg);
+        (msg, Some(self.entry(dst)))
+    }
+}
+
+/// Hands `push` the event a dequeued `(time, seq, event)` stands for:
+/// the event itself, or every remaining arrival of a stream, in order,
+/// each as the `Deliver` that `inject` would have queued.
+pub(crate) fn unroll<M>(
+    time: SimTime,
+    seq: u64,
+    ev: EngineEvent<M>,
+    mut push: impl FnMut(SimTime, u64, EngineEvent<M>),
+) {
+    let mut entry = Some((time, seq, ev));
+    while let Some((time, seq, ev)) = entry.take() {
+        let (node, stream) = match ev.kind {
+            EventKind::Stream(stream) => (ev.node, stream),
+            _ => return push(time, seq, ev),
+        };
+        let (msg, rest) = stream.pop();
+        let kind = EventKind::Deliver { src: EXTERNAL, msg };
+        push(time, seq, EngineEvent { node, kind });
+        entry = rest;
+    }
 }
 
 /// The engine's event payload as stored in a [`Scheduler`]: a target node
@@ -265,6 +349,7 @@ impl<M> EngineEvent<M> {
             EventKind::Timer { .. } => EventTag::Timer,
             EventKind::Start => EventTag::Start,
             EventKind::Stop => EventTag::Stop,
+            EventKind::Stream(_) => EventTag::Deliver,
         }
     }
 }
@@ -410,6 +495,7 @@ pub(crate) fn dispatch<N: Node, K: Sink<N::Msg>>(
             }
             true
         }
+        EventKind::Stream(_) => unreachable!("a stream is unrolled before dispatch"),
     };
     if stop {
         // Offline before `on_stop` runs, so a `go_offline` from inside
@@ -744,15 +830,20 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     }
 
     /// Serial to windowed layout: deals every pending event to the queue
-    /// of its node's shard. The new queues start at the current time,
-    /// so a timing wheel files the events by their distance from now,
-    /// not from time zero.
+    /// of its node's shard, unrolling streams. The new queues start at
+    /// the current time, so a timing wheel files the events by their
+    /// distance from now, not from time zero.
     pub(crate) fn split_queues(&mut self) {
         let core = &mut self.core;
         let shards = core.shards;
         core.shard_queues = (0..shards).map(|_| S::new_at(core.now)).collect();
+        let queues = &mut core.shard_queues;
         while let Some((t, s, ev)) = core.queue.pop() {
-            core.shard_queues[ev.node % shards].schedule(t, s, ev);
+            // Windows deal events by node, so a stream's arrivals go to
+            // their own nodes' queues one by one.
+            unroll(t, s, ev, |t, s, ev| {
+                queues[ev.node % shards].schedule(t, s, ev)
+            });
         }
         // Popping moved the old queue's clock to its last event.
         core.queue = S::new();
@@ -887,6 +978,10 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     }
 
     /// Injects a message from [`EXTERNAL`] to `dst`, delivered after `delay`.
+    ///
+    /// One queue entry per message: a driver that injects many messages
+    /// at nondecreasing delays holds them as one entry with
+    /// [`inject_stream`](Simulation::inject_stream).
     pub fn inject(&mut self, dst: NodeId, msg: N::Msg, delay: SimDuration) {
         let seq = self.next_driver_seq();
         self.core.push(
@@ -897,6 +992,56 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
                 kind: EventKind::Deliver { src: EXTERNAL, msg },
             },
         );
+    }
+
+    /// Stands for `count` calls to [`inject`](Simulation::inject), the
+    /// `i`-th of them `inject(dst, msg, delay)` for `(dst, msg, delay) =
+    /// next(i)`, but holds them as one queue entry: `next(i)` is called
+    /// once per arrival, in order, when arrival `i - 1` fires (arrival 0
+    /// at once). The arrivals get the times and seqs the `inject` loop
+    /// would give them, and count as scheduled and pending from this
+    /// call on, so everything observable is the loop's, metrics
+    /// snapshot included. The windowed layout of sharded execution
+    /// holds them one by one, so a stream costs its full size there.
+    ///
+    /// # Panics
+    ///
+    /// Panics, when arrival `i` is reached, if its delay is below
+    /// arrival `i - 1`'s: the entry must always stand for the earliest
+    /// arrival left.
+    pub fn inject_stream(
+        &mut self,
+        count: u64,
+        mut next: impl FnMut(u64) -> (NodeId, N::Msg, SimDuration) + Send + 'static,
+    ) {
+        if count == 0 {
+            return;
+        }
+        let ctr = self.driver_ctr;
+        self.driver_ctr = u32::try_from(count)
+            .ok()
+            .and_then(|n| ctr.checked_add(n))
+            .expect("driver seq space exhausted");
+        let (dst, msg, delay) = next(0);
+        let stream = Box::new(Stream {
+            next: Box::new(next),
+            origin: self.core.now,
+            seq0: pack_seq(DRIVER_ORIGIN, ctr),
+            count,
+            i: 0,
+            delay,
+            msg,
+        });
+        let core = &mut self.core;
+        core.note_pushed(count);
+        let (time, seq, ev) = stream.entry(dst);
+        match &mut core.shard_queues[..] {
+            [] => core.queue.schedule(time, seq, ev),
+            queues => unroll(time, seq, ev, |t, s, ev| {
+                let qi = ev.node % queues.len();
+                queues[qi].schedule(t, s, ev)
+            }),
+        }
     }
 
     /// Runs `f` against node `id` with a live [`Context`], applying any
@@ -1110,8 +1255,13 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     }
 
     /// Runs one dequeued node event through the kernel, with the
-    /// simulation itself as the sink.
+    /// simulation itself as the sink. A stream delivers its head
+    /// arrival and is filed again at the next one.
     fn fire(&mut self, time: SimTime, ev: EngineEvent<N::Msg>) {
+        let ev = match ev.kind {
+            EventKind::Stream(stream) => self.refile(ev.node, stream),
+            _ => ev,
+        };
         self.core.begin_event(time, ev.node, ev.tag());
         let slot = &mut self.store.slot(ev.node);
         dispatch(
@@ -1122,6 +1272,17 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
             &mut self.scratch,
             &mut self.core,
         );
+    }
+
+    /// Files a stream again at its next arrival and returns the head
+    /// arrival's delivery to `node`.
+    fn refile(&mut self, node: NodeId, stream: Box<Stream<N::Msg>>) -> EngineEvent<N::Msg> {
+        let (msg, rest) = stream.pop();
+        if let Some((t, s, ev)) = rest {
+            self.core.queue.schedule(t, s, ev);
+        }
+        let kind = EventKind::Deliver { src: EXTERNAL, msg };
+        EngineEvent { node, kind }
     }
 
     pub(crate) fn next_driver_seq(&mut self) -> u64 {
@@ -1402,6 +1563,101 @@ mod tests {
         assert!(pack_seq(0, 1) < pack_seq(0, 2));
         assert!(pack_seq(0, u32::MAX) < pack_seq(1, 0));
         assert!(pack_seq(5, 0) < pack_seq(DRIVER_ORIGIN, 0));
+    }
+
+    /// What a run shows of its arrivals: events, the trace, the metrics
+    /// snapshot and every peer's state.
+    type Seen = (
+        u64,
+        SimTime,
+        Vec<crate::trace::EventRecord>,
+        MetricsSnapshot,
+        Vec<(Vec<u32>, Vec<u32>, Vec<u64>, u32, u32)>,
+    );
+
+    /// Three peers, the last stopped at 4 ms and started again at 9 ms,
+    /// a timer at 6 ms and injections before and after: the arrivals
+    /// from `next`, `count` of them, injected one by one or as one
+    /// stream, then run to the end in steps.
+    fn arrivals(
+        stream: bool,
+        count: u64,
+        next: impl FnMut(u64) -> (NodeId, Msg, SimDuration) + Send + 'static,
+    ) -> Seen {
+        let mut sim = Simulation::new(3, ConstantLatency::from_millis(1.0));
+        sim.enable_trace(1 << 12);
+        let ids: Vec<_> = (0..3).map(|_| sim.add_node(Peer::default())).collect();
+        sim.schedule_stop(ids[2], SimTime::from_secs(0.004));
+        sim.schedule_start(ids[2], SimTime::from_secs(0.009));
+        sim.invoke(ids[0], |_n, ctx| {
+            ctx.set_timer(SimDuration::from_millis(6.0), 6)
+        });
+        sim.inject(ids[1], Msg::Ping(900), SimDuration::from_millis(5.0));
+        if stream {
+            sim.inject_stream(count, next);
+        } else {
+            (0..count)
+                .map(next)
+                .for_each(|(dst, msg, at)| sim.inject(dst, msg, at));
+        }
+        // Same time as arrivals already queued, later seq.
+        sim.inject(ids[0], Msg::Ping(901), SimDuration::from_millis(5.0));
+        for ms in [3.0, 5.0, 5.5, 1_000.0] {
+            sim.run_until(SimTime::from_secs(ms / 1e3));
+        }
+        let peers = ids.iter().map(|&id| {
+            let n = sim.node(id);
+            (
+                n.pings.clone(),
+                n.pongs.clone(),
+                n.timers.clone(),
+                n.starts,
+                n.stops,
+            )
+        });
+        (
+            sim.events_processed(),
+            sim.now(),
+            sim.trace().expect("enabled").records().copied().collect(),
+            sim.metrics_snapshot(),
+            peers.collect(),
+        )
+    }
+
+    #[test]
+    fn a_stream_runs_as_its_injections_do() {
+        // Two arrivals at each whole millisecond, round robin: equal
+        // times among them and with the timer and the injections, and
+        // some to the peer while it is offline.
+        let next = |i: u64| {
+            let at = SimDuration::from_millis((i / 2) as f64);
+            (i as usize % 3, Msg::Ping(i as u32), at)
+        };
+        for count in [0, 1, 2, 7, 25] {
+            let one_by_one = arrivals(false, count, next);
+            assert_eq!(arrivals(true, count, next), one_by_one, "count {count}");
+        }
+        let seen = arrivals(true, 25, next);
+        assert_eq!(seen.3.counter("messages_dropped_offline"), 4);
+        assert_eq!(seen.3.counter("events_scheduled"), 3 + 2 + 1 + 2 + 25);
+        // All of an arrival's neighbours sit in the queue at once.
+        assert!(seen.3.counter("peak_queue_depth") >= 25);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "inject_stream: arrival 2 has delay 1.00ms, below arrival 1's 2.00ms"
+    )]
+    fn a_stream_whose_delay_falls_panics() {
+        let delays = [1.0, 2.0, 1.0];
+        let next = move |i: u64| {
+            (
+                0,
+                Msg::Ping(0),
+                SimDuration::from_millis(delays[i as usize]),
+            )
+        };
+        arrivals(true, 3, next);
     }
 
     /// The shard count a simulation built on this thread asks for.

@@ -142,8 +142,7 @@ impl Histogram {
             self.samples.sort_by(|a, b| a.total_cmp(b));
             self.sorted = true;
         }
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).max(1) - 1;
-        self.samples[rank.min(self.samples.len() - 1)]
+        self.samples[nearest_rank(q, self.samples.len())]
     }
 
     /// A snapshot of common statistics.
@@ -185,6 +184,14 @@ impl FromIterator<f64> for Histogram {
         h.extend(iter);
         h
     }
+}
+
+/// The 0-based index of the `q`-quantile among `n > 0` sorted samples,
+/// by nearest rank: what [`Histogram::percentile`] reads, for callers
+/// that keep their samples some other way.
+pub fn nearest_rank(q: f64, n: usize) -> usize {
+    let rank = ((q * n as f64).ceil() as usize).max(1) - 1;
+    rank.min(n - 1)
 }
 
 trait PipeFinite {

@@ -662,6 +662,10 @@ mod tests {
             sim.windows() > 0,
             shards > 1 && sim.core.net.lookahead().is_some_and(|la| !la.is_zero())
         );
+        fingerprint(&sim, &ids)
+    }
+
+    fn fingerprint(sim: &Simulation<Peer>, ids: &[NodeId]) -> Fingerprint {
         (
             sim.events_processed(),
             sim.events_cancelled(),
@@ -742,6 +746,70 @@ mod tests {
             );
         }
         (sim, ids)
+    }
+
+    /// Arrival `i` of the streams below: every peer in turn, 7 ms apart.
+    fn arrival(i: u64) -> (NodeId, Msg, SimDuration) {
+        let at = SimDuration::from_millis(i as f64 * 7.0);
+        (i as usize % 6, Msg::Ping(i as u32), at)
+    }
+
+    #[test]
+    fn a_stream_split_mid_way_runs_as_its_injections_do() {
+        let run = |stream: bool, shards: usize| {
+            let mut sim: Simulation<Peer> =
+                Simulation::new(0xD6, UniformLatency::from_millis(20.0, 80.0));
+            sim.enable_trace(4096);
+            let ids: Vec<_> = (0..6)
+                .map(|_| {
+                    sim.add_node(Peer {
+                        n: 6,
+                        ..Peer::default()
+                    })
+                })
+                .collect();
+            let inject = |sim: &mut Simulation<Peer>, count: u64, from: u64| {
+                let next = move |i| arrival(from + i);
+                if stream {
+                    sim.inject_stream(count, next);
+                } else {
+                    (0..count)
+                        .map(next)
+                        .for_each(|(dst, msg, at)| sim.inject(dst, msg, at));
+                }
+            };
+            inject(&mut sim, 300, 0);
+            // The serial loop takes the first 72 arrivals off the stream.
+            sim.run_until(SimTime::from_secs(0.5));
+            {
+                let _windows = crate::stress::force_windows();
+                sim.set_shards(shards);
+            }
+            // Windows from here: the split unrolls what is left of it.
+            sim.run_until(SimTime::from_secs(1.0));
+            assert_eq!(
+                sim.core.shard_queues.len(),
+                if shards > 1 { shards } else { 0 }
+            );
+            assert_eq!(sim.windows() > 0, shards > 1);
+            // Injected into the windowed layout, a stream is unrolled at once.
+            inject(&mut sim, 100, 1_000);
+            sim.run_until(SimTime::from_secs(3.0));
+            sim.set_shards(1);
+            sim.run_until(SimTime::from_secs(30.0));
+            fingerprint(&sim, &ids)
+        };
+        let serial = run(false, 1);
+        assert!(serial.4.iter().map(|n| n.0.len()).sum::<usize>() >= 400);
+        for shards in [1, 2, 4] {
+            for stream in [false, true] {
+                assert_eq!(
+                    run(stream, shards),
+                    serial,
+                    "stream={stream} shards={shards}"
+                );
+            }
+        }
     }
 
     #[test]

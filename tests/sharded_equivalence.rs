@@ -36,7 +36,7 @@ use rand::Rng;
 use decent::bft::pbft::{build_cluster, PbftConfig};
 use decent::chain::node::{build_network, ChainNode, ChainNodeConfig, NetworkConfig};
 use decent::chain::pow::PowParams;
-use decent::core::experiments::{e01, e05, e12, e14, e19};
+use decent::core::experiments::{e01, e05, e07, e12, e14, e19};
 use decent::core::report::{ExperimentRun, RunReport};
 use decent::core::scenario::{ExecPolicy, Experiment, Scenario};
 use decent::sim::prelude::*;
@@ -492,15 +492,15 @@ proptest! {
     // Full experiments are expensive: a few cases suffice because each
     // one already covers thousands of events end-to-end. The pool spans
     // every family that drives a discrete-event simulation: overlay
-    // (E1/E5), fault injection (E19), chain PoW (E14), and
-    // BFT/permissioned (E12). Two properties over the same cases, so
-    // the harness runs them side by side.
+    // (E1/E5), fault injection (E19), chain PoW (E14), BFT/permissioned
+    // (E12), and a driver's arrival stream (E7). Two properties over
+    // the same cases, so the harness runs them side by side.
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     // Every event in a conservative window.
     #[test]
     fn report_json_is_byte_identical_under_sharding(
-        which in 0usize..5,
+        which in 0usize..6,
         shards in (1usize..4).prop_map(|i| 1usize << i),
         seed in proptest::option::of(any::<u64>()),
     ) {
@@ -510,7 +510,7 @@ proptest! {
     // As `repro --shards N` runs it: the policy picks the layout.
     #[test]
     fn report_json_is_byte_identical_when_the_policy_decides(
-        which in 0usize..5,
+        which in 0usize..6,
         shards in (1usize..4).prop_map(|i| 1usize << i),
         seed in proptest::option::of(any::<u64>()),
     ) {
@@ -518,12 +518,14 @@ proptest! {
     }
 }
 
-/// E1, E5, E19, E14 and E12, each shrunk below quick scale through its
-/// own size fields: the properties above are about the executor, not the
-/// workload, and every case runs its scenario twice. (E12's committee
-/// list is built directly because `set_param` reaches only its largest
-/// committee; its two PBFT saturation runs ask for shards like every
-/// simulation in the scope, so windows are forced on them too.)
+/// E1, E5, E19, E14, E12 and E7, each shrunk below quick scale through
+/// its own size fields: the properties above are about the executor, not
+/// the workload, and every case runs its scenario twice. (E12's
+/// committee list is built directly because `set_param` reaches only its
+/// largest committee; its two PBFT saturation runs ask for shards like
+/// every simulation in the scope, so windows are forced on them too.
+/// E7's OLTP arrivals are one stream, which the first forced window
+/// unrolls into the shards' queues.)
 fn shrunk_scenario(which: usize) -> Box<dyn Scenario> {
     match which {
         0 => Box::new(e01::Config {
@@ -543,11 +545,25 @@ fn shrunk_scenario(which: usize) -> Box<dyn Scenario> {
             blocks_per_level: 30,
             ..e14::Config::quick()
         }),
-        _ => Box::new(e12::Config {
+        4 => Box::new(e12::Config {
             committee_sizes: vec![16, 64],
             chain_nodes: 16,
             chain_hours: 2.0,
             ..e12::Config::quick()
         }),
+        _ => Box::new(e07::Config {
+            chain_nodes: 16,
+            bitcoin_hours: 1.0,
+            ethereum_mins: 5.0,
+            oltp_shards: 2,
+            ..e07::Config::quick()
+        }),
     }
+}
+
+/// The E7 case on its own, so the stream's unrolling is under test
+/// whichever cases the properties draw.
+#[test]
+fn e7_arrival_stream_unrolls_into_byte_identical_windows() {
+    assert_report_bytes_hold(5, 2, None, true);
 }
