@@ -53,6 +53,15 @@
 //! right after the inject, within ±10 %: a stream that goes back to one
 //! queue entry per arrival holds some 5 MB more there.
 //!
+//! Last, E6's membership: a one-hop network and a Pastry network of
+//! 1 000 nodes each, built as E6 builds them at full scale, on its
+//! `UniformLatency(30, 120 ms)`, at seed `0xE6`.
+//! `onehop_live_bytes_per_node` and `pastry_live_bytes_per_node`, the
+//! bytes each build leaves live per node, are gated within ±10 %: a
+//! one-hop node that keeps its own copy of the membership, or a Pastry
+//! node that allocates all 40 routing rows up front, holds several
+//! times more.
+//!
 //! A baseline that lacks a gated counter fails the gate. Timing
 //! questions belong to `benchmark/`, not here.
 //!
@@ -72,6 +81,8 @@ use decent_chain::node::{self as chain, ChainNode, ChainNodeConfig, NetworkConfi
 use decent_chain::pow::PowParams;
 use decent_overlay::id::Key;
 use decent_overlay::kademlia::{build_network, KadConfig, KadNode};
+use decent_overlay::onehop::{self, OneHopConfig, OneHopNode};
+use decent_overlay::pastry::{self, PastryConfig, PastryNode};
 use decent_sim::json::Json;
 use decent_sim::prelude::*;
 
@@ -93,6 +104,9 @@ const BFT_SEED: u64 = 0xBF;
 const STREAM_ARRIVALS: u64 = 100_000;
 const STREAM_NODES: usize = 32;
 const STREAM_SEED: u64 = 0xE7;
+
+const MEMBERSHIP_NODES: usize = 1_000;
+const MEMBERSHIP_SEED: u64 = 0xE6;
 
 /// Allowed relative drift for the allocator counters, which absorb
 /// allocator-library churn.
@@ -116,7 +130,7 @@ fn report_only(_baseline: f64, _current: f64) -> bool {
 
 /// Every counter `measure` reports: its key, and its policy as the
 /// table prints it and as a test.
-const GATE: [(&str, &str, Policy); 21] = [
+const GATE: [(&str, &str, Policy); 23] = [
     ("events", "exact", exact),
     ("activations", "exact", exact),
     ("peak_queue_depth", "exact", exact),
@@ -138,6 +152,8 @@ const GATE: [(&str, &str, Policy); 21] = [
     ("bft_raft_live_bytes", "±10%", within_band),
     ("stream_events", "exact", exact),
     ("stream_live_bytes", "±10%", within_band),
+    ("onehop_live_bytes_per_node", "±10%", within_band),
+    ("pastry_live_bytes_per_node", "±10%", within_band),
 ];
 
 thread_local! {
@@ -208,8 +224,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Measures the Kademlia drain, the chain relay, the two permissioned
-/// clusters, then the arrival stream, into the document
-/// `--write-baseline` commits and the gate compares.
+/// clusters, the arrival stream, then E6's membership, into the
+/// document `--write-baseline` commits and the gate compares.
 fn measure(
     kad_nodes: usize,
     lookups: usize,
@@ -217,11 +233,13 @@ fn measure(
     chain_horizon_s: u64,
     bft_ops: u64,
     arrivals: u64,
+    membership_nodes: usize,
 ) -> Json {
     let mut pairs = measure_kad(kad_nodes, lookups);
     pairs.extend(measure_chain(chain_nodes, chain_horizon_s));
     pairs.extend(measure_bft(bft_ops));
     pairs.extend(measure_stream(arrivals));
+    pairs.extend(measure_membership(membership_nodes));
     Json::obj(pairs)
 }
 
@@ -477,6 +495,60 @@ fn measure_stream(arrivals: u64) -> Vec<(&'static str, Json)> {
     ]
 }
 
+/// Builds a one-hop and a Pastry network of `nodes` nodes each, as E6
+/// does, and counts the bytes each build leaves live, per node.
+fn measure_membership(nodes: usize) -> Vec<(&'static str, Json)> {
+    let latency = || UniformLatency::from_millis(30.0, 120.0);
+    let live_before = live_bytes();
+    let mut sim: Simulation<OneHopNode> = Simulation::new(MEMBERSHIP_SEED, latency());
+    onehop::build_network(
+        &mut sim,
+        nodes,
+        OneHopConfig::default(),
+        MEMBERSHIP_SEED ^ 3,
+    );
+    let onehop_live_bytes = live_bytes() - live_before;
+    drop(sim);
+
+    let live_before = live_bytes();
+    let mut sim: Simulation<PastryNode> = Simulation::new(MEMBERSHIP_SEED, latency());
+    pastry::build_network(
+        &mut sim,
+        nodes,
+        &PastryConfig::default(),
+        MEMBERSHIP_SEED ^ 4,
+    );
+    let pastry_live_bytes = live_bytes() - live_before;
+    vec![
+        (
+            "membership_workload",
+            Json::obj([
+                (
+                    "network",
+                    Json::str("E6's one-hop and Pastry builds on UniformLatency(30, 120 ms)"),
+                ),
+                ("nodes", Json::int(nodes as u64)),
+                ("seed", Json::int(MEMBERSHIP_SEED)),
+                (
+                    "note",
+                    Json::str(
+                        "onehop_live_bytes_per_node and pastry_live_bytes_per_node are gated \
+                         within ±10%: the bytes each build leaves live, per node.",
+                    ),
+                ),
+            ]),
+        ),
+        (
+            "onehop_live_bytes_per_node",
+            Json::num(onehop_live_bytes as f64 / nodes as f64),
+        ),
+        (
+            "pastry_live_bytes_per_node",
+            Json::num(pastry_live_bytes as f64 / nodes as f64),
+        ),
+    ]
+}
+
 /// The counter under `key`, NaN when absent — and NaN fails every gate.
 fn num_field(j: &Json, key: &str) -> f64 {
     j.get(key).and_then(Json::as_num).unwrap_or(f64::NAN)
@@ -556,6 +628,7 @@ fn run(
         CHAIN_HORIZON_S,
         BFT_OPS,
         STREAM_ARRIVALS,
+        MEMBERSHIP_NODES,
     );
     if let Some(path) = write_baseline {
         std::fs::write(path, format!("{}\n", current.to_string_pretty()))
@@ -633,7 +706,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// The nineteen counters a drift in which fails the gate.
+    /// The twenty-one counters a drift in which fails the gate.
     fn gated_keys() -> impl Iterator<Item = &'static str> {
         let gated = GATE.iter().filter(|g| g.1 != "report only");
         gated.map(|g| g.0)
@@ -656,7 +729,7 @@ mod tests {
         assert_eq!(grown, 4096, "realloc must free the old block");
         assert_eq!(live_bytes(), live0, "freed bytes uncounted");
 
-        let j = measure(50, 5, 20, 600, 500, 1_000);
+        let j = measure(50, 5, 20, 600, 500, 1_000, 50);
         for (key, ..) in GATE {
             assert!(j.get(key).is_some(), "missing {key}");
         }
@@ -685,6 +758,8 @@ mod tests {
             "bft_pbft_live_bytes",
             "bft_raft_live_bytes",
             "stream_live_bytes",
+            "onehop_live_bytes_per_node",
+            "pastry_live_bytes_per_node",
         ] {
             assert!(num_field(&j, key) > 0.0, "{key}: no live bytes counted");
         }
@@ -694,9 +769,9 @@ mod tests {
             "one event per arrival and per node start"
         );
 
-        let a = measure(60, 6, 24, 900, 600, 1_200);
-        let b = measure(60, 6, 24, 900, 600, 1_200);
-        assert_eq!(gated_keys().count(), 19);
+        let a = measure(60, 6, 24, 900, 600, 1_200, 60);
+        let b = measure(60, 6, 24, 900, 600, 1_200, 60);
+        assert_eq!(gated_keys().count(), 21);
         for key in gated_keys() {
             assert_eq!(
                 num_field(&a, key),
@@ -730,6 +805,8 @@ mod tests {
             ("bft_raft_live_bytes", Json::int(alloc_bytes)),
             ("stream_events", Json::int(events)),
             ("stream_live_bytes", Json::int(alloc_bytes)),
+            ("onehop_live_bytes_per_node", Json::num(150.5)),
+            ("pastry_live_bytes_per_node", Json::num(3000.5)),
         ])
     }
 

@@ -373,14 +373,34 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     } else {
         None
     };
-    if let Some((command, reads)) = command {
-        let ignored = cli.given.iter().find(|flag| {
-            let flag = flag.as_str();
-            flag != command && !reads.contains(&flag)
-        });
-        if let Some(flag) = ignored {
-            return Err(format!("{command} cannot be combined with {flag}"));
-        }
+    // A point run or a sweep reads every flag but the socket demos'.
+    const SOCKET_DEMO_FLAGS: [&str; 4] = [
+        "--port-base",
+        "--mesh-size",
+        "--serve-for",
+        "--probe-timeout",
+    ];
+    let (command, ignored) = match command {
+        Some((command, reads)) => (
+            command,
+            cli.given.iter().find(|flag| {
+                let flag = flag.as_str();
+                flag != command && !reads.contains(&flag)
+            }),
+        ),
+        None => (
+            if cli.sweep.is_some() {
+                "--sweep"
+            } else {
+                "a report run"
+            },
+            cli.given
+                .iter()
+                .find(|flag| SOCKET_DEMO_FLAGS.contains(&flag.as_str())),
+        ),
+    };
+    if let Some(flag) = ignored {
+        return Err(format!("{command} cannot be combined with {flag}"));
     }
     Ok(cli)
 }
@@ -1144,6 +1164,30 @@ mod tests {
         }
         assert!(write_claims(&mut Full).is_err());
         assert!(write_list(&mut Full).is_err());
+    }
+
+    #[test]
+    fn point_runs_and_sweeps_refuse_the_socket_demo_flags() {
+        // Only `--serve` and `--probe` read these; `main` never does on a
+        // report run or a sweep, so each is refused, not ignored.
+        for flag in [
+            &["--port-base", "43000"][..],
+            &["--mesh-size", "12"],
+            &["--serve-for", "5"],
+            &["--probe-timeout", "5"],
+        ] {
+            for mode in [
+                &[][..],
+                &["--quick", "--exp", "E16"],
+                &["--sweep", "E4:session_mins=5..60:2"],
+            ] {
+                let args: Vec<&str> = mode.iter().chain(flag).copied().collect();
+                let err = parse(&args).unwrap_err();
+                assert!(err.contains("cannot be combined"), "{args:?}: {err}");
+                assert!(err.contains(flag[0]), "{args:?}: {err}");
+            }
+        }
+        assert!(parse(&["--quick", "--exp", "E16", "--seed", "3"]).is_ok());
     }
 
     #[test]

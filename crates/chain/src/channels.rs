@@ -14,8 +14,6 @@
 //! on-chain transaction) and the **routing centralization** the paper
 //! points at — traffic concentrates on a few well-funded hubs.
 
-use std::collections::BinaryHeap;
-
 use rand::Rng;
 
 use decent_sim::metrics::{gini, top_k_share};
@@ -28,6 +26,52 @@ struct ChannelState {
     lo_to_hi: f64,
     /// Balance spendable from the higher-indexed endpoint.
     hi_to_lo: f64,
+}
+
+impl ChannelState {
+    /// The balance spendable from `from` towards `to`.
+    fn capacity(&self, from: usize, to: usize) -> f64 {
+        if from < to {
+            self.lo_to_hi
+        } else {
+            self.hi_to_lo
+        }
+    }
+}
+
+/// Route-search state kept across payments, so a search allocates
+/// nothing: a node was reached in the current search iff its `seen`
+/// entry equals `stamp`.
+#[derive(Clone, Debug)]
+struct Search {
+    stamp: u32,
+    seen: Vec<u32>,
+    /// `(previous node, channel from it)` of each reached node.
+    prev: Vec<(usize, usize)>,
+    level: Vec<usize>,
+    next: Vec<usize>,
+}
+
+impl Search {
+    fn new(n: usize) -> Self {
+        Search {
+            stamp: 0,
+            seen: vec![0; n],
+            prev: vec![(usize::MAX, usize::MAX); n],
+            level: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// Starts a search: every node unreached.
+    fn begin(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        self.stamp
+    }
 }
 
 /// The payment-channel network.
@@ -58,6 +102,7 @@ pub struct ChannelNet {
     pub payments_failed: u64,
     /// Per-node forwarding counts (routing load).
     pub forwards: Vec<u64>,
+    search: Search,
 }
 
 impl ChannelNet {
@@ -71,6 +116,7 @@ impl ChannelNet {
             payments_ok: 0,
             payments_failed: 0,
             forwards: vec![0; n],
+            search: Search::new(n),
         }
     }
 
@@ -117,15 +163,6 @@ impl ChannelNet {
         self.onchain_txs += 1;
     }
 
-    fn capacity(&self, from: usize, to: usize, ch: usize) -> f64 {
-        let st = &self.channels[ch];
-        if from < to {
-            st.lo_to_hi
-        } else {
-            st.hi_to_lo
-        }
-    }
-
     fn shift(&mut self, from: usize, to: usize, ch: usize, amount: f64) {
         let st = &mut self.channels[ch];
         if from < to {
@@ -137,40 +174,48 @@ impl ChannelNet {
         }
     }
 
-    /// Dijkstra over hop count among edges with enough capacity. Returns
-    /// the hops after `from` as `(node, channel into it)`.
-    fn route(&self, from: usize, to: usize, amount: f64) -> Option<Vec<(usize, usize)>> {
-        let mut dist = vec![usize::MAX; self.n];
-        // `(previous node, channel from it)`.
-        let mut prev = vec![(usize::MAX, usize::MAX); self.n];
-        let mut heap = BinaryHeap::new();
-        dist[from] = 0;
-        heap.push(std::cmp::Reverse((0usize, from)));
-        while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-            if v == to {
-                break;
-            }
-            if d > dist[v] {
-                continue;
-            }
-            for &(w, ch) in &self.adjacency[v] {
-                if self.capacity(v, w, ch) + 1e-12 < amount {
-                    continue;
+    /// Breadth-first search over hop count among edges with enough
+    /// capacity. Returns the hops after `from` as `(node, channel into
+    /// it)`.
+    ///
+    /// Each level is visited in ascending node order and each node's
+    /// channels in opening order, and a node keeps the first channel
+    /// that reaches it, so the path is the one a hop-count Dijkstra
+    /// that breaks ties by node id finds. The search stops when `to` is
+    /// reached.
+    fn route(&mut self, from: usize, to: usize, amount: f64) -> Option<Vec<(usize, usize)>> {
+        let s = &mut self.search;
+        let stamp = s.begin();
+        s.seen[from] = stamp;
+        s.level.clear();
+        s.level.push(from);
+        let mut found = from == to;
+        while !found && !s.level.is_empty() {
+            s.next.clear();
+            'level: for &v in &s.level {
+                for &(w, ch) in &self.adjacency[v] {
+                    if s.seen[w] == stamp || self.channels[ch].capacity(v, w) + 1e-12 < amount {
+                        continue;
+                    }
+                    s.seen[w] = stamp;
+                    s.prev[w] = (v, ch);
+                    if w == to {
+                        found = true;
+                        break 'level;
+                    }
+                    s.next.push(w);
                 }
-                if d + 1 < dist[w] {
-                    dist[w] = d + 1;
-                    prev[w] = (v, ch);
-                    heap.push(std::cmp::Reverse((d + 1, w)));
-                }
             }
+            s.next.sort_unstable();
+            std::mem::swap(&mut s.level, &mut s.next);
         }
-        if dist[to] == usize::MAX {
+        if !found {
             return None;
         }
         let mut hops = Vec::new();
         let mut cur = to;
         while cur != from {
-            let (p, ch) = prev[cur];
+            let (p, ch) = s.prev[cur];
             hops.push((cur, ch));
             cur = p;
         }
@@ -286,6 +331,97 @@ pub fn run_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The search `route` replaced: a binary-heap Dijkstra on hop count,
+    /// ties broken by node id.
+    fn heap_route(
+        net: &ChannelNet,
+        from: usize,
+        to: usize,
+        amount: f64,
+    ) -> Option<Vec<(usize, usize)>> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut dist = vec![usize::MAX; net.n];
+        let mut prev = vec![(usize::MAX, usize::MAX); net.n];
+        let mut heap = BinaryHeap::new();
+        dist[from] = 0;
+        heap.push(Reverse((0usize, from)));
+        while let Some(Reverse((d, v))) = heap.pop() {
+            if v == to {
+                break;
+            }
+            if d > dist[v] {
+                continue;
+            }
+            for &(w, ch) in &net.adjacency[v] {
+                if net.channels[ch].capacity(v, w) + 1e-12 < amount {
+                    continue;
+                }
+                if d + 1 < dist[w] {
+                    dist[w] = d + 1;
+                    prev[w] = (v, ch);
+                    heap.push(Reverse((d + 1, w)));
+                }
+            }
+        }
+        if dist[to] == usize::MAX {
+            return None;
+        }
+        let mut hops = Vec::new();
+        let mut cur = to;
+        while cur != from {
+            let (p, ch) = prev[cur];
+            hops.push((cur, ch));
+            cur = p;
+        }
+        hops.reverse();
+        Some(hops)
+    }
+
+    /// Opens a second channel between `a` and `b` beside any existing
+    /// one, which `open_channel` never does.
+    fn open_parallel(net: &mut ChannelNet, a: usize, b: usize, amount: f64) {
+        let ch = net.channels.len();
+        net.channels.push(ChannelState {
+            lo_to_hi: amount,
+            hi_to_lo: amount,
+        });
+        net.adjacency[a].push((b, ch));
+        net.adjacency[b].push((a, ch));
+    }
+
+    #[test]
+    fn level_search_finds_the_heap_searchs_paths() {
+        for seed in 0..8 {
+            let mut rng = rng_from_seed(0xE17 + seed);
+            let n = rng.gen_range(2..40);
+            let mut net = ChannelNet::new(n);
+            for _ in 0..rng.gen_range(n..3 * n) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a == b {
+                    continue;
+                }
+                // Funding near the payment sizes, so many edges are
+                // filtered out by capacity, and more as balances shift.
+                let funds = rng.gen_range(0.0..12.0);
+                if rng.gen_bool(0.3) {
+                    open_parallel(&mut net, a, b, funds);
+                } else {
+                    net.open_channel(a, b, funds);
+                }
+            }
+            for step in 0..300 {
+                let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let amount = rng.gen_range(0.5..6.0);
+                let want = heap_route(&net, from, to, amount);
+                assert_eq!(net.route(from, to, amount), want, "seed {seed} step {step}");
+                if from != to {
+                    net.pay(from, to, amount);
+                }
+            }
+        }
+    }
 
     #[test]
     fn direct_channel_payments_shift_balances() {

@@ -102,8 +102,10 @@ pub struct PastryNode {
     /// Leaf set, sorted by key.
     leaves: Vec<Contact>,
     /// `table[row][col]`: a contact sharing `row` digits with us whose
-    /// next digit is `col`.
-    table: Vec<Vec<Option<Contact>>>,
+    /// next digit is `col`. Rows are made on demand, up to the longest
+    /// prefix learned: a few at hundreds of nodes, not [`DIGITS`]. A row
+    /// past the last is empty.
+    table: Vec<[Option<Contact>; 16]>,
     lookups: Lookups<Key>,
     /// Leaf probes in flight: rpc -> probed peer.
     probes: HashMap<u64, NodeId>,
@@ -119,7 +121,7 @@ impl PastryNode {
             key,
             cfg,
             leaves: Vec::new(),
-            table: vec![vec![None; 16]; DIGITS],
+            table: Vec::new(),
             lookups: Lookups::default(),
             probes: HashMap::new(),
             next_leaf_probe: 0,
@@ -150,9 +152,12 @@ impl PastryNode {
         // Routing table slot.
         let row = shared_prefix(&self.key, &c.key);
         if row < DIGITS {
-            let col = digit(&c.key, row);
-            if self.table[row][col].is_none() {
-                self.table[row][col] = Some(c);
+            if self.table.len() <= row {
+                self.table.resize(row + 1, [None; 16]);
+            }
+            let slot = &mut self.table[row][digit(&c.key, row)];
+            if slot.is_none() {
+                *slot = Some(c);
             }
         }
         // Leaf set: keep the leaf_set keys closest to ours (by ring
@@ -261,7 +266,7 @@ impl PastryNode {
         let my_prefix = shared_prefix(&self.key, target);
         if my_prefix < DIGITS {
             let col = digit(target, my_prefix);
-            if let Some(c) = self.table[my_prefix][col] {
+            if let Some(c) = self.table.get(my_prefix).and_then(|row| row[col]) {
                 return Some(c);
             }
         }
@@ -529,6 +534,58 @@ mod tests {
             !sim.node(holder).leaves().iter().any(|l| l.node == victim),
             "dead leaf must be evicted"
         );
+    }
+
+    #[test]
+    fn rows_on_demand_route_as_a_full_table() {
+        for seed in 0..4 {
+            let mut rng = rng_from_seed(0x9A57 + seed);
+            let key = Key::random(&mut rng);
+            let mut lazy = PastryNode::new(key, PastryConfig::default());
+            // The eager layout: every row present from the start.
+            let mut eager = PastryNode::new(key, PastryConfig::default());
+            eager.table.resize(DIGITS, [None; 16]);
+            // Contacts sharing every prefix length with us, so deep rows
+            // are learned and dropped too.
+            let pool: Vec<Contact> = (0..120)
+                .map(|node| Contact {
+                    node,
+                    key: key.random_in_bucket(rng.gen_range(0..KEY_BITS), &mut rng),
+                })
+                .collect();
+            let me = Contact { node: 999, key };
+            let mut rows = 0;
+            for step in 0..400 {
+                if rng.gen_bool(0.7) {
+                    let c = pool[rng.gen_range(0..pool.len())];
+                    lazy.learn(c);
+                    eager.learn(c);
+                    rows = rows.max(shared_prefix(&key, &c.key) + 1);
+                } else {
+                    let node = rng.gen_range(0..pool.len());
+                    lazy.drop_peer(node);
+                    eager.drop_peer(node);
+                }
+                assert_eq!(lazy.table_entries(), eager.table_entries(), "step {step}");
+                assert_eq!(lazy.leaves(), eager.leaves(), "step {step}");
+                assert_eq!(
+                    lazy.table.len(),
+                    rows,
+                    "step {step}: one row per prefix learned"
+                );
+                for t in [
+                    Key::random(&mut rng),
+                    key.random_in_bucket(rng.gen_range(0..KEY_BITS), &mut rng),
+                    pool[rng.gen_range(0..pool.len())].key,
+                ] {
+                    assert_eq!(
+                        lazy.next_hop(&t, &me),
+                        eager.next_hop(&t, &me),
+                        "step {step}: {t:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
