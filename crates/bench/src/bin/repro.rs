@@ -8,15 +8,15 @@
 //! `benchmark/` package, not here.
 //!
 //! ```text
-//! repro [--quick] [--exp E7[,E9,...]] [--csv DIR] [--claims] [--list]
-//!       [--json PATH] [--format md|json] [--summary PATH]
-//!       [--jobs N] [--shards N] [--seed N]
-//!       [--baseline PATH] [--write-baseline PATH]
-//!       [--sweep EXP:param=lo..hi:steps]
-//!       [--serve kad | --probe] [--port-base N] [--mesh-size N]
-//!       [--serve-for SECS] [--probe-timeout SECS]
-//! repro --help | -h
+//! repro [FLAG]...
+//! repro --help | -h      # every flag, its value and the modes that read it
 //! ```
+//!
+//! A command line is a report run unless one mode flag (`--sweep`,
+//! `--list`, `--claims`, `--serve kad`, `--probe`) picks another mode.
+//! Each flag is declared once, in [`FLAGS`], with the modes that read
+//! it; parsing, `--help` and the refusals all come from that table, so a
+//! flag the chosen mode would not read is refused, never ignored.
 //!
 //! `--quick` runs CI-sized configurations (seconds); the default runs
 //! paper-sized configurations (minutes). `--csv DIR` additionally
@@ -73,6 +73,7 @@
 use std::io::{self, Write};
 use std::net::SocketAddr;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use decent_overlay::id::Key;
 use decent_overlay::kadnet;
@@ -84,12 +85,6 @@ use decent_core::sensitivity::{run_sweep, SweepSpec};
 use decent_core::{claims, experiments, scenario};
 use decent_sim::json::Json;
 
-const USAGE: &str = "usage: repro [--quick] [--exp E1,E2,...] [--csv DIR] [--claims] [--list] \
-[--json PATH] [--format md|json] [--summary PATH] [--jobs N] [--shards N] [--seed N] \
-[--baseline PATH] [--write-baseline PATH] [--sweep EXP:param=lo..hi:steps] \
-[--serve kad | --probe] [--port-base N] [--mesh-size N] [--serve-for SECS] [--probe-timeout SECS] \
-[--help]";
-
 /// The most operating-system threads a run starts at once: `--jobs`
 /// experiments, each of which can be in a windowed advance that spawns
 /// one thread per shard (empty shards included). It caps `--jobs`,
@@ -97,6 +92,15 @@ const USAGE: &str = "usage: repro [--quick] [--exp E1,E2,...] [--csv DIR] [--cla
 /// `--shards 100000` nor `--jobs 256 --shards 256` asks the host for
 /// tens of thousands of threads.
 const MAX_THREADS: usize = 256;
+
+/// The largest `--mesh-size`, held to the same thread budget. A served
+/// mesh of `n` nodes runs one accept thread per node and one timer
+/// thread; a probe dials each node once, which adds one read thread per
+/// node on the serving side (the probe's own process runs `n + 2`). Mesh
+/// nodes answer over the connection they were dialled on and never dial
+/// each other, so serving one probe takes `2n + 1` threads: 255 at
+/// `n = 127`.
+const MAX_MESH_SIZE: usize = (MAX_THREADS - 1) / 2;
 
 /// Output format for stdout.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -108,15 +112,44 @@ enum Format {
     Json,
 }
 
+/// What a command line asks for: a report run unless a mode flag picks
+/// another. Each row of [`FLAGS`] names the modes that read it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    #[default]
+    Report,
+    Sweep,
+    List,
+    Claims,
+    Serve,
+    Probe,
+    /// `--help` / `-h`: print the usage to stdout and exit 0.
+    Help,
+}
+
+impl Mode {
+    /// How refusals and the usage name the mode.
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Report => "a report run",
+            Mode::Sweep => "--sweep",
+            Mode::List => "--list",
+            Mode::Claims => "--claims",
+            Mode::Serve => "--serve",
+            Mode::Probe => "--probe",
+            Mode::Help => "--help",
+        }
+    }
+}
+
 /// Parsed command line.
 #[derive(Debug, Default, PartialEq)]
 struct Cli {
+    mode: Mode,
     quick: bool,
     /// `None` means "all experiments".
     selected: Option<Vec<String>>,
     csv_dir: Option<std::path::PathBuf>,
-    claims: bool,
-    list: bool,
     json_path: Option<std::path::PathBuf>,
     format: Format,
     summary_path: Option<std::path::PathBuf>,
@@ -126,10 +159,6 @@ struct Cli {
     baseline: Option<std::path::PathBuf>,
     write_baseline: Option<std::path::PathBuf>,
     sweep: Option<SweepSpec>,
-    /// Real-socket demo: host a TCP-backed mesh for this protocol.
-    serve: Option<String>,
-    /// Real-socket demo: dial a served mesh and run one lookup.
-    probe: bool,
     /// First localhost port of the mesh (nodes bind base, base+1, ...).
     port_base: Option<u16>,
     /// Number of mesh nodes.
@@ -138,11 +167,192 @@ struct Cli {
     serve_for: Option<f64>,
     /// Probe lookup deadline in wall-clock seconds.
     probe_timeout: Option<f64>,
-    /// `--help` / `-h`: print the usage to stdout and exit 0.
-    help: bool,
-    /// Every flag given, in order: what the commands that read only a
-    /// few flags check the rest against.
-    given: Vec<String>,
+}
+
+impl Cli {
+    /// The socket demos' seed, first port and node count, defaults
+    /// filled in.
+    fn mesh(&self) -> (u64, u16, usize) {
+        (
+            self.seed.unwrap_or(42),
+            self.port_base.unwrap_or(42810),
+            self.mesh_size.unwrap_or(8),
+        )
+    }
+}
+
+/// What follows a flag on the command line.
+enum Takes {
+    Nothing,
+    /// One value, named by this metavar; the flag may be given once.
+    One(&'static str),
+    /// One value per occurrence; each adds to the ones before.
+    Repeatable(&'static str),
+}
+use Takes::{Nothing, One, Repeatable};
+
+/// One command-line flag: how it is spelled, what follows it and which
+/// modes read it. Every other mode refuses it.
+struct Flag {
+    name: &'static str,
+    takes: Takes,
+    reads: &'static [Mode],
+}
+
+const fn flag(name: &'static str, takes: Takes, reads: &'static [Mode]) -> Flag {
+    Flag { name, takes, reads }
+}
+
+const RUNS: &[Mode] = &[Mode::Report, Mode::Sweep];
+const REPORT: &[Mode] = &[Mode::Report];
+const SEEDED: &[Mode] = &[Mode::Report, Mode::Sweep, Mode::Serve, Mode::Probe];
+const DEMOS: &[Mode] = &[Mode::Serve, Mode::Probe];
+
+/// Every flag `repro` takes, in `--help` order; [`store`] keeps each
+/// one's value.
+const FLAGS: &[Flag] = &[
+    flag("--quick", Nothing, RUNS),
+    flag("--exp", Repeatable("E1,E2,..."), REPORT),
+    flag("--csv", One("DIR"), REPORT),
+    flag("--json", One("PATH"), RUNS),
+    flag("--format", One("md|json"), RUNS),
+    flag("--summary", One("PATH"), RUNS),
+    flag("--jobs", One("N"), RUNS),
+    flag("--shards", One("N"), RUNS),
+    flag("--seed", One("N"), SEEDED),
+    flag("--baseline", One("PATH"), REPORT),
+    flag("--write-baseline", One("PATH"), REPORT),
+    flag("--sweep", One("EXP:param=lo..hi:steps"), &[Mode::Sweep]),
+    flag("--list", Nothing, &[Mode::List]),
+    flag("--claims", Nothing, &[Mode::Claims]),
+    flag("--serve", One("kad"), &[Mode::Serve]),
+    flag("--probe", Nothing, &[Mode::Probe]),
+    flag("--port-base", One("PORT"), DEMOS),
+    flag("--mesh-size", One("N"), DEMOS),
+    flag("--serve-for", One("SECS"), &[Mode::Serve]),
+    flag("--probe-timeout", One("SECS"), &[Mode::Probe]),
+];
+
+/// Keeps `flag`'s value (`""` for a switch) in the command line.
+fn store(cli: &mut Cli, flag: &str, value: &str) -> Result<(), String> {
+    match flag {
+        "--quick" => cli.quick = true,
+        "--exp" => add_experiments(cli, value)?,
+        "--csv" => cli.csv_dir = Some(value.into()),
+        "--json" => cli.json_path = Some(value.into()),
+        "--format" if value == "md" || value == "markdown" => cli.format = Format::Markdown,
+        "--format" if value == "json" => cli.format = Format::Json,
+        "--format" => return Err(format!("unknown format: {value} (expected md or json)")),
+        "--summary" => cli.summary_path = Some(value.into()),
+        "--jobs" => cli.jobs = Some(count(flag, value, 1, MAX_THREADS)?),
+        "--shards" => cli.shards = Some(count(flag, value, 1, MAX_THREADS)?),
+        "--seed" => cli.seed = Some(number(flag, value, "an unsigned integer", |_| true)?),
+        "--baseline" => cli.baseline = Some(value.into()),
+        "--write-baseline" => cli.write_baseline = Some(value.into()),
+        "--sweep" => {
+            select(cli, Mode::Sweep)?;
+            cli.sweep = Some(SweepSpec::parse(value)?);
+        }
+        "--list" => select(cli, Mode::List)?,
+        "--claims" => select(cli, Mode::Claims)?,
+        "--serve" if value == "kad" => select(cli, Mode::Serve)?,
+        "--serve" => return Err(format!("unknown --serve protocol: {value} (expected kad)")),
+        "--probe" => select(cli, Mode::Probe)?,
+        "--port-base" => {
+            cli.port_base = Some(number(flag, value, "a nonzero port number", |&p| p != 0)?);
+        }
+        "--mesh-size" => cli.mesh_size = Some(count(flag, value, 2, MAX_MESH_SIZE)?),
+        "--serve-for" => cli.serve_for = Some(seconds(flag, value)?),
+        "--probe-timeout" => cli.probe_timeout = Some(seconds(flag, value)?),
+        _ => unreachable!("{flag} is in FLAGS but not stored"),
+    }
+    Ok(())
+}
+
+/// Parses `flag`'s value as a `T` that `ok` accepts; `what` says in the
+/// refusal what it accepts.
+fn number<T: FromStr>(
+    flag: &str,
+    value: &str,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    match value.parse() {
+        Ok(n) if ok(&n) => Ok(n),
+        _ => Err(format!("{flag} expects {what}, got {value}")),
+    }
+}
+
+/// A count in `lo..=hi`.
+fn count(flag: &str, value: &str, lo: usize, hi: usize) -> Result<usize, String> {
+    let what = format!("a positive integer (at least {lo}, at most {hi})");
+    number(flag, value, &what, |n| (lo..=hi).contains(n))
+}
+
+/// Wall-clock seconds: finite and above zero, so that they convert to a
+/// `SimDuration`.
+fn seconds(flag: &str, value: &str) -> Result<f64, String> {
+    let ok = |s: &f64| s.is_finite() && *s > 0.0;
+    number(flag, value, "a positive, finite number of seconds", ok)
+}
+
+/// `--exp`: adds the comma-separated ids, each checked against the
+/// registry, to the selection.
+fn add_experiments(cli: &mut Cli, list: &str) -> Result<(), String> {
+    let ids: Vec<String> = list
+        .split(',')
+        .map(|s| s.trim().to_ascii_uppercase())
+        .filter(|s| !s.is_empty())
+        .collect();
+    if ids.is_empty() {
+        return Err("--exp requires at least one experiment id".into());
+    }
+    let known = scenario::ids();
+    let selected = cli.selected.get_or_insert_with(Vec::new);
+    for id in ids {
+        if !known.contains(&id.as_str()) {
+            return Err(format!(
+                "unknown experiment id: {id} (known: {})",
+                known.join(", ")
+            ));
+        }
+        if selected.contains(&id) {
+            return Err(format!("--exp names {id} more than once"));
+        }
+        selected.push(id);
+    }
+    Ok(())
+}
+
+/// A mode flag: picks `mode`, unless another mode flag already picked a
+/// different one.
+fn select(cli: &mut Cli, mode: Mode) -> Result<(), String> {
+    if cli.mode != Mode::Report && cli.mode != mode {
+        let (picked, asked) = (cli.mode.name(), mode.name());
+        return Err(format!("{picked} and {asked} are two modes; pick one"));
+    }
+    cli.mode = mode;
+    Ok(())
+}
+
+/// The `--help` text, made from [`FLAGS`]: every flag, its value and the
+/// modes that read it.
+fn usage() -> String {
+    let mut text = String::from(
+        "usage: repro [FLAG]...\n\
+         A report run unless --sweep, --list, --claims, --serve or --probe picks another mode.\n\
+         Each flag is read by the modes named beside it; any other mode refuses it.\n",
+    );
+    for flag in FLAGS {
+        let spelled = match flag.takes {
+            Nothing => flag.name.to_string(),
+            One(metavar) => format!("{} {metavar}", flag.name),
+            Repeatable(metavar) => format!("{} {metavar} (repeatable)", flag.name),
+        };
+        let modes: Vec<&str> = flag.reads.iter().map(|m| m.name()).collect();
+        text += &format!("  {spelled:<34} {}\n", modes.join(", "));
+    }
+    text + "  --help, -h                         print this and exit\n"
 }
 
 /// Parses and validates arguments. Experiment ids are checked against the
@@ -150,178 +360,34 @@ struct Cli {
 /// any (potentially minutes-long) experiment runs rather than mid-report.
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli::default();
+    let mut given: Vec<&Flag> = Vec::new();
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                return Ok(Cli {
-                    help: true,
-                    ..Cli::default()
-                })
-            }
-            "--quick" => cli.quick = true,
-            "--claims" => cli.claims = true,
-            "--list" => cli.list = true,
-            "--csv" => {
-                let dir = args.next().ok_or("--csv requires a directory argument")?;
-                cli.csv_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--json" => {
-                let path = args.next().ok_or("--json requires a file argument")?;
-                cli.json_path = Some(std::path::PathBuf::from(path));
-            }
-            "--summary" => {
-                let path = args.next().ok_or("--summary requires a file argument")?;
-                cli.summary_path = Some(std::path::PathBuf::from(path));
-            }
-            "--baseline" => {
-                let path = args.next().ok_or("--baseline requires a file argument")?;
-                cli.baseline = Some(std::path::PathBuf::from(path));
-            }
-            "--write-baseline" => {
-                let path = args
-                    .next()
-                    .ok_or("--write-baseline requires a file argument")?;
-                cli.write_baseline = Some(std::path::PathBuf::from(path));
-            }
-            "--format" => {
-                let fmt = args.next().ok_or("--format requires md or json")?;
-                cli.format = match fmt.as_str() {
-                    "md" | "markdown" => Format::Markdown,
-                    "json" => Format::Json,
-                    other => return Err(format!("unknown format: {other} (expected md or json)")),
-                };
-            }
-            "--jobs" => {
-                let n = args.next().ok_or("--jobs requires a number argument")?;
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| format!("--jobs expects a positive integer, got {n}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                if n > MAX_THREADS {
-                    return Err(format!("--jobs must be at most {MAX_THREADS}, got {n}"));
-                }
-                cli.jobs = Some(n);
-            }
-            "--shards" => {
-                let n = args.next().ok_or("--shards requires a number argument")?;
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| format!("--shards expects a positive integer, got {n}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                if n > MAX_THREADS {
-                    return Err(format!("--shards must be at most {MAX_THREADS}, got {n}"));
-                }
-                cli.shards = Some(n);
-            }
-            "--seed" => {
-                let s = args.next().ok_or("--seed requires a number argument")?;
-                let s: u64 = s
-                    .parse()
-                    .map_err(|_| format!("--seed expects an unsigned integer, got {s}"))?;
-                cli.seed = Some(s);
-            }
-            "--sweep" => {
-                let spec = args
-                    .next()
-                    .ok_or("--sweep requires an EXP:param=lo..hi:steps argument")?;
-                cli.sweep = Some(SweepSpec::parse(&spec)?);
-            }
-            "--serve" => {
-                let proto = args.next().ok_or("--serve requires a protocol (kad)")?;
-                if proto != "kad" {
-                    return Err(format!("unknown --serve protocol: {proto} (expected kad)"));
-                }
-                cli.serve = Some(proto);
-            }
-            "--probe" => cli.probe = true,
-            "--port-base" => {
-                let p = args.next().ok_or("--port-base requires a port argument")?;
-                let p: u16 = p
-                    .parse()
-                    .map_err(|_| format!("--port-base expects a port number, got {p}"))?;
-                if p == 0 {
-                    return Err("--port-base must be nonzero".into());
-                }
-                cli.port_base = Some(p);
-            }
-            "--mesh-size" => {
-                let n = args
-                    .next()
-                    .ok_or("--mesh-size requires a number argument")?;
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| format!("--mesh-size expects a positive integer, got {n}"))?;
-                if n < 2 {
-                    return Err("--mesh-size must be at least 2".into());
-                }
-                cli.mesh_size = Some(n);
-            }
-            "--serve-for" => {
-                let s = args.next().ok_or("--serve-for requires seconds")?;
-                let s: f64 = s
-                    .parse()
-                    .map_err(|_| format!("--serve-for expects seconds, got {s}"))?;
-                if s.is_nan() || s <= 0.0 {
-                    return Err("--serve-for must be positive".into());
-                }
-                cli.serve_for = Some(s);
-            }
-            "--probe-timeout" => {
-                let s = args.next().ok_or("--probe-timeout requires seconds")?;
-                let s: f64 = s
-                    .parse()
-                    .map_err(|_| format!("--probe-timeout expects seconds, got {s}"))?;
-                if s.is_nan() || s <= 0.0 {
-                    return Err("--probe-timeout must be positive".into());
-                }
-                cli.probe_timeout = Some(s);
-            }
-            "--exp" => {
-                let list = args.next().ok_or("--exp requires an id list argument")?;
-                let ids: Vec<String> = list
-                    .split(',')
-                    .map(|s| s.trim().to_ascii_uppercase())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                if ids.is_empty() {
-                    return Err("--exp requires at least one experiment id".into());
-                }
-                let known = scenario::ids();
-                // A second `--exp` adds to the first.
-                let selected = cli.selected.get_or_insert_with(Vec::new);
-                for id in ids {
-                    if !known.contains(&id.as_str()) {
-                        return Err(format!(
-                            "unknown experiment id: {id} (known: {})",
-                            known.join(", ")
-                        ));
-                    }
-                    if selected.contains(&id) {
-                        return Err(format!("--exp names {id} more than once"));
-                    }
-                    selected.push(id);
-                }
-            }
-            other => return Err(format!("unrecognized argument: {other}")),
+        if arg == "--help" || arg == "-h" {
+            return Ok(Cli {
+                mode: Mode::Help,
+                ..Cli::default()
+            });
         }
-        cli.given.push(arg);
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == arg)
+            .ok_or_else(|| format!("unrecognized argument: {arg}"))?;
+        let value = match flag.takes {
+            Nothing => String::new(),
+            One(metavar) | Repeatable(metavar) => args
+                .next()
+                .ok_or_else(|| format!("{arg} requires a value ({metavar})"))?,
+        };
+        if matches!(flag.takes, One(_)) && given.iter().any(|g| g.name == arg) {
+            return Err(format!("{arg} is given twice; it takes one value"));
+        }
+        store(&mut cli, flag.name, &value)?;
+        given.push(flag);
     }
-    if cli.sweep.is_some() {
-        for (set, flag) in [
-            (cli.selected.is_some(), "--exp"),
-            (cli.csv_dir.is_some(), "--csv"),
-            (cli.baseline.is_some(), "--baseline"),
-            (cli.write_baseline.is_some(), "--write-baseline"),
-        ] {
-            if set {
-                return Err(format!("--sweep cannot be combined with {flag}"));
-            }
-        }
+    if let Some(flag) = given.iter().find(|f| !f.reads.contains(&cli.mode)) {
+        let mode = cli.mode.name();
+        return Err(format!("{mode} cannot be combined with {}", flag.name));
     }
     if let (Some(jobs), Some(shards)) = (cli.jobs, cli.shards) {
         if jobs * shards > MAX_THREADS {
@@ -342,65 +408,21 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     // name a seed that does not reproduce it. Sweeps record seeds as
     // decimal strings and the socket demos write no report.
     const MAX_REPORT_SEED: u64 = 1 << 53;
-    let point_run = cli.sweep.is_none() && cli.serve.is_none() && !cli.probe;
-    if let Some(seed) = cli.seed.filter(|&s| point_run && s > MAX_REPORT_SEED) {
+    let report = cli.mode == Mode::Report;
+    if let Some(seed) = cli.seed.filter(|&s| report && s > MAX_REPORT_SEED) {
         return Err(format!(
             "--seed {seed} is above 2^53 ({MAX_REPORT_SEED}), the largest seed a run report records exactly"
         ));
     }
-    if cli.serve.is_some() && cli.probe {
-        return Err("--serve and --probe are different processes; pick one".into());
-    }
-    if cli.list && cli.claims {
-        return Err("--list and --claims print different catalogs; pick one".into());
-    }
-    // `main` returns from these commands before it reads any flag but
-    // the ones listed, so any other is refused rather than ignored.
-    let command: Option<(&str, &[&str])> = if cli.serve.is_some() {
-        Some((
-            "--serve",
-            &["--seed", "--port-base", "--mesh-size", "--serve-for"],
-        ))
-    } else if cli.probe {
-        Some((
-            "--probe",
-            &["--seed", "--port-base", "--mesh-size", "--probe-timeout"],
-        ))
-    } else if cli.list {
-        Some(("--list", &[]))
-    } else if cli.claims {
-        Some(("--claims", &[]))
-    } else {
-        None
-    };
-    // A point run or a sweep reads every flag but the socket demos'.
-    const SOCKET_DEMO_FLAGS: [&str; 4] = [
-        "--port-base",
-        "--mesh-size",
-        "--serve-for",
-        "--probe-timeout",
-    ];
-    let (command, ignored) = match command {
-        Some((command, reads)) => (
-            command,
-            cli.given.iter().find(|flag| {
-                let flag = flag.as_str();
-                flag != command && !reads.contains(&flag)
-            }),
-        ),
-        None => (
-            if cli.sweep.is_some() {
-                "--sweep"
-            } else {
-                "a report run"
-            },
-            cli.given
-                .iter()
-                .find(|flag| SOCKET_DEMO_FLAGS.contains(&flag.as_str())),
-        ),
-    };
-    if let Some(flag) = ignored {
-        return Err(format!("{command} cannot be combined with {flag}"));
+    if matches!(cli.mode, Mode::Serve | Mode::Probe) {
+        let (_, port_base, n) = cli.mesh();
+        let last = usize::from(port_base) + n - 1;
+        if last > usize::from(u16::MAX) {
+            return Err(format!(
+                "--port-base {port_base} with --mesh-size {n} overflows the port range: \
+                 the last node would need port {last}"
+            ));
+        }
     }
     Ok(cli)
 }
@@ -409,23 +431,21 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
 /// discovered set against the roster's true k-closest to this key.
 const DEMO_TARGET: u64 = 0xDECE_2019;
 
-fn mesh_addrs(port_base: u16, n: usize) -> Result<Vec<SocketAddr>, String> {
-    if usize::from(port_base) + n > usize::from(u16::MAX) {
-        return Err(format!(
-            "--port-base {port_base} + mesh size {n} overflows the port range"
-        ));
-    }
-    Ok((0..n)
+/// The mesh's addresses; `parse_args` has checked that they fit the
+/// port range.
+fn mesh_addrs(port_base: u16, n: usize) -> Vec<SocketAddr> {
+    (0..n)
         .map(|i| SocketAddr::from(([127, 0, 0, 1], port_base + i as u16)))
-        .collect())
+        .collect()
 }
 
 /// `--serve kad`: host a TCP-backed Kademlia mesh on localhost and
 /// answer real-socket lookups until the serve window elapses.
-fn run_serve(seed: u64, port_base: u16, n: usize, serve_for: f64) -> Result<(), String> {
+fn run_serve(cli: &Cli) -> Result<(), String> {
+    let (seed, port_base, n) = cli.mesh();
+    let serve_for = cli.serve_for.unwrap_or(60.0);
     let cfg = kadnet::demo_config();
-    let bind = mesh_addrs(port_base, n)?;
-    let mut mesh = kadnet::serve_mesh(seed, n, &cfg, &bind)
+    let mut mesh = kadnet::serve_mesh(seed, n, &cfg, &mesh_addrs(port_base, n))
         .map_err(|e| format!("cannot start mesh on 127.0.0.1:{port_base}..: {e}"))?;
     eprintln!(
         "serving kad mesh: {n} nodes on 127.0.0.1:{port_base}-{} (seed {seed}) for {serve_for}s",
@@ -441,9 +461,11 @@ fn run_serve(seed: u64, port_base: u16, n: usize, serve_for: f64) -> Result<(), 
 
 /// `--probe`: dial a served mesh, run one FIND_NODE lookup over real
 /// sockets, and verify the result against the roster's true k-closest.
-fn run_probe(seed: u64, port_base: u16, n: usize, timeout: f64) -> Result<(), String> {
+fn run_probe(cli: &Cli) -> Result<(), String> {
+    let (seed, port_base, n) = cli.mesh();
+    let timeout = cli.probe_timeout.unwrap_or(30.0);
     let cfg = kadnet::demo_config();
-    let addrs = mesh_addrs(port_base, n)?;
+    let addrs = mesh_addrs(port_base, n);
     if !kadnet::wait_mesh_reachable(addrs[0], 100, SimDuration::from_millis(200.0)) {
         return Err(format!(
             "mesh not reachable at {} (is --serve kad running?)",
@@ -597,46 +619,40 @@ fn baseline_regressions(
     diff_verdicts(&run.verdicts(), &baseline)
 }
 
+/// Reports an error that is not the command line's: exit 1.
+fn fail(msg: String) -> ExitCode {
+    eprintln!("repro: {msg}");
+    ExitCode::FAILURE
+}
+
 fn main() -> ExitCode {
     let cli = match parse_args(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(msg) => {
             eprintln!("repro: {msg}");
-            eprintln!("{USAGE}");
+            eprint!("{}", usage());
             return ExitCode::from(2);
         }
     };
-    if cli.help {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if cli.serve.is_some() || cli.probe {
-        let seed = cli.seed.unwrap_or(42);
-        let port_base = cli.port_base.unwrap_or(42810);
-        let n = cli.mesh_size.unwrap_or(8);
-        let outcome = if cli.serve.is_some() {
-            run_serve(seed, port_base, n, cli.serve_for.unwrap_or(60.0))
-        } else {
-            run_probe(seed, port_base, n, cli.probe_timeout.unwrap_or(30.0))
-        };
-        return match outcome {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("repro: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cli.claims || cli.list {
-        let write = if cli.claims { write_claims } else { write_list };
-        return match to_stdout(write) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("repro: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
+    let outcome = match cli.mode {
+        Mode::Report | Mode::Sweep => return run(&cli).unwrap_or_else(fail),
+        Mode::Help => to_stdout(|out| out.write_all(usage().as_bytes())),
+        Mode::Serve => run_serve(&cli),
+        Mode::Probe => run_probe(&cli),
+        Mode::Claims => to_stdout(write_claims),
+        Mode::List => to_stdout(write_list),
+    };
+    outcome.map_or_else(fail, |()| ExitCode::SUCCESS)
+}
+
+/// Writes `text` to the file at `path`.
+fn write_file(path: &std::path::Path, text: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// A report run or a sweep: the experiments fanned out over `--jobs`.
+/// `Err` is an output that cannot be written.
+fn run(cli: &Cli) -> Result<ExitCode, String> {
     let shards = cli.shards.unwrap_or(1);
     let jobs = cli.jobs.unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -650,30 +666,21 @@ fn main() -> ExitCode {
             Ok(s) => s,
             Err(msg) => {
                 eprintln!("repro: {msg}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         };
         let text = match cli.format {
             Format::Markdown => sweep.to_markdown(),
             Format::Json => sweep.to_json_text(),
         };
-        if let Err(msg) = to_stdout(|out| out.write_all(text.as_bytes())) {
-            eprintln!("repro: {msg}");
-            return ExitCode::FAILURE;
-        }
+        to_stdout(|out| out.write_all(text.as_bytes()))?;
         if let Some(path) = &cli.json_path {
-            if let Err(e) = std::fs::write(path, sweep.to_json_text()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            write_file(path, sweep.to_json_text())?;
         }
         if let Some(path) = &cli.summary_path {
-            if let Err(e) = std::fs::write(path, sweep.to_markdown()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            write_file(path, sweep.to_markdown())?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let ids: Vec<String> = cli
         .selected
@@ -683,50 +690,31 @@ fn main() -> ExitCode {
 
     let run = experiments::run_report_exec(&id_refs, cli.quick, cli.seed, jobs, exec);
 
-    if let Err(msg) = to_stdout(|out| write_report(out, &run, cli.format, jobs)) {
-        eprintln!("repro: {msg}");
-        return ExitCode::FAILURE;
-    }
-
+    to_stdout(|out| write_report(out, &run, cli.format, jobs))?;
     if let Some(dir) = &cli.csv_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         for r in &run.runs {
             for (i, table) in r.report.tables.iter().enumerate() {
-                let path = dir.join(format!("{}_{}.csv", r.report.id.to_lowercase(), i));
-                if let Err(e) = std::fs::write(&path, table.to_csv()) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
+                let name = format!("{}_{}.csv", r.report.id.to_lowercase(), i);
+                write_file(&dir.join(name), table.to_csv())?;
             }
         }
     }
     if let Some(path) = &cli.json_path {
-        if let Err(e) = std::fs::write(path, run.to_json_text()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file(path, run.to_json_text())?;
     }
     if let Some(path) = &cli.summary_path {
-        if let Err(e) = std::fs::write(path, run.claims_markdown()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file(path, run.claims_markdown())?;
     }
     if let Some(path) = &cli.write_baseline {
-        if let Err(e) = std::fs::write(path, run.baseline_json().to_string_pretty()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file(path, run.baseline_json().to_string_pretty())?;
         eprintln!(
             "wrote baseline ({} claims) to {}",
             run.total_claims(),
             path.display()
         );
     }
-
     let mut failed = false;
     if let Some(path) = &cli.baseline {
         let lines = load_baseline(path)
@@ -753,7 +741,7 @@ fn main() -> ExitCode {
             }
             Err(msg) => {
                 eprintln!("repro: {msg}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         }
     }
@@ -771,10 +759,7 @@ fn main() -> ExitCode {
         );
         failed = true;
     }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(ExitCode::from(u8::from(failed)))
 }
 
 #[cfg(test)]
@@ -796,28 +781,8 @@ mod tests {
         let cli = parse(&["--quick", "--csv", "out"]).unwrap();
         assert!(cli.quick);
         assert_eq!(cli.csv_dir.as_deref(), Some(std::path::Path::new("out")));
-        assert!(parse(&["--claims"]).unwrap().claims);
-        assert!(parse(&["--list"]).unwrap().list);
-    }
-
-    #[test]
-    fn list_and_claims_take_no_other_flag() {
-        let err = parse(&["--list", "--claims"]).unwrap_err();
-        assert!(err.contains("pick one"), "{err}");
-        // `main` prints the catalog and returns before it reads any of
-        // these, so each is refused rather than silently ignored.
-        for args in [
-            &["--list", "--json", "l.json", "--shards", "2"][..],
-            &["--claims", "--csv", "out", "--summary", "s.md"],
-            &["--quick", "--list"],
-            &["--claims", "--exp", "E7"],
-            &["--list", "--format", "json"],
-            &["--claims", "--seed", "3"],
-            &["--list", "--port-base", "43000"],
-        ] {
-            let err = parse(args).unwrap_err();
-            assert!(err.contains("cannot be combined"), "{args:?}: {err}");
-        }
+        assert_eq!(parse(&["--claims"]).unwrap().mode, Mode::Claims);
+        assert_eq!(parse(&["--list"]).unwrap().mode, Mode::List);
     }
 
     #[test]
@@ -1030,7 +995,7 @@ mod tests {
     fn help_asks_for_the_usage_and_nothing_else() {
         for flag in ["--help", "-h"] {
             let help = Cli {
-                help: true,
+                mode: Mode::Help,
                 ..Cli::default()
             };
             assert_eq!(parse(&[flag]).unwrap(), help);
@@ -1038,7 +1003,7 @@ mod tests {
         }
         // A flag's value is never read as a flag.
         let cli = parse(&["--json", "-h"]).unwrap();
-        assert!(!cli.help);
+        assert_eq!(cli.mode, Mode::Report);
         assert_eq!(cli.json_path.as_deref(), Some(std::path::Path::new("-h")));
     }
 
@@ -1082,12 +1047,12 @@ mod tests {
             "90",
         ])
         .unwrap();
-        assert_eq!(cli.serve.as_deref(), Some("kad"));
+        assert_eq!(cli.mode, Mode::Serve);
         assert_eq!(cli.port_base, Some(43000));
         assert_eq!(cli.mesh_size, Some(12));
         assert_eq!(cli.serve_for, Some(90.0));
         let cli = parse(&["--probe", "--probe-timeout", "15"]).unwrap();
-        assert!(cli.probe);
+        assert_eq!(cli.mode, Mode::Probe);
         assert_eq!(cli.probe_timeout, Some(15.0));
     }
 
@@ -1100,25 +1065,6 @@ mod tests {
         assert!(parse(&["--serve", "kad", "--probe"])
             .unwrap_err()
             .contains("pick one"));
-        // `main` returns before it reads any run or report flag, so each
-        // one is refused rather than silently ignored.
-        for flags in [
-            &["--exp", "E7"][..],
-            &["--shards", "2"],
-            &["--jobs", "2"],
-            &["--json", "r.json"],
-            &["--csv", "out"],
-            &["--summary", "s.md"],
-            &["--quick"],
-            &["--format", "json"],
-            &["--format", "md"],
-        ] {
-            for mode in [&["--serve", "kad"][..], &["--probe"]] {
-                let args: Vec<&str> = mode.iter().chain(flags).copied().collect();
-                let err = parse(&args).unwrap_err();
-                assert!(err.contains("cannot be combined"), "{args:?}: {err}");
-            }
-        }
         // Each reads its own timeout flag, not the other's.
         assert!(parse(&["--serve", "kad", "--probe-timeout", "5"]).is_err());
         assert!(parse(&["--probe", "--serve-for", "5"]).is_err());
@@ -1166,45 +1112,240 @@ mod tests {
         assert!(write_list(&mut Full).is_err());
     }
 
+    /// Every flag, with a value its readers accept.
+    const EVERY_FLAG: [&[&str]; 16] = [
+        &["--quick"],
+        &["--exp", "E4"],
+        &["--csv", "out"],
+        &["--json", "r.json"],
+        &["--format", "json"],
+        &["--format", "md"],
+        &["--summary", "s.md"],
+        &["--jobs", "2"],
+        &["--shards", "2"],
+        &["--seed", "3"],
+        &["--baseline", "b.json"],
+        &["--write-baseline", "b.json"],
+        &["--port-base", "43000"],
+        &["--mesh-size", "12"],
+        &["--serve-for", "5"],
+        &["--probe-timeout", "5"],
+    ];
+
+    /// Each mode's name in refusals, the arguments that select it, and
+    /// the flags `main` reads in it, written out from `main` rather than
+    /// taken from `FLAGS`.
+    const EVERY_MODE: [(&str, &[&str], &[&str]); 6] = [
+        (
+            "a report run",
+            &[],
+            &[
+                "--quick",
+                "--exp",
+                "--csv",
+                "--json",
+                "--format",
+                "--summary",
+                "--jobs",
+                "--shards",
+                "--seed",
+                "--baseline",
+                "--write-baseline",
+            ],
+        ),
+        (
+            "--sweep",
+            &["--sweep", "E4:session_mins=5..60:2"],
+            &[
+                "--quick",
+                "--json",
+                "--format",
+                "--summary",
+                "--jobs",
+                "--shards",
+                "--seed",
+            ],
+        ),
+        ("--list", &["--list"], &[]),
+        ("--claims", &["--claims"], &[]),
+        (
+            "--serve",
+            &["--serve", "kad"],
+            &["--seed", "--port-base", "--mesh-size", "--serve-for"],
+        ),
+        (
+            "--probe",
+            &["--probe"],
+            &["--seed", "--port-base", "--mesh-size", "--probe-timeout"],
+        ),
+    ];
+
     #[test]
-    fn point_runs_and_sweeps_refuse_the_socket_demo_flags() {
-        // Only `--serve` and `--probe` read these; `main` never does on a
-        // report run or a sweep, so each is refused, not ignored.
-        for flag in [
-            &["--port-base", "43000"][..],
-            &["--mesh-size", "12"],
-            &["--serve-for", "5"],
-            &["--probe-timeout", "5"],
-        ] {
-            for mode in [
-                &[][..],
-                &["--quick", "--exp", "E16"],
-                &["--sweep", "E4:session_mins=5..60:2"],
-            ] {
-                let args: Vec<&str> = mode.iter().chain(flag).copied().collect();
-                let err = parse(&args).unwrap_err();
-                assert!(err.contains("cannot be combined"), "{args:?}: {err}");
-                assert!(err.contains(flag[0]), "{args:?}: {err}");
+    fn every_flag_is_accepted_exactly_by_the_modes_that_read_it() {
+        for (mode, select, reads) in EVERY_MODE {
+            assert!(parse(select).is_ok(), "{select:?}");
+            for flag in EVERY_FLAG {
+                // The mode flag may come before or after the flag.
+                for args in [[select, flag].concat(), [flag, select].concat()] {
+                    match parse(&args) {
+                        Ok(_) => assert!(reads.contains(&flag[0]), "{args:?} is accepted"),
+                        Err(err) if reads.contains(&flag[0]) => panic!("{args:?}: {err}"),
+                        Err(err) => assert_eq!(
+                            err,
+                            format!("{mode} cannot be combined with {}", flag[0]),
+                            "{args:?}"
+                        ),
+                    }
+                }
             }
         }
+        // Two mode flags are two modes; a mode switch given twice is one.
+        for (a, select_a, _) in EVERY_MODE.into_iter().skip(1) {
+            for (b, select_b, _) in EVERY_MODE.into_iter().skip(1) {
+                let args = [select_a, select_b].concat();
+                match parse(&args) {
+                    Ok(_) => assert!(a == b && select_a.len() == 1, "{args:?} is accepted"),
+                    Err(err) if a == b => assert!(err.contains("given twice"), "{args:?}: {err}"),
+                    Err(err) => assert!(err.contains("pick one"), "{args:?}: {err}"),
+                }
+            }
+        }
+        // With several refused flags, the first given is named.
+        for (args, first) in [
+            (
+                &["--list", "--json", "l.json", "--shards", "2"][..],
+                "--json",
+            ),
+            (&["--claims", "--csv", "out", "--summary", "s.md"], "--csv"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(
+                err.ends_with(&format!("cannot be combined with {first}")),
+                "{err}"
+            );
+        }
+        // A report run with an experiment chosen is still a report run.
         assert!(parse(&["--quick", "--exp", "E16", "--seed", "3"]).is_ok());
+        for flag in [
+            "--port-base",
+            "--mesh-size",
+            "--serve-for",
+            "--probe-timeout",
+        ] {
+            let err = parse(&["--quick", "--exp", "E16", flag, "5"]).unwrap_err();
+            assert_eq!(err, format!("a report run cannot be combined with {flag}"));
+        }
     }
 
     #[test]
-    fn sweep_conflicts_with_point_run_flags() {
-        for flags in [
-            vec!["--sweep", "E4:session_mins=5..60:2", "--exp", "E4"],
-            vec!["--sweep", "E4:session_mins=5..60:2", "--csv", "out"],
-            vec!["--sweep", "E4:session_mins=5..60:2", "--baseline", "b.json"],
-            vec![
-                "--sweep",
-                "E4:session_mins=5..60:2",
-                "--write-baseline",
-                "b.json",
-            ],
-        ] {
-            let err = parse(&flags).unwrap_err();
-            assert!(err.contains("cannot be combined"), "{flags:?}: {err}");
+    fn help_names_every_flag_and_the_modes_that_read_it() {
+        let text = usage();
+        for flag in FLAGS {
+            let line = text
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(flag.name))
+                .unwrap_or_else(|| panic!("--help does not name {}:\n{text}", flag.name));
+            for mode in flag.reads {
+                assert!(line.contains(mode.name()), "{line}");
+            }
         }
+        assert!(text.contains("--help, -h"), "{text}");
+    }
+
+    #[test]
+    fn a_value_flag_given_twice_is_refused() {
+        let err = parse(&[
+            "--quick", "--exp", "E16", "--seed", "3", "--seed", "4", "--format", "md", "--format",
+            "json",
+        ])
+        .unwrap_err();
+        assert!(err.contains("--seed is given twice"), "{err}");
+        for flag in EVERY_FLAG
+            .into_iter()
+            .filter(|f| f.len() == 2 && f[0] != "--exp")
+        {
+            let select: &[&str] = match flag[0] {
+                "--serve-for" => &["--serve", "kad"],
+                "--probe-timeout" | "--port-base" | "--mesh-size" => &["--probe"],
+                _ => &[],
+            };
+            let args = [select, flag, flag].concat();
+            let err = parse(&args).unwrap_err();
+            assert!(
+                err.contains(&format!("{} is given twice", flag[0])),
+                "{args:?}: {err}"
+            );
+        }
+        for mode in ["--sweep", "--serve"] {
+            let value = if mode == "--serve" {
+                "kad"
+            } else {
+                "E4:session_mins=5..60:2"
+            };
+            let err = parse(&[mode, value, mode, value]).unwrap_err();
+            assert!(err.contains(&format!("{mode} is given twice")), "{err}");
+        }
+        // A switch given twice asks for the same thing twice.
+        assert!(parse(&["--quick", "--quick"]).unwrap().quick);
+        assert_eq!(parse(&["--probe", "--probe"]).unwrap().mode, Mode::Probe);
+    }
+
+    #[test]
+    fn seconds_must_be_finite() {
+        for (select, flag) in [
+            (&["--serve", "kad"][..], "--serve-for"),
+            (&["--probe"], "--probe-timeout"),
+        ] {
+            for secs in ["inf", "-inf", "infinity", "NaN", "1e400", "0", "-1"] {
+                let args = [select, &[flag, secs]].concat();
+                let err = parse(&args).unwrap_err();
+                assert!(err.contains("positive, finite"), "{args:?}: {err}");
+            }
+            let args = [select, &[flag, "0.5"]].concat();
+            assert!(parse(&args).is_ok(), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn the_mesh_must_fit_the_port_range() {
+        // The last node binds port-base + mesh-size - 1, which may be 65535.
+        for (select, base, size, fits) in [
+            (&["--probe"][..], "65534", Some("2"), true),
+            (&["--probe"], "65535", Some("2"), false),
+            (&["--serve", "kad"], "65534", Some("2"), true),
+            (&["--serve", "kad"], "65535", Some("2"), false),
+            // The default mesh has 8 nodes.
+            (&["--probe"], "65528", None, true),
+            (&["--serve", "kad"], "65529", None, false),
+        ] {
+            let mut args = [select, &["--port-base", base]].concat();
+            args.extend(size.map(|n| ["--mesh-size", n]).into_iter().flatten());
+            match parse(&args) {
+                Ok(_) => assert!(fits, "{args:?} is accepted"),
+                Err(err) => {
+                    assert!(!fits, "{args:?}: {err}");
+                    assert!(err.contains("overflows the port range"), "{err}");
+                }
+            }
+        }
+        // The default port base fits the largest mesh.
+        assert!(parse(&["--serve", "kad", "--mesh-size", "127"]).is_ok());
+    }
+
+    #[test]
+    fn mesh_size_is_capped_by_the_thread_budget() {
+        // Refused at the parser: no mesh of this size is ever started.
+        assert_eq!(MAX_MESH_SIZE, 127);
+        for size in ["128", "100000"] {
+            for select in [&["--serve", "kad"][..], &["--probe"]] {
+                let args = [select, &["--mesh-size", size]].concat();
+                let err = parse(&args).unwrap_err();
+                assert!(err.contains("at most 127"), "{args:?}: {err}");
+            }
+        }
+        assert_eq!(
+            parse(&["--probe", "--mesh-size", "127"]).unwrap().mesh_size,
+            Some(127)
+        );
     }
 }
