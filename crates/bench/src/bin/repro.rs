@@ -1210,6 +1210,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn list_and_claims_take_no_other_flag() {
+        let err = parse(&["--list", "--claims"]).unwrap_err();
+        assert!(err.contains("pick one"), "{err}");
+        // `main` prints the catalog and returns before it reads any of
+        // these, so each is refused rather than silently ignored.
+        for args in [
+            &["--quick", "--list"][..],
+            &["--claims", "--exp", "E7"],
+            &["--list", "--format", "json"],
+            &["--claims", "--seed", "3"],
+            &["--list", "--port-base", "43000"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("cannot be combined"), "{args:?}: {err}");
+        }
         // With several refused flags, the first given is named.
         for (args, first) in [
             (
@@ -1224,16 +1242,52 @@ mod tests {
                 "{err}"
             );
         }
-        // A report run with an experiment chosen is still a report run.
-        assert!(parse(&["--quick", "--exp", "E16", "--seed", "3"]).is_ok());
+    }
+
+    #[test]
+    fn point_runs_and_sweeps_refuse_the_socket_demo_flags() {
+        // Only `--serve` and `--probe` read these; `main` never does on a
+        // report run or a sweep, so each is refused, not ignored.
         for flag in [
-            "--port-base",
-            "--mesh-size",
-            "--serve-for",
-            "--probe-timeout",
+            &["--port-base", "43000"][..],
+            &["--mesh-size", "12"],
+            &["--serve-for", "5"],
+            &["--probe-timeout", "5"],
         ] {
-            let err = parse(&["--quick", "--exp", "E16", flag, "5"]).unwrap_err();
-            assert_eq!(err, format!("a report run cannot be combined with {flag}"));
+            for (mode, select) in [
+                ("a report run", &[][..]),
+                // A report run with an experiment chosen is still a
+                // report run.
+                ("a report run", &["--quick", "--exp", "E16"]),
+                ("--sweep", &["--sweep", "E4:session_mins=5..60:2"]),
+            ] {
+                let args = [select, flag].concat();
+                let err = parse(&args).unwrap_err();
+                assert_eq!(
+                    err,
+                    format!("{mode} cannot be combined with {}", flag[0]),
+                    "{args:?}"
+                );
+            }
+        }
+        assert!(parse(&["--quick", "--exp", "E16", "--seed", "3"]).is_ok());
+    }
+
+    #[test]
+    fn sweep_conflicts_with_point_run_flags() {
+        for flag in [
+            &["--exp", "E4"][..],
+            &["--csv", "out"],
+            &["--baseline", "b.json"],
+            &["--write-baseline", "b.json"],
+        ] {
+            let args = [&["--sweep", "E4:session_mins=5..60:2"][..], flag].concat();
+            let err = parse(&args).unwrap_err();
+            assert_eq!(
+                err,
+                format!("--sweep cannot be combined with {}", flag[0]),
+                "{args:?}"
+            );
         }
     }
 
