@@ -14,8 +14,8 @@
 //!   and it was submitted at the same time.
 //! - [`ExecRuns`] is a run-length record of `(submitted, done, count)`:
 //!   an execution extends the last run when both its times match it.
-//!   Its [`latencies`](ExecRuns::latencies) are runs too, and summarise
-//!   to the bits a `Histogram` of one sample per execution would.
+//!   Its [`latencies`](ExecRuns::latencies) are a `Histogram` filled
+//!   one weighted record per run, which holds runs too.
 //! - [`LogRuns`] is Raft's log as runs of `(term, first id, count,
 //!   submitted)`: the leader logs a client burst in one term, so its log
 //!   and every follower's is a few runs however many requests it holds.
@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use decent_sim::metrics::{nearest_rank, Summary};
+use decent_sim::metrics::Histogram;
 use decent_sim::prelude::SimTime;
 
 use crate::raft::Entry;
@@ -239,84 +239,20 @@ impl ExecRuns {
         ExecRuns { runs, len }
     }
 
-    /// Each execution's latency `done - submitted` in seconds, as runs.
-    pub fn latencies(&self) -> Latencies {
-        let secs = |r: &ExecRun| r.done.saturating_since(r.submitted).as_secs();
-        Latencies {
-            runs: self.runs.iter().map(|r| (secs(r), r.count)).collect(),
-            len: self.len,
+    /// Each execution's latency `done - submitted` in seconds, one
+    /// weighted record per run.
+    pub fn latencies(&self) -> Histogram {
+        let mut h = Histogram::new();
+        for r in &self.runs {
+            h.record_n(r.done.saturating_since(r.submitted).as_secs(), r.count);
         }
+        h
     }
 }
 
 impl PartialEq for ExecRuns {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-/// Samples in seconds kept as runs `(value, count)` in recorded order:
-/// the statistics of a `decent_sim::metrics::Histogram` holding each
-/// value `count` times, to the bit, from memory that grows with the
-/// runs.
-#[derive(Clone, Debug, Default)]
-pub struct Latencies {
-    runs: Vec<(f64, u64)>,
-    len: usize,
-}
-
-impl Latencies {
-    /// `Histogram::percentile`: nearest rank over the sorted samples.
-    pub fn percentile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        Self::ranked(&self.sorted(), self.len, q)
-    }
-
-    /// `Histogram::summary`. The mean adds the samples one by one in
-    /// recorded order, as the histogram does, so it rounds the same.
-    pub fn summary(&self) -> Summary {
-        let sorted = self.sorted();
-        let at = |q| Self::ranked(&sorted, self.len, q);
-        let samples = self
-            .runs
-            .iter()
-            .flat_map(|&(x, count)| std::iter::repeat_n(x, count as usize));
-        Summary {
-            count: self.len,
-            mean: if self.len == 0 {
-                0.0
-            } else {
-                samples.sum::<f64>() / self.len as f64
-            },
-            min: sorted.first().map_or(0.0, |r| r.0),
-            p50: at(0.50),
-            p90: at(0.90),
-            p99: at(0.99),
-            max: sorted.last().map_or(0.0, |r| r.0),
-        }
-    }
-
-    /// The runs in ascending order of their value.
-    fn sorted(&self) -> Vec<(f64, u64)> {
-        let mut sorted = self.runs.clone();
-        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        sorted
-    }
-
-    /// The sample at `q`'s nearest rank among `len` samples held as
-    /// `sorted` runs (0 when empty).
-    fn ranked(sorted: &[(f64, u64)], len: usize, q: f64) -> f64 {
-        if len == 0 {
-            return 0.0;
-        }
-        let mut rank = nearest_rank(q, len) as u64;
-        for &(x, count) in sorted {
-            if rank < count {
-                return x;
-            }
-            rank -= count;
-        }
-        unreachable!("the runs hold {len} samples")
     }
 }
 
@@ -599,11 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn latencies_summarise_to_the_histograms_bits() {
-        use decent_sim::metrics::Histogram;
-
-        // Bit equality, so a sum rounded in another order fails too.
-        let bits = |s: Summary| [s.mean, s.min, s.p50, s.p90, s.p99, s.max].map(f64::to_bits);
+    fn latencies_match_the_expanded_record() {
         for seed in 0..64 {
             let mut rng = rng_from_seed(seed);
             let mut record = ExecRuns::new();
@@ -611,35 +543,30 @@ mod tests {
             let ns = |rng: &mut decent_sim::prelude::SimRng| {
                 SimTime::from_nanos(rng.gen_range(0..1_000_000u64) * 7 + 3)
             };
-            let runs = rng.gen_range(0..40);
-            for _ in 0..runs {
+            for _ in 0..rng.gen_range(0..40) {
                 let (submitted, done) = (ns(&mut rng), ns(&mut rng));
                 for _ in 0..rng.gen_range(1..300) {
                     record.push(submitted, done);
                 }
             }
-            let mut hist: Histogram = record
-                .iter()
-                .map(|(s, d)| d.saturating_since(s).as_secs())
-                .collect();
-            let latencies = record.latencies();
-            let (want, got) = (hist.summary(), latencies.summary());
-            assert_eq!(got.count, want.count, "seed {seed}");
-            assert_eq!(bits(got), bits(want), "seed {seed}: {got:?} vs {want:?}");
-            for q in [0.0, 0.001, 0.25, 0.5, 0.9, 0.999, 1.0] {
-                let (want, got) = (hist.percentile(q), latencies.percentile(q));
-                assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} q {q}");
-            }
+            let expanded = |execs: &ExecRuns| -> Histogram {
+                execs
+                    .iter()
+                    .map(|(s, d)| d.saturating_since(s).as_secs())
+                    .collect()
+            };
+            assert!(record.latencies() == expanded(&record), "seed {seed}");
             // One submit time's share, as E19 measures a phase.
             let middle = record.iter().nth(record.len() / 2);
             if let Some((t, _)) = middle {
                 let phase = record.submitted_at(t);
                 let model: Vec<_> = record.iter().filter(|&(s, _)| s == t).collect();
                 assert!(phase.iter().eq(model.iter().copied()), "seed {seed}");
-                assert_eq!(phase.len(), model.len());
+                assert!(phase.latencies() == expanded(&phase), "seed {seed}");
+                assert_eq!(phase.latencies().count(), model.len());
             }
         }
-        assert_eq!(ExecRuns::new().latencies().summary(), Summary::default());
+        assert!(ExecRuns::new().latencies().is_empty());
     }
 
     #[test]

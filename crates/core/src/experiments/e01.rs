@@ -158,8 +158,8 @@ impl Experiment for Config {
         for (d, dep) in deployments().iter().enumerate() {
             let (mut lat, metrics) = run_deployment(self, dep, self.seed ^ ((d as u64 + 1) << 8));
             report.absorb_metrics(metrics);
-            let within_5s = lat.samples().iter().filter(|&&s| s <= 5.0).count() as f64
-                / lat.count().max(1) as f64;
+            let within_5s =
+                lat.samples().filter(|&s| s <= 5.0).count() as f64 / lat.count().max(1) as f64;
             table.row([
                 dep.name.to_string(),
                 lat.count().to_string(),

@@ -95,32 +95,21 @@ impl Experiment for Config {
 
         // Population and load statistics.
         let free_riders = ids.iter().filter(|&&i| sim.node(i).is_free_rider()).count();
-        let mut served: Vec<f64> = ids
+        let served: Vec<f64> = ids
             .iter()
             .map(|&i| sim.node(i).hits_served as f64)
             .collect();
-        let total_hits: f64 = served.iter().sum();
-        served.sort_by(|a, b| b.total_cmp(a));
-        let share_of_top = |frac: f64| -> f64 {
-            let k = ((ids.len() as f64 * frac).ceil() as usize).max(1);
-            if total_hits == 0.0 {
-                0.0
-            } else {
-                served.iter().take(k).sum::<f64>() / total_hits
-            }
-        };
         // Adar & Huberman's headline number counts *files provided*: the
         // share of all shared file instances held by the top hosts.
-        let mut libraries: Vec<f64> = ids
+        let libraries: Vec<f64> = ids
             .iter()
             .map(|&i| sim.node(i).shared_count() as f64)
             .collect();
-        let total_instances: f64 = libraries.iter().sum();
-        libraries.sort_by(|a, b| b.total_cmp(a));
-        let files_top = |frac: f64| -> f64 {
-            let k = ((ids.len() as f64 * frac).ceil() as usize).max(1);
-            libraries.iter().take(k).sum::<f64>() / total_instances.max(1.0)
+        let top = |values: &[f64], frac: f64| {
+            top_k_share(values, ((ids.len() as f64 * frac).ceil() as usize).max(1))
         };
+        let share_of_top = |frac: f64| top(&served, frac);
+        let files_top = |frac: f64| top(&libraries, frac);
         let answered: HashSet<u64> = ids
             .iter()
             .flat_map(|&i| sim.node(i).hits_received.iter().map(|&(q, _, _)| q))

@@ -18,7 +18,6 @@
 //!   state transfer, cannot close its execution gap even afterwards.
 
 use decent_bft::pbft::{build_cluster, PbftConfig, PbftReplica};
-use decent_bft::runs::Latencies;
 use decent_overlay::id::Key;
 use decent_overlay::kademlia::{build_network, KadConfig, KadNode};
 use decent_sim::prelude::*;
@@ -223,20 +222,16 @@ fn run_dht(cfg: &Config) -> (Vec<DhtPhase>, MetricsSnapshot) {
     (out, sim.metrics_snapshot())
 }
 
-/// Per-phase PBFT measurements on one replica: `(executed, commit
-/// latencies)` for the batch submitted at `submitted_at`.
-fn pbft_phase(replica: &PbftReplica, submitted_at: SimTime) -> (u64, Latencies) {
-    let phase = replica.executed.submitted_at(submitted_at);
-    (phase.len() as u64, phase.latencies())
-}
-
+/// Per-phase PBFT measurements: the majority replica's commit latencies
+/// of each batch (their count is its executed requests) and the
+/// minority replica's executed counts.
 struct PbftOutcome {
-    maj_pre: (u64, Latencies),
-    maj_during: (u64, Latencies),
-    maj_post: (u64, Latencies),
-    min_pre: u64,
-    min_during: u64,
-    min_post: u64,
+    maj_pre: Histogram,
+    maj_during: Histogram,
+    maj_post: Histogram,
+    min_pre: usize,
+    min_during: usize,
+    min_post: usize,
     min_view_changes: u64,
 }
 
@@ -276,12 +271,12 @@ fn run_pbft(cfg: &Config) -> (PbftOutcome, MetricsSnapshot) {
     let majority = sim.node(ids[0]);
     let minority = sim.node(ids[6]);
     let out = PbftOutcome {
-        maj_pre: pbft_phase(majority, t_pre),
-        maj_during: pbft_phase(majority, t_during),
-        maj_post: pbft_phase(majority, t_post),
-        min_pre: pbft_phase(minority, t_pre).0,
-        min_during: pbft_phase(minority, t_during).0,
-        min_post: pbft_phase(minority, t_post).0,
+        maj_pre: majority.executed.submitted_at(t_pre).latencies(),
+        maj_during: majority.executed.submitted_at(t_during).latencies(),
+        maj_post: majority.executed.submitted_at(t_post).latencies(),
+        min_pre: minority.executed.submitted_at(t_pre).len(),
+        min_during: minority.executed.submitted_at(t_during).len(),
+        min_post: minority.executed.submitted_at(t_post).len(),
         min_view_changes: minority.view_changes,
     };
     (out, sim.metrics_snapshot())
@@ -357,7 +352,7 @@ impl Experiment for Config {
         }
         report.table(t);
 
-        let (pbft, pbft_metrics) = run_pbft(self);
+        let (mut pbft, pbft_metrics) = run_pbft(self);
         let mut t = Table::new(
             "PBFT (n=7, f=2) across a 5/2 partition",
             &[
@@ -368,15 +363,15 @@ impl Experiment for Config {
             ],
         );
         let pbft_rows = [
-            ("pre-partition", &pbft.maj_pre, pbft.min_pre),
-            ("partitioned", &pbft.maj_during, pbft.min_during),
-            ("healed", &pbft.maj_post, pbft.min_post),
+            ("pre-partition", &mut pbft.maj_pre, pbft.min_pre),
+            ("partitioned", &mut pbft.maj_during, pbft.min_during),
+            ("healed", &mut pbft.maj_post, pbft.min_post),
         ];
         for (name, maj, min_execd) in pbft_rows {
             t.row([
                 name.to_string(),
-                maj.0.to_string(),
-                format!("{:.1} ms", maj.1.percentile(0.5) * 1e3),
+                maj.count().to_string(),
+                format!("{:.1} ms", maj.percentile(0.5) * 1e3),
                 min_execd.to_string(),
             ]);
         }
@@ -445,13 +440,13 @@ impl Experiment for Config {
             "a 2f+1 subset makes progress regardless of the rest (IV)",
             format!(
                 "majority executed {} of {} during the cut, commit p50 {:.1} ms",
-                pbft.maj_during.0,
+                pbft.maj_during.count(),
                 self.ops_per_phase,
-                pbft.maj_during.1.percentile(0.5) * 1e3
+                pbft.maj_during.percentile(0.5) * 1e3
             ),
-            pbft.maj_during.0 as f64 / ops,
+            pbft.maj_during.count() as f64 / ops,
             Expect::AtLeast(0.999),
-            pbft.maj_during.1.percentile(0.5) < 1.0,
+            pbft.maj_during.percentile(0.5) < 1.0,
         );
         report.check(
             "E19.pbft-heals",
@@ -459,9 +454,10 @@ impl Experiment for Config {
             "progress resumes once the partition heals (IV)",
             format!(
                 "majority executed {} of {} post-heal requests",
-                pbft.maj_post.0, self.ops_per_phase
+                pbft.maj_post.count(),
+                self.ops_per_phase
             ),
-            pbft.maj_post.0 as f64 / ops,
+            pbft.maj_post.count() as f64 / ops,
             Expect::AtLeast(0.999),
         );
         report.structural(

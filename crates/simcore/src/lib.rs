@@ -85,9 +85,7 @@ pub mod prelude {
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultStats, Faulty, LinkSet};
     pub use crate::idset::IdSet;
     pub use crate::json::Json;
-    pub use crate::metrics::{
-        gini, top_k_share, Counter, Histogram, Metric, MetricsSnapshot, Summary,
-    };
+    pub use crate::metrics::{gini, top_k_share, Histogram, Metric, MetricsSnapshot, Summary};
     pub use crate::net::{
         ConstantLatency, LanNet, NetworkModel, Region, RegionNet, UniformLatency,
     };

@@ -1,49 +1,24 @@
-//! Measurement primitives: counters, histograms with exact percentiles,
+//! Measurement primitives: histograms with exact percentiles,
 //! fixed-footprint log-linear histograms, and engine metric snapshots.
 //!
 //! There are two histograms, each for one stated reason. [`Histogram`]
-//! (every sample kept, exact percentiles) is the report type: the
-//! E1/E4/E6/E12/E13/E19 claims compare exact p50/p99 and their report
-//! bytes are pinned. [`LogHistogram`] (252 fixed buckets, at most 12.5 %
-//! quantile error, no allocation) is the always-on engine instrument
-//! (`message_bytes`, `partition_duration_ms`). Merging them would move
-//! report bytes, so they stay two types.
+//! (every sample kept, as `(value, count)` runs, exact percentiles) is
+//! the report type: the E1/E4/E6/E12/E13/E19 claims compare exact
+//! p50/p99 and their report bytes are pinned. [`LogHistogram`] (252
+//! fixed buckets, at most 12.5 % quantile error, no allocation) is the
+//! always-on engine instrument (`message_bytes`,
+//! `partition_duration_ms`). Both read their quantiles through one
+//! nearest-rank walk over ascending `(value, count)` pairs.
 
 use std::fmt;
 
-/// A monotone event counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 /// A sample collection with exact quantiles (stores all samples).
+///
+/// Samples are kept as `(value, count)` runs in recorded order: a sample
+/// whose bits equal the last run's value extends it, so repeated values
+/// cost one run, and [`record_n`](Self::record_n) records a weighted
+/// run at once. Every statistic reads back what a histogram holding each
+/// sample separately would, to the bit.
 ///
 /// # Examples
 ///
@@ -57,9 +32,11 @@ impl fmt::Display for Counter {
 /// assert_eq!(h.percentile(0.5), 50.0);
 /// assert_eq!(h.max(), 100.0);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct Histogram {
-    samples: Vec<f64>,
+    /// `(value, count)` runs; neighbours never hold identical bits.
+    runs: Vec<(f64, u64)>,
+    len: usize,
     sorted: bool,
 }
 
@@ -75,74 +52,86 @@ impl Histogram {
     ///
     /// Panics if `x` is NaN.
     pub fn record(&mut self, x: f64) {
+        self.record_n(x, 1);
+    }
+
+    /// Records `n` samples of value `x` (nothing when `n` is 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN.
+    pub fn record_n(&mut self, x: f64, n: u64) {
         assert!(!x.is_nan(), "histogram samples must not be NaN");
-        self.samples.push(x);
+        if n == 0 {
+            return;
+        }
+        self.len += n as usize;
         self.sorted = false;
+        match self.runs.last_mut() {
+            Some((last, count)) if last.to_bits() == x.to_bits() => *count += n,
+            _ => self.runs.push((x, n)),
+        }
     }
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.len
     }
 
     /// Returns true if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len == 0
     }
 
-    /// Mean of the samples (0 when empty).
+    /// Mean of the samples (0 when empty), summed one by one in their
+    /// current order.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
+            self.samples().sum::<f64>() / self.len as f64
         }
-    }
-
-    /// Sample standard deviation (0 when fewer than two samples).
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|x| (x - m) * (x - m)).sum::<f64>()
-            / (self.samples.len() - 1) as f64;
-        var.sqrt()
     }
 
     /// Minimum sample (0 when empty).
     pub fn min(&self) -> f64 {
-        self.samples
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min)
-            .pipe_finite()
+        self.extreme(f64::INFINITY, f64::min)
     }
 
     /// Maximum sample (0 when empty).
     pub fn max(&self) -> f64 {
-        self.samples
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max)
-            .pipe_finite()
+        self.extreme(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// Folds the run values with `pick` from `start` (0 when empty).
+    fn extreme(&self, start: f64, pick: fn(f64, f64) -> f64) -> f64 {
+        if self.is_empty() {
+            return 0.0;
+        }
+        self.runs.iter().map(|r| r.0).fold(start, pick)
     }
 
     /// Exact `q`-quantile by nearest-rank (q in `[0, 1]`; 0 when empty).
+    ///
+    /// Sorts the samples in place (stably, by `total_cmp`) on the first
+    /// call after a record.
     ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn percentile(&mut self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        if !self.sorted {
-            self.samples.sort_by(|a, b| a.total_cmp(b));
+        if !self.sorted && !self.is_empty() {
+            self.runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            self.runs.dedup_by(|(x, n), (kept, m)| {
+                let same = x.to_bits() == kept.to_bits();
+                if same {
+                    *m += *n;
+                }
+                same
+            });
             self.sorted = true;
         }
-        self.samples[nearest_rank(q, self.samples.len())]
+        nearest_rank(q, self.len as u64, self.runs.iter().copied()).unwrap_or(0.0)
     }
 
     /// A snapshot of common statistics.
@@ -158,15 +147,27 @@ impl Histogram {
         }
     }
 
-    /// All samples, unsorted order not guaranteed.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
+    /// All samples, in recorded order until a
+    /// [`percentile`](Self::percentile) sorts them.
+    pub fn samples(&self) -> impl Iterator<Item = f64> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|&(x, n)| std::iter::repeat_n(x, n as usize))
     }
 
     /// Merges another histogram's samples into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
+        for &(x, n) in &other.runs {
+            self.record_n(x, n);
+        }
+    }
+}
+
+/// Compares the samples in their current order, however they are split
+/// into runs.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.samples().eq(other.samples())
     }
 }
 
@@ -186,25 +187,26 @@ impl FromIterator<f64> for Histogram {
     }
 }
 
-/// The 0-based index of the `q`-quantile among `n > 0` sorted samples,
-/// by nearest rank: what [`Histogram::percentile`] reads, for callers
-/// that keep their samples some other way.
-pub fn nearest_rank(q: f64, n: usize) -> usize {
-    let rank = ((q * n as f64).ceil() as usize).max(1) - 1;
-    rank.min(n - 1)
-}
-
-trait PipeFinite {
-    fn pipe_finite(self) -> f64;
-}
-impl PipeFinite for f64 {
-    fn pipe_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
+/// The value at `q`'s nearest rank, the `⌈q·len⌉`-th smallest (at
+/// least the first), among `len` samples given as ascending
+/// `(value, count)` pairs; `None` when `len` is 0.
+///
+/// # Panics
+///
+/// Panics if `q` is outside `[0, 1]`.
+fn nearest_rank<T>(q: f64, len: u64, ascending: impl IntoIterator<Item = (T, u64)>) -> Option<T> {
+    assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
+    if len == 0 {
+        return None;
     }
+    let mut rank = (((q * len as f64).ceil() as u64).max(1) - 1).min(len - 1);
+    for (x, count) in ascending {
+        if rank < count {
+            return Some(x);
+        }
+        rank -= count;
+    }
+    unreachable!("the pairs hold fewer than {len} samples")
 }
 
 /// Snapshot statistics of a [`Histogram`].
@@ -273,6 +275,7 @@ const LOG_HIST_BUCKETS: usize = (64 - LOG_HIST_SUB_BITS as usize + 1) * LOG_HIST
 /// // p50 lands in the bucket containing 100 (lower bound 96).
 /// assert_eq!(h.percentile(0.5), 96);
 /// ```
+#[derive(Clone, PartialEq)]
 pub struct LogHistogram {
     buckets: [u64; LOG_HIST_BUCKETS],
     count: u64,
@@ -371,19 +374,7 @@ impl LogHistogram {
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn percentile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Self::bucket_lower_bound(i);
-            }
-        }
-        Self::bucket_lower_bound(LOG_HIST_BUCKETS - 1)
+        nearest_rank(q, self.count, self.nonzero_buckets()).unwrap_or(0)
     }
 
     /// Returns true if nothing was recorded.
@@ -416,28 +407,6 @@ impl LogHistogram {
 impl Default for LogHistogram {
     fn default() -> Self {
         LogHistogram::new()
-    }
-}
-
-impl Clone for LogHistogram {
-    fn clone(&self) -> Self {
-        LogHistogram {
-            buckets: self.buckets,
-            count: self.count,
-            sum: self.sum,
-            min: self.min,
-            max: self.max,
-        }
-    }
-}
-
-impl PartialEq for LogHistogram {
-    fn eq(&self, other: &Self) -> bool {
-        self.count == other.count
-            && self.sum == other.sum
-            && self.min == other.min
-            && self.max == other.max
-            && self.buckets[..] == other.buckets[..]
     }
 }
 
@@ -493,10 +462,7 @@ impl Metric {
 /// distributions add bucket-wise).
 ///
 /// Entries keep insertion order, so serialized output is deterministic.
-/// Deliberately `#[derive]`-free: every trait below is hand-implemented
-/// so the type's behaviour does not depend on macro expansion, and
-/// serialization is owned by the caller (see `decent-core`'s hand-rolled
-/// JSON reports).
+#[derive(Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     entries: Vec<(String, Metric)>,
 }
@@ -504,9 +470,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Creates an empty snapshot.
     pub fn new() -> Self {
-        MetricsSnapshot {
-            entries: Vec::new(),
-        }
+        MetricsSnapshot::default()
     }
 
     /// Sets (or replaces) a counter metric.
@@ -574,26 +538,6 @@ impl MetricsSnapshot {
     }
 }
 
-impl Default for MetricsSnapshot {
-    fn default() -> Self {
-        MetricsSnapshot::new()
-    }
-}
-
-impl Clone for MetricsSnapshot {
-    fn clone(&self) -> Self {
-        MetricsSnapshot {
-            entries: self.entries.clone(),
-        }
-    }
-}
-
-impl PartialEq for MetricsSnapshot {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-    }
-}
-
 impl fmt::Debug for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut map = f.debug_map();
@@ -654,15 +598,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
-
-    #[test]
     fn histogram_percentiles_exact() {
         let mut h: Histogram = (1..=1000).map(|x| x as f64).collect();
         assert_eq!(h.percentile(0.0), 1.0);
@@ -687,7 +622,6 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(h.mean(), 5.0);
-        assert!((h.stddev() - 2.138).abs() < 0.01);
         let s = h.summary();
         assert_eq!(s.count, 8);
         assert_eq!(s.min, 2.0);
@@ -707,6 +641,125 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn histogram_rejects_nan() {
         Histogram::new().record(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn record_n_rejects_nan() {
+        Histogram::new().record_n(f64::NAN, 3);
+    }
+
+    #[test]
+    fn histogram_extremes_include_infinities() {
+        let mut h: Histogram = [1.0, f64::INFINITY, -2.0].into_iter().collect();
+        assert_eq!(h.max(), f64::INFINITY);
+        assert_eq!(h.min(), -2.0);
+        let s = h.summary();
+        assert!(s.max >= s.p99, "{s:?}");
+        let mut low: Histogram = [3.0, f64::NEG_INFINITY].into_iter().collect();
+        assert_eq!(low.min(), f64::NEG_INFINITY);
+        assert_eq!(low.percentile(0.0), f64::NEG_INFINITY);
+    }
+
+    /// Every statistic as bits, so a sum rounded in another order fails.
+    fn bits(h: &mut Histogram) -> Vec<u64> {
+        let s = h.summary();
+        let mut v = vec![s.count as u64];
+        v.extend([s.mean, s.min, s.p50, s.p90, s.p99, s.max].map(f64::to_bits));
+        v.extend([h.min(), h.max(), h.mean()].map(f64::to_bits));
+        for q in [0.0, 0.001, 0.25, 0.5, 0.9, 0.999, 1.0] {
+            v.push(h.percentile(q).to_bits());
+        }
+        // Taken after the percentiles: summed in sorted order.
+        v.push(h.mean().to_bits());
+        v
+    }
+
+    #[test]
+    fn record_n_matches_the_expanded_records() {
+        use crate::rng::rng_from_seed;
+        use rand::Rng;
+
+        // Ties, both zeros, subnormals and both infinities, drawn often
+        // enough that neighbouring runs repeat a value.
+        let pool = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::from_bits(5),
+            0.1,
+            0.7,
+            1e300,
+            f64::INFINITY,
+        ];
+        for seed in 0..64 {
+            let mut rng = rng_from_seed(seed);
+            // Odd seeds leave out the infinities and 1e300, which would
+            // swamp the mean and hide the order it is summed in.
+            let pool = if seed % 2 == 0 {
+                &pool[..]
+            } else {
+                &pool[1..8]
+            };
+            let runs: Vec<(f64, u64)> = (0..rng.gen_range(0..60))
+                .map(|_| {
+                    let x = match rng.gen_range(0..4) {
+                        0 => rng.gen_range(-1e3..1e3),
+                        _ => pool[rng.gen_range(0..pool.len())],
+                    };
+                    (x, rng.gen_range(0..5u64))
+                })
+                .collect();
+            let (mut weighted, mut expanded) = (Histogram::new(), Histogram::new());
+            for &(x, n) in &runs {
+                weighted.record_n(x, n);
+                for _ in 0..n {
+                    expanded.record(x);
+                }
+            }
+            assert!(weighted == expanded, "seed {seed}");
+            let (mut first, mut second) = (Histogram::new(), Histogram::new());
+            let (head, tail) = runs.split_at(runs.len() / 2);
+            head.iter().for_each(|&(x, n)| first.record_n(x, n));
+            tail.iter().for_each(|&(x, n)| second.record_n(x, n));
+            first.merge(&second);
+            assert!(first == expanded, "seed {seed}");
+
+            // The model is the `Vec<f64>` of samples these runs stand for.
+            let mut model: Vec<f64> = runs
+                .iter()
+                .flat_map(|&(x, n)| std::iter::repeat_n(x, n as usize))
+                .collect();
+            assert!(expanded.samples().eq(model.iter().copied()), "seed {seed}");
+            assert_eq!(model.len(), expanded.count());
+            let sum = |v: &[f64]| (v.iter().sum::<f64>() / v.len() as f64).to_bits();
+            if !model.is_empty() {
+                assert_eq!(expanded.mean().to_bits(), sum(&model), "seed {seed}");
+                let min = model.iter().copied().fold(f64::INFINITY, f64::min);
+                assert_eq!(expanded.min().to_bits(), min.to_bits(), "seed {seed}");
+            }
+            let want = bits(&mut expanded);
+            model.sort_by(f64::total_cmp);
+            assert!(expanded.samples().eq(model.iter().copied()), "seed {seed}");
+            if let Some(&last) = model.last() {
+                let n = model.len();
+                for q in [0.0, 0.001, 0.25, 0.5, 0.9, 0.999, 1.0] {
+                    let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+                    let got = expanded.percentile(q).to_bits();
+                    assert_eq!(got, model[rank - 1].to_bits(), "seed {seed} q {q}");
+                }
+                assert_eq!(expanded.max().to_bits(), last.to_bits(), "seed {seed}");
+                assert_eq!(expanded.mean().to_bits(), sum(&model), "seed {seed}");
+            }
+            assert_eq!(bits(&mut weighted), want, "seed {seed}");
+            assert_eq!(bits(&mut first), want, "seed {seed}");
+            assert!(weighted == expanded, "seed {seed}: sorted alike");
+            let before = weighted.clone();
+            weighted.record_n(2.0, 0);
+            assert!(weighted == before && weighted.count() == before.count());
+        }
     }
 
     #[test]
